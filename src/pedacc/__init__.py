@@ -46,15 +46,7 @@ from .kernel import (
     relabel_restricted_products,
     verify_derivation,
 )
-from .reduction import (
-    DEFAULT_FUEL,
-    FuelExhausted,
-    beta_step,
-    convertible,
-    normalize,
-    one_step_reducts,
-    whnf,
-)
+from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize
 from .terms import (
     PROP,
     TYPE,

@@ -53,7 +53,7 @@ from .prelude import (
     times,
     top_type,
 )
-from .reduction import DEFAULT_FUEL, normalize, one_step_reducts
+from .reduction import DEFAULT_FUEL, convertible
 from .terms import (
     Abs,
     App,
@@ -69,6 +69,7 @@ from .terms import (
     env_of,
     is_closed,
     lift,
+    subst,
 )
 
 
@@ -347,7 +348,7 @@ def subject_reduction_fuzz(n_cases: int, seed: int = 0,
             inferred, d = res
             if keep is not None:
                 keep.append(d)
-            if not convertible_to(inferred, ty, fuel):
+            if not convertible(inferred, ty, fuel):
                 report.failures.append(
                     f"seed {seed + i} [{mode.value}]: type drifted from the label")
                 continue
@@ -363,8 +364,22 @@ def subject_reduction_fuzz(n_cases: int, seed: int = 0,
     return report
 
 
-def convertible_to(a: Term, b: Term, fuel: int = DEFAULT_FUEL) -> bool:
-    return normalize(a, fuel) == normalize(b, fuel)
+def one_step_reducts(t: Term) -> list[Term]:
+    """All terms reachable by contracting exactly one redex of `t`."""
+    out: list[Term] = []
+    match t:
+        case App(f, a):
+            if isinstance(f, Abs):
+                out.append(subst(f.body, 0, a))
+            out.extend(App(f2, a) for f2 in one_step_reducts(f))
+            out.extend(App(f, a2) for a2 in one_step_reducts(a))
+        case Abs(d, b):
+            out.extend(Abs(d2, b) for d2 in one_step_reducts(d))
+            out.extend(Abs(d, b2) for b2 in one_step_reducts(b))
+        case Prod(d, b):
+            out.extend(Prod(d2, b) for d2 in one_step_reducts(d))
+            out.extend(Prod(d, b2) for b2 in one_step_reducts(b))
+    return out
 
 
 # ---------------------------------------------------------------------------

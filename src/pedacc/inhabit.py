@@ -46,7 +46,7 @@ from .kernel import (
     infer_type,
 )
 from .prelude import top_type
-from .reduction import DEFAULT_FUEL, Fuel, convertible, whnf
+from .reduction import DEFAULT_FUEL, normalize
 from .terms import (
     Abs,
     App,
@@ -79,13 +79,6 @@ DEFAULT_SEARCH_BUDGET = 4000
 
 
 @dataclass(frozen=True)
-class InhabitationGoal:
-    env: Environment
-    goal: Term
-    depth: int
-
-
-@dataclass(frozen=True)
 class MotivationResult:
     motivation: Motivation
     derivations: tuple[Derivation, ...]
@@ -93,14 +86,17 @@ class MotivationResult:
 
 # ---------------------------------------------------------------------------
 # bounded proof search
+#
+# Goals are normalized once, where the search is entered, and stay normal:
+# the domain of a normal product and its body opened at a fresh name are
+# normal too.  So convertibility with a goal is equality of normal forms.
 
 
-def _search(env: Environment, goal: Term, depth: int, fuel: Fuel | int,
+def _search(env: Environment, goal: Term, depth: int, fuel: int,
             budget: list[int], intros: int = 0) -> Term | None:
     if budget[0] <= 0:
         return None
     budget[0] -= 1
-    goal = whnf(goal, fuel)
 
     if goal == PROP:
         return top_type
@@ -117,12 +113,12 @@ def _search(env: Environment, goal: Term, depth: int, fuel: Fuel | int,
 
     # neutral goal: an assumption may close it outright
     for entry in reversed(env.entries):
-        if convertible(entry.ty, goal, fuel):
+        if normalize(entry.ty, fuel) == goal:
             return Free(entry.name)
 
     # otherwise try assumption heads applied to searched arguments
     for entry in reversed(env.entries):
-        found = _apply_head(env, Free(entry.name), whnf(entry.ty, fuel),
+        found = _apply_head(env, Free(entry.name), normalize(entry.ty, fuel),
                             goal, depth, fuel, budget)
         if found is not None:
             return found
@@ -130,26 +126,27 @@ def _search(env: Environment, goal: Term, depth: int, fuel: Fuel | int,
 
 
 def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
-                depth: int, fuel: Fuel | int, budget: list[int]) -> Term | None:
+                depth: int, fuel: int, budget: list[int]) -> Term | None:
+    # head_ty, the type of head, is normal like the goal
     if budget[0] <= 0:
         return None
     budget[0] -= 1
-    if convertible(head_ty, goal, fuel):
+    if head_ty == goal:
         return head
     if depth <= 0 or not isinstance(head_ty, Prod):
         return None
     dom = head_ty.domain
-    if convertible(dom, PROP, fuel):
+    if dom == PROP:
         # dependent head: instantiating with the goal itself comes first
         candidates = [goal]
         candidates += [Free(e.name) for e in reversed(env.entries)
-                       if convertible(e.ty, PROP, fuel)]
+                       if normalize(e.ty, fuel) == PROP]
         candidates.append(top_type)
     else:
         arg = _search(env, dom, depth - 1, fuel, budget)
         candidates = [] if arg is None else [arg]
     for arg in candidates:
-        applied = whnf(subst(head_ty.body, 0, arg), fuel)
+        applied = normalize(subst(head_ty.body, 0, arg), fuel)
         found = _apply_head(env, App(head, arg), applied, goal, depth - 1,
                             fuel, budget)
         if found is not None:
@@ -158,7 +155,7 @@ def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
 
 
 def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
-                       fuel: Fuel | int = DEFAULT_FUEL,
+                       fuel: int = DEFAULT_FUEL,
                        budget: int = DEFAULT_SEARCH_BUDGET) -> WitnessOracle:
     """The standard witness oracle: bounded deterministic search.
 
@@ -171,7 +168,7 @@ def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
         key = (env.entries, goal)
         if key in cache:
             return cache[key]
-        found = _search(env, goal, depth, fuel, [budget])
+        found = _search(env, normalize(goal, fuel), depth, fuel, [budget])
         cache[key] = found
         return found
 
@@ -180,14 +177,14 @@ def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
 
 def inhabit_search(env: Environment, goal: Term,
                    depth: int = DEFAULT_SEARCH_DEPTH,
-                   fuel: Fuel | int = DEFAULT_FUEL,
+                   fuel: int = DEFAULT_FUEL,
                    ) -> tuple[Term, Derivation] | None:
     """Search for an inhabitant of `goal` and verify it from scratch.
 
     Returns None if the bounded search finds nothing; a None here is a
     report of exhaustion at this depth, not a nonexistence proof.
     """
-    term = _search(env, goal, depth, fuel, [DEFAULT_SEARCH_BUDGET])
+    term = _search(env, normalize(goal, fuel), depth, fuel, [DEFAULT_SEARCH_BUDGET])
     if term is None:
         return None
     d = check_type(env, term, goal, SystemMode.CC, fuel=fuel)
@@ -231,7 +228,7 @@ def inhabit_from_prod_derivation(d: Derivation) -> tuple[Term, Derivation]:
 
 def inhabit_type_sorted(d: Derivation,
                         oracle: WitnessOracle | None = None,
-                        fuel: Fuel | int = DEFAULT_FUEL,
+                        fuel: int = DEFAULT_FUEL,
                         ) -> tuple[Term, Derivation]:
     """Inhabit the subject of `d : env |- B : Type`.
 
@@ -259,7 +256,7 @@ def inhabit_type_sorted(d: Derivation,
 
 def inhabit_applied(d: Derivation, args: list[Term] | tuple[Term, ...] = (),
                     oracle: WitnessOracle | None = None,
-                    fuel: Fuel | int = DEFAULT_FUEL,
+                    fuel: int = DEFAULT_FUEL,
                     trace: list | None = None,
                     ) -> tuple[Term, Derivation]:
     """Inhabit `B args` given `d : env |- B : forall xs, Prop` with B and
@@ -309,7 +306,7 @@ def inhabit_applied(d: Derivation, args: list[Term] | tuple[Term, ...] = (),
 
 def inhabit_closed(d: Derivation,
                    oracle: WitnessOracle | None = None,
-                   fuel: Fuel | int = DEFAULT_FUEL,
+                   fuel: int = DEFAULT_FUEL,
                    trace: list | None = None,
                    ) -> tuple[Term, Derivation]:
     """Inhabit the subject of `d : env |- B : kappa`, dispatching on the
@@ -328,7 +325,7 @@ def inhabit_closed(d: Derivation,
 
 def motivate_env(d: Derivation,
                  oracle: WitnessOracle | None = None,
-                 fuel: Fuel | int = DEFAULT_FUEL,
+                 fuel: int = DEFAULT_FUEL,
                  ) -> MotivationResult | Diagnostic:
     """From `d : wf env` in the restricted system, construct the cascade:
     one closed term per entry, each checking against its entry type with
@@ -371,7 +368,7 @@ def motivate_env(d: Derivation,
 
 def motivate_judgment(d: Derivation,
                       oracle: WitnessOracle | None = None,
-                      fuel: Fuel | int = DEFAULT_FUEL,
+                      fuel: int = DEFAULT_FUEL,
                       ) -> tuple[MotivationResult, Derivation] | Diagnostic:
     """From `d : env |- u : B`, motivate the environment and transport the
     judgment under the substitution: returns the cascade plus a derivation
@@ -397,7 +394,7 @@ def motivate_judgment(d: Derivation,
 
 def usefulness_argument(d: Derivation,
                         oracle: WitnessOracle | None = None,
-                        fuel: Fuel | int = DEFAULT_FUEL,
+                        fuel: int = DEFAULT_FUEL,
                         ) -> tuple[Term, Derivation] | Diagnostic:
     """A function typed in the empty environment has an inhabited domain:
     from `d : |- f : forall x : A, B`, produce `u` with `|- u : A`.
@@ -421,7 +418,7 @@ def usefulness_argument(d: Derivation,
 
 
 def check_poincare(env: Environment, candidate: Motivation,
-                   fuel: Fuel | int = DEFAULT_FUEL) -> bool:
+                   fuel: int = DEFAULT_FUEL) -> bool:
     """Does `candidate` justify `env`?  True iff every motivation term is
     closed and the substitution cascade checks in the full calculus."""
     for _, t in candidate.assignments:

@@ -8,11 +8,12 @@ demands, at every axiom and variable use, a user-supplied motivation: a
 list of closed terms inhabiting the environment types after substituting
 the earlier motivation terms.
 
-The checker is syntax-directed.  Inferred types are kept in normal form;
-conversion nodes appear only where an inferred type is normalized or an
-application argument is adjusted to the function's domain.  Every result
-is a full `Derivation` tree that can be re-checked node by node with
-`verify_derivation`.
+The checker is syntax-directed.  Inferred types and the witnesses taken
+from `by` hints are kept in normal form (the restricted product that types
+an abstraction keeps its body as written); conversion nodes appear only
+where an inferred type is normalized or an application argument is
+adjusted to the function's domain.  Every result is a full `Derivation`
+tree that can be re-checked node by node with `verify_derivation`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
-from .reduction import DEFAULT_FUEL, Fuel, convertible, normalize, whnf
+from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize
 from .terms import (
     Abs,
     App,
@@ -161,22 +162,19 @@ class Checker:
         self,
         mode: SystemMode,
         oracle: WitnessOracle | None = None,
-        fuel: Fuel | int = DEFAULT_FUEL,
-        arg_first: bool = False,
+        fuel: int = DEFAULT_FUEL,
     ):
         self.mode = mode
         self.oracle = oracle
         self.fuel = fuel
-        # Visit application arguments before functions.  Exists only to let
-        # tests confirm inferred types do not depend on traversal order.
-        self.arg_first = arg_first
         self._memo: dict = {}
         self._cascade_memo: dict = {}
 
     # -- public entry points --------------------------------------------------
     # A checker instance caches inferences by (environment, term), so reusing
     # one across many judgments is much cheaper than the module-level helpers
-    # when the judgments share subterms.
+    # when the judgments share subterms.  Type errors and running out of fuel
+    # both come back as a Diagnostic.
 
     def infer(
         self,
@@ -187,8 +185,8 @@ class Checker:
         try:
             inf = self._infer(self.root_ctx(env, motivation), term, None, ())
             return inf.ty, inf.d
-        except CheckError as e:
-            return e.diagnostic
+        except (CheckError, FuelExhausted) as e:
+            return _diagnostic(e)
 
     def check(
         self,
@@ -200,8 +198,8 @@ class Checker:
         try:
             ctx = self.root_ctx(env, motivation)
             return self._check(ctx, term, expected, ())
-        except CheckError as e:
-            return e.diagnostic
+        except (CheckError, FuelExhausted) as e:
+            return _diagnostic(e)
 
     # -- context construction ------------------------------------------------
 
@@ -390,15 +388,13 @@ class Checker:
                 return _Inf(b.ty, node, d_sort)
 
             case App(f, a):
-                a_inf = self._infer(ctx, a, None, pos + (1,)) if self.arg_first else None
                 f_inf = self._infer(ctx, f, None, pos + (0,))
                 if not isinstance(f_inf.ty, Prod):
                     raise CheckError(
                         Diagnostic("app", "application of a non-function",
                                    pos + (0,), found=f_inf.ty)
                     )
-                if a_inf is None:
-                    a_inf = self._infer(ctx, a, None, pos + (1,))
+                a_inf = self._infer(ctx, a, None, pos + (1,))
                 dom = f_inf.ty.domain
                 d_arg = a_inf.d
                 if a_inf.ty != dom:
@@ -452,15 +448,21 @@ class Checker:
         The hint (an inhabitant of the whole product, when one was
         annotated) is applied to the binder and tried first; the oracle
         only runs if that fails, since searching is far more expensive
-        than checking.  The application is reduced before checking so
-        that an abstraction hint costs one substitution rather than a
-        full re-check of its binder tower.
+        than checking.  The application is normalized before checking, so
+        an abstraction hint costs no re-check of its binder tower and the
+        stored witness is in normal form, like inferred types.  A hint
+        whose application finds no normal form before the fuel or the
+        interpreter's stack runs out is a failed candidate, like an
+        ill-typed one.
         """
         body_nf = normalize(body_open, self.fuel)
 
         def candidates():
             if hint is not None:
-                yield whnf(App(hint, Free(binder)), self.fuel)
+                try:
+                    yield normalize(App(hint, Free(binder)), self.fuel)
+                except (FuelExhausted, RecursionError):
+                    pass
             if self.oracle is not None:
                 found = self.oracle(ctx2.env, body_open)
                 if found is not None:
@@ -504,11 +506,17 @@ class Checker:
 # public entry points
 
 
+def _diagnostic(e: CheckError | FuelExhausted) -> Diagnostic:
+    if isinstance(e, FuelExhausted):
+        return Diagnostic("fuel", str(e), found=e.term)
+    return e.diagnostic
+
+
 def check_wf(
     env: Environment,
     mode: SystemMode = SystemMode.CC,
     oracle: WitnessOracle | None = None,
-    fuel: Fuel | int = DEFAULT_FUEL,
+    fuel: int = DEFAULT_FUEL,
 ) -> Derivation | Diagnostic:
     """Derivation that `env` is a well-formed environment.
 
@@ -520,8 +528,8 @@ def check_wf(
                          "use check_motivated_env")
     try:
         return Checker(mode, oracle, fuel).root_ctx(env).wf
-    except CheckError as e:
-        return e.diagnostic
+    except (CheckError, FuelExhausted) as e:
+        return _diagnostic(e)
 
 
 def infer_type(
@@ -529,7 +537,7 @@ def infer_type(
     term: Term,
     mode: SystemMode = SystemMode.CC,
     oracle: WitnessOracle | None = None,
-    fuel: Fuel | int = DEFAULT_FUEL,
+    fuel: int = DEFAULT_FUEL,
     motivation: Motivation | None = None,
 ) -> tuple[Term, Derivation] | Diagnostic:
     """Infer the (normal-form) type of `term`, with its derivation."""
@@ -542,7 +550,7 @@ def check_type(
     expected: Term,
     mode: SystemMode = SystemMode.CC,
     oracle: WitnessOracle | None = None,
-    fuel: Fuel | int = DEFAULT_FUEL,
+    fuel: int = DEFAULT_FUEL,
     motivation: Motivation | None = None,
 ) -> Derivation | Diagnostic:
     """Check `term` against `expected`, which must itself be well-sorted."""
@@ -554,7 +562,7 @@ def infer_with_sort(
     term: Term,
     mode: SystemMode = SystemMode.CC,
     oracle: WitnessOracle | None = None,
-    fuel: Fuel | int = DEFAULT_FUEL,
+    fuel: int = DEFAULT_FUEL,
 ) -> tuple[Term, Derivation, Derivation | None] | Diagnostic:
     """Like `infer_type` but also derives the sort of the inferred type.
 
@@ -569,8 +577,8 @@ def infer_with_sort(
             return inf.ty, inf.d, None
         d_sort = inf.d_sort or checker._sort_deriv(ctx, inf.ty, term, ())
         return inf.ty, inf.d, d_sort
-    except CheckError as e:
-        return e.diagnostic
+    except (CheckError, FuelExhausted) as e:
+        return _diagnostic(e)
 
 
 def check_motivated_env(
@@ -578,7 +586,7 @@ def check_motivated_env(
     motivation: Motivation,
     mode: SystemMode = SystemMode.CC,
     oracle: WitnessOracle | None = None,
-    fuel: Fuel | int = DEFAULT_FUEL,
+    fuel: int = DEFAULT_FUEL,
 ) -> tuple[Derivation, ...] | Diagnostic:
     """Check a motivation against an environment.
 
@@ -607,8 +615,8 @@ def check_motivated_env(
             derivs.append(checker._check(empty, mot_term, closed_ty, ("env", entry.name)))
             done.append((entry.name, mot_term))
         return tuple(derivs)
-    except CheckError as e:
-        return e.diagnostic
+    except (CheckError, FuelExhausted) as e:
+        return _diagnostic(e)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +629,7 @@ _RULES_BY_MODE = {
 }
 
 
-def _verify_node(d: Derivation, problems: list[str], fuel: Fuel | int) -> None:
+def _verify_node(d: Derivation, problems: list[str], fuel: int) -> None:
     c = d.conclusion
     rules = _RULES_BY_MODE[d.mode]
     if d.rule not in rules:
@@ -777,7 +785,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: Fuel | int) -> None:
         problems.append(f"{d.rule} node is missing premises")
 
 
-def verify_derivation(d: Derivation, fuel: Fuel | int = DEFAULT_FUEL) -> list[str]:
+def verify_derivation(d: Derivation, fuel: int = DEFAULT_FUEL) -> list[str]:
     """Re-check every node of a derivation against its rule schema.
 
     Returns a list of problems; an empty list means the tree is valid.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .kernel import Derivation, SystemMode, check_type
-from .reduction import DEFAULT_FUEL, Fuel, normalize
+from .reduction import DEFAULT_FUEL, normalize
 from .terms import (
     Abs,
     App,
@@ -84,7 +84,7 @@ def numeral(k: int) -> Term:
     return Abs(PROP, Abs(Bound(0), Abs(Prod(Bound(1), Bound(2)), body)))
 
 
-def to_natural(t: Term, fuel: Fuel | int = DEFAULT_FUEL) -> Optional[int]:
+def to_natural(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[int]:
     """Read a number back from a term, or None if its normal form is not
     a numeral."""
     nf = normalize(t, fuel)
@@ -235,10 +235,6 @@ def rec(t: SimpleType, n: Term, base: Term, step_body: Term) -> Term:
 def subst_pair(body: Term, first: Term, second: Term) -> Term:
     """Fill dangling indices 1 and 0 of body with first and second."""
     return subst(subst(body, 0, second), 0, first)
-
-
-# short alias, matching the surface-language name
-iter = iterate
 
 
 # -- arithmetic ----------------------------------------------------------------

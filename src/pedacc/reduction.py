@@ -1,26 +1,20 @@
-"""Beta reduction: single steps, normalization, convertibility.
+"""Beta normalization and convertibility, by evaluation.
 
-`beta_step` and `whnf` walk the term tree and substitute, following the
-leftmost-outermost (normal order) strategy.  `normalize` computes the same
-normal form through a closure evaluator: substitution copies the whole
-tree at every contraction, which is hopeless for iterator arithmetic, so
-arguments are instead delayed and memoized.  Fuel counts the function
-applications actually performed (shared arguments tick once); exhausting
-the budget raises, a partially reduced term is never returned silently.
+`normalize` is the one reducer: it evaluates a term into closures, with
+arguments delayed and memoized, and reads the value back as a term
+(normalization by evaluation).  Substituting into the tree instead would
+copy it at every contraction, which is hopeless for iterator arithmetic.
+Fuel counts the function applications actually performed (shared
+arguments tick once); exhausting the budget raises, a partially reduced
+term is never returned silently.  Two terms are convertible when their
+normal forms are equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import Abs, App, Bound, Free, Prod, SortConst, Term, subst
+from .terms import Abs, App, Bound, Free, Prod, SortConst, Term
 
 DEFAULT_FUEL = 100_000
-
-
-@dataclass(frozen=True)
-class Fuel:
-    max_steps: int = DEFAULT_FUEL
 
 
 class FuelExhausted(Exception):
@@ -30,85 +24,18 @@ class FuelExhausted(Exception):
         self.term = term
 
 
-class ReductionBoundExceeded(Exception):
-    pass
-
-
 class _Steps:
     __slots__ = ("left", "budget", "root")
 
-    def __init__(self, fuel: Fuel | int, root: Term | None = None):
-        self.budget = fuel.max_steps if isinstance(fuel, Fuel) else fuel
-        self.left = self.budget
+    def __init__(self, fuel: int, root: Term):
+        self.budget = fuel
+        self.left = fuel
         self.root = root
 
-    def tick(self, t: Term | None = None) -> None:
+    def tick(self) -> None:
         if self.left <= 0:
-            raise FuelExhausted(self.budget, t if t is not None else self.root)
+            raise FuelExhausted(self.budget, self.root)
         self.left -= 1
-
-
-# ---------------------------------------------------------------------------
-# strategies
-
-
-def beta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost redex, or return None if normal."""
-    match t:
-        case App(Abs(_, body), arg):
-            return subst(body, 0, arg)
-        case App(f, a):
-            f2 = beta_step(f)
-            if f2 is not None:
-                return App(f2, a)
-            a2 = beta_step(a)
-            return App(f, a2) if a2 is not None else None
-        case Abs(d, b):
-            d2 = beta_step(d)
-            if d2 is not None:
-                return Abs(d2, b)
-            b2 = beta_step(b)
-            return Abs(d, b2) if b2 is not None else None
-        case Prod(d, b):
-            d2 = beta_step(d)
-            if d2 is not None:
-                return Prod(d2, b)
-            b2 = beta_step(b)
-            return Prod(d, b2) if b2 is not None else None
-        case _:
-            return None
-
-
-def _whnf(t: Term, steps: _Steps) -> Term:
-    while True:
-        match t:
-            case App(f, a):
-                f2 = _whnf(f, steps)
-                if isinstance(f2, Abs):
-                    steps.tick(t)
-                    t = subst(f2.body, 0, a)
-                    continue
-                return App(f2, a) if f2 is not f else t
-            case _:
-                return t
-
-
-def _nf(t: Term, steps: _Steps) -> Term:
-    t = _whnf(t, steps)
-    match t:
-        case App(f, a):
-            # head is stable here, so the spine parts normalize independently
-            return App(_nf(f, steps), _nf(a, steps))
-        case Abs(d, b):
-            return Abs(_nf(d, steps), _nf(b, steps))
-        case Prod(d, b):
-            return Prod(_nf(d, steps), _nf(b, steps))
-        case _:
-            return t
-
-
-def whnf(t: Term, fuel: Fuel | int = DEFAULT_FUEL) -> Term:
-    return _whnf(t, _Steps(fuel))
 
 
 # ---------------------------------------------------------------------------
@@ -217,104 +144,20 @@ _NF_CACHE: dict[tuple[Term, int], Term] = {}
 _NF_CACHE_LIMIT = 1 << 18
 
 
-def normalize(t: Term, fuel: Fuel | int = DEFAULT_FUEL) -> Term:
-    if isinstance(fuel, int):
-        key = (t, fuel)
-        got = _NF_CACHE.get(key)
-        if got is None:
-            steps = _Steps(fuel, t)
-            got = _quote(_eval(t, (), steps), 0, steps)
-            if len(_NF_CACHE) >= _NF_CACHE_LIMIT:
-                _NF_CACHE.clear()
-            _NF_CACHE[key] = got
-            _NF_CACHE[(got, fuel)] = got
-        return got
-    steps = _Steps(fuel, t)
-    return _quote(_eval(t, (), steps), 0, steps)
+def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+    key = (t, fuel)
+    got = _NF_CACHE.get(key)
+    if got is None:
+        steps = _Steps(fuel, t)
+        got = _quote(_eval(t, (), steps), 0, steps)
+        if len(_NF_CACHE) >= _NF_CACHE_LIMIT:
+            _NF_CACHE.clear()
+        _NF_CACHE[key] = got
+        _NF_CACHE[(got, fuel)] = got
+    return got
 
 
-def normalize_by_substitution(t: Term, fuel: Fuel | int = DEFAULT_FUEL) -> Term:
-    """Normal-order normalization by literal substitution; agrees with
-    `normalize` everywhere and exists to cross-check it."""
-    return _nf(t, _Steps(fuel, t))
-
-
-def _nf_inner(t: Term, steps: _Steps) -> Term:
-    match t:
-        case App(f, a):
-            a2 = _nf_inner(a, steps)
-            f2 = _nf_inner(f, steps)
-            if isinstance(f2, Abs):
-                steps.tick(t)
-                return _nf_inner(subst(f2.body, 0, a2), steps)
-            return App(f2, a2)
-        case Abs(d, b):
-            return Abs(_nf_inner(d, steps), _nf_inner(b, steps))
-        case Prod(d, b):
-            return Prod(_nf_inner(d, steps), _nf_inner(b, steps))
-        case _:
-            return t
-
-
-def normalize_applicative(t: Term, fuel: Fuel | int = DEFAULT_FUEL) -> Term:
-    """Rightmost-innermost normalization; agrees with `normalize` on
-    normalizing terms and exists to cross-check it."""
-    return _nf_inner(t, _Steps(fuel))
-
-
-def convertible(a: Term, b: Term, fuel: Fuel | int = DEFAULT_FUEL) -> bool:
+def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL) -> bool:
     if a == b:
         return True
     return normalize(a, fuel) == normalize(b, fuel)
-
-
-# ---------------------------------------------------------------------------
-# reduction graph measures (test instrumentation, not used by the checker)
-
-
-def one_step_reducts(t: Term) -> list[Term]:
-    """All terms reachable by contracting exactly one redex of `t`."""
-    out: list[Term] = []
-    match t:
-        case App(f, a):
-            if isinstance(f, Abs):
-                out.append(subst(f.body, 0, a))
-            out.extend(App(f2, a) for f2 in one_step_reducts(f))
-            out.extend(App(f, a2) for a2 in one_step_reducts(a))
-        case Abs(d, b):
-            out.extend(Abs(d2, b) for d2 in one_step_reducts(d))
-            out.extend(Abs(d, b2) for b2 in one_step_reducts(b))
-        case Prod(d, b):
-            out.extend(Prod(d2, b) for d2 in one_step_reducts(d))
-            out.extend(Prod(d, b2) for b2 in one_step_reducts(b))
-    return out
-
-
-def longest_reduction_length(t: Term, bound: int = 1000) -> int:
-    """Length of the longest reduction sequence starting at `t`.
-
-    Walks the whole reduction graph, so only usable on small terms.
-    Raises ReductionBoundExceeded if any path exceeds `bound` steps or
-    the graph contains a cycle (a non-normalizing term).
-    """
-    memo: dict[Term, int] = {}
-    active: set[Term] = set()
-
-    def go(t: Term) -> int:
-        if t in memo:
-            return memo[t]
-        if t in active:
-            raise ReductionBoundExceeded("cyclic reduction path")
-        active.add(t)
-        best = 0
-        for r in one_step_reducts(t):
-            n = 1 + go(r)
-            if n > best:
-                best = n
-            if best > bound:
-                raise ReductionBoundExceeded(f"longest reduction exceeds {bound}")
-        active.discard(t)
-        memo[t] = best
-        return best
-
-    return go(t)

@@ -539,19 +539,6 @@ def render(obj: Term | SourceDecl) -> str:
     return render_term(obj)
 
 
-def render_env(env: Environment, bindings: list[tuple[str, Term]] | None = None,
-               ) -> str:
-    parts = []
-    for entry in env:
-        ty = subst_simultaneous(entry.ty, bindings) if bindings else entry.ty
-        parts.append(f"{_display_name(entry.name)} : {render_term(ty)}")
-    return "[" + ", ".join(parts) + "]"
-
-
-def _display_name(name: str) -> str:
-    return _sanitize(name)
-
-
 def render_judgment(j: Judgment) -> str:
     """One-line concrete form of a judgment.
 

@@ -80,6 +80,18 @@ def test_emit_diagnostic_json(tmp_path, capsys):
     assert data["diagnostic"]["rule"] == "prod_r"
 
 
+def test_fuel_exhaustion_writes_a_diagnostic(tmp_path, capsys):
+    src = _write(tmp_path, "redex.ped",
+                 "assume A : Prop\nassume x : A\ncheck x : (fun B : Prop => B) A")
+    out_path = tmp_path / "d.json"
+    assert main(["check", src, "--fuel", "0",
+                 "--emit-derivation", str(out_path)]) == 1
+    assert "error[fuel]" in capsys.readouterr().err
+    data = json.loads(out_path.read_text())
+    assert data["status"] == "error"
+    assert data["diagnostic"]["rule"] == "fuel"
+
+
 def test_naive_check_uses_file_motivations(tmp_path, capsys):
     assert main(["check", str(DEMOS / "naive.ped"), "--system", "naivep"]) == 0
     capsys.readouterr()

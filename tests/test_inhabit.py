@@ -31,7 +31,7 @@ from pedacc.prelude import (
     to_natural,
     top_type,
 )
-from pedacc.reduction import convertible, longest_reduction_length
+from pedacc.reduction import convertible
 from pedacc.terms import (
     PROP,
     Abs,
@@ -45,6 +45,7 @@ from pedacc.terms import (
     env_of,
     is_closed,
 )
+from reference_reduction import longest_reduction_length
 
 CC = SystemMode.CC
 CCR = SystemMode.CCR

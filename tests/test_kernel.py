@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from pedacc.kernel import (
-    Checker,
     Derivation,
     Diagnostic,
     HasType,
@@ -22,8 +21,8 @@ from pedacc.kernel import (
     relabel_restricted_products,
     verify_derivation,
 )
-from pedacc.prelude import id_term, nat_type, prelude_corpus, top_type
-from pedacc.surface import render_term
+from pedacc.prelude import id_term, nat_type, numeral, prelude_corpus, times, top_type
+from pedacc.surface import elaborate, parse, render_term
 from pedacc.terms import (
     PROP,
     TYPE,
@@ -153,14 +152,6 @@ def test_restricted_derivations_embed_into_the_full_system(oracle):
         assert direct[0] == ty, name
 
 
-def test_inference_order_does_not_change_types(oracle):
-    # visiting application arguments first must give the same answers
-    for name, term in prelude_corpus()[:10]:
-        normal = Checker(CC).infer(Environment(), term)
-        flipped = Checker(CC, arg_first=True).infer(Environment(), term)
-        assert normal[0] == flipped[0], name
-
-
 def test_substitution_preserves_typing(oracle):
     env = env_of(("A", PROP))
     t = Abs(Free("A"), Bound(0))
@@ -170,6 +161,59 @@ def test_substitution_preserves_typing(oracle):
         d = check_type(Environment(), subst_simultaneous(t, sub),
                        subst_simultaneous(ty, sub), CC)
         assert isinstance(d, Derivation)
+
+
+def test_prod_r_witnesses_are_stored_in_normal_form(oracle):
+    # the hint applied to the binder is a redex; the witness is its normal form
+    env, _ = elaborate(parse(
+        "assume h : forall A : Prop, A -> A "
+        "by fun A : Prop => fun x : A => (fun z : A => z) x"))
+    d = check_wf(env, CCR, oracle)
+    outer = [n for n in iter_nodes(d)
+             if n.rule == "prod_r" and n.conclusion.subject == env.entries[0].ty]
+    assert [render_term(n.witness) for n in outer] == ["fun x : _x0 => x"]
+    assert verify_derivation(d) == []
+
+
+def test_a_hint_beyond_the_fuel_falls_back_to_the_oracle(oracle):
+    # the subject is the hint for `nat`; its normal form, the numeral
+    # 160000, needs more than the default fuel
+    subject = App(App(times, numeral(400)), numeral(400))
+    d = check_type(Environment(), subject, nat_type, CCR, oracle)
+    assert isinstance(d, Derivation)
+    assert d.conclusion.ty == nat_type
+
+
+def test_a_divergent_ill_typed_hint_falls_back_to_the_oracle(oracle):
+    env, _ = elaborate(parse(
+        "assume h : forall A : Prop, A -> A "
+        "by fun A : Prop => fun x : A => (fun y : Prop => y y) (fun y : Prop => y y)"))
+    d = check_wf(env, CCR, oracle)
+    assert isinstance(d, Derivation)
+    assert verify_derivation(d) == []
+
+
+_REDEX = App(Abs(PROP, Bound(0)), Free("A"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_type(env_of(("A", PROP), ("x", Free("A"))), Free("x"), _REDEX,
+                       CC, fuel=0),
+    lambda: infer_type(env_of(("A", PROP), ("x", _REDEX)), Free("x"), CC, fuel=0),
+    lambda: infer_with_sort(env_of(("A", PROP), ("x", _REDEX)), Free("x"), CC,
+                            fuel=0),
+    lambda: check_wf(env_of(("A", PROP), ("x", _REDEX),
+                            ("y", App(Abs(Free("A"), Free("A")), Free("x")))),
+                     CC, fuel=0),
+    lambda: check_motivated_env(env_of(("A", PROP), ("x", _REDEX)),
+                                Motivation((("A", top_type), ("x", id_term))),
+                                CC, fuel=0),
+], ids=["check_type", "infer_type", "infer_with_sort", "check_wf",
+        "check_motivated_env"])
+def test_running_out_of_fuel_is_a_diagnostic(call):
+    got = call()
+    assert isinstance(got, Diagnostic)
+    assert got.rule == "fuel"
 
 
 def test_verify_derivation_flags_a_forged_node():

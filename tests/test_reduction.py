@@ -2,20 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from pedacc.harness import gen_typed_term
+from pedacc.harness import gen_typed_term, one_step_reducts
 from pedacc.prelude import numeral, plus, times
-from pedacc.reduction import (
-    FuelExhausted,
+from pedacc.reduction import FuelExhausted, convertible, normalize
+from pedacc.terms import PROP, Abs, App, Bound, Free, Prod, apps
+from reference_reduction import (
     beta_step,
-    convertible,
     longest_reduction_length,
-    normalize,
     normalize_applicative,
     normalize_by_substitution,
-    one_step_reducts,
     whnf,
 )
-from pedacc.terms import PROP, Abs, App, Bound, Free, Prod, apps
 
 IDENT = Abs(PROP, Bound(0))
 OMEGA = App(Abs(PROP, App(Bound(0), Bound(0))),
