@@ -8,7 +8,8 @@ decides which of the remaining declarations are acted on:
                the environment itself is well formed) and print the
                derivation, one rule per line
     motivate   construct one closed witness per environment variable
-    inhabit    run the ``inhabit`` declarations through bounded search
+    inhabit    run the ``inhabit`` declarations through bounded search,
+               once ``cc`` has checked that the goal is a type
     normalize  print the normal form of each ``normalize`` subject
     eval       like normalize, but numerals are read back as integers
     selftest   run the generated property suites and print a table
@@ -20,8 +21,10 @@ comes up empty), 2 on usage, syntax, or name-resolution errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import replace
 
 from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
@@ -55,7 +58,7 @@ from .surface import (
     render_judgment,
     render_term,
 )
-from .terms import Environment
+from .terms import Environment, SortConst
 
 _MODES = {"cc": SystemMode.CC, "ccr": SystemMode.CCR, "naivep": SystemMode.NAIVE}
 
@@ -90,6 +93,8 @@ def _load(path: str):
             text = fh.read()
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise _UsageError(f"cannot read {path}: not UTF-8 text")
     decls = parse(text)
     if isinstance(decls, Diagnostic):
         raise _UsageError(render_diagnostic(decls))
@@ -108,14 +113,17 @@ def _file_motivation(env: Environment, cmds) -> Motivation:
 def _emit(path: str | None, payload: dict) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror}")
 
 
-def _print_derivation(d: Derivation) -> None:
+def _print_derivation(d: Derivation, render) -> None:
     for label, judgment in contract_derivation(d):
-        print(f"{label:<11} {render_judgment(judgment)}")
+        print(f"{label:<11} {render_judgment(judgment, render)}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +168,16 @@ def _cmd_check(args) -> int:
               {"status": "error", "diagnostic": _diag_dict(e.diagnostic)})
         return 1
 
+    # one memo for the whole call: the printed lines and the certificate
+    # render the same terms over and over
+    render = functools.cache(render_term)
     for i, d in enumerate(derivations):
         if i:
             print()
-        _print_derivation(d)
+        _print_derivation(d, render)
     _emit(args.emit_derivation,
           {"status": "ok",
-           "derivations": [derivation_to_dict(d, render_term)
+           "derivations": [derivation_to_dict(d, render)
                            for d in derivations]})
     return 0
 
@@ -187,6 +198,20 @@ def _cmd_motivate(args) -> int:
     return 0
 
 
+def _why_not_a_type(env: Environment, goal, fuel: int) -> str | None:
+    """One line saying why `goal` is not a type in ``cc``, or None if it is.
+
+    An ill-typed goal can send the search into a term that never
+    normalizes, so each goal is checked before the search starts.
+    """
+    res = infer_type(env, goal, SystemMode.CC, fuel=fuel)
+    if isinstance(res, Diagnostic):
+        return render_diagnostic(replace(res, expected=None, found=None))
+    if not isinstance(res[0], SortConst):
+        return f"error[sort]: its type is {render_term(res[0])}"
+    return None
+
+
 def _cmd_inhabit(args) -> int:
     env, cmds = _load(args.file)
     goals = [c.goal for c in cmds if isinstance(c, InhabitCmd)]
@@ -194,6 +219,11 @@ def _cmd_inhabit(args) -> int:
         raise _UsageError(f"{args.file} has no inhabit declarations")
     failures = 0
     for goal in goals:
+        why = _why_not_a_type(env, goal, args.fuel)
+        if why is not None:
+            print(f"not a type: {render_term(goal)}: {why}", file=sys.stderr)
+            failures += 1
+            continue
         found = inhabit_search(env, goal, args.search_depth, args.fuel)
         if found is None:
             print(f"no inhabitant found: {render_term(goal)}", file=sys.stderr)

@@ -18,6 +18,7 @@ tree that can be re-checked node by node with `verify_derivation`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
@@ -910,9 +911,27 @@ def derivation_to_dict(d: Derivation, render: Callable[[Term], str]) -> dict:
     ``{"root": i, "nodes": [...]}`` with premises given as indices into
     the table.  Each distinct node appears exactly once, in an order
     that puts premises before conclusions.
+
+    Nodes share their terms and environments too, so the encoding
+    renders each distinct term once (the memo is keyed on the term, and
+    lives for this call) and builds one ``env`` list per `Environment`
+    object, shared by every conclusion in that environment.  A JSON
+    encoder writes shared lists out in full, so the bytes are the same
+    as with a fresh list per node.
     """
+    render = functools.cache(render)
     index: dict[int, int] = {}
     nodes: list[dict] = []
+    # keyed on id(): every environment is held by the derivation until
+    # this call returns, so no id is reused while the table is alive
+    envs: dict[int, list[dict]] = {}
+
+    def env_list(env: Environment) -> list[dict]:
+        got = envs.get(id(env))
+        if got is None:
+            got = envs[id(env)] = [{"name": e.name, "type": render(e.ty)}
+                                   for e in env]
+        return got
 
     def visit(node: Derivation) -> int:
         got = index.get(id(node))
@@ -922,14 +941,12 @@ def derivation_to_dict(d: Derivation, render: Callable[[Term], str]) -> dict:
         if isinstance(node.conclusion, WellFormed):
             conclusion = {
                 "judgment": "wf",
-                "env": [{"name": e.name, "type": render(e.ty)}
-                        for e in node.conclusion.env],
+                "env": env_list(node.conclusion.env),
             }
         else:
             conclusion = {
                 "judgment": "hastype",
-                "env": [{"name": e.name, "type": render(e.ty)}
-                        for e in node.conclusion.env],
+                "env": env_list(node.conclusion.env),
                 "term": render(node.conclusion.subject),
                 "type": render(node.conclusion.ty),
             }

@@ -5,7 +5,6 @@ The grammar is small and LL(1):
     decl  := 'assume' IDENT ':' expr ('by' expr)?
            | 'def' IDENT ':=' expr
            | 'check' expr (':' expr)?
-           | 'motivate'
            | 'inhabit' expr
            | 'normalize' expr
            | 'eval' expr
@@ -33,6 +32,7 @@ roundtrip is lossy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .kernel import Diagnostic, HasType, Judgment, WellFormed
 from .prelude import (
@@ -105,11 +105,6 @@ class CheckDecl:
 
 
 @dataclass(frozen=True)
-class MotivateDecl:
-    pos: SourcePos
-
-
-@dataclass(frozen=True)
 class InhabitDecl:
     goal: Term
     pos: SourcePos
@@ -134,8 +129,8 @@ class MotivationDecl:
     pos: SourcePos
 
 
-SourceDecl = (AssumeDecl | DefineDecl | CheckDecl | MotivateDecl
-              | InhabitDecl | NormalizeDecl | EvalDecl | MotivationDecl)
+SourceDecl = (AssumeDecl | DefineDecl | CheckDecl | InhabitDecl
+              | NormalizeDecl | EvalDecl | MotivationDecl)
 
 
 # --- commands (output of elaboration) --------------------------------------
@@ -145,11 +140,6 @@ SourceDecl = (AssumeDecl | DefineDecl | CheckDecl | MotivateDecl
 class CheckCmd:
     subject: Term
     expected: Term | None
-    pos: SourcePos
-
-
-@dataclass(frozen=True)
-class MotivateCmd:
     pos: SourcePos
 
 
@@ -178,14 +168,13 @@ class SetMotivationCmd:
     pos: SourcePos
 
 
-Command = (CheckCmd | MotivateCmd | InhabitCmd | NormalizeCmd | EvalCmd
-           | SetMotivationCmd)
+Command = (CheckCmd | InhabitCmd | NormalizeCmd | EvalCmd | SetMotivationCmd)
 
 
 # --- lexer ------------------------------------------------------------------
 
 _KEYWORDS = frozenset({
-    "assume", "def", "check", "motivate", "inhabit", "normalize", "eval",
+    "assume", "def", "check", "inhabit", "normalize", "eval",
     "motivation", "by", "forall", "fun", "Prop", "Type",
 })
 
@@ -320,9 +309,6 @@ class _Parser:
                 self.next()
                 expected = self.expr([])
             return CheckDecl(subject, expected, t.pos)
-        if t.text == "motivate":
-            self.next()
-            return MotivateDecl(t.pos)
         if t.text == "inhabit":
             self.next()
             return InhabitDecl(self.expr([]), t.pos)
@@ -526,8 +512,6 @@ def render(obj: Term | SourceDecl) -> str:
         if obj.expected is not None:
             s += f" : {render_term(obj.expected)}"
         return s
-    if isinstance(obj, MotivateDecl):
-        return "motivate"
     if isinstance(obj, InhabitDecl):
         return f"inhabit {render_term(obj.goal)}"
     if isinstance(obj, NormalizeDecl):
@@ -539,12 +523,15 @@ def render(obj: Term | SourceDecl) -> str:
     return render_term(obj)
 
 
-def render_judgment(j: Judgment) -> str:
-    """One-line concrete form of a judgment.
+def render_judgment(j: Judgment,
+                    render: Callable[[Term], str] = render_term) -> str:
+    """One-line concrete form of a judgment; `render` prints its terms.
 
     Kernel-fresh hypothesis names (from opening binders) are renamed to
     pool names, deterministically, so displayed derivations read like
-    hand-written ones.
+    hand-written ones.  A caller printing many judgments can pass a
+    memoized `render_term`: the renamed terms are built afresh on each
+    call, so such a memo must be keyed on the term, not on its identity.
     """
     renames: list[tuple[str, Term]] = []
     taken: set[str] = set(_KEYWORDS)
@@ -557,13 +544,13 @@ def render_judgment(j: Judgment) -> str:
         else:
             new = _sanitize(entry.name)
         taken.add(new)
-        shown.append(f"{new} : {render_term(ty)}")
+        shown.append(f"{new} : {render(ty)}")
     env_s = "[" + ", ".join(shown) + "]"
     if isinstance(j, WellFormed):
         return f"wf {env_s}"
     subject = subst_simultaneous(j.subject, renames)
     ty = subst_simultaneous(j.ty, renames)
-    return f"{env_s} |- {render_term(subject)} : {render_term(ty)}"
+    return f"{env_s} |- {render(subject)} : {render(ty)}"
 
 
 def render_diagnostic(d: Diagnostic) -> str:
@@ -643,8 +630,6 @@ def elaborate(decls: list[SourceDecl],
                 expected = (resolve(d.expected, d.pos)
                             if d.expected is not None else None)
                 commands.append(CheckCmd(resolve(d.subject, d.pos), expected, d.pos))
-            elif isinstance(d, MotivateDecl):
-                commands.append(MotivateCmd(d.pos))
             elif isinstance(d, InhabitDecl):
                 commands.append(InhabitCmd(resolve(d.goal, d.pos), d.pos))
             elif isinstance(d, NormalizeDecl):

@@ -229,6 +229,8 @@ def subst(t: Term, target: str | int, u: Term) -> Term:
 
 def subst_simultaneous(t: Term, bindings: Sequence[tuple[str, Term]]) -> Term:
     """Replace several free variables in one pass over the term."""
+    if not bindings:
+        return t
     table = {}
     for name, value in bindings:
         if name in table:

@@ -92,6 +92,73 @@ def test_fuel_exhaustion_writes_a_diagnostic(tmp_path, capsys):
     assert data["diagnostic"]["rule"] == "fuel"
 
 
+def test_unwritable_certificate_path_exits_two(capsys):
+    bad = "/nonexistent/dir/c.json"
+    assert main(["check", PRELUDE, "--emit-derivation", bad]) == 2
+    err = capsys.readouterr().err
+    assert err == f"pedacc: cannot write {bad}: No such file or directory\n"
+
+
+def test_source_that_is_not_utf8_exits_two(tmp_path, capsys):
+    src = tmp_path / "junk.ped"
+    src.write_bytes(b"\xff\xfe")
+    assert main(["check", str(src)]) == 2
+    assert capsys.readouterr().err == f"pedacc: cannot read {src}: not UTF-8 text\n"
+
+
+# the printed derivation of `check id : top`, whose hypotheses are fresh
+# names opened from binders and shown under pool names
+_ID_TOP_LINES = {
+    "cc": [
+        "env1        wf []",
+        "ax          [] |- Prop : Type",
+        "env2        wf [A : Prop]",
+        "var         [A : Prop] |- A : Prop",
+        "env2        wf [A : Prop, x : A]",
+        "var         [A : Prop, x : A] |- x : A",
+        "abs         [A : Prop] |- fun x : A => x : A -> A",
+        "abs         [] |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
+    ],
+    "ccr": [
+        "env1        wf []",
+        "ax          [] |- Prop : Type",
+        "env2        wf [A : Prop]",
+        "var         [A : Prop] |- A : Prop",
+        "env2        wf [A : Prop, x : A]",
+        "var         [A : Prop, x : A] |- x : A",
+        "abs+prod_r  [A : Prop] |- fun x : A => x : A -> A",
+        "abs+prod_r  [] |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
+    ],
+    "naivep": [
+        "env1        wf []",
+        "ax          [] |- Prop : Type",
+        "env2        wf [A : Prop]",
+        "var         [A : Prop] |- A : Prop",
+        "env2        wf [A : Prop, x : A]",
+        "var         [A : Prop, x : A] |- A : Prop",
+        "prod        [A : Prop] |- A -> A : Prop",
+        "prod        [] |- forall A : Prop, A -> A : Prop",
+        "var         [A : Prop, x : A] |- x : A",
+        "abs         [A : Prop] |- fun x : A => x : A -> A",
+        "abs         [] |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
+        "p-var       [A : Prop, x : A] |- x : A",
+    ],
+}
+
+
+@pytest.mark.parametrize("system", sorted(_ID_TOP_LINES))
+def test_printed_derivation_names_fresh_hypotheses(tmp_path, capsys, system):
+    src = _write(tmp_path, "id.ped", "check id : top")
+    cert = tmp_path / "d.json"
+    assert main(["check", src, "--system", system,
+                 "--emit-derivation", str(cert)]) == 0
+    assert capsys.readouterr().out.splitlines() == _ID_TOP_LINES[system]
+    # the kernel's own names for those hypotheses are fresh ones
+    (tree,) = json.loads(cert.read_text())["derivations"]
+    names = {e["name"] for n in tree["nodes"] for e in n["conclusion"]["env"]}
+    assert names and all(name.startswith("$") for name in names)
+
+
 def test_naive_check_uses_file_motivations(tmp_path, capsys):
     assert main(["check", str(DEMOS / "naive.ped"), "--system", "naivep"]) == 0
     capsys.readouterr()
@@ -117,6 +184,21 @@ def test_inhabit_reports_findings_and_failures(tmp_path, capsys):
     f = _write(tmp_path, "hard.ped", "inhabit forall A : Prop, A")
     assert main(["inhabit", f]) == 1
     assert "no inhabitant" in capsys.readouterr().err
+
+
+def test_inhabit_rejects_a_goal_that_is_not_a_type(tmp_path, capsys):
+    f = _write(tmp_path, "omega.ped",
+               "inhabit (fun x : Prop => x x) (fun x : Prop => x x)")
+    assert main(["inhabit", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "not a type: (fun A : Prop => A A) (fun A : Prop => A A): "
+        "error[app]: application of a non-function at 0.1.0"]
+    f = _write(tmp_path, "fun.ped", "inhabit fun x : Prop => x")
+    assert main(["inhabit", f]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "not a type: fun A : Prop => A: error[sort]: its type is Prop -> Prop"]
 
 
 def test_inhabit_without_goals_is_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import pytest
 
 from pedacc.kernel import (
@@ -21,7 +24,15 @@ from pedacc.kernel import (
     relabel_restricted_products,
     verify_derivation,
 )
-from pedacc.prelude import id_term, nat_type, numeral, prelude_corpus, times, top_type
+from pedacc.prelude import (
+    factorial,
+    id_term,
+    nat_type,
+    numeral,
+    prelude_corpus,
+    times,
+    top_type,
+)
 from pedacc.surface import elaborate, parse, render_term
 from pedacc.terms import (
     PROP,
@@ -243,6 +254,68 @@ def test_derivation_to_dict_is_a_postordered_node_table(oracle):
         assert node["mode"] in ("cc", "ccr", "naivep")
     # witness annotations survive serialization on product formations
     assert any("witness" in n for n in nodes)
+
+
+def _plain_table(d: Derivation, render) -> dict:
+    """The node table written the plain way: every term and every
+    environment entry of every node rendered afresh."""
+    index: dict[int, int] = {}
+    nodes: list[dict] = []
+
+    def visit(node: Derivation) -> int:
+        if id(node) not in index:
+            premises = [visit(p) for p in node.premises]
+            c = node.conclusion
+            conclusion = {
+                "judgment": "wf" if isinstance(c, WellFormed) else "hastype",
+                "env": [{"name": e.name, "type": render(e.ty)} for e in c.env],
+            }
+            if isinstance(c, HasType):
+                conclusion["term"] = render(c.subject)
+                conclusion["type"] = render(c.ty)
+            entry = {"rule": node.rule, "mode": node.mode.value,
+                     "conclusion": conclusion, "premises": premises}
+            if node.witness is not None:
+                entry["witness"] = render(node.witness)
+            if node.motivation is not None:
+                entry["motivation"] = [{"name": n, "term": render(t)}
+                                       for n, t in node.motivation.assignments]
+            index[id(node)] = len(nodes)
+            nodes.append(entry)
+        return index[id(node)]
+
+    return {"root": visit(d), "nodes": nodes}
+
+
+@pytest.mark.parametrize("mode", [CC, CCR, NAIVE])
+def test_derivation_to_dict_matches_the_plain_encoding(oracle, mode):
+    motivation = Motivation(()) if mode is NAIVE else None
+    for name, term in prelude_corpus():
+        _, d = infer_type(Environment(), term, mode, oracle, motivation=motivation)
+        got = derivation_to_dict(d, render_term)
+        want = _plain_table(d, render_term)
+        # same keys in the same order, so the certificate bytes agree too
+        assert json.dumps(got) == json.dumps(want), name
+
+
+def test_derivation_to_dict_renders_each_distinct_term_once(oracle):
+    _, d = infer_type(Environment(), factorial, CCR, oracle)
+    calls: Counter = Counter()
+
+    def counting_render(t):
+        calls[t] += 1
+        return render_term(t)
+
+    derivation_to_dict(d, counting_render)
+    terms = set()
+    for node in iter_nodes(d):
+        terms.update(e.ty for e in node.conclusion.env)
+        if isinstance(node.conclusion, HasType):
+            terms.update((node.conclusion.subject, node.conclusion.ty))
+        if node.witness is not None:
+            terms.add(node.witness)
+    assert set(calls) == terms
+    assert max(calls.values()) == 1
 
 
 def test_infer_with_sort(oracle):

@@ -138,7 +138,6 @@ def _corpus_programs():
             lines.append("inhabit forall B : Prop, B -> B")
             lines.append("normalize (fun B : Prop => B) Prop")
             lines.append(f"eval plus {i % 4} {i % 3}")
-            lines.append("motivate")
         programs.append("\n".join(lines))
     return programs
 
