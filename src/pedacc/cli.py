@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _quote
 
 from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
@@ -110,20 +110,101 @@ def _file_motivation(env: Environment, cmds) -> Motivation:
     return Motivation(tuple((n, given[n]) for n in env.names() if n in given))
 
 
+def _encode(obj, level: int, lists: dict) -> str:
+    """The text the standard `json` module, with an indent of 2, gives
+    for `obj` when it sits `level` containers deep.
+
+    `lists` memoizes the text of each list of containers by
+    ``(id, level)``, so a list shared by many parents is encoded once.
+    The caller keeps every list alive while the memo is in use.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        # A list of scalars, such as a node's premises, is never shared and
+        # encodes about as fast as a lookup; keeping the text of every one
+        # of them raised peak memory by more than the shared lists saved.
+        memo = isinstance(obj[0], (dict, list))
+        if memo:
+            text = lists.get((id(obj), level))
+            if text is not None:
+                return text
+        sep = "\n" + "  " * (level + 1)
+        text = ("[" + sep
+                + ("," + sep).join([_encode(x, level + 1, lists) for x in obj])
+                + "\n" + "  " * level + "]")
+        if memo:
+            lists[id(obj), level] = text
+        return text
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str
+        sep = "\n" + "  " * (level + 1)
+        return ("{" + sep
+                + ("," + sep).join([_quote(k) + ": " + _encode(v, level + 1, lists)
+                                    for k, v in obj.items()])
+                + "\n" + "  " * level + "}")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# payload -> derivations -> derivation -> nodes: the containers above a
+# node are written piece by piece, each node as one string
+_STREAMED_LEVELS = 4
+
+
+def _write_json(fh, obj, level: int, lists: dict) -> None:
+    """Write `obj` as `_encode` would, one piece per value in the outer
+    `_STREAMED_LEVELS` levels, so the document is never one string."""
+    if level >= _STREAMED_LEVELS or not obj or not isinstance(obj, (dict, list)):
+        fh.write(_encode(obj, level, lists))
+        return
+    sep = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, (k, v) in enumerate(obj.items()):
+            fh.write(("," + sep if i else sep) + _quote(k) + ": ")
+            _write_json(fh, v, level + 1, lists)
+        fh.write("\n" + "  " * level + "}")
+    else:
+        fh.write("[")
+        for i, x in enumerate(obj):
+            fh.write("," + sep if i else sep)
+            _write_json(fh, x, level + 1, lists)
+        fh.write("\n" + "  " * level + "]")
+
+
 def _emit(path: str | None, payload: dict) -> None:
+    """Write `payload` to `path` (if given) as the standard `json` module
+    writes it with an indent of 2, byte for byte, plus a final newline.
+
+    The payload shares its lists: `derivation_to_dict` gives every
+    conclusion in one environment the same ``env`` list, so that list is
+    encoded once per call and its text reused, not re-encoded per node.
+    """
     if path is None:
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            _write_json(fh, payload, 0, {})
             fh.write("\n")
     except OSError as e:
         raise _UsageError(f"cannot write {path}: {e.strerror}")
 
 
-def _print_derivation(d: Derivation, render) -> None:
+def _print_derivation(d: Derivation, render, envs: dict) -> None:
     for label, judgment in contract_derivation(d):
-        print(f"{label:<11} {render_judgment(judgment, render)}")
+        print(f"{label:<11} {render_judgment(judgment, render, envs)}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +249,15 @@ def _cmd_check(args) -> int:
               {"status": "error", "diagnostic": _diag_dict(e.diagnostic)})
         return 1
 
-    # one memo for the whole call: the printed lines and the certificate
-    # render the same terms over and over
+    # memos for the whole call: the printed lines and the certificate
+    # render the same terms, and the lines the same environments, over
+    # and over
     render = functools.cache(render_term)
+    envs: dict = {}
     for i, d in enumerate(derivations):
         if i:
             print()
-        _print_derivation(d, render)
+        _print_derivation(d, render, envs)
     _emit(args.emit_derivation,
           {"status": "ok",
            "derivations": [derivation_to_dict(d, render)
@@ -273,6 +356,17 @@ def _cmd_selftest(args) -> int:
 # argument plumbing
 
 
+def _budget(text: str) -> int:
+    """An argparse type: a count of steps, depth or cases, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pedacc",
@@ -284,12 +378,12 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def with_fuel(p):
-        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N",
+        p.add_argument("--fuel", type=_budget, default=DEFAULT_FUEL, metavar="N",
                        help="reduction step budget (default %(default)s)")
         return p
 
     def with_depth(p):
-        p.add_argument("--search-depth", type=int,
+        p.add_argument("--search-depth", type=_budget,
                        default=DEFAULT_SEARCH_DEPTH, metavar="N",
                        help="witness search depth (default %(default)s)")
         return p
@@ -322,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("selftest", help="run the generated property suites")
-    p.add_argument("--cases", type=int, default=50, metavar="N",
+    p.add_argument("--cases", type=_budget, default=50, metavar="N",
                    help="cases per generated suite (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="base random seed (default %(default)s)")

@@ -914,23 +914,31 @@ def derivation_to_dict(d: Derivation, render: Callable[[Term], str]) -> dict:
 
     Nodes share their terms and environments too, so the encoding
     renders each distinct term once (the memo is keyed on the term, and
-    lives for this call) and builds one ``env`` list per `Environment`
-    object, shared by every conclusion in that environment.  A JSON
-    encoder writes shared lists out in full, so the bytes are the same
-    as with a fresh list per node.
+    lives for this call), builds one ``{"name", "type"}`` dict per
+    `EnvEntry` object and one ``env`` list per `Environment` object, and
+    shares them among every conclusion that holds them.  A JSON encoder
+    writes shared objects out in full, so the bytes are the same as with
+    fresh ones per node; the CLI's certificate writer encodes each shared
+    ``env`` list once.
     """
     render = functools.cache(render)
     index: dict[int, int] = {}
     nodes: list[dict] = []
-    # keyed on id(): every environment is held by the derivation until
-    # this call returns, so no id is reused while the table is alive
+    # keyed on id(): every environment and entry is held by the derivation
+    # until this call returns, so no id is reused while the tables are alive
     envs: dict[int, list[dict]] = {}
+    entries: dict[int, dict] = {}
+
+    def entry_dict(e: EnvEntry) -> dict:
+        got = entries.get(id(e))
+        if got is None:
+            got = entries[id(e)] = {"name": e.name, "type": render(e.ty)}
+        return got
 
     def env_list(env: Environment) -> list[dict]:
         got = envs.get(id(env))
         if got is None:
-            got = envs[id(env)] = [{"name": e.name, "type": render(e.ty)}
-                                   for e in env]
+            got = envs[id(env)] = [entry_dict(e) for e in env]
         return got
 
     def visit(node: Derivation) -> int:

@@ -524,7 +524,8 @@ def render(obj: Term | SourceDecl) -> str:
 
 
 def render_judgment(j: Judgment,
-                    render: Callable[[Term], str] = render_term) -> str:
+                    render: Callable[[Term], str] = render_term,
+                    envs: dict | None = None) -> str:
     """One-line concrete form of a judgment; `render` prints its terms.
 
     Kernel-fresh hypothesis names (from opening binders) are renamed to
@@ -532,11 +533,31 @@ def render_judgment(j: Judgment,
     hand-written ones.  A caller printing many judgments can pass a
     memoized `render_term`: the renamed terms are built afresh on each
     call, so such a memo must be keyed on the term, not on its identity.
+    It can also pass one `envs` dict for all of them, in which the
+    printed environment and its renames are kept per `Environment`
+    object, so judgments in one environment build them once.
     """
+    if envs is None:
+        envs = {}
+    got = envs.get(id(j.env))
+    if got is None:
+        got = envs[id(j.env)] = _render_env(j.env, render)
+    _, env_s, renames = got
+    if isinstance(j, WellFormed):
+        return f"wf {env_s}"
+    subject = subst_simultaneous(j.subject, renames)
+    ty = subst_simultaneous(j.ty, renames)
+    return f"{env_s} |- {render(subject)} : {render(ty)}"
+
+
+def _render_env(env: Environment, render: Callable[[Term], str],
+                ) -> tuple[Environment, str, list[tuple[str, Term]]]:
+    """`env` itself (so a memo keyed on its id keeps it alive), its
+    printed form, and the renames of its fresh names."""
     renames: list[tuple[str, Term]] = []
     taken: set[str] = set(_KEYWORDS)
     shown: list[str] = []
-    for entry in j.env:
+    for entry in env:
         ty = subst_simultaneous(entry.ty, renames)
         if entry.name.startswith("$"):
             new = _pick(_pool_for(ty), taken)
@@ -545,12 +566,7 @@ def render_judgment(j: Judgment,
             new = _sanitize(entry.name)
         taken.add(new)
         shown.append(f"{new} : {render(ty)}")
-    env_s = "[" + ", ".join(shown) + "]"
-    if isinstance(j, WellFormed):
-        return f"wf {env_s}"
-    subject = subst_simultaneous(j.subject, renames)
-    ty = subst_simultaneous(j.ty, renames)
-    return f"{env_s} |- {render(subject)} : {render(ty)}"
+    return env, "[" + ", ".join(shown) + "]", renames
 
 
 def render_diagnostic(d: Diagnostic) -> str:

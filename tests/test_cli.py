@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from pedacc.cli import main
+from pedacc.cli import _encode, _write_json, main
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PRELUDE = str(DEMOS / "prelude.ped")
@@ -104,6 +105,92 @@ def test_source_that_is_not_utf8_exits_two(tmp_path, capsys):
     src.write_bytes(b"\xff\xfe")
     assert main(["check", str(src)]) == 2
     assert capsys.readouterr().err == f"pedacc: cannot read {src}: not UTF-8 text\n"
+
+
+def _dumps(obj) -> tuple[str, str]:
+    """`obj` through the certificate writer, streamed and as one string."""
+    fh = io.StringIO()
+    _write_json(fh, obj, 0, {})
+    return fh.getvalue(), _encode(obj, 0, {})
+
+
+_INTS = [0, 1]
+_SHARED = [{"name": "$x0", "type": "Prop"}, [], {}, _INTS]
+_ENCODER_CASES = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[[[[]]]]]],
+    {"a": [{"b": {"c": [[], {}]}}]},
+    # one list twice at the same depth, and at two different depths
+    [_SHARED, _SHARED, _INTS, [_INTS]],
+    {"x": _SHARED, "y": [{"z": [_SHARED, [_SHARED]]}], "w": _SHARED},
+    {"nodes": [{"env": _SHARED}, {"env": _SHARED}], "deep": [[[[[_SHARED]]]]]},
+    # non-ASCII, control characters, quotes and backslashes
+    "λx. x → ∀ 🙂", "\x00\x01\x1f\x7f\t\n\r\b\f", 'say "hi"', "a\\b\\\\",
+    {"λ\"\\\n": "é", "": ""},
+    0, -1, -123456789012345678901234567890, 7, True, False, None,
+    [0, -3, True, False, None, "", {"k": None}],
+]
+
+
+@pytest.mark.parametrize("obj", _ENCODER_CASES)
+def test_certificate_encoder_matches_json_indent_2(obj):
+    want = json.dumps(obj, indent=2)
+    assert _dumps(obj) == (want, want)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, (1, 2), b"x", {"a": [float("nan")]},
+                                 [[[[[object()]]]]], {1: "int key"}])
+def test_certificate_encoder_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _write_json(io.StringIO(), obj, 0, {})
+    with pytest.raises(TypeError):
+        _encode(obj, 0, {})
+
+
+def _assert_indent_2(text: str) -> None:
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.ped")))
+def test_certificates_are_written_in_json_indent_2(tmp_path, capsys, demo, system):
+    cert = tmp_path / "c.json"
+    main(["check", str(DEMOS / demo), "--system", system,
+          "--emit-derivation", str(cert)])
+    capsys.readouterr()
+    _assert_indent_2(cert.read_text(encoding="utf-8"))
+
+
+def test_error_certificates_are_written_in_json_indent_2(tmp_path, capsys):
+    src = _write(tmp_path, "bad.ped", "assume h : bot")
+    cert = tmp_path / "c.json"
+    assert main(["check", src, "--emit-derivation", str(cert)]) == 1
+    capsys.readouterr()
+    text = cert.read_text(encoding="utf-8")
+    assert json.loads(text)["status"] == "error"
+    _assert_indent_2(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", PRELUDE, "--fuel", "-1"],
+    ["check", PRELUDE, "--fuel", "-5"],
+    ["check", PRELUDE, "--search-depth", "-1"],
+    ["inhabit", str(DEMOS / "inhabit.ped"), "--search-depth", "-2"],
+    ["motivate", str(DEMOS / "motivate.ped"), "--fuel", "-1"],
+    ["selftest", "--cases", "-3"],
+])
+def test_negative_budgets_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be 0 or more" in err
+    assert "fuel exhausted" not in err
+
+
+def test_zero_budgets_are_accepted(capsys):
+    assert main(["check", PRELUDE, "--system", "cc", "--fuel", "0",
+                 "--search-depth", "0"]) == 0
+    assert main(["selftest", "--cases", "0"]) == 0
 
 
 # the printed derivation of `check id : top`, whose hypotheses are fresh

@@ -318,6 +318,14 @@ def test_derivation_to_dict_renders_each_distinct_term_once(oracle):
     assert max(calls.values()) == 1
 
 
+def test_derivation_to_dict_shares_env_entries(oracle):
+    _, d = infer_type(Environment(), factorial, CCR, oracle)
+    table = derivation_to_dict(d, render_term)
+    entry_dicts = {id(e) for n in table["nodes"] for e in n["conclusion"]["env"]}
+    env_entries = {id(e) for n in iter_nodes(d) for e in n.conclusion.env}
+    assert len(entry_dicts) == len(env_entries)
+
+
 def test_infer_with_sort(oracle):
     res = infer_with_sort(Environment(), id_term, CCR, oracle)
     ty, d, d_sort = res

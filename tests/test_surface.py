@@ -219,6 +219,21 @@ def test_render_judgment_names_fresh_hypotheses():
     assert "[A : Prop, x : A] |- x : A" in lines
 
 
+@pytest.mark.parametrize("mode", [SystemMode.CC, SystemMode.CCR])
+def test_render_judgment_shares_environments_through_its_memo(mode, oracle):
+    from pedacc.kernel import contract_derivation
+    from pedacc.prelude import factorial, times
+    envs: dict = {}
+    for term in (id_term, times, factorial):
+        _, d = infer_type(Environment(), term, mode, oracle)
+        judgments = [j for _, j in contract_derivation(d)]
+        shared = [render_judgment(j, envs=envs) for j in judgments]
+        assert shared == [render_judgment(j) for j in judgments]
+        # one memo entry per environment object, and each names it
+        assert {id(j.env) for j in judgments} <= set(envs)
+        assert all(envs[id(j.env)][0] is j.env for j in judgments)
+
+
 def test_eval_builtin_arithmetic_elaborates():
     env, cmds = elaborate(parse("eval plus 2 2"))
     assert cmds[0].subject == apps(plus, numeral(2), numeral(2))
