@@ -308,7 +308,10 @@ def _cmd_inhabit(args) -> int:
             failures += 1
             continue
         found = inhabit_search(env, goal, args.search_depth, args.fuel)
-        if found is None:
+        if isinstance(found, Diagnostic):
+            print(render_diagnostic(replace(found, found=None)), file=sys.stderr)
+            failures += 1
+        elif found is None:
             print(f"no inhabitant found: {render_term(goal)}", file=sys.stderr)
             failures += 1
         else:
@@ -329,15 +332,17 @@ def _subjects(args, cls, what: str) -> list:
 
 
 def _cmd_normalize(args) -> int:
+    memo: dict = {}
     for subject in _subjects(args, NormalizeCmd, "normalize"):
-        print(render_term(normalize(subject, args.fuel)))
+        print(render_term(normalize(subject, args.fuel, memo)))
     return 0
 
 
 def _cmd_eval(args) -> int:
+    memo: dict = {}
     for subject in _subjects(args, EvalCmd, "eval"):
-        nf = normalize(subject, args.fuel)
-        n = to_natural(nf, args.fuel)
+        nf = normalize(subject, args.fuel, memo)
+        n = to_natural(nf, args.fuel, memo)  # nf is in the memo: no work
         print(n if n is not None else render_term(nf))
     return 0
 
@@ -432,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as e:
         print(f"pedacc: {e}", file=sys.stderr)
         return 2
-    except FuelExhausted as e:
+    except FuelExhausted as e:  # only normalize and eval let it out
         print(f"pedacc: fuel exhausted: {e}", file=sys.stderr)
         return 1
 

@@ -44,9 +44,10 @@ from .kernel import (
     check_wf,
     derivation_height,
     infer_type,
+    _diagnostic,
 )
 from .prelude import top_type
-from .reduction import DEFAULT_FUEL, normalize
+from .reduction import DEFAULT_FUEL, FuelExhausted, normalize
 from .terms import (
     Abs,
     App,
@@ -93,7 +94,7 @@ class MotivationResult:
 
 
 def _search(env: Environment, goal: Term, depth: int, fuel: int,
-            budget: list[int], intros: int = 0) -> Term | None:
+            budget: list[int], memo: dict, intros: int = 0) -> Term | None:
     if budget[0] <= 0:
         return None
     budget[0] -= 1
@@ -106,27 +107,27 @@ def _search(env: Environment, goal: Term, depth: int, fuel: int,
             return None
         x = fresh_name(set(env.names()) | free_vars(goal))
         sub = _search(env.extended(x, goal.domain), open_binder(goal.body, x),
-                      depth, fuel, budget, intros + 1)
+                      depth, fuel, budget, memo, intros + 1)
         if sub is None:
             return None
         return Abs(goal.domain, close_binder(sub, x))
 
     # neutral goal: an assumption may close it outright
     for entry in reversed(env.entries):
-        if normalize(entry.ty, fuel) == goal:
+        if normalize(entry.ty, fuel, memo) == goal:
             return Free(entry.name)
 
     # otherwise try assumption heads applied to searched arguments
     for entry in reversed(env.entries):
-        found = _apply_head(env, Free(entry.name), normalize(entry.ty, fuel),
-                            goal, depth, fuel, budget)
+        found = _apply_head(env, Free(entry.name), normalize(entry.ty, fuel, memo),
+                            goal, depth, fuel, budget, memo)
         if found is not None:
             return found
     return None
 
 
 def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
-                depth: int, fuel: int, budget: list[int]) -> Term | None:
+                depth: int, fuel: int, budget: list[int], memo: dict) -> Term | None:
     # head_ty, the type of head, is normal like the goal
     if budget[0] <= 0:
         return None
@@ -140,15 +141,15 @@ def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
         # dependent head: instantiating with the goal itself comes first
         candidates = [goal]
         candidates += [Free(e.name) for e in reversed(env.entries)
-                       if normalize(e.ty, fuel) == PROP]
+                       if normalize(e.ty, fuel, memo) == PROP]
         candidates.append(top_type)
     else:
-        arg = _search(env, dom, depth - 1, fuel, budget)
+        arg = _search(env, dom, depth - 1, fuel, budget, memo)
         candidates = [] if arg is None else [arg]
     for arg in candidates:
-        applied = normalize(subst(head_ty.body, 0, arg), fuel)
+        applied = normalize(subst(head_ty.body, 0, arg), fuel, memo)
         found = _apply_head(env, App(head, arg), applied, goal, depth - 1,
-                            fuel, budget)
+                            fuel, budget, memo)
         if found is not None:
             return found
     return None
@@ -163,12 +164,13 @@ def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
     same subgoals recur constantly while checking one derivation.
     """
     cache: dict[tuple[tuple, Term], Term | None] = {}
+    nf: dict = {}
 
     def oracle(env: Environment, goal: Term) -> Term | None:
         key = (env.entries, goal)
         if key in cache:
             return cache[key]
-        found = _search(env, normalize(goal, fuel), depth, fuel, [budget])
+        found = _search(env, normalize(goal, fuel, nf), depth, fuel, [budget], nf)
         cache[key] = found
         return found
 
@@ -178,18 +180,24 @@ def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
 def inhabit_search(env: Environment, goal: Term,
                    depth: int = DEFAULT_SEARCH_DEPTH,
                    fuel: int = DEFAULT_FUEL,
-                   ) -> tuple[Term, Derivation] | None:
+                   ) -> tuple[Term, Derivation] | Diagnostic | None:
     """Search for an inhabitant of `goal` and verify it from scratch.
 
     Returns None if the bounded search finds nothing; a None here is a
-    report of exhaustion at this depth, not a nonexistence proof.
+    report of exhaustion at this depth, not a nonexistence proof.  Running
+    out of fuel is a `Diagnostic(rule="fuel")`.
     """
-    term = _search(env, normalize(goal, fuel), depth, fuel, [DEFAULT_SEARCH_BUDGET])
+    memo: dict = {}
+    try:
+        term = _search(env, normalize(goal, fuel, memo), depth, fuel,
+                       [DEFAULT_SEARCH_BUDGET], memo)
+    except FuelExhausted as e:
+        return _diagnostic(e)
     if term is None:
         return None
     d = check_type(env, term, goal, SystemMode.CC, fuel=fuel)
     if isinstance(d, Diagnostic):
-        return None
+        return d if d.rule == "fuel" else None
     return term, d
 
 
@@ -331,9 +339,12 @@ def motivate_env(d: Derivation,
     one closed term per entry, each checking against its entry type with
     all earlier variables substituted away.
 
-    Every constructed term is re-checked from scratch; the entry's
-    witness annotation (when present) only serves as a hint for deriving
-    the sort of the substituted entry type.
+    Every constructed term is re-checked by the kernel, with the one
+    checker that derived the entry types, so the inferences and normal
+    forms they share are computed once; the entry's witness annotation
+    (when present) only serves as a hint for deriving the sort of the
+    substituted entry type.  Running out of fuel is a
+    `Diagnostic(rule="fuel")`.
     """
     if not isinstance(d.conclusion, WellFormed):
         raise ValueError("motivate_env wants a well-formedness derivation")
@@ -356,13 +367,13 @@ def motivate_env(d: Derivation,
                     ("motivate", entry.name), found=inf.ty,
                 )
             term, _ = inhabit_closed(inf.d, oracle, fuel)
-            final = check_type(Environment(), term, closed_ty, mode, oracle, fuel)
+            final = checker.check(Environment(), term, closed_ty)
             if isinstance(final, Diagnostic):
                 return final
             sigma.append((entry.name, term))
             derivs.append(final)
-    except CheckError as e:
-        return e.diagnostic
+    except (CheckError, FuelExhausted) as e:
+        return _diagnostic(e)
     return MotivationResult(Motivation(tuple(sigma)), tuple(derivs))
 
 

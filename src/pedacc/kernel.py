@@ -170,6 +170,7 @@ class Checker:
         self.fuel = fuel
         self._memo: dict = {}
         self._cascade_memo: dict = {}
+        self._nf: dict = {}  # normal forms, for this checker's lifetime
 
     # -- public entry points --------------------------------------------------
     # A checker instance caches inferences by (environment, term), so reusing
@@ -260,6 +261,7 @@ class Checker:
                 )
             )
         cc = Checker(SystemMode.CC, fuel=self.fuel)
+        cc._nf = self._nf  # same fuel, so the same normal forms
         empty = cc.root_ctx(Environment())
         done: list[tuple[str, Term]] = []
         derivs: list[Derivation] = []
@@ -345,7 +347,7 @@ class Checker:
                     d_res_sort = Derivation(
                         "prod", HasType(ctx.env, res_ty, kappa), (d_bsort,), mode
                     )
-                res_nf = normalize(res_ty, self.fuel)
+                res_nf = normalize(res_ty, self.fuel, self._nf)
                 if res_nf != res_ty:
                     d_nf_sort = self._sort_deriv(ctx, res_nf, t, pos)
                     node = Derivation(
@@ -399,7 +401,7 @@ class Checker:
                 dom = f_inf.ty.domain
                 d_arg = a_inf.d
                 if a_inf.ty != dom:
-                    if not convertible(a_inf.ty, dom, self.fuel):
+                    if not convertible(a_inf.ty, dom, self.fuel, self._nf):
                         raise CheckError(
                             Diagnostic("app", "argument type mismatch", pos + (1,),
                                        expected=dom, found=a_inf.ty)
@@ -419,7 +421,7 @@ class Checker:
     def _normalized(self, ctx: _Ctx, subject: Term, ty: Term, node: Derivation,
                     pos: tuple) -> _Inf:
         """Wrap `node` in a conversion so the reported type is normal."""
-        ty_nf = normalize(ty, self.fuel)
+        ty_nf = normalize(ty, self.fuel, self._nf)
         if ty_nf == ty or ty_nf == TYPE:
             return _Inf(ty_nf, node, None)
         d_sort = self._sort_deriv(ctx, ty_nf, subject, pos)
@@ -456,12 +458,12 @@ class Checker:
         interpreter's stack runs out is a failed candidate, like an
         ill-typed one.
         """
-        body_nf = normalize(body_open, self.fuel)
+        body_nf = normalize(body_open, self.fuel, self._nf)
 
         def candidates():
             if hint is not None:
                 try:
-                    yield normalize(App(hint, Free(binder)), self.fuel)
+                    yield normalize(App(hint, Free(binder)), self.fuel, self._nf)
                 except (FuelExhausted, RecursionError):
                     pass
             if self.oracle is not None:
@@ -496,7 +498,7 @@ class Checker:
         e = self._check_is_type(ctx, expected, t, pos)
         if inf.ty == expected:
             return inf.d
-        if not convertible(inf.ty, expected, self.fuel):
+        if not convertible(inf.ty, expected, self.fuel, self._nf):
             raise CheckError(
                 Diagnostic("conv", "type mismatch", pos, expected=expected, found=inf.ty)
             )
@@ -630,7 +632,7 @@ _RULES_BY_MODE = {
 }
 
 
-def _verify_node(d: Derivation, problems: list[str], fuel: int) -> None:
+def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> None:
     c = d.conclusion
     rules = _RULES_BY_MODE[d.mode]
     if d.rule not in rules:
@@ -752,7 +754,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int) -> None:
                     and pt.subject == c.subject
                     and ps.subject == c.ty
                     and ps.ty in _SORTS
-                    and convertible(pt.ty, c.ty, fuel)
+                    and convertible(pt.ty, c.ty, fuel, memo)
                 )
                 if not ok:
                     problems.append("conv premises do not match conclusion")
@@ -779,7 +781,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int) -> None:
                     pc = pd.conclusion
                     want = subst_simultaneous(entry.ty, done)
                     if not (isinstance(pc, HasType) and len(pc.env) == 0
-                            and pc.subject == mt and convertible(pc.ty, want, fuel)):
+                            and pc.subject == mt and convertible(pc.ty, want, fuel, memo)):
                         problems.append(f"{d.rule} cascade entry {entry.name} malformed")
                     done.append((entry.name, mt))
     except IndexError:
@@ -792,8 +794,9 @@ def verify_derivation(d: Derivation, fuel: int = DEFAULT_FUEL) -> list[str]:
     Returns a list of problems; an empty list means the tree is valid.
     """
     problems: list[str] = []
+    memo: dict = {}
     for node in iter_nodes(d):
-        _verify_node(node, problems, fuel)
+        _verify_node(node, problems, fuel, memo)
     return problems
 
 

@@ -84,10 +84,10 @@ def numeral(k: int) -> Term:
     return Abs(PROP, Abs(Bound(0), Abs(Prod(Bound(1), Bound(2)), body)))
 
 
-def to_natural(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[int]:
+def to_natural(t: Term, fuel: int = DEFAULT_FUEL, memo: dict | None = None) -> Optional[int]:
     """Read a number back from a term, or None if its normal form is not
-    a numeral."""
-    nf = normalize(t, fuel)
+    a numeral.  `memo` is a normal-form memo, as for `normalize`."""
+    nf = normalize(t, fuel, memo)
     match nf:
         case Abs(domain=d0, body=Abs(domain=Bound(0), body=Abs(domain=Prod(Bound(1), Bound(2)), body=spine))) if d0 == PROP:
             k = 0

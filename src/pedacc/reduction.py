@@ -8,6 +8,15 @@ Fuel counts the function applications actually performed (shared
 arguments tick once); exhausting the budget raises, a partially reduced
 term is never returned silently.  Two terms are convertible when their
 normal forms are equal.
+
+Checking asks for the same normal forms over and over (types of shared
+subterms, convertibility probes), so results go into a `memo` dict that
+the caller owns and drops when its work is done: a `Checker`, one search
+oracle, one `inhabit_search` or `verify_derivation` call, one CLI verb.
+Without one, a call gets a fresh memo of its own.  Nothing is kept from
+call to call at module level, so a normal form lives only as long as its
+owner.  Keys carry the fuel as well as the term: a small budget that
+exhausts must keep doing so, whatever a larger one has already found.
 """
 
 from __future__ import annotations
@@ -51,13 +60,6 @@ class _Thunk:
         self.value = value
 
 
-class _VSort:
-    __slots__ = ("term",)
-
-    def __init__(self, term):
-        self.term = term
-
-
 class _VAbs:
     __slots__ = ("domain", "body", "env")
 
@@ -88,36 +90,36 @@ def _force(th: _Thunk, steps: _Steps):
 
 
 def _eval(t: Term, env: tuple, steps: _Steps):
-    match t:
-        case SortConst(_):
-            return _VSort(t)
-        case Free(name):
-            return _VNe(("free", name), ())
-        case Bound(i):
-            if i < len(env):
-                return _force(env[-1 - i], steps)
-            return _VNe(("dangle", i - len(env)), ())
-        case Abs(d, b):
-            return _VAbs(_Thunk(d, env), b, env)
-        case Prod(d, b):
-            return _VProd(_Thunk(d, env), b, env)
-        case App(f, a):
-            return _apply(_eval(f, env, steps), _Thunk(a, env), steps)
+    # dispatch on the node type, commonest first: a structural `match`
+    # costs several times more per node, and App is most of every term
+    tt = type(t)
+    if tt is App:
+        fv = _eval(t.fun, env, steps)
+        arg = _Thunk(t.arg, env)
+        if type(fv) is _VAbs:
+            steps.tick()
+            return _eval(fv.body, fv.env + (arg,), steps)
+        if type(fv) is _VNe:
+            return _VNe(fv.head, fv.spine + (arg,))
+        return _VNe(("stuck", fv), (arg,))  # ill-typed application; keep it inert
+    if tt is Bound:
+        if t.index < len(env):
+            return _force(env[-1 - t.index], steps)
+        return _VNe(("dangle", t.index - len(env)), ())
+    if tt is Abs:
+        return _VAbs(_Thunk(t.domain, env), t.body, env)
+    if tt is Prod:
+        return _VProd(_Thunk(t.domain, env), t.body, env)
+    if tt is Free:
+        return _VNe(("free", t.name), ())
+    if tt is SortConst:
+        return t  # a sort is its own value
     raise TypeError(f"not a term: {t!r}")
 
 
-def _apply(fv, arg: _Thunk, steps: _Steps):
-    if type(fv) is _VAbs:
-        steps.tick()
-        return _eval(fv.body, fv.env + (arg,), steps)
-    if type(fv) is _VNe:
-        return _VNe(fv.head, fv.spine + (arg,))
-    return _VNe(("stuck", fv), (arg,))  # ill-typed application; keep it inert
-
-
 def _quote(v, depth: int, steps: _Steps) -> Term:
-    if type(v) is _VSort:
-        return v.term
+    if type(v) is SortConst:
+        return v
     if type(v) is _VAbs or type(v) is _VProd:
         dom = _quote(_force(v.domain, steps), depth, steps)
         var = _Thunk(None, None, _VNe(("lvl", depth), ()))
@@ -137,27 +139,20 @@ def _quote(v, depth: int, steps: _Steps) -> Term:
     return t
 
 
-# Checking asks for the same normal forms over and over (types of shared
-# subterms, convertibility probes), so successful results are cached.
-# Keyed by fuel as well: a small budget that exhausts must keep doing so.
-_NF_CACHE: dict[tuple[Term, int], Term] = {}
-_NF_CACHE_LIMIT = 1 << 18
-
-
-def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+def normalize(t: Term, fuel: int = DEFAULT_FUEL, memo: dict | None = None) -> Term:
+    memo = {} if memo is None else memo
     key = (t, fuel)
-    got = _NF_CACHE.get(key)
+    got = memo.get(key)
     if got is None:
         steps = _Steps(fuel, t)
         got = _quote(_eval(t, (), steps), 0, steps)
-        if len(_NF_CACHE) >= _NF_CACHE_LIMIT:
-            _NF_CACHE.clear()
-        _NF_CACHE[key] = got
-        _NF_CACHE[(got, fuel)] = got
+        memo[key] = got
+        memo[(got, fuel)] = got
     return got
 
 
-def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL) -> bool:
+def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL,
+                memo: dict | None = None) -> bool:
     if a == b:
         return True
-    return normalize(a, fuel) == normalize(b, fuel)
+    return normalize(a, fuel, memo) == normalize(b, fuel, memo)

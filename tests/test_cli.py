@@ -288,6 +288,16 @@ def test_inhabit_rejects_a_goal_that_is_not_a_type(tmp_path, capsys):
         "not a type: fun A : Prop => A: error[sort]: its type is Prop -> Prop"]
 
 
+def test_inhabit_out_of_fuel_prints_one_diagnostic_line(tmp_path, capsys):
+    f = _write(tmp_path, "redex.ped",
+               "inhabit (fun B : Prop => B) (forall A : Prop, A -> A)")
+    assert main(["inhabit", f, "--fuel", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error[fuel]: no normal form within 0 reduction steps"]
+
+
 def test_inhabit_without_goals_is_a_usage_error(tmp_path, capsys):
     f = _write(tmp_path, "empty.ped", "assume A : Prop")
     assert main(["inhabit", f]) == 2

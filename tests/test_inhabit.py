@@ -171,6 +171,36 @@ def test_oracle_results_are_deterministic():
     assert a(env, goal) == b(env, goal) == a(env, goal)
 
 
+def test_inhabit_search_out_of_fuel_is_a_diagnostic():
+    # (fun B : Prop => B) (forall A : Prop, A -> A)
+    goal = App(Abs(PROP, Bound(0)), top_type)
+    got = inhabit_search(Environment(), goal, fuel=0)
+    assert isinstance(got, Diagnostic)
+    assert got.rule == "fuel"
+    assert got.found == goal
+    # the search finds h at fuel 1, but checking the goal needs a normal
+    # form of its domain, which takes 2 steps
+    ident = Abs(PROP, Bound(0))
+    dom = App(ident, App(ident, Free("A")))
+    env = env_of(("A", PROP), ("h2", dom), ("h", Free("A")))
+    goal = App(Abs(dom, Free("A")), Free("h2"))
+    got = inhabit_search(env, goal, fuel=1)
+    assert isinstance(got, Diagnostic)
+    assert got.rule == "fuel"
+    assert inhabit_search(env, goal, fuel=2)[0] == Free("h")
+
+
+def test_motivate_env_out_of_fuel_is_a_diagnostic(oracle):
+    # x : forall y : Prop, (fun B : Prop => B -> B) y
+    env = env_of(("x", Prod(PROP, App(Abs(PROP, arrow(Bound(0), Bound(0))),
+                                      Bound(0)))))
+    wf = check_wf(env, CCR, oracle)
+    assert isinstance(wf, Derivation)
+    got = motivate_env(wf, oracle, fuel=0)
+    assert isinstance(got, Diagnostic)
+    assert got.rule == "fuel"
+
+
 def test_oracle_misses_are_cached_not_sticky():
     oracle = make_search_oracle(depth=2)
     assert oracle(Environment(), bot_type) is None

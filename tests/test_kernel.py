@@ -5,7 +5,9 @@ from collections import Counter
 
 import pytest
 
+from pedacc import kernel
 from pedacc.kernel import (
+    Checker,
     Derivation,
     Diagnostic,
     HasType,
@@ -225,6 +227,36 @@ def test_running_out_of_fuel_is_a_diagnostic(call):
     got = call()
     assert isinstance(got, Diagnostic)
     assert got.rule == "fuel"
+
+
+def test_checkers_do_not_share_normal_forms():
+    env = env_of(("A", PROP), ("x", _REDEX))
+    first, second = Checker(CC), Checker(CC)
+    ty1, _ = first.infer(env, Free("x"))
+    ty2, _ = second.infer(env, Free("x"))
+    assert ty1 == ty2 == Free("A")
+    # each checker normalized the redex itself
+    assert ty1 is not ty2
+    assert first._nf is not second._nf
+
+
+def test_the_naive_cascade_shares_its_checkers_normal_forms(monkeypatch, oracle):
+    made: list[Checker] = []
+
+    class Recording(Checker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    # the cascade builds its cc checker through the module's name
+    monkeypatch.setattr(kernel, "Checker", Recording)
+    judgment, motivation = naive_p_examples()[1]
+    outer = Recording(NAIVE, oracle)
+    got = outer.check(judgment.env, judgment.subject, judgment.ty, motivation)
+    assert isinstance(got, Derivation), got
+    inner = [c for c in made if c is not outer]
+    assert inner
+    assert all(c._nf is outer._nf for c in inner)
 
 
 def test_verify_derivation_flags_a_forged_node():

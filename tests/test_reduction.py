@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from pedacc.harness import gen_typed_term, one_step_reducts
-from pedacc.prelude import numeral, plus, times
+from pedacc.prelude import factorial, numeral, plus, pred, times
 from pedacc.reduction import FuelExhausted, convertible, normalize
 from pedacc.terms import PROP, Abs, App, Bound, Free, Prod, apps
 from reference_reduction import (
@@ -125,3 +128,37 @@ def test_fuel_exhaustion_raises():
 def test_fuel_counts_are_term_size_insensitive_for_normal_terms():
     # normal terms normalize under any positive fuel
     assert normalize(numeral(6), fuel=5) == numeral(6)
+
+
+def test_a_normal_form_is_freed_once_its_caller_drops_it():
+    nf = normalize(apps(plus, numeral(2), numeral(3)))
+    ref = weakref.ref(nf)
+    del nf
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_memo_keeps_normal_forms_per_fuel():
+    t = apps(plus, numeral(2), numeral(3))
+    memo: dict = {}
+    assert normalize(t, memo=memo) == numeral(5)
+    assert normalize(t, memo=memo) is normalize(t, memo=memo)
+    # what the default fuel found must not lift a smaller budget
+    with pytest.raises(FuelExhausted):
+        normalize(t, 1, memo)
+    with pytest.raises(FuelExhausted):
+        convertible(t, numeral(5), 1, memo)
+
+
+# the least fuel that normalizes each term: a reducer that moved a tick
+# would shift one of these
+@pytest.mark.parametrize("term, least", [
+    (apps(factorial, numeral(4)), 378),
+    (apps(times, numeral(7), numeral(9)), 286),
+    (apps(pred, numeral(10)), 103),
+    (apps(plus, numeral(20), numeral(30)), 85),
+])
+def test_fuel_boundary(term, least):
+    assert normalize(term, least) == normalize(term)
+    with pytest.raises(FuelExhausted):
+        normalize(term, least - 1)
