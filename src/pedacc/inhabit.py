@@ -163,11 +163,11 @@ def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
     Results (including misses) are cached per environment and goal; the
     same subgoals recur constantly while checking one derivation.
     """
-    cache: dict[tuple[tuple, Term], Term | None] = {}
+    cache: dict[tuple[Environment, Term], Term | None] = {}
     nf: dict = {}
 
     def oracle(env: Environment, goal: Term) -> Term | None:
-        key = (env.entries, goal)
+        key = (env, goal)
         if key in cache:
             return cache[key]
         found = _search(env, normalize(goal, fuel, nf), depth, fuel, [budget], nf)

@@ -248,7 +248,7 @@ class Checker:
     # -- NAIVE cascade -------------------------------------------------------
 
     def _cascade(self, ctx: _Ctx, pos: tuple) -> tuple[Derivation, ...]:
-        key = (ctx.env.entries, ctx.motivation.assignments)
+        key = (ctx.env, ctx.motivation)
         if key in self._cascade_memo:
             return self._cascade_memo[key]
         if ctx.motivation.names() != ctx.env.names():
@@ -277,7 +277,7 @@ class Checker:
 
     def _infer(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> _Inf:
         # failures memoize too: witness discovery probes lots of dead ends
-        key = (ctx.env.entries, ctx.motivation, t, hint)
+        key = (ctx.env, ctx.motivation, t, hint)
         cached = self._memo.get(key)
         if cached is not None:
             if isinstance(cached, _Inf):
@@ -788,8 +788,32 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
         problems.append(f"{d.rule} node is missing premises")
 
 
+def _mode_problems(d: Derivation) -> list[str]:
+    """Nodes whose mode is not the root's.  The one exception is the
+    closed full-calculus cascade under a naive ``p-ax`` or ``p-var``,
+    whose nodes are all ``cc``.  The subtree under a stray node is not
+    walked: that node is reported, and its premises would repeat it."""
+    problems: list[str] = []
+    seen: set[tuple[int, bool]] = set()
+    stack = [(d, False)]
+    while stack:
+        node, in_cascade = stack.pop()
+        if (id(node), in_cascade) in seen:
+            continue
+        seen.add((id(node), in_cascade))
+        mode = SystemMode.CC if in_cascade else d.mode
+        if node.mode is not mode:
+            problems.append(f"{node.rule} node of mode {node.mode.value} "
+                            f"inside a {mode.value} derivation")
+            continue
+        in_cascade = in_cascade or node.rule in ("p-ax", "p-var")
+        stack.extend((p, in_cascade) for p in node.premises)
+    return problems
+
+
 def verify_derivation(d: Derivation, fuel: int = DEFAULT_FUEL) -> list[str]:
-    """Re-check every node of a derivation against its rule schema.
+    """Re-check every node of a derivation against its rule schema, and
+    check that every node is in the root's mode.
 
     Returns a list of problems; an empty list means the tree is valid.
     """
@@ -797,7 +821,7 @@ def verify_derivation(d: Derivation, fuel: int = DEFAULT_FUEL) -> list[str]:
     memo: dict = {}
     for node in iter_nodes(d):
         _verify_node(node, problems, fuel, memo)
-    return problems
+    return problems + _mode_problems(d)
 
 
 def relabel_restricted_products(d: Derivation,

@@ -2,13 +2,18 @@
 
 Bound variables are De Bruijn indices counted from the nearest enclosing
 binder; variables introduced by an environment entry or by opening a
-binder are named ``Free`` references.  Every constructor is a frozen
-dataclass, so terms compare structurally and can key memo tables.
+binder are named ``Free`` references.
+
+Terms are hash-consed: a constructor returns the one live node with those
+fields, so equal terms are the same object, and ``==`` and ``hash`` are
+the identity ones every object has.  Terms are immutable and can key memo
+tables; build them only through their constructors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -21,127 +26,116 @@ class Sort(Enum):
         return self.value
 
 
-# Terms are compared and hashed structurally, and they key every memo
-# table in the checker, so equality fast-paths on identity and on a hash
-# cached at the node (kept out of the field list via object.__setattr__).
+# Every live node, keyed by its class and fields.  A composite node is keyed
+# by the id()s of its children; they stay valid as long as the entry does,
+# because the node holds its children and its entry goes when it dies.  The
+# values are weak references, so the table keeps no term alive.
+_TABLE: dict[tuple, "_Ref"] = {}
 
 
-@dataclass(frozen=True, eq=False)
-class SortConst:
-    sort: Sort
+class _Ref(weakref.ref):
+    """A weak reference that carries its table key: `weakref.KeyedRef`
+    without that class's constructors, which run as Python code."""
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not SortConst:
-            return NotImplemented
-        return self.sort is other.sort
-
-    def __hash__(self):
-        return hash(self.sort) ^ 0x5317
+    __slots__ = ("key",)
 
 
-
-@dataclass(frozen=True, eq=False)
-class Bound:
-    index: int
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Bound:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self):
-        return self.index ^ 0xB0B0D
+def _drop(ref: _Ref, table: dict = _TABLE) -> None:
+    # The key may be bound to a newer node already: a cyclic collection
+    # clears a dead node's reference before it calls this.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
-
-@dataclass(frozen=True, eq=False)
-class Free:
-    name: str
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Free:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        # str caches its own hash, nothing to store here
-        return hash(self.name) ^ 0xF4EE
+def _add(cls: type, key: tuple, lb: int, *values) -> "Term":
+    """Make and enter the node for a key that has no live node."""
+    t = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(t, name, value)
+    object.__setattr__(t, "lb", lb)
+    ref = _TABLE[key] = _Ref(t, _drop)
+    ref.key = key
+    return t
 
 
+class _Node:
+    """Immutable, hash-consed term node.
 
-@dataclass(frozen=True, eq=False)
-class App:
-    fun: "Term"
-    arg: "Term"
+    A constructor returns the live node that `_TABLE` holds for its key,
+    or makes and enters a new one.  ``lb`` is one more than the highest
+    bound index that is loose in the node (0 when it has none): index
+    arithmetic returns a subterm as it is when no index there can change.
+    """
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not App:
-            return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        return self.fun == other.fun and self.arg == other.arg
+    __slots__ = ("lb", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
 
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((0xA99, self.fun, self.arg))
-            object.__setattr__(self, "_h", h)
-        return h
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-@dataclass(frozen=True, eq=False)
-class Abs:
-    domain: "Term"
-    body: "Term"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Abs:
-            return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        return self.domain == other.domain and self.body == other.body
-
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((0xAB5, self.domain, self.body))
-            object.__setattr__(self, "_h", h)
-        return h
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
+class SortConst(_Node):
+    __slots__ = __match_args__ = ("sort",)
 
-@dataclass(frozen=True, eq=False)
-class Prod:
-    domain: "Term"
-    body: "Term"
+    def __new__(cls, sort: Sort):
+        key = (cls, sort)
+        ref = _TABLE.get(key)
+        return (ref and ref()) or _add(cls, key, 0, sort)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Prod:
-            return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        return self.domain == other.domain and self.body == other.body
 
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash((0x960D, self.domain, self.body))
-            object.__setattr__(self, "_h", h)
-        return h
+class Bound(_Node):
+    __slots__ = __match_args__ = ("index",)
 
+    def __new__(cls, index: int):
+        key = (cls, index)
+        ref = _TABLE.get(key)
+        return (ref and ref()) or _add(cls, key, index + 1, index)
+
+
+class Free(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _TABLE.get(key)
+        return (ref and ref()) or _add(cls, key, 0, name)
+
+
+class App(_Node):
+    __slots__ = __match_args__ = ("fun", "arg")
+
+    def __new__(cls, fun: "Term", arg: "Term"):
+        key = (cls, id(fun), id(arg))
+        ref = _TABLE.get(key)
+        return (ref and ref()) or _add(cls, key, max(fun.lb, arg.lb), fun, arg)
+
+
+class _Binder(_Node):
+    __slots__ = __match_args__ = ("domain", "body")
+
+    def __new__(cls, domain: "Term", body: "Term"):
+        key = (cls, id(domain), id(body))
+        ref = _TABLE.get(key)
+        return (ref and ref()) or _add(cls, key, max(domain.lb, body.lb - 1),
+                                       domain, body)
+
+
+class Abs(_Binder):
+    __slots__ = ()
+
+
+class Prod(_Binder):
+    __slots__ = ()
 
 
 Term = Union[SortConst, Bound, Free, App, Abs, Prod]
@@ -171,9 +165,11 @@ def apps(fun: Term, *args: Term) -> Term:
 
 def lift(t: Term, cutoff: int, amount: int) -> Term:
     """Add `amount` to every bound index that is `cutoff` or higher."""
+    if t.lb <= cutoff:
+        return t
     match t:
         case Bound(i):
-            return Bound(i + amount) if i >= cutoff else t
+            return Bound(i + amount)
         case App(f, a):
             return App(lift(f, cutoff, amount), lift(a, cutoff, amount))
         case Abs(d, b):
@@ -193,28 +189,16 @@ def subst(t: Term, target: str | int, u: Term) -> Term:
     contraction consumes the binder that used to bind it.
     """
     if isinstance(target, str):
-
-        def go_free(t: Term, depth: int) -> Term:
-            match t:
-                case Free(n) if n == target:
-                    return lift(u, 0, depth)
-                case App(f, a):
-                    return App(go_free(f, depth), go_free(a, depth))
-                case Abs(d, b):
-                    return Abs(go_free(d, depth), go_free(b, depth + 1))
-                case Prod(d, b):
-                    return Prod(go_free(d, depth), go_free(b, depth + 1))
-                case _:
-                    return t
-
-        return go_free(t, 0)
+        return subst_simultaneous(t, [(target, u)])
 
     def go_bound(t: Term, depth: int) -> Term:
+        if t.lb <= target + depth:
+            return t
         match t:
             case Bound(i):
                 if i == target + depth:
                     return lift(u, 0, depth)
-                return Bound(i - 1) if i > target + depth else t
+                return Bound(i - 1)
             case App(f, a):
                 return App(go_bound(f, depth), go_bound(a, depth))
             case Abs(d, b):
@@ -280,23 +264,7 @@ def open_binder(body: Term, name: str) -> Term:
 
 def close_binder(t: Term, name: str) -> Term:
     """Abstract the free variable `name`, producing a body for a new binder."""
-
-    def go(t: Term, depth: int) -> Term:
-        match t:
-            case Free(n) if n == name:
-                return Bound(depth)
-            case Bound(i):
-                return Bound(i + 1) if i >= depth else t
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case Abs(d, b):
-                return Abs(go(d, depth), go(b, depth + 1))
-            case Prod(d, b):
-                return Prod(go(d, depth), go(b, depth + 1))
-            case _:
-                return t
-
-    return go(t, 0)
+    return subst_simultaneous(lift(t, 0, 1), [(name, Bound(0))])
 
 
 def fresh_name(taken: Iterable[str], base: str = "x") -> str:
@@ -322,6 +290,8 @@ class EnvEntry:
 @dataclass(frozen=True, eq=False)
 class Environment:
     entries: tuple[EnvEntry, ...] = ()
+
+    # the checker keys its memos on environments, so the hash is cached
 
     def __eq__(self, other):
         if self is other:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from pedacc import cli
 from pedacc.cli import _encode, _write_json, main
+from pedacc.kernel import derivation_to_dict, verify_derivation
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PRELUDE = str(DEMOS / "prelude.ped")
@@ -158,6 +160,25 @@ def test_certificates_are_written_in_json_indent_2(tmp_path, capsys, demo, syste
           "--emit-derivation", str(cert)])
     capsys.readouterr()
     _assert_indent_2(cert.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.ped")))
+def test_every_certified_derivation_passes_the_auditor(tmp_path, capsys,
+                                                       monkeypatch, demo, system):
+    made = []
+
+    def recording(d, render):
+        made.append(d)
+        return derivation_to_dict(d, render)
+
+    monkeypatch.setattr(cli, "derivation_to_dict", recording)
+    main(["check", str(DEMOS / demo), "--system", system,
+          "--emit-derivation", str(tmp_path / "c.json")])
+    capsys.readouterr()
+    for d in made:
+        assert d.mode.value == system
+        assert verify_derivation(d) == []
 
 
 def test_error_certificates_are_written_in_json_indent_2(tmp_path, capsys):

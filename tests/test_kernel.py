@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -35,6 +36,7 @@ from pedacc.prelude import (
     times,
     top_type,
 )
+from pedacc.reduction import DEFAULT_FUEL
 from pedacc.surface import elaborate, parse, render_term
 from pedacc.terms import (
     PROP,
@@ -235,8 +237,9 @@ def test_checkers_do_not_share_normal_forms():
     ty1, _ = first.infer(env, Free("x"))
     ty2, _ = second.infer(env, Free("x"))
     assert ty1 == ty2 == Free("A")
-    # each checker normalized the redex itself
-    assert ty1 is not ty2
+    # each checker normalized the redex itself, into a memo of its own
+    assert (_REDEX, DEFAULT_FUEL) in first._nf
+    assert (_REDEX, DEFAULT_FUEL) in second._nf
     assert first._nf is not second._nf
 
 
@@ -264,6 +267,17 @@ def test_verify_derivation_flags_a_forged_node():
     assert verify_derivation(bogus) != []
     wrong_rule = Derivation("var", WellFormed(Environment()), (), NAIVE)
     assert verify_derivation(wrong_rule) != []
+
+
+def test_verify_derivation_flags_a_derivation_that_mixes_modes(oracle):
+    # ccr rejects this environment: nothing inhabits forall A : Prop, A
+    env = env_of(("h", Prod(PROP, Bound(0))))
+    assert check_wf(env, CCR, oracle).rule == "prod_r"
+    d = check_wf(env, CC)
+    assert isinstance(d, Derivation) and verify_derivation(d) == []
+    relabelled = dataclasses.replace(d, mode=CCR)
+    assert verify_derivation(relabelled) == [
+        "prod node of mode cc inside a ccr derivation"]
 
 
 def test_contract_derivation_prints_each_judgment_once(oracle):

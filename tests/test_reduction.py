@@ -131,7 +131,8 @@ def test_fuel_counts_are_term_size_insensitive_for_normal_terms():
 
 
 def test_a_normal_form_is_freed_once_its_caller_drops_it():
-    nf = normalize(apps(plus, numeral(2), numeral(3)))
+    # the free name is this test's own, so no other code holds the result
+    nf = normalize(apps(plus, numeral(2), Free("freed_once_dropped")))
     ref = weakref.ref(nf)
     del nf
     gc.collect()

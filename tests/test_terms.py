@@ -1,7 +1,15 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 
+from pedacc import terms
+from pedacc.reduction import normalize
+from pedacc.surface import elaborate, parse
 from pedacc.terms import (
     PROP,
     TYPE,
@@ -28,10 +36,68 @@ from pedacc.terms import (
 def test_structural_equality_across_constructions():
     a = Abs(PROP, Abs(Bound(0), Bound(0)))
     b = Abs(PROP, Abs(Bound(0), Bound(0)))
-    assert a is not b
+    assert a is b
     assert a == b
     assert hash(a) == hash(b)
     assert a != Abs(PROP, Abs(Bound(0), Bound(1)))
+
+
+def test_equal_terms_reached_by_different_paths_are_one_object():
+    ident = Abs(PROP, Abs(Bound(0), Bound(0)))
+    by_hand = App(ident, PROP)
+    _, (cmd,) = elaborate(parse("check (fun A : Prop => fun x : A => x) Prop"))
+    assert cmd.subject is by_hand
+    # (fun B : Prop => ident) Prop contracts to ident, read back node by node
+    assert normalize(App(Abs(PROP, ident), PROP)) is ident
+    assert subst(App(Free("f"), PROP), "f", ident) is by_hand
+    assert subst(App(Bound(0), PROP), 0, ident) is by_hand
+    assert copy.deepcopy(by_hand) is by_hand
+    assert pickle.loads(pickle.dumps(by_hand)) is by_hand
+
+
+def test_a_term_cannot_be_changed():
+    t = App(Free("f"), PROP)
+    with pytest.raises(AttributeError):
+        t.fun = TYPE
+    with pytest.raises(AttributeError):
+        del t.arg
+    # no per-node dict either: a node holds its fields and nothing else
+    with pytest.raises(AttributeError):
+        object.__setattr__(t, "_h", 0)
+    assert t.fun is Free("f") and t.arg is PROP
+
+
+def test_the_intern_table_keeps_no_term_alive():
+    gc.collect()
+    before = len(terms._TABLE)
+    t = Abs(Free("only_in_the_table_test"), App(Bound(0), Bound(7)))
+    assert len(terms._TABLE) > before
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert len(terms._TABLE) == before
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(PROP) == "SortConst(sort=<Sort.PROP: 'Prop'>)"
+    assert repr(Bound(0)) == "Bound(index=0)"
+    assert repr(Free("$x0")) == "Free(name='$x0')"
+    assert repr(App(Free("f"), Bound(1))) == (
+        "App(fun=Free(name='f'), arg=Bound(index=1))")
+    assert repr(Abs(TYPE, Bound(0))) == (
+        "Abs(domain=SortConst(sort=<Sort.TYPE: 'Type'>), body=Bound(index=0))")
+    assert repr(Prod(Free("A"), Free("B"))) == (
+        "Prod(domain=Free(name='A'), body=Free(name='B'))")
+
+
+def test_loose_bound_level():
+    assert PROP.lb == Free("x").lb == 0
+    assert Bound(3).lb == 4
+    assert App(Bound(1), Free("x")).lb == 2
+    # a binder hides its own index 0 from the levels above it
+    assert Abs(PROP, Bound(0)).lb == 0
+    assert Prod(Bound(0), App(Bound(0), Bound(2))).lb == 2
 
 
 def test_sorts_are_distinct():
