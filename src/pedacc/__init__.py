@@ -4,7 +4,8 @@ The kernel checks three systems sharing one term language: the full
 calculus, a restricted variant whose product formation demands a witness
 inhabitant, and a naive system that instead asks for closed motivation
 terms at the leaves.  Around the kernel: a normalizer, a bounded
-inhabitation search, a constructive witness extractor for well-formed
+inhabitation search backed by a two-valued model that refutes goals
+no witness can inhabit, a constructive witness extractor for well-formed
 restricted environments, an arithmetic prelude of iterator-encoded
 naturals, a small surface language, and generators for the property
 suites.
@@ -13,6 +14,7 @@ suites.
 from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
     MotivationResult,
+    SearchOracle,
     check_poincare,
     inhabit_applied,
     inhabit_closed,
@@ -45,7 +47,9 @@ from .kernel import (
     naive_p_examples,
     relabel_restricted_products,
     verify_derivation,
+    verify_derivations,
 )
+from .model import refute
 from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize
 from .terms import (
     PROP,

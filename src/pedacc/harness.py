@@ -4,9 +4,8 @@ Generation works derivation-first: environments are grown by rules that
 are valid in the restricted calculus by construction (each new product
 type comes packaged with an inhabitant for its body), so the checker is
 an after-the-fact validator rather than a rejection filter.  Negative
-verdicts are always a checker rejection plus a recorded search
-exhaustion; nothing here claims to certify that an inhabitant does not
-exist.
+verdicts are always a checker rejection, whose message says whether the
+two-valued model refuted the missing witness or the search ran out.
 """
 
 from __future__ import annotations

@@ -22,7 +22,9 @@ A small proof search (`inhabit_search`) backs the kernel's witness
 oracle.  It is deliberately bounded and deterministic: introduce binders
 while the goal is a product, close goals that are literally Prop with
 `top`, and otherwise scan the environment, newest entries first, trying
-bounded chains of applications.
+bounded chains of applications.  Before a miss costs the whole budget,
+the two-valued model of `model.py` gets the chance to show that no
+witness exists.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ from .kernel import (
     infer_type,
     _diagnostic,
 )
+from .model import Valuation, refute
 from .prelude import top_type
 from .reduction import DEFAULT_FUEL, FuelExhausted, normalize
+from .surface import render_term
 from .terms import (
     Abs,
     App,
@@ -77,6 +81,10 @@ _MAX_INTROS = 128
 # combined cap on search tree nodes per query; keeps worst cases bounded
 # without affecting the easy finds
 DEFAULT_SEARCH_BUDGET = 4000
+
+# nodes of the first, short search: proofs the oracle finds take a few
+# dozen nodes at most, and misses take the model's time, not the budget's
+PROBE_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -155,26 +163,76 @@ def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
     return None
 
 
+def _decide(env: Environment, goal: Term, depth: int, fuel: int, budget: int,
+            memo: dict) -> tuple[Term | None, Valuation | None]:
+    """The full search's answer for a normal goal, and on a miss the
+    model's countermodel if it has one.
+
+    The search is depth-first and deterministic, and its budget only cuts
+    it short.  So a term the probe finds is the one the full search would
+    find, and a probe that misses with budget to spare has walked the
+    whole tree.  On any other miss the model runs first: if it refutes the
+    goal, the full search could find nothing.  It also runs on a miss the
+    probe settles, so that the miss can say why.
+    """
+    probe = [min(PROBE_BUDGET, budget)]
+    found = _search(env, goal, depth, fuel, probe, memo)
+    if found is not None:
+        return found, None
+    valuation = refute(env, goal, fuel, memo)
+    if valuation is not None or probe[0] > 0 or budget <= PROBE_BUDGET:
+        return None, valuation
+    return _search(env, goal, depth, fuel, [budget], memo), None
+
+
+class SearchOracle:
+    """The standard witness oracle: a probe of `PROBE_BUDGET` search
+    nodes, then the two-valued model (`model.refute`), then the full
+    search of `budget` nodes at `depth` (see `_decide`).  None of these
+    steps changes which term it returns.
+
+    Each answer is cached per environment and goal, misses included, with
+    the countermodel that settled a miss, if any: the same subgoals recur
+    constantly while checking one derivation, and the kernel asks
+    `miss_reason` about a miss right after it.
+    """
+
+    def __init__(self, depth: int, fuel: int, budget: int):
+        self.depth = depth
+        self.fuel = fuel
+        self.budget = budget
+        self._cache: dict[tuple[Environment, Term],
+                          tuple[Term | None, Valuation | None]] = {}
+        self._nf: dict = {}
+
+    def _answer(self, env: Environment, goal: Term) -> tuple[Term | None, Valuation | None]:
+        key = (env, goal)
+        got = self._cache.get(key)
+        if got is None:
+            got = _decide(env, normalize(goal, self.fuel, self._nf), self.depth,
+                          self.fuel, self.budget, self._nf)
+            self._cache[key] = got
+        return got
+
+    def __call__(self, env: Environment, goal: Term) -> Term | None:
+        return self._answer(env, goal)[0]
+
+    def miss_reason(self, env: Environment, goal: Term) -> str:
+        """Why no witness was found: the countermodel, restricted to the
+        variables of sort Prop, or the search's bounds."""
+        _, valuation = self._answer(env, goal)
+        if valuation is None:
+            return f"search exhausted (depth {self.depth}, {self.budget} nodes)"
+        shown = ", ".join(f"{render_term(Free(name))} := {v}"
+                          for name, v in valuation if isinstance(v, int))
+        return f"no witness exists ({shown})" if shown else "no witness exists"
+
+
 def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
                        fuel: int = DEFAULT_FUEL,
-                       budget: int = DEFAULT_SEARCH_BUDGET) -> WitnessOracle:
-    """The standard witness oracle: bounded deterministic search.
-
-    Results (including misses) are cached per environment and goal; the
-    same subgoals recur constantly while checking one derivation.
-    """
-    cache: dict[tuple[Environment, Term], Term | None] = {}
-    nf: dict = {}
-
-    def oracle(env: Environment, goal: Term) -> Term | None:
-        key = (env, goal)
-        if key in cache:
-            return cache[key]
-        found = _search(env, normalize(goal, fuel, nf), depth, fuel, [budget], nf)
-        cache[key] = found
-        return found
-
-    return oracle
+                       budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOracle:
+    """A `SearchOracle` with its own caches."""
+    return SearchOracle(depth, fuel, budget)
 
 
 def inhabit_search(env: Environment, goal: Term,
@@ -183,14 +241,16 @@ def inhabit_search(env: Environment, goal: Term,
                    ) -> tuple[Term, Derivation] | Diagnostic | None:
     """Search for an inhabitant of `goal` and verify it from scratch.
 
-    Returns None if the bounded search finds nothing; a None here is a
-    report of exhaustion at this depth, not a nonexistence proof.  Running
-    out of fuel is a `Diagnostic(rule="fuel")`.
+    Returns None if nothing is found.  The steps are the oracle's (probe,
+    model, full search), so a None means that the two-valued model shows
+    no inhabitant exists, or that the search at this depth and within
+    `DEFAULT_SEARCH_BUDGET` nodes ran out.  Running out of fuel is a
+    `Diagnostic(rule="fuel")`.
     """
     memo: dict = {}
     try:
-        term = _search(env, normalize(goal, fuel, memo), depth, fuel,
-                       [DEFAULT_SEARCH_BUDGET], memo)
+        term, _ = _decide(env, normalize(goal, fuel, memo), depth, fuel,
+                          DEFAULT_SEARCH_BUDGET, memo)
     except FuelExhausted as e:
         return _diagnostic(e)
     if term is None:

@@ -127,14 +127,15 @@ def derivation_height(d: Derivation, _memo: dict | None = None) -> int:
     return h
 
 
-def iter_nodes(d: Derivation):
+def iter_nodes(d: Derivation, seen: set[int] | None = None):
     """Every distinct node of the derivation, each exactly once.
 
     Derivations are DAGs (checking shares repeated subderivations), so
     the walk dedupes on identity; an explicit stack keeps deep spines
-    clear of the recursion limit.
+    clear of the recursion limit.  A `seen` set shared across calls
+    skips the nodes that earlier walks yielded.
     """
-    seen: set[int] = set()
+    seen = set() if seen is None else seen
     stack = [d]
     while stack:
         node = stack.pop()
@@ -478,13 +479,11 @@ class Checker:
                 continue
             if c.ty == body_nf:
                 return cand, c.d
+        # the standard oracle can say why it missed; it answers from its cache
+        why = getattr(self.oracle, "miss_reason", None)
+        reason = why(ctx2.env, body_open) if why else "no witness inhabits the body"
         raise CheckError(
-            Diagnostic(
-                "prod_r",
-                "cannot form product: no witness inhabits the body",
-                pos,
-                expected=body_open,
-            )
+            Diagnostic("prod_r", f"cannot form product: {reason}", pos, expected=body_open)
         )
 
     def _check(self, ctx: _Ctx, t: Term, expected: Term, pos: tuple) -> Derivation:
@@ -788,40 +787,52 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
         problems.append(f"{d.rule} node is missing premises")
 
 
-def _mode_problems(d: Derivation) -> list[str]:
-    """Nodes whose mode is not the root's.  The one exception is the
-    closed full-calculus cascade under a naive ``p-ax`` or ``p-var``,
-    whose nodes are all ``cc``.  The subtree under a stray node is not
-    walked: that node is reported, and its premises would repeat it."""
-    problems: list[str] = []
-    seen: set[tuple[int, bool]] = set()
-    stack = [(d, False)]
+def _mode_problems(roots, problems: list[str]) -> None:
+    """Nodes whose mode is not the one their root expects: the root's
+    own, except in the closed full-calculus cascade under a naive ``p-ax``
+    or ``p-var``, whose nodes are all ``cc``.  The subtree under a stray
+    node is not walked: that node is reported, and its premises would
+    repeat it.  Each (node, expected mode) pair is looked at once."""
+    seen: set[tuple[int, SystemMode]] = set()
+    stack = [(d, d.mode) for d in roots]
     while stack:
-        node, in_cascade = stack.pop()
-        if (id(node), in_cascade) in seen:
+        node, mode = stack.pop()
+        if (id(node), mode) in seen:
             continue
-        seen.add((id(node), in_cascade))
-        mode = SystemMode.CC if in_cascade else d.mode
+        seen.add((id(node), mode))
         if node.mode is not mode:
             problems.append(f"{node.rule} node of mode {node.mode.value} "
                             f"inside a {mode.value} derivation")
             continue
-        in_cascade = in_cascade or node.rule in ("p-ax", "p-var")
-        stack.extend((p, in_cascade) for p in node.premises)
+        if node.rule in ("p-ax", "p-var"):
+            mode = SystemMode.CC
+        stack.extend((p, mode) for p in node.premises)
+
+
+def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
+    """Re-check every node of the derivations against its rule schema, and
+    check that every node is in the mode its root expects.
+
+    The derivations may share subtrees: each distinct node's schema is
+    checked once, and each (node, expected mode) pair once, so auditing
+    many derivations together costs their distinct nodes, not their sum.
+    Returns a list of problems; an empty list means every tree is valid.
+    A problem in a node shared by several roots is reported once.
+    """
+    roots = list(roots)
+    problems: list[str] = []
+    memo: dict = {}
+    seen: set[int] = set()
+    for root in roots:
+        for node in iter_nodes(root, seen):
+            _verify_node(node, problems, fuel, memo)
+    _mode_problems(roots, problems)
     return problems
 
 
 def verify_derivation(d: Derivation, fuel: int = DEFAULT_FUEL) -> list[str]:
-    """Re-check every node of a derivation against its rule schema, and
-    check that every node is in the root's mode.
-
-    Returns a list of problems; an empty list means the tree is valid.
-    """
-    problems: list[str] = []
-    memo: dict = {}
-    for node in iter_nodes(d):
-        _verify_node(node, problems, fuel, memo)
-    return problems + _mode_problems(d)
+    """`verify_derivations` of the one derivation `d`."""
+    return verify_derivations((d,), fuel)
 
 
 def relabel_restricted_products(d: Derivation,

@@ -93,12 +93,16 @@ def _eval(t: Term, env: tuple, steps: _Steps):
     # dispatch on the node type, commonest first: a structural `match`
     # costs several times more per node, and App is most of every term
     tt = type(t)
-    if tt is App:
+    while tt is App:
         fv = _eval(t.fun, env, steps)
         arg = _Thunk(t.arg, env)
         if type(fv) is _VAbs:
+            # a contraction continues in this frame, so a term that keeps
+            # contracting (omega) runs out of fuel, not out of stack
             steps.tick()
-            return _eval(fv.body, fv.env + (arg,), steps)
+            t, env = fv.body, fv.env + (arg,)
+            tt = type(t)
+            continue
         if type(fv) is _VNe:
             return _VNe(fv.head, fv.spine + (arg,))
         return _VNe(("stuck", fv), (arg,))  # ill-typed application; keep it inert

@@ -285,6 +285,16 @@ def test_motivate_rejects_unmotivatable_envs(tmp_path, capsys):
     assert main(["motivate", f]) == 1
 
 
+def test_a_refuted_witness_goal_names_its_countermodel(tmp_path, capsys):
+    f = _write(tmp_path, "neg.ped",
+               "assume Zb : Prop\nassume Zc : Prop\nassume zh : Zb -> Zc")
+    assert main(["motivate", f]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error[prod_r]: cannot form product: no witness exists "
+        "(Zb := 1, Zc := 0) at env.2",
+        "  expected: Zc"]
+
+
 def test_inhabit_reports_findings_and_failures(tmp_path, capsys):
     assert main(["inhabit", str(DEMOS / "inhabit.ped")]) == 0
     out = capsys.readouterr().out
@@ -333,6 +343,17 @@ def test_normalize_and_eval(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     # numerals read back as numbers, everything else as a term
     assert lines == ["5", "fun A : Prop => fun x : A => x"]
+
+
+@pytest.mark.parametrize("verb", ["normalize", "eval"])
+def test_a_term_that_keeps_contracting_runs_out_of_fuel(tmp_path, capsys, verb):
+    f = _write(tmp_path, "omega.ped",
+               f"{verb} (fun y : Prop => y y) (fun y : Prop => y y)")
+    assert main([verb, f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "pedacc: fuel exhausted: no normal form within 100000 reduction steps"]
 
 
 def test_eval_rejects_open_subjects(tmp_path, capsys):

@@ -26,6 +26,7 @@ from pedacc.kernel import (
     naive_p_examples,
     relabel_restricted_products,
     verify_derivation,
+    verify_derivations,
 )
 from pedacc.prelude import (
     factorial,
@@ -278,6 +279,24 @@ def test_verify_derivation_flags_a_derivation_that_mixes_modes(oracle):
     relabelled = dataclasses.replace(d, mode=CCR)
     assert verify_derivation(relabelled) == [
         "prod node of mode cc inside a ccr derivation"]
+
+
+def test_one_shared_audit_reports_what_per_root_audits_report(oracle):
+    env = env_of(("h", Prod(PROP, Bound(0))))
+    d = check_wf(env, CC)
+    mixed = dataclasses.replace(d, mode=CCR)
+    forged = Derivation("ax", HasType(Environment(), PROP, PROP), (), CC)
+    good = check_type(Environment(), id_term, top_type, CCR, oracle)
+    # the relabelled root shares every premise with the cc one
+    roots = [d, mixed, good, forged, relabel_restricted_products(good)]
+    per_root = [p for r in roots for p in verify_derivation(r)]
+    assert "prod node of mode cc inside a ccr derivation" in per_root
+    assert set(verify_derivations(roots)) == set(per_root)
+    # roots that share no node: the same problems, as many times
+    apart = [mixed, forged]
+    assert sorted(verify_derivations(apart)) == sorted(
+        p for r in apart for p in verify_derivation(r))
+    assert verify_derivations([d, good]) == []
 
 
 def test_contract_derivation_prints_each_judgment_once(oracle):
