@@ -219,8 +219,11 @@ class SearchOracle:
 
     def miss_reason(self, env: Environment, goal: Term) -> str:
         """Why no witness was found: the countermodel, restricted to the
-        variables of sort Prop, or the search's bounds."""
-        _, valuation = self._answer(env, goal)
+        variables of sort Prop, or the search's bounds.  A term the search
+        found but the caller rejected is no miss of the search's."""
+        term, valuation = self._answer(env, goal)
+        if term is not None:
+            return "no witness inhabits the body"
         if valuation is None:
             return f"search exhausted (depth {self.depth}, {self.budget} nodes)"
         shown = ", ".join(f"{render_term(Free(name))} := {v}"

@@ -12,7 +12,7 @@ shows that no witness exists, whatever the search budget.
 
 `refute` decides only a fragment, and answers None outside it: a kind
 whose domain is a proposition (it can be empty) or depends on a variable,
-an abstraction inside a type, or more valuations than `MAX_VALUATIONS`.
+an abstraction inside a type, or more work than `MAX_VALUATIONS`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from itertools import product
 from .reduction import FuelExhausted, normalize
 from .terms import App, Bound, Environment, Free, PROP, Prod, Term, free_vars
 
-# valuations of the environment, and elements of any one kind, at most
+# valuations of the environment, elements of any one kind, and elements
+# and valuations visited by one `refute` call, at most
 MAX_VALUATIONS = 4096
 
 # what a bound proof variable stands for; it never occurs in a type
@@ -32,7 +33,26 @@ Valuation = tuple[tuple[str, object], ...]
 
 
 class _Outside(Exception):
-    """The term lies outside the fragment the model decides."""
+    """The term lies outside the fragment the model decides, or deciding
+    it would cost more than the budget."""
+
+
+class _Tables:
+    """The elements of each kind met so far, their positions, and what is
+    left of one `refute` call's budget: a product over a kind visits every
+    element at every valuation, so nested products multiply."""
+
+    __slots__ = ("elements", "index", "left")
+
+    def __init__(self):
+        self.elements: dict = {}
+        self.index: dict = {}
+        self.left = MAX_VALUATIONS
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise _Outside
 
 
 def _is_kind(t: Term) -> bool:
@@ -41,10 +61,10 @@ def _is_kind(t: Term) -> bool:
     return t is PROP
 
 
-def _elements(kind: Term, tables: dict) -> tuple:
+def _elements(kind: Term, tables: _Tables) -> tuple:
     """The kind's elements: 0 and 1 for Prop, and for `D -> K` the tables
     of K-elements indexed like D's elements."""
-    got = tables.get(kind)
+    got = tables.elements.get(kind)
     if got is None:
         if kind is PROP:
             got = (0, 1)
@@ -56,12 +76,12 @@ def _elements(kind: Term, tables: dict) -> tuple:
             got = tuple(product(cod, repeat=len(dom)))
         else:
             raise _Outside  # dependent, or over a proposition
-        tables[kind] = got
-        tables[kind, "index"] = {v: i for i, v in enumerate(got)}
+        tables.elements[kind] = got
+        tables.index[kind] = {v: i for i, v in enumerate(got)}
     return got
 
 
-def _value(t: Term, rho: dict, bound: tuple, tables: dict) -> tuple[object, Term]:
+def _value(t: Term, rho: dict, bound: tuple, tables: _Tables) -> tuple[object, Term]:
     """The value of a type-level normal form, with its kind."""
     tt = type(t)
     if tt is Free or tt is Bound:
@@ -80,10 +100,11 @@ def _value(t: Term, rho: dict, bound: tuple, tables: dict) -> tuple[object, Term
         a, a_kind = _value(t.arg, rho, bound, tables)
         if a_kind is not kind.domain:
             raise _Outside
-        return f[tables[kind.domain, "index"][a]], kind.body
+        return f[tables.index[kind.domain][a]], kind.body
     if tt is Prod:
         if _is_kind(t.domain):
             for v in _elements(t.domain, tables):
+                tables.spend()
                 if not _prop(t.body, rho, bound + ((v, t.domain),), tables):
                     return 0, PROP
             return 1, PROP
@@ -93,7 +114,7 @@ def _value(t: Term, rho: dict, bound: tuple, tables: dict) -> tuple[object, Term
     raise _Outside  # an abstraction, or a sort where a type was expected
 
 
-def _prop(t: Term, rho: dict, bound: tuple, tables: dict) -> int:
+def _prop(t: Term, rho: dict, bound: tuple, tables: _Tables) -> int:
     v, kind = _value(t, rho, bound, tables)
     if kind is not PROP:
         raise _Outside
@@ -108,7 +129,10 @@ def refute(env: Environment, goal: Term, fuel: int, memo: dict) -> Valuation | N
     The valuation gives, in environment order, the value of each type
     variable that the goal or a hypothesis mentions; a variable of sort
     Prop gets 0 or 1, one of a higher kind a function table.  Normal forms
-    go through `memo`, as in the search; running out of fuel is None.
+    go through `memo`, as in the search.  Running out of fuel or of the
+    interpreter's stack is None, and so is visiting more than
+    `MAX_VALUATIONS` valuations and elements of kinds in all: the question
+    is then left to the search.
     """
     try:
         goal = normalize(goal, fuel, memo)
@@ -119,7 +143,7 @@ def refute(env: Environment, goal: Term, fuel: int, memo: dict) -> Valuation | N
         return None  # every kind is inhabited
     mentioned = free_vars(goal).union(
         *(free_vars(ty) for _, ty in types if not _is_kind(ty)))
-    tables: dict = {}
+    tables = _Tables()
     # the variables to enumerate, each with the hypotheses that come before
     # the next one: those can be checked as soon as it has its value
     variables: list[tuple[str, Term, tuple]] = []
@@ -137,17 +161,18 @@ def refute(env: Environment, goal: Term, fuel: int, memo: dict) -> Valuation | N
                 variables.append((name, ty, elements))
                 checks.append([])
         return _countermodel(0, variables, checks, goal, {}, tables)
-    except _Outside:
+    except (_Outside, RecursionError):  # or nested past the interpreter's stack
         return None
 
 
 def _countermodel(i: int, variables: list, checks: list, goal: Term,
-                  rho: dict, tables: dict) -> Valuation | None:
-    # backtracking over the variables in order; at most MAX_VALUATIONS
-    # leaves, and len(variables) <= log2(MAX_VALUATIONS) deep
+                  rho: dict, tables: _Tables) -> Valuation | None:
+    # backtracking over the variables in order; len(variables) <=
+    # log2(MAX_VALUATIONS) deep, and each leaf spends from the budget
     if not all(_prop(ty, rho, (), tables) for ty in checks[i]):
         return None
     if i == len(variables):
+        tables.spend()
         if _prop(goal, rho, (), tables):
             return None
         return tuple((name, rho[name][0]) for name, _, _ in variables)

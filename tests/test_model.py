@@ -119,6 +119,13 @@ def test_outside_the_fragment_there_is_no_answer():
 
     assert _refuted(*implications(MAX_VALUATIONS.bit_length() - 2))
     assert not _refuted(*implications(MAX_VALUATIONS.bit_length() - 1))
+    # nor more work than the cap, however few the variables: each nested
+    # product over a kind visits all of its elements
+    k = arrow(PROP, arrow(PROP, arrow(PROP, PROP)))  # 256 tables
+    t3 = App(App(App(Bound(0), top_type), top_type), top_type)
+    assert _refuted(Environment(), Prod(k, t3))
+    tautology = Prod(PROP, arrow(Bound(0), Bound(0)))
+    assert not _refuted(Environment(), Prod(k, Prod(k, Prod(k, tautology))))
     # running out of fuel is no answer either
     redex = App(Abs(PROP, Bound(0)), bot_type)
     assert refute(Environment(), redex, 0, {}) is None
@@ -213,6 +220,19 @@ def test_negative_fixtures(label, refuted, reason):
     assert _refuted(env, goal) is refuted
 
 
+def test_a_rejected_candidate_is_no_miss_of_the_search():
+    class _Rejected(SearchOracle):
+        def _answer(self, env, goal):
+            return PROP, None  # not a proof of anything
+
+    a = Free("A")
+    env = env_of(("A", PROP), ("h", arrow(a, a)))
+    oracle = _Rejected(DEFAULT_SEARCH_DEPTH, FUEL, DEFAULT_SEARCH_BUDGET)
+    got = check_wf(env, CCR, oracle)
+    assert got.rule == "prod_r"
+    assert got.message == "cannot form product: no witness inhabits the body"
+
+
 def test_a_foreign_oracle_keeps_the_plain_message():
     env = env_of(("h", bot_type))
     got = check_wf(env, CCR, lambda env, goal: None)
@@ -221,6 +241,22 @@ def test_a_foreign_oracle_keeps_the_plain_message():
 
 # ---------------------------------------------------------------------------
 # the oracle order changes no answer
+
+
+def test_many_products_over_kinds_leave_the_goal_to_the_search():
+    # forall A1 ... A70 : Prop, A70 -> A70: the probe runs out, the model
+    # would visit 2^70 valuations, and the full search finds the identity
+    goal = Prod(Bound(0), Bound(1))
+    for _ in range(70):
+        goal = Prod(PROP, goal)
+    want = _search(Environment(), normalize(goal), DEFAULT_SEARCH_DEPTH, FUEL,
+                   [DEFAULT_SEARCH_BUDGET], {})
+    assert want is not None
+    assert make_search_oracle()(Environment(), goal) is want
+    # deeper still, the model gives up rather than overflow the stack
+    for _ in range(600):
+        goal = Prod(PROP, goal)
+    assert refute(Environment(), goal, FUEL, {}) is None
 
 
 def test_the_oracle_answers_like_the_full_search():
