@@ -7,8 +7,7 @@ terms at the leaves.  Around the kernel: a normalizer, a bounded
 inhabitation search backed by a two-valued model that refutes goals
 no witness can inhabit, a constructive witness extractor for well-formed
 restricted environments, an arithmetic prelude of iterator-encoded
-naturals, a small surface language, and generators for the property
-suites.
+naturals, and a small surface language.
 """
 
 from .inhabit import (
@@ -44,7 +43,6 @@ from .kernel import (
     infer_type,
     infer_with_sort,
     iter_nodes,
-    naive_p_examples,
     relabel_restricted_products,
     verify_derivation,
     verify_derivations,

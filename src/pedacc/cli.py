@@ -12,7 +12,6 @@ decides which of the remaining declarations are acted on:
                once ``cc`` has checked that the goal is a type
     normalize  print the normal form of each ``normalize`` subject
     eval       like normalize, but numerals are read back as integers
-    selftest   run the generated property suites and print a table
 
 Exit status: 0 on success, 1 when a judgment fails to check (or a search
 comes up empty), 2 on usage, syntax, or name-resolution errors.
@@ -347,22 +346,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    # Imported here: the harness pulls in every other module, and the
-    # cheap subcommands should not pay for that.
-    from .harness import render_selftest, run_selftest
-
-    results = run_selftest(args.cases, args.seed)
-    print(render_selftest(results))
-    return 0 if all(r.ok for r in results) else 1
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
 
 def _budget(text: str) -> int:
-    """An argparse type: a count of steps, depth or cases, 0 or more."""
+    """An argparse type: a count of steps or a depth, 0 or more."""
     try:
         n = int(text)
     except ValueError:
@@ -419,13 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="normalize and read numerals back")
     with_fuel(with_file(p))
     p.set_defaults(run=_cmd_eval)
-
-    p = sub.add_parser("selftest", help="run the generated property suites")
-    p.add_argument("--cases", type=_budget, default=50, metavar="N",
-                   help="cases per generated suite (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
-                   help="base random seed (default %(default)s)")
-    p.set_defaults(run=_cmd_selftest)
 
     return parser
 

@@ -19,7 +19,7 @@ tree that can be re-checked node by node with `verify_derivation`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -252,27 +252,47 @@ class Checker:
         key = (ctx.env, ctx.motivation)
         if key in self._cascade_memo:
             return self._cascade_memo[key]
-        if ctx.motivation.names() != ctx.env.names():
+        cc = Checker(SystemMode.CC, fuel=self.fuel)
+        cc._nf = self._nf  # same fuel, so the same normal forms
+        result = cc._motivate(ctx.env, ctx.motivation, pos, pos)
+        self._cascade_memo[key] = result
+        return result
+
+    def _motivate(self, env: Environment, motivation: Motivation,
+                  pos: tuple, entry_pos: tuple) -> tuple[Derivation, ...]:
+        """Check `motivation` against `env`: the i-th motivation term must
+        be closed and check, in the empty environment, against the i-th
+        entry type with the earlier variables replaced by their motivation
+        terms.
+
+        A diagnostic about the whole motivation sits at `pos`, one about an
+        entry at `entry_pos` followed by the entry's name.
+        """
+        if motivation.names() != env.names():
             raise CheckError(
                 Diagnostic(
                     "p-var",
                     "motivation does not cover the environment "
-                    f"(have {ctx.motivation.names()}, need {ctx.env.names()})",
+                    f"(have {motivation.names()}, need {env.names()})",
                     pos,
                 )
             )
-        cc = Checker(SystemMode.CC, fuel=self.fuel)
-        cc._nf = self._nf  # same fuel, so the same normal forms
-        empty = cc.root_ctx(Environment())
+        empty = self.root_ctx(Environment())
         done: list[tuple[str, Term]] = []
         derivs: list[Derivation] = []
-        for entry, (_, mot_term) in zip(ctx.env, ctx.motivation.assignments):
+        for entry, (_, mot_term) in zip(env, motivation.assignments):
+            where = entry_pos + (entry.name,)
+            if not is_closed(mot_term):
+                raise CheckError(
+                    Diagnostic(
+                        "p-var", f"motivation term for {entry.name} is not closed",
+                        where, found=mot_term,
+                    )
+                )
             closed_ty = subst_simultaneous(entry.ty, done)
-            derivs.append(cc._check(empty, mot_term, closed_ty, pos + (entry.name,)))
+            derivs.append(self._check(empty, mot_term, closed_ty, where))
             done.append((entry.name, mot_term))
-        result = tuple(derivs)
-        self._cascade_memo[key] = result
-        return result
+        return tuple(derivs)
 
     # -- inference -----------------------------------------------------------
 
@@ -592,31 +612,13 @@ def check_motivated_env(
 ) -> tuple[Derivation, ...] | Diagnostic:
     """Check a motivation against an environment.
 
-    The i-th motivation term must check, in the empty environment, against
-    the i-th environment type with all earlier variables replaced by their
-    motivation terms.  Returns the cascade of derivations.
+    The i-th motivation term must be closed and check, in the empty
+    environment, against the i-th environment type with all earlier
+    variables replaced by their motivation terms.  Returns the cascade of
+    derivations.
     """
-    if motivation.names() != env.names():
-        return Diagnostic(
-            "p-var",
-            f"motivation does not cover the environment "
-            f"(have {motivation.names()}, need {env.names()})",
-        )
-    checker = Checker(mode, oracle, fuel)
     try:
-        empty = checker.root_ctx(Environment())
-        done: list[tuple[str, Term]] = []
-        derivs = []
-        for entry, (_, mot_term) in zip(env, motivation.assignments):
-            if not is_closed(mot_term):
-                return Diagnostic(
-                    "p-var", f"motivation term for {entry.name} is not closed",
-                    ("env", entry.name), found=mot_term,
-                )
-            closed_ty = subst_simultaneous(entry.ty, done)
-            derivs.append(checker._check(empty, mot_term, closed_ty, ("env", entry.name)))
-            done.append((entry.name, mot_term))
-        return tuple(derivs)
+        return Checker(mode, oracle, fuel)._motivate(env, motivation, (), ("env",))
     except (CheckError, FuelExhausted) as e:
         return _diagnostic(e)
 
@@ -898,44 +900,6 @@ def contract_derivation(d: Derivation) -> list[tuple[str, Judgment]]:
 
     walk(d)
     return lines
-
-
-# ---------------------------------------------------------------------------
-# stock examples
-
-
-def naive_p_examples() -> list[tuple[Judgment, Motivation]]:
-    """Three judgments the naive system accepts (under the paired
-    motivations) although the full calculus rejects their environments.
-
-    Each is ``env |- Prop : Type``; the interest is in the environments,
-    whose entry types range over a sort, a beta-redex over a provable
-    hypothesis, and a redex over an equation on numbers.
-    """
-    from .prelude import id_term, leibniz_eq, nat_type, numeral, top_type
-
-    env_a = Environment((EnvEntry("x1", TYPE),))
-    sigma_a = Motivation((("x1", PROP),))
-
-    dom_b = arrow(top_type, Free("x1"))        # with x1 := top this is provable
-    ty_b = App(Abs(dom_b, top_type), Abs(top_type, Bound(0)))
-    env_b = Environment((EnvEntry("x1", PROP), EnvEntry("x2", ty_b)))
-    sigma_b = Motivation((("x1", top_type), ("x2", id_term)))
-
-    eq_c = leibniz_eq(nat_type, Free("x1"), numeral(0))
-    refl_zero = Abs(
-        Prod(nat_type, PROP),
-        Abs(App(Bound(0), numeral(0)), Bound(0)),
-    )
-    ty_c = App(Abs(eq_c, top_type), refl_zero)
-    env_c = Environment((EnvEntry("x1", nat_type), EnvEntry("x2", ty_c)))
-    sigma_c = Motivation((("x1", numeral(0)), ("x2", id_term)))
-
-    return [
-        (HasType(env_a, PROP, TYPE), sigma_a),
-        (HasType(env_b, PROP, TYPE), sigma_b),
-        (HasType(env_c, PROP, TYPE), sigma_c),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Fixtures, generators, and differential suites over the three systems.
+"""Fixtures, generators, and differential suites over the three systems,
+for the tests.
 
 Generation works derivation-first: environments are grown by rules that
 are valid in the restricted calculus by construction (each new product
@@ -13,13 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .inhabit import (
-    check_poincare,
-    inhabit_search,
-    make_search_oracle,
-    motivate_env,
-)
-from .kernel import (
+from pedacc.inhabit import check_poincare, make_search_oracle, motivate_env
+from pedacc.kernel import (
     Checker,
     Derivation,
     Diagnostic,
@@ -30,12 +26,8 @@ from .kernel import (
     check_motivated_env,
     check_type,
     check_wf,
-    infer_type,
-    naive_p_examples,
-    relabel_restricted_products,
-    verify_derivation,
 )
-from .prelude import (
+from pedacc.prelude import (
     NAT,
     Arrow,
     SimpleType,
@@ -52,8 +44,8 @@ from .prelude import (
     times,
     top_type,
 )
-from .reduction import DEFAULT_FUEL, convertible
-from .terms import (
+from pedacc.reduction import DEFAULT_FUEL, convertible
+from pedacc.terms import (
     Abs,
     App,
     Bound,
@@ -62,11 +54,10 @@ from .terms import (
     Free,
     PROP,
     Prod,
+    TYPE,
     Term,
-    apps,
     arrow,
     env_of,
-    is_closed,
     lift,
     subst,
 )
@@ -382,107 +373,36 @@ def one_step_reducts(t: Term) -> list[Term]:
 
 
 # ---------------------------------------------------------------------------
-# the selftest driver
+# naive-system fixtures
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
+def naive_p_examples() -> list[tuple[Judgment, Motivation]]:
+    """Three judgments the naive system accepts (under the paired
+    motivations) although the full calculus rejects their environments.
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    Each is ``env |- Prop : Type``; the interest is in the environments,
+    whose entry types range over a sort, a beta-redex over a provable
+    hypothesis, and a redex over an equation on numbers.
+    """
+    env_a = Environment((EnvEntry("x1", TYPE),))
+    sigma_a = Motivation((("x1", PROP),))
 
+    dom_b = arrow(top_type, Free("x1"))        # with x1 := top this is provable
+    ty_b = App(Abs(dom_b, top_type), Abs(top_type, Bound(0)))
+    env_b = Environment((EnvEntry("x1", PROP), EnvEntry("x2", ty_b)))
+    sigma_b = Motivation((("x1", top_type), ("x2", id_term)))
 
-def run_selftest(n_cases: int = 50, seed: int = 0,
-                 fuel: int = DEFAULT_FUEL) -> list[SuiteResult]:
-    """All suites at a configurable size.  The acceptance-scale run uses
-    500 environments and 1000 reduction cases; the default is sized for
-    an interactive check."""
-    oracle = make_search_oracle()
-    results: list[SuiteResult] = []
+    eq_c = leibniz_eq(nat_type, Free("x1"), numeral(0))
+    refl_zero = Abs(
+        Prod(nat_type, PROP),
+        Abs(App(Bound(0), numeral(0)), Bound(0)),
+    )
+    ty_c = App(Abs(eq_c, top_type), refl_zero)
+    env_c = Environment((EnvEntry("x1", nat_type), EnvEntry("x2", ty_c)))
+    sigma_c = Motivation((("x1", numeral(0)), ("x2", id_term)))
 
-    poincare = SuiteResult("poincare", 0)
-    containment = SuiteResult("containment", 0)
-    for i in range(n_cases):
-        env, d = gen_ccr_env(seed + i, 5)
-        poincare.cases += 1
-        mr = motivate_env(d, oracle, fuel)
-        if isinstance(mr, Diagnostic):
-            poincare.failures.append(f"seed {seed + i}: {mr.message}")
-        else:
-            for (name, t), dv in zip(mr.motivation.assignments, mr.derivations):
-                if not is_closed(t):
-                    poincare.failures.append(f"seed {seed + i}: open witness {name}")
-                if len(dv.conclusion.env) != 0:
-                    poincare.failures.append(
-                        f"seed {seed + i}: witness {name} checked in non-empty env")
-        containment.cases += 1
-        back = check_wf(env, SystemMode.CC, oracle, fuel)
-        if isinstance(back, Diagnostic):
-            containment.failures.append(f"seed {seed + i}: CC re-check: {back.message}")
-        relabeled = relabel_restricted_products(d)
-        problems = verify_derivation(relabeled, fuel)
-        if problems:
-            containment.failures.append(
-                f"seed {seed + i}: relabeled derivation: {problems[0]}")
-    results += [poincare, containment]
-
-    negative = SuiteResult("negative", 0)
-    for case in negative_corpus():
-        negative.cases += 1
-        got = evaluate_case(case)
-        if got != case.expected:
-            negative.failures.append(
-                f"{case.label} [{case.mode.value}]: wanted {case.expected}, got {got}")
-    negative.cases += 1
-    if inhabit_search(Environment(), bot_type, depth=12) is not None:
-        negative.failures.append("search produced a term of the absurd type")
-    results.append(negative)
-
-    naive = SuiteResult("naive", 0)
-    for idx, (judgment, sigma) in enumerate(naive_p_examples()):
-        naive.cases += 1
-        got = check_type(judgment.env, judgment.subject, judgment.ty,
-                         SystemMode.NAIVE, oracle, fuel, motivation=sigma)
-        if isinstance(got, Diagnostic):
-            naive.failures.append(f"example {idx}: naive mode rejected: {got.message}")
-        full = check_wf(judgment.env, SystemMode.CC, oracle, fuel)
-        if not isinstance(full, Diagnostic):
-            naive.failures.append(f"example {idx}: full calculus accepted the env")
-    results.append(naive)
-
-    sr = subject_reduction_fuzz(n_cases, seed, fuel=fuel)
-    srr = SuiteResult("subject-reduction", sr.cases, sr.failures)
-    results.append(srr)
-
-    diff = SuiteResult("differential", 0)
-    for i in range(min(n_cases, 20)):
-        env, _ = gen_ccr_env(seed + i, 5)
-        case = GeneratedCase(seed + i, env, SystemMode.CCR, "accept")
-        diff.cases += 1
-        rep = differential(case)
-        if rep.ccr != "accept" or not rep.poincare_holds:
-            diff.failures.append(f"seed {seed + i}: generated env fell out of the "
-                                 f"restricted system")
-    leib = differential(negative_corpus()[0])
-    diff.cases += 1
-    if not (leib.cc == "accept" and leib.ccr == "reject" and leib.motivatable
-            and leib.expected_converse_failure):
-        diff.failures.append("equation hypothesis: converse analysis went wrong")
-    results.append(diff)
-    return results
-
-
-def render_selftest(results: list[SuiteResult]) -> str:
-    width = max(len(r.name) for r in results)
-    lines = [f"{'suite':<{width}}  cases  failures  status"]
-    for r in results:
-        status = "ok" if r.ok else "FAIL"
-        lines.append(f"{r.name:<{width}}  {r.cases:>5}  {len(r.failures):>8}  {status}")
-    for r in results:
-        for f in r.failures[:10]:
-            lines.append(f"  {r.name}: {f}")
-    return "\n".join(lines)
+    return [
+        (HasType(env_a, PROP, TYPE), sigma_a),
+        (HasType(env_b, PROP, TYPE), sigma_b),
+        (HasType(env_c, PROP, TYPE), sigma_c),
+    ]

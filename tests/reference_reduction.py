@@ -9,7 +9,7 @@ graphs.
 
 from __future__ import annotations
 
-from pedacc.harness import one_step_reducts
+from harness import one_step_reducts
 from pedacc.reduction import DEFAULT_FUEL, FuelExhausted
 from pedacc.terms import Abs, App, Prod, Term, subst
 

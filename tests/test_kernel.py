@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from harness import naive_p_examples
 from pedacc import kernel
 from pedacc.kernel import (
     Checker,
@@ -23,7 +24,6 @@ from pedacc.kernel import (
     infer_type,
     infer_with_sort,
     iter_nodes,
-    naive_p_examples,
     relabel_restricted_products,
     verify_derivation,
     verify_derivations,
@@ -154,6 +154,28 @@ def test_naive_rejects_uncovered_motivation():
     env = env_of(("A", PROP))
     got = check_motivated_env(env, Motivation(()), NAIVE)
     assert isinstance(got, Diagnostic)
+    assert got.message == ("motivation does not cover the environment "
+                           "(have (), need ('A',))")
+    assert got.position == ()
+    # the cascade under a naive axiom says the same
+    judged = check_type(env, PROP, TYPE, NAIVE)
+    assert isinstance(judged, Diagnostic)
+    assert judged.message == got.message
+
+
+def test_naive_rejects_open_motivation_terms(oracle):
+    env = env_of(("A", PROP), ("h", arrow(Free("A"), Free("A"))))
+    open_id = Abs(Free("A"), Bound(0))
+    sigma = Motivation((("A", top_type), ("h", open_id)))
+    got = check_motivated_env(env, sigma, NAIVE, oracle)
+    assert isinstance(got, Diagnostic)
+    assert got.message == "motivation term for h is not closed"
+    assert got.position == ("env", "h")
+    assert got.found == open_id
+    # the cascade under a naive axiom shares the check
+    judged = check_type(env, PROP, TYPE, NAIVE, oracle, motivation=sigma)
+    assert isinstance(judged, Diagnostic)
+    assert (judged.message, judged.position) == (got.message, ("h",))
 
 
 def test_restricted_derivations_embed_into_the_full_system(oracle):

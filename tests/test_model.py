@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from pedacc.harness import gen_ccr_env, negative_corpus
+from harness import gen_ccr_env, negative_corpus
 from pedacc.inhabit import (
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_SEARCH_DEPTH,

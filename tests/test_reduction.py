@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from pedacc.harness import gen_typed_term, one_step_reducts
+from harness import gen_typed_term, one_step_reducts
 from pedacc.prelude import factorial, numeral, plus, pred, times
 from pedacc.reduction import FuelExhausted, convertible, normalize
 from pedacc.terms import PROP, Abs, App, Bound, Free, Prod, apps

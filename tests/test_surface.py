@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pedacc.harness import gen_typed_term
+from harness import gen_typed_term
 from pedacc.kernel import Diagnostic, SystemMode, infer_type
 from pedacc.prelude import id_term, nat_type, numeral, plus, top_type
 from pedacc.surface import (
