@@ -14,7 +14,8 @@ decides which of the remaining declarations are acted on:
     eval       like normalize, but numerals are read back as integers
 
 Exit status: 0 on success, 1 when a judgment fails to check (or a search
-comes up empty), 2 on usage, syntax, or name-resolution errors.
+comes up empty, or a term runs out of fuel or nests deeper than the stack),
+2 on usage, syntax, or name-resolution errors.
 """
 
 from __future__ import annotations
@@ -361,7 +362,8 @@ def _budget(text: str) -> int:
     return n
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built on first use, not at import: set-up stays cheap
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pedacc",
         description="Proof checker for the restricted calculus of constructions.")
@@ -413,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except _UsageError as e:
@@ -421,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FuelExhausted as e:  # only normalize and eval let it out
         print(f"pedacc: fuel exhausted: {e}", file=sys.stderr)
+        return 1
+    except RecursionError as e:  # the recursive passes over terms
+        print(f"pedacc: term nests too deeply: {e}", file=sys.stderr)
         return 1
 
 

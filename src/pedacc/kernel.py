@@ -36,7 +36,6 @@ from .terms import (
     SortConst,
     TYPE,
     Term,
-    arrow,
     close_binder,
     fresh_name,
     is_closed,

@@ -9,6 +9,19 @@ arguments tick once); exhausting the budget raises, a partially reduced
 term is never returned silently.  Two terms are convertible when their
 normal forms are equal.
 
+The evaluator is a lazy Krivine-style machine.  It walks down the function
+position of an application, pushing the pending arguments on a local stack,
+and applies the head to them in the same loop: an abstraction, or a
+variable bound to one, contracts and the loop goes on with its body; any
+other head takes the remaining arguments as its spine.  So neither a long
+spine nor a long chain of contractions deepens the Python stack.  An
+argument that is a variable reuses that variable's thunk instead of
+wrapping it in a new one, and a closure keeps its binder node and
+environment, evaluating the binder's domain only when it is read back
+(once per closure, however often it is quoted).  A closed abstraction
+drops its environment when it contracts.  What still recurses is forcing
+an argument, and the read-back.
+
 Checking asks for the same normal forms over and over (types of shared
 subterms, convertibility probes), so results go into a `memo` dict that
 the caller owns and drops when its work is done: a `Checker`, one search
@@ -41,11 +54,6 @@ class _Steps:
         self.left = fuel
         self.root = root
 
-    def tick(self) -> None:
-        if self.left <= 0:
-            raise FuelExhausted(self.budget, self.root)
-        self.left -= 1
-
 
 # ---------------------------------------------------------------------------
 # the evaluator behind normalize
@@ -61,12 +69,14 @@ class _Thunk:
 
 
 class _VAbs:
-    __slots__ = ("domain", "body", "env")
+    # the binder node and its environment; `dom` memoizes the domain's
+    # value, which only _quote reads, so a shared closure evaluates it once
+    __slots__ = ("node", "env", "dom")
 
-    def __init__(self, domain, body, env):
-        self.domain = domain
-        self.body = body
+    def __init__(self, node, env):
+        self.node = node
         self.env = env
+        self.dom = None
 
 
 class _VProd(_VAbs):
@@ -90,45 +100,69 @@ def _force(th: _Thunk, steps: _Steps):
 
 
 def _eval(t: Term, env: tuple, steps: _Steps):
-    # dispatch on the node type, commonest first: a structural `match`
-    # costs several times more per node, and App is most of every term
-    tt = type(t)
-    while tt is App:
-        fv = _eval(t.fun, env, steps)
-        arg = _Thunk(t.arg, env)
-        if type(fv) is _VAbs:
-            # a contraction continues in this frame, so a term that keeps
-            # contracting (omega) runs out of fuel, not out of stack
-            steps.tick()
-            t, env = fv.body, fv.env + (arg,)
+    args = []  # pending arguments of the spine, the next one to apply last
+    while True:
+        # dispatch on the node type, commonest first: a structural `match`
+        # costs several times more per node, and App is most of every term
+        tt = type(t)
+        while tt is App:
+            a = t.arg
+            if type(a) is Bound and a.index < len(env):
+                args.append(env[-1 - a.index])  # the variable's own thunk
+            else:
+                args.append(_Thunk(a, env))
+            t = t.fun
             tt = type(t)
-            continue
-        if type(fv) is _VNe:
-            return _VNe(fv.head, fv.spine + (arg,))
-        return _VNe(("stuck", fv), (arg,))  # ill-typed application; keep it inert
-    if tt is Bound:
-        if t.index < len(env):
-            return _force(env[-1 - t.index], steps)
-        return _VNe(("dangle", t.index - len(env)), ())
-    if tt is Abs:
-        return _VAbs(_Thunk(t.domain, env), t.body, env)
-    if tt is Prod:
-        return _VProd(_Thunk(t.domain, env), t.body, env)
-    if tt is Free:
-        return _VNe(("free", t.name), ())
-    if tt is SortConst:
-        return t  # a sort is its own value
-    raise TypeError(f"not a term: {t!r}")
+        if tt is Abs and args:
+            node = t
+        else:
+            if tt is Bound:
+                if t.index < len(env):
+                    th = env[-1 - t.index]
+                    v = th.value
+                    if v is None:
+                        v = _force(th, steps)
+                else:
+                    v = _VNe(("dangle", t.index - len(env)), ())
+            elif tt is Abs:
+                return _VAbs(t, env)
+            elif tt is Prod:
+                v = _VProd(t, env)
+            elif tt is Free:
+                v = _VNe(("free", t.name), ())
+            elif tt is SortConst:
+                v = t  # a sort is its own value
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            if not args:
+                return v
+            if type(v) is not _VAbs:
+                args.reverse()
+                if type(v) is _VNe:
+                    return _VNe(v.head, v.spine + tuple(args))
+                return _VNe(("stuck", v), tuple(args))  # ill-typed; keep it inert
+            node, env = v.node, v.env
+        # a contraction continues in this frame, so a term that keeps
+        # contracting (omega) runs out of fuel, not out of stack
+        if steps.left <= 0:
+            raise FuelExhausted(steps.budget, steps.root)
+        steps.left -= 1
+        # a closed abstraction needs none of its environment: dropping it
+        # keeps a chain of closed redexes from copying an ever longer tuple
+        t, env = node.body, (args.pop(),) if node.lb == 0 else env + (args.pop(),)
 
 
 def _quote(v, depth: int, steps: _Steps) -> Term:
     if type(v) is SortConst:
         return v
     if type(v) is _VAbs or type(v) is _VProd:
-        dom = _quote(_force(v.domain, steps), depth, steps)
+        node = v.node
+        if v.dom is None:
+            v.dom = _eval(node.domain, v.env, steps)
+        dom = _quote(v.dom, depth, steps)
         var = _Thunk(None, None, _VNe(("lvl", depth), ()))
-        body = _quote(_eval(v.body, v.env + (var,), steps), depth + 1, steps)
-        return Abs(dom, body) if type(v) is _VAbs else Prod(dom, body)
+        body = _quote(_eval(node.body, v.env + (var,), steps), depth + 1, steps)
+        return type(node)(dom, body)
     kind, payload = v.head
     if kind == "lvl":
         t = Bound(depth - 1 - payload)
@@ -139,7 +173,8 @@ def _quote(v, depth: int, steps: _Steps) -> Term:
     else:
         t = _quote(payload, depth, steps)
     for arg in v.spine:
-        t = App(t, _quote(_force(arg, steps), depth, steps))
+        a = arg.value
+        t = App(t, _quote(a if a is not None else _force(arg, steps), depth, steps))
     return t
 
 

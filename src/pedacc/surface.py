@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .kernel import Diagnostic, HasType, Judgment, WellFormed
+from .kernel import Diagnostic, Judgment, WellFormed
 from .prelude import (
     bot_type,
     factorial,

@@ -354,6 +354,15 @@ def test_a_term_that_keeps_contracting_runs_out_of_fuel(tmp_path, capsys, verb):
         "pedacc: fuel exhausted: no normal form within 100000 reduction steps"]
 
 
+def test_a_term_too_deep_for_the_stack_gets_one_line(tmp_path, capsys):
+    f = _write(tmp_path, "deep.ped", "eval plus 100000 1")
+    assert main(["eval", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("pedacc: term nests too deeply: ")
+
+
 def test_eval_rejects_open_subjects(tmp_path, capsys):
     f = _write(tmp_path, "open.ped", "assume A : Prop\neval fun x : A => x")
     assert main(["eval", f]) == 2
@@ -369,6 +378,23 @@ def test_selftest_is_no_verb(capsys):
         main(["selftest"])
     assert exc.value.code == 2
     assert "invalid choice: 'selftest'" in capsys.readouterr().err
+
+
+def test_calls_in_one_process_share_the_parser_not_its_results(tmp_path, capsys):
+    f = _write(tmp_path, "arith.ped", "eval plus 2 3")
+    assert main(["eval", f, "--fuel", "3"]) == 1
+    assert "within 3 reduction steps" in capsys.readouterr().err
+    assert main(["eval", f]) == 0  # the default fuel again
+    assert capsys.readouterr().out == "5\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli._parser.__wrapped__().format_help()
+    assert main(["check", PRELUDE, "--system", "cc"]) == 0
+    cc = capsys.readouterr().out
+    assert main(["check", PRELUDE]) == 0  # the default system again
+    assert "abs+prod_r" in capsys.readouterr().out and "abs+prod_r" not in cc
+    assert cli._parser() is cli._parser()
 
 
 def test_usage_error_exits_two():

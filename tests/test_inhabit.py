@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 from pedacc.inhabit import (
     check_poincare,
     inhabit_applied,

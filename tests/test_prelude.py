@@ -7,7 +7,6 @@ from pedacc.prelude import (
     NAT,
     Arrow,
     dec,
-    decode,
     enc,
     factorial,
     fst_term,

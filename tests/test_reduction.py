@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from harness import gen_typed_term, one_step_reducts
 from pedacc.prelude import factorial, numeral, plus, pred, times
 from pedacc.reduction import FuelExhausted, convertible, normalize
-from pedacc.terms import PROP, Abs, App, Bound, Free, Prod, apps
+from pedacc.terms import PROP, TYPE, Abs, App, Bound, Free, Prod, apps
 from reference_reduction import (
     beta_step,
     longest_reduction_length,
@@ -151,6 +152,35 @@ def test_a_memo_keeps_normal_forms_per_fuel():
         convertible(t, numeral(5), 1, memo)
 
 
+@pytest.fixture
+def shallow_stack():
+    """A recursion limit far below the depth of the terms the test builds,
+    so a reducer that recursed on their depth fails."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_a_long_spine_is_evaluated_in_one_frame(shallow_stack):
+    t = apps(Free("f"), *[Free("a")] * 100_000)
+    assert normalize(t) is t
+
+
+def test_a_chain_of_forwarding_redexes_is_evaluated_in_one_frame(shallow_stack):
+    # (fun x => (fun y => ... (fun z => z) ... y) x) a, built bottom-up.
+    # Each redex forwards a variable, so every argument is the one thunk of
+    # `a`.  A reducer that wraps each forwarded variable in a thunk of its
+    # own keeps every environment of the chain alive, quadratic memory, so
+    # the chain is kept to ten times the stack's depth.
+    n = 10_000
+    body = Bound(0)
+    for _ in range(n - 1):
+        body = App(Abs(PROP, body), Bound(0))
+    t = App(Abs(PROP, body), Free("a"))
+    assert normalize(t, n) == Free("a")
+
+
 # the least fuel that normalizes each term: a reducer that moved a tick
 # would shift one of these
 @pytest.mark.parametrize("term, least", [
@@ -158,6 +188,10 @@ def test_a_memo_keeps_normal_forms_per_fuel():
     (apps(times, numeral(7), numeral(9)), 286),
     (apps(pred, numeral(10)), 103),
     (apps(plus, numeral(20), numeral(30)), 85),
+    # one abstraction quoted twice, with a redex in its domain: the domain
+    # is evaluated once per value, not once per quote
+    (App(Abs(PROP, apps(Free("k"), Bound(0), Bound(0))),
+         Abs(App(Abs(TYPE, Bound(0)), PROP), Bound(0))), 2),
 ])
 def test_fuel_boundary(term, least):
     assert normalize(term, least) == normalize(term)

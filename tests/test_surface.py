@@ -6,7 +6,7 @@ import pytest
 
 from harness import gen_typed_term
 from pedacc.kernel import Diagnostic, SystemMode, infer_type
-from pedacc.prelude import id_term, nat_type, numeral, plus, top_type
+from pedacc.prelude import id_term, numeral, plus, top_type
 from pedacc.surface import (
     AssumeDecl,
     CheckCmd,
