@@ -286,7 +286,7 @@ def inhabit_from_prod_derivation(d: Derivation) -> tuple[Term, Derivation]:
         raise ValueError(f"expected a restricted product formation, got {node.rule}")
     d_w, d_b = node.premises
     product = node.conclusion.subject
-    binder = d_b.conclusion.env.entries[-1].name
+    binder = d_b.conclusion.env.last.name
     term = Abs(product.domain, close_binder(d_w.conclusion.subject, binder))
     deriv = Derivation(
         "abs",
@@ -357,7 +357,7 @@ def inhabit_applied(d: Derivation, args: list[Term] | tuple[Term, ...] = (),
             if not args:
                 raise AssertionError("an abstraction cannot have sort Prop")
             body_d = node.premises[0]
-            binder = body_d.conclusion.env.entries[-1].name
+            binder = body_d.conclusion.env.last.name
             reduced = subst(body_d.conclusion.subject, binder, args[0])
             r = infer_type(node.conclusion.env, reduced, node.mode, oracle, fuel)
             if isinstance(r, Diagnostic):
@@ -402,10 +402,12 @@ def motivate_env(d: Derivation,
     one closed term per entry, each checking against its entry type with
     all earlier variables substituted away.
 
-    Every constructed term is re-checked by the kernel, with the one
-    checker that derived the entry types, so the inferences and normal
-    forms they share are computed once; the entry's witness annotation
-    (when present) only serves as a hint for deriving the sort of the
+    Every constructed term is re-checked by the kernel, with one checker
+    for the whole cascade, so the inferences and normal forms the terms
+    share are computed once; each entry type's sort and each check is one
+    judgment of that checker, so a diagnostic gives the position where
+    that judgment met the failure.  The entry's witness annotation (when
+    present) only serves as a hint for deriving the sort of the
     substituted entry type.  Running out of fuel is a
     `Diagnostic(rule="fuel")`.
     """
@@ -423,7 +425,10 @@ def motivate_env(d: Derivation,
             hint = None
             if entry.witness is not None:
                 hint = subst_simultaneous(entry.witness, sigma)
-            inf = checker._infer(empty, closed_ty, hint, ("motivate", entry.name))
+            pos = ("motivate", entry.name)
+            inf = checker._judge(lambda: checker._infer(empty, closed_ty, hint, pos))
+            if isinstance(inf, Diagnostic):
+                return inf
             if inf.ty not in (PROP, TYPE):
                 return Diagnostic(
                     "env2", f"entry {entry.name} is not a type",

@@ -159,6 +159,23 @@ class _Ctx:
 
 
 class Checker:
+    """A type checker in one mode, with memos that live as long as it does.
+
+    It caches each inference by (environment, motivation, term, hint),
+    the normal forms it computes, and one context per environment: that
+    environment's well-formedness derivation, built from its parent's
+    context by one ``env2`` step.  So one checker used for many judgments
+    over the same environments derives each environment and each shared
+    subterm once.  In ``naivep`` mode it keeps one ``cc`` checker for the
+    motivation cascades, so each motivation term is inferred once too.
+
+    Failures are cached only for the judgment being checked: a
+    diagnostic carries the position where it was first met, and a later
+    judgment reaching the same failure must report its own.  The public
+    entry points return type errors and running out of fuel as a
+    `Diagnostic`.
+    """
+
     def __init__(
         self,
         mode: SystemMode,
@@ -169,14 +186,13 @@ class Checker:
         self.oracle = oracle
         self.fuel = fuel
         self._memo: dict = {}
+        self._failed: list = []  # keys of the failures in _memo
+        self._ctxs: dict[Environment, _Ctx] = {}
         self._cascade_memo: dict = {}
+        self._cascade_checker: Checker | None = None
         self._nf: dict = {}  # normal forms, for this checker's lifetime
 
     # -- public entry points --------------------------------------------------
-    # A checker instance caches inferences by (environment, term), so reusing
-    # one across many judgments is much cheaper than the module-level helpers
-    # when the judgments share subterms.  Type errors and running out of fuel
-    # both come back as a Diagnostic.
 
     def infer(
         self,
@@ -184,11 +200,10 @@ class Checker:
         term: Term,
         motivation: Motivation | None = None,
     ) -> tuple[Term, Derivation] | Diagnostic:
-        try:
+        def run():
             inf = self._infer(self.root_ctx(env, motivation), term, None, ())
             return inf.ty, inf.d
-        except (CheckError, FuelExhausted) as e:
-            return _diagnostic(e)
+        return self._judge(run)
 
     def check(
         self,
@@ -197,65 +212,99 @@ class Checker:
         expected: Term,
         motivation: Motivation | None = None,
     ) -> Derivation | Diagnostic:
+        return self._judge(
+            lambda: self._check(self.root_ctx(env, motivation), term, expected, ()))
+
+    def _judge(self, run: Callable):
+        """`run()` as one judgment: failures cached by earlier judgments
+        are dropped first, and errors come back as a `Diagnostic`."""
+        self._forget_failures()
         try:
-            ctx = self.root_ctx(env, motivation)
-            return self._check(ctx, term, expected, ())
+            return run()
         except (CheckError, FuelExhausted) as e:
             return _diagnostic(e)
+
+    def _forget_failures(self) -> None:
+        for key in self._failed:
+            del self._memo[key]
+        self._failed.clear()
 
     # -- context construction ------------------------------------------------
 
     def root_ctx(self, env: Environment, motivation: Motivation | None = None) -> _Ctx:
         if self.mode is SystemMode.NAIVE:
             return _Ctx(env, None, motivation or Motivation(()))
-        d = Derivation("env1", WellFormed(Environment()), (), self.mode)
-        for i, entry in enumerate(env):
-            d = self._extend_wf(d, entry, ("env", i))
-        return _Ctx(env, d)
+        ctx = self._ctxs.get(env)
+        if ctx is not None:
+            return ctx
+        # from the nearest environment with a context, oldest entry first
+        newer = []
+        while ctx is None and env.parent is not None:
+            newer.append(env)
+            env = env.parent
+            ctx = self._ctxs.get(env)
+        if ctx is None:
+            ctx = self._ctxs[env] = _Ctx(
+                env, Derivation("env1", WellFormed(env), (), self.mode))
+        for env in reversed(newer):
+            ctx = self._ctxs[env] = _Ctx(env, self._extend_wf(ctx, env))
+        return ctx
 
-    def _extend_wf(self, wf: Derivation, entry: EnvEntry, pos: tuple) -> Derivation:
-        env = wf.conclusion.env
-        if entry.name in env.names():
+    def _extend_wf(self, ctx: _Ctx, env: Environment) -> Derivation:
+        """The ``env2`` step from `ctx` to `env`, its environment extended
+        by one entry."""
+        entry, pos = env.last, ("env", len(ctx.env))
+        if ctx.env.lookup(entry.name) is not None:
             raise CheckError(Diagnostic("env2", f"duplicate variable {entry.name}", pos))
-        ctx = _Ctx(env, wf)
         inf = self._infer(ctx, entry.ty, entry.witness, pos)
         if inf.ty not in _SORTS:
             raise CheckError(
                 Diagnostic("env2", "environment entry is not a type", pos, found=inf.ty)
             )
-        new_env = Environment(env.entries + (entry,))
-        return Derivation("env2", WellFormed(new_env), (inf.d,), self.mode)
+        return Derivation("env2", WellFormed(env), (inf.d,), self.mode)
 
     def _extend(self, ctx: _Ctx, name: str, ty: Term, d_ty: Derivation, pos: tuple) -> _Ctx:
-        entry = EnvEntry(name, ty)
-        env2 = Environment(ctx.env.entries + (entry,))
+        env2 = ctx.env.extended(name, ty)
         if self.mode is SystemMode.NAIVE:
             closed_ty = subst_simultaneous(ty, list(ctx.motivation.assignments))
-            witness = self.oracle(Environment(), closed_ty) if self.oracle else None
-            if witness is None:
-                raise CheckError(
-                    Diagnostic(
-                        "p-var",
-                        f"cannot motivate binder variable {name}",
-                        pos,
-                        expected=closed_ty,
-                    )
+            if self.oracle is None:
+                reason = "no witness oracle was supplied"
+            else:
+                witness = self.oracle(Environment(), closed_ty)
+                if witness is not None:
+                    return _Ctx(env2, None, ctx.motivation.extended(name, witness))
+                why = getattr(self.oracle, "miss_reason", None)
+                reason = why(Environment(), closed_ty) if why else "no closed witness found"
+            raise CheckError(
+                Diagnostic(
+                    "p-var",
+                    f"cannot motivate the binder's domain: {reason}",
+                    pos,
+                    expected=closed_ty,
                 )
-            return _Ctx(env2, None, ctx.motivation.extended(name, witness))
+            )
         wf2 = Derivation("env2", WellFormed(env2), (d_ty,), self.mode)
         return _Ctx(env2, wf2, None)
 
     # -- NAIVE cascade -------------------------------------------------------
 
     def _cascade(self, ctx: _Ctx, pos: tuple) -> tuple[Derivation, ...]:
+        """The closed ``cc`` derivations that justify `ctx`'s motivation.
+
+        One ``cc`` checker serves every cascade, so a motivation term
+        shared by several cascades is inferred once; each cascade is one
+        judgment of that checker.
+        """
         key = (ctx.env, ctx.motivation)
-        if key in self._cascade_memo:
-            return self._cascade_memo[key]
-        cc = Checker(SystemMode.CC, fuel=self.fuel)
-        cc._nf = self._nf  # same fuel, so the same normal forms
-        result = cc._motivate(ctx.env, ctx.motivation, pos, pos)
-        self._cascade_memo[key] = result
-        return result
+        got = self._cascade_memo.get(key)
+        if got is None:
+            cc = self._cascade_checker
+            if cc is None:
+                cc = self._cascade_checker = Checker(SystemMode.CC, fuel=self.fuel)
+                cc._nf = self._nf  # same fuel, so the same normal forms
+            cc._forget_failures()
+            got = self._cascade_memo[key] = cc._motivate(ctx.env, ctx.motivation, pos, pos)
+        return got
 
     def _motivate(self, env: Environment, motivation: Motivation,
                   pos: tuple, entry_pos: tuple) -> tuple[Derivation, ...]:
@@ -307,6 +356,7 @@ class Checker:
             out = self._infer_raw(ctx, t, hint, pos)
         except CheckError as e:
             self._memo[key] = e.diagnostic
+            self._failed.append(key)
             raise
         self._memo[key] = out
         return out

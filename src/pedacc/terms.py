@@ -7,13 +7,14 @@ binder are named ``Free`` references.
 Terms are hash-consed: a constructor returns the one live node with those
 fields, so equal terms are the same object, and ``==`` and ``hash`` are
 the identity ones every object has.  Terms are immutable and can key memo
-tables; build them only through their constructors.
+tables; build them only through their constructors.  Environments and
+their entries are interned the same way.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -26,10 +27,11 @@ class Sort(Enum):
         return self.value
 
 
-# Every live node, keyed by its class and fields.  A composite node is keyed
-# by the id()s of its children; they stay valid as long as the entry does,
-# because the node holds its children and its entry goes when it dies.  The
-# values are weak references, so the table keeps no term alive.
+# Every live term node, environment entry and environment, keyed by its
+# class and fields.  A composite object is keyed by the id()s of its parts;
+# they stay valid as long as the entry does, because the object holds its
+# parts and its entry goes when it dies.  The values are weak references,
+# so the table keeps nothing alive.
 _TABLE: dict[tuple, "_Ref"] = {}
 
 
@@ -58,16 +60,22 @@ def _add(cls: type, key: tuple, lb: int, *values) -> "Term":
     return t
 
 
-class _Node:
-    """Immutable, hash-consed term node.
+def _add_unbounded(cls: type, key: tuple, *values):
+    """`_add` for an object with no ``lb``: an entry or an environment.
+    Kept apart so that making a term node tests nothing."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    ref = _TABLE[key] = _Ref(obj, _drop)
+    ref.key = key
+    return obj
 
-    A constructor returns the live node that `_TABLE` holds for its key,
-    or makes and enters a new one.  ``lb`` is one more than the highest
-    bound index that is loose in the node (0 when it has none): index
-    arithmetic returns a subterm as it is when no index there can change.
-    """
 
-    __slots__ = ("lb", "__weakref__")
+class _Interned:
+    """Immutable object that a constructor returns from `_TABLE`: the
+    live one for its key, or a new one that it enters."""
+
+    __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -82,6 +90,17 @@ class _Node:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class _Node(_Interned):
+    """Immutable, hash-consed term node.
+
+    ``lb`` is one more than the highest bound index that is loose in the
+    node (0 when it has none): index arithmetic returns a subterm as it is
+    when no index there can change.
+    """
+
+    __slots__ = ("lb",)
 
 
 class SortConst(_Node):
@@ -280,54 +299,103 @@ def fresh_name(taken: Iterable[str], base: str = "x") -> str:
 # environments
 
 
-@dataclass(frozen=True)
-class EnvEntry:
-    name: str
-    ty: Term
-    witness: Term | None = None
+class EnvEntry(_Interned):
+    """One hypothesis: a name, its type and, optionally, a `by` witness.
+
+    Interned like terms: the constructor returns the live entry with
+    those fields, so ``==`` and ``hash`` are the identity ones.
+    """
+
+    __slots__ = __match_args__ = ("name", "ty", "witness")
+
+    def __new__(cls, name: str, ty: Term, witness: Term | None = None):
+        key = (cls, name, id(ty), id(witness))
+        ref = _TABLE.get(key)
+        return (ref and ref()) or _add_unbounded(cls, key, name, ty, witness)
 
 
-@dataclass(frozen=True, eq=False)
-class Environment:
-    entries: tuple[EnvEntry, ...] = ()
+class Environment(_Interned):
+    """A typing context: interned cons cells, oldest entry first.
 
-    # the checker keys its memos on environments, so the hash is cached
+    An environment is its `parent` (None for the empty one) extended by
+    one entry, `last`.  The constructor and `_cons` return the live cell
+    for a (parent, last) pair, so equal environments are one object,
+    ``==`` and ``hash`` are the identity ones, and `extended` is O(1).
+    The entries and names tuples are built on first use and kept (the
+    checker asks for an environment's names at each binder it opens).
+    `Environment(entries)` builds the chain for a sequence of entries;
+    `Environment()` is the empty environment.
+    """
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Environment:
-            return NotImplemented
-        return self.entries == other.entries
+    __slots__ = ("parent", "last", "_len", "_entries", "_names")
+    __match_args__ = ("parent", "last")
 
-    def __hash__(self):
-        h = self.__dict__.get("_h")
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_h", h)
-        return h
+    def __new__(cls, entries: Iterable[EnvEntry] = ()):
+        env = _cons(None, None)
+        for e in entries:
+            env = _cons(env, e)
+        return env
+
+    def __reduce__(self):
+        return Environment, (self.entries,)
+
+    def __repr__(self) -> str:
+        return f"Environment({self.entries!r})"
+
+    @property
+    def entries(self) -> tuple[EnvEntry, ...]:
+        got = self._entries
+        if got is None:
+            # from the nearest cell that has its tuple (the empty one
+            # does); a loop, not recursion, since environments may be deep
+            env, newer = self, []
+            while env._entries is None:
+                newer.append(env.last)
+                env = env.parent
+            got = env._entries + tuple(reversed(newer))
+            object.__setattr__(self, "_entries", got)
+        return got
 
     def __iter__(self) -> Iterator[EnvEntry]:
         return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._len
 
     def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
+        got = self._names
+        if got is None:
+            got = tuple(e.name for e in self.entries)
+            object.__setattr__(self, "_names", got)
+        return got
 
     def lookup(self, name: str) -> EnvEntry | None:
+        """The first entry with this name, or None."""
         for e in self.entries:
             if e.name == name:
                 return e
         return None
 
     def extended(self, name: str, ty: Term, witness: Term | None = None) -> "Environment":
-        return Environment(self.entries + (EnvEntry(name, ty, witness),))
+        return _cons(self, EnvEntry(name, ty, witness))
 
     def prefix(self, length: int) -> "Environment":
         return Environment(self.entries[:length])
 
 
+def _cons(parent: Environment | None, last: EnvEntry | None) -> Environment:
+    """The live environment `parent` extended by `last`; (None, None) is
+    the empty one.  The cell holds both, so their ids key it safely."""
+    key = (Environment, id(parent), id(last))
+    ref = _TABLE.get(key)
+    env = ref and ref()
+    if env is None:  # not `or`: the empty environment is falsy
+        env = _add_unbounded(Environment, key, parent, last)
+        object.__setattr__(env, "_len", 0 if parent is None else parent._len + 1)
+        object.__setattr__(env, "_entries", () if parent is None else None)
+        object.__setattr__(env, "_names", None)
+    return env
+
+
 def env_of(*pairs: tuple[str, Term]) -> Environment:
-    return Environment(tuple(EnvEntry(n, t) for n, t in pairs))
+    return Environment(EnvEntry(n, t) for n, t in pairs)

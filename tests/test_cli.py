@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -179,6 +180,96 @@ def test_every_certified_derivation_passes_the_auditor(tmp_path, capsys,
     for d in made:
         assert d.mode.value == system
         assert verify_derivation(d) == []
+
+
+def tree_digests(cert: dict) -> list[str]:
+    """One digest per derivation of a certificate, of the tree the node
+    table unfolds to: a node's digest covers its own fields and, in order,
+    its premises' digests, so it does not depend on which equal subtrees
+    the table shares.  An error certificate gives its diagnostic rule."""
+    if cert["status"] != "ok":
+        return [f"error {cert['diagnostic']['rule']}"]
+    out = []
+    for tree in cert["derivations"]:
+        digests: list[bytes] = []
+        for node in tree["nodes"]:  # premises come before their users
+            fields = {k: v for k, v in node.items() if k != "premises"}
+            h = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+            for i in node["premises"]:
+                h.update(digests[i])
+            digests.append(h.digest())
+        out.append(digests[tree["root"]].hex())
+    return out
+
+
+TREES = Path(__file__).resolve().parent / "golden" / "demo_trees.txt"
+
+
+def demo_tree_lines(tmp_path) -> list[str]:
+    """`DEMO SYSTEM DIGEST...` for every demo checked in every system."""
+    lines = []
+    for demo in sorted(p.name for p in DEMOS.glob("*.ped")):
+        for system in ("cc", "ccr", "naivep"):
+            cert = tmp_path / "c.json"
+            main(["check", str(DEMOS / demo), "--system", system,
+                  "--emit-derivation", str(cert)])
+            digests = tree_digests(json.loads(cert.read_text(encoding="utf-8")))
+            lines.append(" ".join([demo, system, *digests]))
+    return lines
+
+
+def test_demo_certificates_unfold_to_the_golden_trees(tmp_path, capsys):
+    # a change to how nodes are shared changes a certificate's table but
+    # must not change the tree it unfolds to
+    assert demo_tree_lines(tmp_path) == TREES.read_text(encoding="utf-8").splitlines()
+    capsys.readouterr()
+
+
+# the last declaration fails, on a subterm under a binder that the
+# declarations before it also check
+_CHECKS_THEN_A_FAILURE = """\
+assume A : Prop
+assume a : A
+motivation A := top
+motivation a := id
+check fun f : A -> A => f
+check (fun y : A => y) a
+check (fun f : A -> A => f) (fun y : A => a a)
+"""
+
+
+@pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
+def test_a_failure_after_other_declarations_reads_as_if_alone(tmp_path, capsys, system):
+    # What checking the earlier declarations leaves behind must not change
+    # the failure a later one reports.
+    lines = _CHECKS_THEN_A_FAILURE.splitlines()
+    alone = [line for i, line in enumerate(lines) if i < 4 or i == len(lines) - 1]
+    outs = []
+    for text in (alone, lines):
+        f = _write(tmp_path, "f.ped", "\n".join(text))
+        cert = tmp_path / "c.json"
+        rc = main(["check", f, "--system", system, "--emit-derivation", str(cert)])
+        outs.append((rc, capsys.readouterr(), cert.read_text(encoding="utf-8")))
+    assert outs[0] == outs[1]
+    assert outs[1][0] == 1
+    assert "application of a non-function at 1.1.0" in outs[1][1].err
+
+
+def test_several_declarations_certify_the_trees_they_certify_alone(tmp_path, capsys):
+    checks = ["check id : top", "check (fun B : Prop => fun y : B => y) top id",
+              "check fun B : Prop => fun y : B => y"]
+    for system in ("cc", "ccr", "naivep"):
+        trees = []
+        for k, check in enumerate(checks):
+            f = _write(tmp_path, "one.ped", check)
+            cert = tmp_path / "c.json"
+            assert main(["check", f, "--system", system, "--emit-derivation", str(cert)]) == 0
+            trees += tree_digests(json.loads(cert.read_text(encoding="utf-8")))
+        f = _write(tmp_path, "all.ped", "\n".join(checks))
+        cert = tmp_path / "c.json"
+        assert main(["check", f, "--system", system, "--emit-derivation", str(cert)]) == 0
+        assert tree_digests(json.loads(cert.read_text(encoding="utf-8"))) == trees
+    capsys.readouterr()
 
 
 def test_error_certificates_are_written_in_json_indent_2(tmp_path, capsys):

@@ -29,6 +29,7 @@ from pedacc.kernel import (
     verify_derivations,
 )
 from pedacc.prelude import (
+    bot_type,
     factorial,
     id_term,
     nat_type,
@@ -283,6 +284,54 @@ def test_the_naive_cascade_shares_its_checkers_normal_forms(monkeypatch, oracle)
     inner = [c for c in made if c is not outer]
     assert inner
     assert all(c._nf is outer._nf for c in inner)
+
+
+def test_a_cascade_infers_each_motivation_term_once_per_checker(monkeypatch, oracle):
+    inferred: Counter = Counter()
+    infer_raw = Checker._infer_raw
+
+    def counting(self, ctx, t, hint, pos):
+        if self.mode is CC and len(ctx.env) == 0:
+            inferred[t, hint] += 1
+        return infer_raw(self, ctx, t, hint, pos)
+
+    monkeypatch.setattr(Checker, "_infer_raw", counting)
+    env = env_of(("A", PROP), ("a", Free("A")))
+    sigma = Motivation((("A", top_type), ("a", id_term)))
+    # `a` under two binders: three environments, so three cascades
+    term = Abs(PROP, Abs(Bound(0), Free("a")))
+    got = Checker(NAIVE, oracle).infer(env, term, sigma)
+    assert isinstance(got, tuple), got
+    assert inferred[top_type, None] == inferred[id_term, None] == 1
+    assert set(inferred.values()) == {1}
+
+
+@pytest.mark.parametrize("mode", [CC, CCR, NAIVE])
+def test_a_failure_comes_back_at_the_later_judgments_position(oracle, mode):
+    env = env_of(("A", PROP), ("a", Free("A")))
+    sigma = Motivation((("A", top_type), ("a", id_term))) if mode is NAIVE else None
+    bad = App(Free("a"), Free("a"))
+    checker = Checker(mode, oracle)
+    first = checker.infer(env, bad, sigma)
+    assert isinstance(first, Diagnostic) and first.position == (0,)
+    # the same failure, one application deeper
+    later = checker.infer(env, App(bad, Free("a")), sigma)
+    assert later == infer_type(env, App(bad, Free("a")), mode, oracle, motivation=sigma)
+    assert later.position == (0, 0)
+
+
+def test_naive_names_an_unmotivated_binder_by_its_domain(oracle):
+    # top's binder ranges over Prop; with no oracle nothing motivates it
+    got = check_motivated_env(env_of(("A", PROP)), Motivation((("A", top_type),)), NAIVE)
+    assert isinstance(got, Diagnostic)
+    assert (got.rule, got.expected) == ("p-var", PROP)
+    assert got.message == "cannot motivate the binder's domain: no witness oracle was supplied"
+    # an oracle that misses says why
+    got = check_type(Environment(), Abs(bot_type, Bound(0)), arrow(bot_type, bot_type),
+                     NAIVE, oracle)
+    assert isinstance(got, Diagnostic)
+    assert got.expected == bot_type
+    assert got.message == "cannot motivate the binder's domain: no witness exists"
 
 
 def test_verify_derivation_flags_a_forged_node():

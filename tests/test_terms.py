@@ -16,6 +16,7 @@ from pedacc.terms import (
     Abs,
     App,
     Bound,
+    EnvEntry,
     Environment,
     Free,
     Prod,
@@ -191,6 +192,45 @@ def test_environment_lookup_and_prefix():
     assert env.lookup("nope") is None
     assert env.prefix(1) == env_of(("A", PROP))
     assert len(Environment()) == 0
+
+
+def test_equal_environments_reached_by_different_paths_are_one_object():
+    env = env_of(("A", PROP), ("x", Free("A")))
+    by_steps = Environment().extended("A", PROP).extended("x", Free("A"))
+    assert by_steps is env
+    assert Environment(env.entries) is env
+    assert env_of(("A", PROP), ("x", Free("A")), ("y", PROP)).prefix(2) is env
+    assert env.prefix(1) is env.parent is env_of(("A", PROP))
+    assert env.prefix(0) is Environment()
+    assert copy.deepcopy(env) is env
+    assert pickle.loads(pickle.dumps(env)) is env
+    entry = env.last
+    assert EnvEntry("x", Free("A")) is entry
+    assert copy.deepcopy(entry) is entry
+    assert pickle.loads(pickle.dumps(entry)) is entry
+    assert EnvEntry("x", Free("A"), Free("w")) is not entry
+    with pytest.raises(AttributeError):
+        entry.name = "y"
+
+
+def test_the_intern_table_keeps_no_environment_alive():
+    gc.collect()
+    before = len(terms._TABLE)
+    env = env_of(("only_in_the_env_test", PROP)).extended("y", Free("z"))
+    assert len(terms._TABLE) > before
+    refs = [weakref.ref(env), weakref.ref(env.parent), weakref.ref(env.last)]
+    env.lookup("y"), env.entries, env.names()  # fill the caches
+    del env
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert len(terms._TABLE) == before
+
+
+def test_lookup_returns_the_first_entry_of_a_name():
+    env = env_of(("A", PROP), ("x", Free("A")), ("A", TYPE))
+    assert env.lookup("A") is env.entries[0]
+    assert env.parent.lookup("A") is env.entries[0]
+    assert env.names() == ("A", "x", "A")
 
 
 def test_environment_extended_preserves_original():
