@@ -41,7 +41,6 @@ from .kernel import (
     derivation_height,
     derivation_to_dict,
     infer_type,
-    infer_with_sort,
     iter_nodes,
     relabel_restricted_products,
     verify_derivation,

@@ -33,6 +33,7 @@ from .inhabit import (
     motivate_env,
 )
 from .kernel import (
+    CheckError,
     Derivation,
     Diagnostic,
     Motivation,
@@ -68,12 +69,6 @@ sys.setrecursionlimit(100000)
 
 class _UsageError(Exception):
     pass
-
-
-class _CheckFailure(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
 
 
 def _diag_dict(d: Diagnostic) -> dict:
@@ -222,14 +217,15 @@ def _cmd_check(args) -> int:
         checks = [c for c in cmds if isinstance(c, CheckCmd)]
         if not checks:
             if mode is SystemMode.NAIVE:
-                out = check_motivated_env(env, motivation, mode, oracle, args.fuel)
+                # the cascade under every p-ax and p-var is a cc derivation
+                out = check_motivated_env(env, motivation, SystemMode.CC, fuel=args.fuel)
                 if isinstance(out, Diagnostic):
-                    raise _CheckFailure(out)
+                    raise CheckError(out)
                 derivations.extend(out)
             else:
                 d = check_wf(env, mode, oracle, args.fuel)
                 if isinstance(d, Diagnostic):
-                    raise _CheckFailure(d)
+                    raise CheckError(d)
                 derivations.append(d)
         for cmd in checks:
             if cmd.expected is not None:
@@ -241,9 +237,9 @@ def _cmd_check(args) -> int:
                 if not isinstance(res, Diagnostic):
                     res = res[1]
             if isinstance(res, Diagnostic):
-                raise _CheckFailure(res)
+                raise CheckError(res)
             derivations.append(res)
-    except _CheckFailure as e:
+    except CheckError as e:
         print(render_diagnostic(e.diagnostic), file=sys.stderr)
         _emit(args.emit_derivation,
               {"status": "error", "diagnostic": _diag_dict(e.diagnostic)})

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import (
-    CheckError,
     Checker,
     Derivation,
     Diagnostic,
@@ -66,7 +65,6 @@ from .terms import (
     close_binder,
     fresh_name,
     free_vars,
-    is_closed,
     open_binder,
     subst,
     subst_simultaneous,
@@ -188,8 +186,8 @@ def _decide(env: Environment, goal: Term, depth: int, fuel: int, budget: int,
 class SearchOracle:
     """The standard witness oracle: a probe of `PROBE_BUDGET` search
     nodes, then the two-valued model (`model.refute`), then the full
-    search of `budget` nodes at `depth` (see `_decide`).  None of these
-    steps changes which term it returns.
+    search of `DEFAULT_SEARCH_BUDGET` nodes at `depth` (see `_decide`).
+    None of these steps changes which term it returns.
 
     Each answer is cached per environment and goal, misses included, with
     the countermodel that settled a miss, if any: the same subgoals recur
@@ -197,10 +195,9 @@ class SearchOracle:
     `miss_reason` about a miss right after it.
     """
 
-    def __init__(self, depth: int, fuel: int, budget: int):
+    def __init__(self, depth: int, fuel: int):
         self.depth = depth
         self.fuel = fuel
-        self.budget = budget
         self._cache: dict[tuple[Environment, Term],
                           tuple[Term | None, Valuation | None]] = {}
         self._nf: dict = {}
@@ -210,7 +207,7 @@ class SearchOracle:
         got = self._cache.get(key)
         if got is None:
             got = _decide(env, normalize(goal, self.fuel, self._nf), self.depth,
-                          self.fuel, self.budget, self._nf)
+                          self.fuel, DEFAULT_SEARCH_BUDGET, self._nf)
             self._cache[key] = got
         return got
 
@@ -225,17 +222,16 @@ class SearchOracle:
         if term is not None:
             return "no witness inhabits the body"
         if valuation is None:
-            return f"search exhausted (depth {self.depth}, {self.budget} nodes)"
+            return f"search exhausted (depth {self.depth}, {DEFAULT_SEARCH_BUDGET} nodes)"
         shown = ", ".join(f"{render_term(Free(name))} := {v}"
                           for name, v in valuation if isinstance(v, int))
         return f"no witness exists ({shown})" if shown else "no witness exists"
 
 
 def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
-                       fuel: int = DEFAULT_FUEL,
-                       budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOracle:
+                       fuel: int = DEFAULT_FUEL) -> SearchOracle:
     """A `SearchOracle` with its own caches."""
-    return SearchOracle(depth, fuel, budget)
+    return SearchOracle(depth, fuel)
 
 
 def inhabit_search(env: Environment, goal: Term,
@@ -419,29 +415,26 @@ def motivate_env(d: Derivation,
     empty = checker.root_ctx(Environment())
     sigma: list[tuple[str, Term]] = []
     derivs: list[Derivation] = []
-    try:
-        for entry in d.conclusion.env:
-            closed_ty = subst_simultaneous(entry.ty, sigma)
-            hint = None
-            if entry.witness is not None:
-                hint = subst_simultaneous(entry.witness, sigma)
-            pos = ("motivate", entry.name)
-            inf = checker._judge(lambda: checker._infer(empty, closed_ty, hint, pos))
-            if isinstance(inf, Diagnostic):
-                return inf
-            if inf.ty not in (PROP, TYPE):
-                return Diagnostic(
-                    "env2", f"entry {entry.name} is not a type",
-                    ("motivate", entry.name), found=inf.ty,
-                )
-            term, _ = inhabit_closed(inf.d, oracle, fuel)
-            final = checker.check(Environment(), term, closed_ty)
-            if isinstance(final, Diagnostic):
-                return final
-            sigma.append((entry.name, term))
-            derivs.append(final)
-    except (CheckError, FuelExhausted) as e:
-        return _diagnostic(e)
+    for entry in d.conclusion.env:
+        closed_ty = subst_simultaneous(entry.ty, sigma)
+        hint = None
+        if entry.witness is not None:
+            hint = subst_simultaneous(entry.witness, sigma)
+        pos = ("motivate", entry.name)
+        inf = checker._judge(lambda: checker._infer(empty, closed_ty, hint, pos))
+        if isinstance(inf, Diagnostic):
+            return inf
+        if inf.ty not in (PROP, TYPE):
+            return Diagnostic(
+                "env2", f"entry {entry.name} is not a type",
+                ("motivate", entry.name), found=inf.ty,
+            )
+        term, _ = inhabit_closed(inf.d, oracle, fuel)
+        final = checker.check(Environment(), term, closed_ty)
+        if isinstance(final, Diagnostic):
+            return final
+        sigma.append((entry.name, term))
+        derivs.append(final)
     return MotivationResult(Motivation(tuple(sigma)), tuple(derivs))
 
 
@@ -500,8 +493,5 @@ def check_poincare(env: Environment, candidate: Motivation,
                    fuel: int = DEFAULT_FUEL) -> bool:
     """Does `candidate` justify `env`?  True iff every motivation term is
     closed and the substitution cascade checks in the full calculus."""
-    for _, t in candidate.assignments:
-        if not is_closed(t):
-            return False
     result = check_motivated_env(env, candidate, SystemMode.CC, fuel=fuel)
     return not isinstance(result, Diagnostic)

@@ -75,12 +75,6 @@ class Motivation:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.assignments)
 
-    def lookup(self, name: str) -> Term | None:
-        for n, t in self.assignments:
-            if n == name:
-                return t
-        return None
-
     def extended(self, name: str, term: Term) -> "Motivation":
         return Motivation(self.assignments + ((name, term),))
 
@@ -161,12 +155,12 @@ class _Ctx:
 class Checker:
     """A type checker in one mode, with memos that live as long as it does.
 
-    It caches each inference by (environment, motivation, term, hint),
-    the normal forms it computes, and one context per environment: that
-    environment's well-formedness derivation, built from its parent's
-    context by one ``env2`` step.  So one checker used for many judgments
-    over the same environments derives each environment and each shared
-    subterm once.  In ``naivep`` mode it keeps one ``cc`` checker for the
+    It caches each inference by (environment, motivation, term, and the
+    hint of a restricted product), the normal forms it computes, and one
+    context per environment, file or binder: that environment's
+    well-formedness derivation, built from its parent's context by one
+    ``env2`` step.  So one checker derives each environment and each
+    judgment once.  In ``naivep`` mode it keeps one ``cc`` checker for the
     motivation cascades, so each motivation term is inferred once too.
 
     Failures are cached only for the judgment being checked: a
@@ -254,7 +248,7 @@ class Checker:
         """The ``env2`` step from `ctx` to `env`, its environment extended
         by one entry."""
         entry, pos = env.last, ("env", len(ctx.env))
-        if ctx.env.lookup(entry.name) is not None:
+        if entry.name in ctx.env.names():
             raise CheckError(Diagnostic("env2", f"duplicate variable {entry.name}", pos))
         inf = self._infer(ctx, entry.ty, entry.witness, pos)
         if inf.ty not in _SORTS:
@@ -263,28 +257,30 @@ class Checker:
             )
         return Derivation("env2", WellFormed(env), (inf.d,), self.mode)
 
-    def _extend(self, ctx: _Ctx, name: str, ty: Term, d_ty: Derivation, pos: tuple) -> _Ctx:
+    def _extend(self, ctx: _Ctx, name: str, ty: Term, pos: tuple) -> _Ctx:
+        """The context under a binder of domain `ty`, already checked to be
+        a type: outside ``naivep``, the one context of the extended
+        environment, whose ``env2`` step finds `ty`'s sort in the memo."""
         env2 = ctx.env.extended(name, ty)
-        if self.mode is SystemMode.NAIVE:
-            closed_ty = subst_simultaneous(ty, list(ctx.motivation.assignments))
-            if self.oracle is None:
-                reason = "no witness oracle was supplied"
-            else:
-                witness = self.oracle(Environment(), closed_ty)
-                if witness is not None:
-                    return _Ctx(env2, None, ctx.motivation.extended(name, witness))
-                why = getattr(self.oracle, "miss_reason", None)
-                reason = why(Environment(), closed_ty) if why else "no closed witness found"
-            raise CheckError(
-                Diagnostic(
-                    "p-var",
-                    f"cannot motivate the binder's domain: {reason}",
-                    pos,
-                    expected=closed_ty,
-                )
+        if self.mode is not SystemMode.NAIVE:
+            return self.root_ctx(env2)
+        closed_ty = subst_simultaneous(ty, list(ctx.motivation.assignments))
+        if self.oracle is None:
+            reason = "no witness oracle was supplied"
+        else:
+            witness = self.oracle(Environment(), closed_ty)
+            if witness is not None:
+                return _Ctx(env2, None, ctx.motivation.extended(name, witness))
+            why = getattr(self.oracle, "miss_reason", None)
+            reason = why(Environment(), closed_ty) if why else "no closed witness found"
+        raise CheckError(
+            Diagnostic(
+                "p-var",
+                f"cannot motivate the binder's domain: {reason}",
+                pos,
+                expected=closed_ty,
             )
-        wf2 = Derivation("env2", WellFormed(env2), (d_ty,), self.mode)
-        return _Ctx(env2, wf2, None)
+        )
 
     # -- NAIVE cascade -------------------------------------------------------
 
@@ -345,7 +341,10 @@ class Checker:
     # -- inference -----------------------------------------------------------
 
     def _infer(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> _Inf:
-        # failures memoize too: witness discovery probes lots of dead ends
+        # failures memoize too: witness discovery probes lots of dead ends;
+        # only a restricted product reads the hint, so only its key holds it
+        if hint is not None and not (self.mode is SystemMode.CCR and isinstance(t, Prod)):
+            hint = None
         key = (ctx.env, ctx.motivation, t, hint)
         cached = self._memo.get(key)
         if cached is not None:
@@ -394,9 +393,9 @@ class Checker:
                 return self._normalized(ctx, t, entry.ty, node, pos)
 
             case Abs(domain, body):
-                d_dom = self._check_is_type(ctx, domain, None, pos + (0,))
+                self._check_is_type(ctx, domain, None, pos + (0,))
                 x = fresh_name(ctx.env.names())
-                ctx2 = self._extend(ctx, x, domain, d_dom.d, pos)
+                ctx2 = self._extend(ctx, x, domain, pos)
                 body_open = open_binder(body, x)
                 b = self._infer(ctx2, body_open, None, pos + (1,))
                 if b.ty == TYPE:
@@ -404,7 +403,8 @@ class Checker:
                         Diagnostic("abs", "abstraction body is a kind, not a term",
                                    pos, found=b.ty)
                     )
-                d_bsort = b.d_sort or self._sort_deriv(ctx2, b.ty, body_open, pos + (1,))
+                d_bsort = (b.d_sort
+                           or self._check_is_type(ctx2, b.ty, body_open, pos + (1,)).d)
                 kappa = d_bsort.conclusion.ty
                 res_ty = Prod(domain, close_binder(b.ty, x))
                 node = Derivation("abs", HasType(ctx.env, t, res_ty), (b.d, d_bsort), mode)
@@ -419,7 +419,7 @@ class Checker:
                     )
                 res_nf = normalize(res_ty, self.fuel, self._nf)
                 if res_nf != res_ty:
-                    d_nf_sort = self._sort_deriv(ctx, res_nf, t, pos)
+                    d_nf_sort = self._check_is_type(ctx, res_nf, t, pos).d
                     node = Derivation(
                         "conv", HasType(ctx.env, t, res_nf), (node, d_nf_sort), mode
                     )
@@ -427,9 +427,9 @@ class Checker:
                 return _Inf(res_ty, node, d_res_sort)
 
             case Prod(domain, body):
-                d_dom = self._check_is_type(ctx, domain, None, pos + (0,))
+                self._check_is_type(ctx, domain, None, pos + (0,))
                 x = fresh_name(ctx.env.names())
-                ctx2 = self._extend(ctx, x, domain, d_dom.d, pos)
+                ctx2 = self._extend(ctx, x, domain, pos)
                 body_open = open_binder(body, x)
                 if mode is SystemMode.CCR:
                     witness, d_w = self._find_witness(ctx2, body_open, hint, x, pos)
@@ -476,7 +476,7 @@ class Checker:
                             Diagnostic("app", "argument type mismatch", pos + (1,),
                                        expected=dom, found=a_inf.ty)
                         )
-                    d_dom_sort = self._sort_deriv(ctx, dom, a, pos + (1,))
+                    d_dom_sort = self._check_is_type(ctx, dom, a, pos + (1,)).d
                     d_arg = Derivation(
                         "conv", HasType(ctx.env, a, dom), (d_arg, d_dom_sort), mode
                     )
@@ -494,19 +494,15 @@ class Checker:
         ty_nf = normalize(ty, self.fuel, self._nf)
         if ty_nf == ty or ty_nf == TYPE:
             return _Inf(ty_nf, node, None)
-        d_sort = self._sort_deriv(ctx, ty_nf, subject, pos)
+        d_sort = self._check_is_type(ctx, ty_nf, subject, pos).d
         wrapped = Derivation("conv", HasType(ctx.env, subject, ty_nf), (node, d_sort),
                              self.mode)
         return _Inf(ty_nf, wrapped, d_sort)
 
-    def _sort_deriv(self, ctx: _Ctx, ty: Term, inhabitant: Term | None,
-                    pos: tuple) -> Derivation:
-        """Derivation that `ty` is a type (has a sort).  `inhabitant`, when
-        given, feeds witness extraction for restricted products."""
-        inf = self._check_is_type(ctx, ty, inhabitant, pos)
-        return inf.d
-
     def _check_is_type(self, ctx: _Ctx, ty: Term, hint: Term | None, pos: tuple) -> _Inf:
+        """Infer `ty` and require a sort.  `hint`, an inhabitant of `ty`
+        when one is at hand, feeds witness extraction for restricted
+        products."""
         inf = self._infer(ctx, ty, hint, pos)
         if inf.ty not in _SORTS:
             raise CheckError(
@@ -597,10 +593,8 @@ def check_wf(
     if mode is SystemMode.NAIVE:
         raise ValueError("the naive system has no well-formedness judgment; "
                          "use check_motivated_env")
-    try:
-        return Checker(mode, oracle, fuel).root_ctx(env).wf
-    except (CheckError, FuelExhausted) as e:
-        return _diagnostic(e)
+    checker = Checker(mode, oracle, fuel)
+    return checker._judge(lambda: checker.root_ctx(env).wf)
 
 
 def infer_type(
@@ -628,30 +622,6 @@ def check_type(
     return Checker(mode, oracle, fuel).check(env, term, expected, motivation)
 
 
-def infer_with_sort(
-    env: Environment,
-    term: Term,
-    mode: SystemMode = SystemMode.CC,
-    oracle: WitnessOracle | None = None,
-    fuel: int = DEFAULT_FUEL,
-) -> tuple[Term, Derivation, Derivation | None] | Diagnostic:
-    """Like `infer_type` but also derives the sort of the inferred type.
-
-    Returns (ty, derivation of term:ty, derivation of ty:kappa), the last
-    being None exactly when ty is the top sort.
-    """
-    checker = Checker(mode, oracle, fuel)
-    try:
-        ctx = checker.root_ctx(env)
-        inf = checker._infer(ctx, term, None, ())
-        if inf.ty == TYPE:
-            return inf.ty, inf.d, None
-        d_sort = inf.d_sort or checker._sort_deriv(ctx, inf.ty, term, ())
-        return inf.ty, inf.d, d_sort
-    except (CheckError, FuelExhausted) as e:
-        return _diagnostic(e)
-
-
 def check_motivated_env(
     env: Environment,
     motivation: Motivation,
@@ -666,10 +636,8 @@ def check_motivated_env(
     variables replaced by their motivation terms.  Returns the cascade of
     derivations.
     """
-    try:
-        return Checker(mode, oracle, fuel)._motivate(env, motivation, (), ("env",))
-    except (CheckError, FuelExhausted) as e:
-        return _diagnostic(e)
+    checker = Checker(mode, oracle, fuel)
+    return checker._judge(lambda: checker._motivate(env, motivation, (), ("env",)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ roundtrip is lossy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .kernel import Diagnostic, Judgment, WellFormed
@@ -97,43 +97,8 @@ class DefineDecl:
     pos: SourcePos
 
 
-@dataclass(frozen=True)
-class CheckDecl:
-    subject: Term
-    expected: Term | None
-    pos: SourcePos
-
-
-@dataclass(frozen=True)
-class InhabitDecl:
-    goal: Term
-    pos: SourcePos
-
-
-@dataclass(frozen=True)
-class NormalizeDecl:
-    subject: Term
-    pos: SourcePos
-
-
-@dataclass(frozen=True)
-class EvalDecl:
-    subject: Term
-    pos: SourcePos
-
-
-@dataclass(frozen=True)
-class MotivationDecl:
-    name: str
-    body: Term
-    pos: SourcePos
-
-
-SourceDecl = (AssumeDecl | DefineDecl | CheckDecl | InhabitDecl
-              | NormalizeDecl | EvalDecl | MotivationDecl)
-
-
-# --- commands (output of elaboration) --------------------------------------
+# Every other declaration is a command: `parse` yields it with its names
+# unresolved, and `elaborate` returns a resolved copy.
 
 
 @dataclass(frozen=True)
@@ -169,6 +134,8 @@ class SetMotivationCmd:
 
 
 Command = (CheckCmd | InhabitCmd | NormalizeCmd | EvalCmd | SetMotivationCmd)
+
+SourceDecl = AssumeDecl | DefineDecl | Command
 
 
 # --- lexer ------------------------------------------------------------------
@@ -308,21 +275,21 @@ class _Parser:
             if self.at_punct(":"):
                 self.next()
                 expected = self.expr([])
-            return CheckDecl(subject, expected, t.pos)
+            return CheckCmd(subject, expected, t.pos)
         if t.text == "inhabit":
             self.next()
-            return InhabitDecl(self.expr([]), t.pos)
+            return InhabitCmd(self.expr([]), t.pos)
         if t.text == "normalize":
             self.next()
-            return NormalizeDecl(self.expr([]), t.pos)
+            return NormalizeCmd(self.expr([]), t.pos)
         if t.text == "eval":
             self.next()
-            return EvalDecl(self.expr([]), t.pos)
+            return EvalCmd(self.expr([]), t.pos)
         if t.text == "motivation":
             self.next()
             name = self.expect("ident").text
             self.expect("punct", ":=")
-            return MotivationDecl(name, self.expr([]), t.pos)
+            return SetMotivationCmd(name, self.expr([]), t.pos)
         raise _Syn(f"{t.text!r} cannot start a declaration", t.pos)
 
     # expressions; `binders` is the stack of surface names, innermost last
@@ -507,18 +474,18 @@ def render(obj: Term | SourceDecl) -> str:
         return s
     if isinstance(obj, DefineDecl):
         return f"def {obj.name} := {render_term(obj.body)}"
-    if isinstance(obj, CheckDecl):
+    if isinstance(obj, CheckCmd):
         s = f"check {render_term(obj.subject)}"
         if obj.expected is not None:
             s += f" : {render_term(obj.expected)}"
         return s
-    if isinstance(obj, InhabitDecl):
+    if isinstance(obj, InhabitCmd):
         return f"inhabit {render_term(obj.goal)}"
-    if isinstance(obj, NormalizeDecl):
+    if isinstance(obj, NormalizeCmd):
         return f"normalize {render_term(obj.subject)}"
-    if isinstance(obj, EvalDecl):
+    if isinstance(obj, EvalCmd):
         return f"eval {render_term(obj.subject)}"
-    if isinstance(obj, MotivationDecl):
+    if isinstance(obj, SetMotivationCmd):
         return f"motivation {obj.name} := {render_term(obj.body)}"
     return render_term(obj)
 
@@ -642,22 +609,20 @@ def elaborate(decls: list[SourceDecl],
                 env = env.extended(d.name, ty, witness)
             elif isinstance(d, DefineDecl):
                 defs[d.name] = resolve(d.body, d.pos)
-            elif isinstance(d, CheckDecl):
+            elif isinstance(d, CheckCmd):
                 expected = (resolve(d.expected, d.pos)
                             if d.expected is not None else None)
-                commands.append(CheckCmd(resolve(d.subject, d.pos), expected, d.pos))
-            elif isinstance(d, InhabitDecl):
-                commands.append(InhabitCmd(resolve(d.goal, d.pos), d.pos))
-            elif isinstance(d, NormalizeDecl):
-                commands.append(NormalizeCmd(resolve(d.subject, d.pos), d.pos))
-            elif isinstance(d, EvalDecl):
-                commands.append(EvalCmd(resolve(d.subject, d.pos), d.pos))
-            elif isinstance(d, MotivationDecl):
+                commands.append(replace(d, subject=resolve(d.subject, d.pos),
+                                        expected=expected))
+            elif isinstance(d, InhabitCmd):
+                commands.append(replace(d, goal=resolve(d.goal, d.pos)))
+            elif isinstance(d, (NormalizeCmd, EvalCmd)):
+                commands.append(replace(d, subject=resolve(d.subject, d.pos)))
+            elif isinstance(d, SetMotivationCmd):
                 if env.lookup(d.name) is None:
                     raise _Syn(f"motivation for a name never assumed: {d.name!r}",
                                d.pos)
-                commands.append(SetMotivationCmd(d.name, resolve(d.body, d.pos),
-                                                 d.pos))
+                commands.append(replace(d, body=resolve(d.body, d.pos)))
             else:
                 raise TypeError(f"not a declaration: {d!r}")
     except _Syn as e:

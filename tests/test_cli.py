@@ -10,6 +10,7 @@ import pytest
 from pedacc import cli
 from pedacc.cli import _encode, _write_json, main
 from pedacc.kernel import derivation_to_dict, verify_derivation
+from pedacc.surface import CheckCmd, elaborate, parse
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PRELUDE = str(DEMOS / "prelude.ped")
@@ -177,29 +178,38 @@ def test_every_certified_derivation_passes_the_auditor(tmp_path, capsys,
     main(["check", str(DEMOS / demo), "--system", system,
           "--emit-derivation", str(tmp_path / "c.json")])
     capsys.readouterr()
+    # a naivep file with no check line certifies its motivation cascade,
+    # which is a cc derivation
+    _, cmds = elaborate(parse((DEMOS / demo).read_text(encoding="utf-8")))
+    want = system
+    if system == "naivep" and not any(isinstance(c, CheckCmd) for c in cmds):
+        want = "cc"
     for d in made:
-        assert d.mode.value == system
+        assert d.mode.value == want
         assert verify_derivation(d) == []
 
 
-def tree_digests(cert: dict) -> list[str]:
-    """One digest per derivation of a certificate, of the tree the node
-    table unfolds to: a node's digest covers its own fields and, in order,
+def row_digests(tree: dict) -> list[bytes]:
+    """One digest per row of a derivation's node table, of the tree the
+    row unfolds to: a row's digest covers its own fields and, in order,
     its premises' digests, so it does not depend on which equal subtrees
-    the table shares.  An error certificate gives its diagnostic rule."""
+    the table shares."""
+    digests: list[bytes] = []
+    for node in tree["nodes"]:  # premises come before their users
+        fields = {k: v for k, v in node.items() if k != "premises"}
+        h = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+        for i in node["premises"]:
+            h.update(digests[i])
+        digests.append(h.digest())
+    return digests
+
+
+def tree_digests(cert: dict) -> list[str]:
+    """One digest per derivation of a certificate, of the tree its root
+    unfolds to.  An error certificate gives its diagnostic rule."""
     if cert["status"] != "ok":
         return [f"error {cert['diagnostic']['rule']}"]
-    out = []
-    for tree in cert["derivations"]:
-        digests: list[bytes] = []
-        for node in tree["nodes"]:  # premises come before their users
-            fields = {k: v for k, v in node.items() if k != "premises"}
-            h = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
-            for i in node["premises"]:
-                h.update(digests[i])
-            digests.append(h.digest())
-        out.append(digests[tree["root"]].hex())
-    return out
+    return [row_digests(tree)[tree["root"]].hex() for tree in cert["derivations"]]
 
 
 TREES = Path(__file__).resolve().parent / "golden" / "demo_trees.txt"
@@ -223,6 +233,39 @@ def test_demo_certificates_unfold_to_the_golden_trees(tmp_path, capsys):
     # must not change the tree it unfolds to
     assert demo_tree_lines(tmp_path) == TREES.read_text(encoding="utf-8").splitlines()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.ped")))
+def test_certificates_hold_each_context_and_variable_once(tmp_path, capsys,
+                                                          demo, system):
+    # one context per environment and one memo key per judgment: no two
+    # wf or variable rows of a table unfold to the same tree
+    cert = tmp_path / "c.json"
+    main(["check", str(DEMOS / demo), "--system", system,
+          "--emit-derivation", str(cert)])
+    capsys.readouterr()
+    for tree in json.loads(cert.read_text(encoding="utf-8")).get("derivations", []):
+        rows = [digest for node, digest in zip(tree["nodes"], row_digests(tree))
+                if node["rule"] in ("env2", "var", "p-var")]
+        assert len(rows) == len(set(rows))
+
+
+# an environment whose motivation needs a witness for a binder's domain
+# that the cascade, a cc derivation, never asks for
+_MOTIVATED_IDENTITY = """\
+assume f : (forall A : Prop, A) -> (forall A : Prop, A)
+motivation f := fun x : (forall A : Prop, A) => x
+"""
+
+
+def test_a_naive_file_checks_its_motivation_alike_with_or_without_checks(tmp_path,
+                                                                          capsys):
+    alone = _write(tmp_path, "alone.ped", _MOTIVATED_IDENTITY)
+    checked = _write(tmp_path, "checked.ped", _MOTIVATED_IDENTITY + "check f\n")
+    verdicts = [main(["check", path, "--system", "naivep"]) for path in (alone, checked)]
+    capsys.readouterr()
+    assert verdicts == [0, 0]
 
 
 # the last declaration fails, on a subterm under a binder that the

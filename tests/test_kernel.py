@@ -22,7 +22,6 @@ from pedacc.kernel import (
     contract_derivation,
     derivation_to_dict,
     infer_type,
-    infer_with_sort,
     iter_nodes,
     relabel_restricted_products,
     verify_derivation,
@@ -239,15 +238,13 @@ _REDEX = App(Abs(PROP, Bound(0)), Free("A"))
     lambda: check_type(env_of(("A", PROP), ("x", Free("A"))), Free("x"), _REDEX,
                        CC, fuel=0),
     lambda: infer_type(env_of(("A", PROP), ("x", _REDEX)), Free("x"), CC, fuel=0),
-    lambda: infer_with_sort(env_of(("A", PROP), ("x", _REDEX)), Free("x"), CC,
-                            fuel=0),
     lambda: check_wf(env_of(("A", PROP), ("x", _REDEX),
                             ("y", App(Abs(Free("A"), Free("A")), Free("x")))),
                      CC, fuel=0),
     lambda: check_motivated_env(env_of(("A", PROP), ("x", _REDEX)),
                                 Motivation((("A", top_type), ("x", id_term))),
                                 CC, fuel=0),
-], ids=["check_type", "infer_type", "infer_with_sort", "check_wf",
+], ids=["check_type", "infer_type", "check_wf",
         "check_motivated_env"])
 def test_running_out_of_fuel_is_a_diagnostic(call):
     got = call()
@@ -318,6 +315,31 @@ def test_a_failure_comes_back_at_the_later_judgments_position(oracle, mode):
     later = checker.infer(env, App(bad, Free("a")), sigma)
     assert later == infer_type(env, App(bad, Free("a")), mode, oracle, motivation=sigma)
     assert later.position == (0, 0)
+
+
+def test_abstractions_over_one_domain_share_the_binders_context(oracle):
+    env = env_of(("A", PROP), ("a", Free("A")))
+    checker = Checker(CCR, oracle)
+    wf_nodes = set()
+    for body in (Bound(0), Free("a")):  # fun x : A => x, fun x : A => a
+        _, d = checker.infer(env, Abs(Free("A"), body))
+        wf_nodes |= {id(n) for n in iter_nodes(d)
+                     if n.rule == "env2" and len(n.conclusion.env) == 3}
+    assert len(wf_nodes) == 1
+
+
+@pytest.mark.parametrize("mode, term", [
+    (CC, Free("x")),
+    (CCR, Free("x")),
+    (CC, arrow(Free("A"), Free("A"))),
+], ids=["cc-var", "ccr-var", "cc-product"])
+def test_a_judgment_inferred_under_two_hints_is_one_derivation(oracle, mode, term):
+    # only a restricted product reads its hint
+    env = env_of(("A", PROP), ("x", Free("A")), ("a", Free("A")), ("b", Free("A")))
+    checker = Checker(mode, oracle)
+    ctx = checker.root_ctx(env)
+    first = checker._infer(ctx, term, Free("a"), ())
+    assert checker._infer(ctx, term, Free("b"), ()).d is first.d
 
 
 def test_naive_names_an_unmotivated_binder_by_its_domain(oracle):
@@ -462,19 +484,7 @@ def test_derivation_to_dict_shares_env_entries(oracle):
     assert len(entry_dicts) == len(env_entries)
 
 
-def test_infer_with_sort(oracle):
-    res = infer_with_sort(Environment(), id_term, CCR, oracle)
-    ty, d, d_sort = res
-    assert ty == top_type
-    assert d_sort is not None
-    assert d_sort.conclusion.ty == PROP
-    res = infer_with_sort(Environment(), PROP, CC)
-    ty, d, d_sort = res
-    assert ty == TYPE and d_sort is None
-
-
 def test_motivation_helpers():
     m = Motivation((("A", top_type), ("x", id_term)))
     assert m.names() == ("A", "x")
-    assert m.lookup("x") == id_term
-    assert m.lookup("z") is None
+    assert m.extended("y", top_type).names() == ("A", "x", "y")

@@ -188,7 +188,7 @@ def test_refute_never_refutes_a_checked_witness(oracle):
 
 class _RecordingOracle(SearchOracle):
     def __init__(self):
-        super().__init__(DEFAULT_SEARCH_DEPTH, FUEL, DEFAULT_SEARCH_BUDGET)
+        super().__init__(DEFAULT_SEARCH_DEPTH, FUEL)
         self.misses = []
 
     def __call__(self, env, goal):
@@ -227,7 +227,7 @@ def test_a_rejected_candidate_is_no_miss_of_the_search():
 
     a = Free("A")
     env = env_of(("A", PROP), ("h", arrow(a, a)))
-    oracle = _Rejected(DEFAULT_SEARCH_DEPTH, FUEL, DEFAULT_SEARCH_BUDGET)
+    oracle = _Rejected(DEFAULT_SEARCH_DEPTH, FUEL)
     got = check_wf(env, CCR, oracle)
     assert got.rule == "prod_r"
     assert got.message == "cannot form product: no witness inhabits the body"
