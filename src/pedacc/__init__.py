@@ -19,7 +19,6 @@ from .inhabit import (
     inhabit_closed,
     inhabit_from_prod_derivation,
     inhabit_search,
-    inhabit_type_sorted,
     make_search_oracle,
     motivate_env,
     motivate_judgment,

@@ -307,9 +307,6 @@ def _cmd_inhabit(args) -> int:
         if isinstance(found, Diagnostic):
             print(render_diagnostic(replace(found, found=None)), file=sys.stderr)
             failures += 1
-        elif found is None:
-            print(f"no inhabitant found: {render_term(goal)}", file=sys.stderr)
-            failures += 1
         else:
             term, _ = found
             print(f"{render_term(term)} : {render_term(goal)}")

@@ -7,10 +7,10 @@ inhabitants back out:
 
   * `inhabit_from_prod_derivation` peels the witness off a restricted
     product-formation node and abstracts it (one `abs` node, no search).
-  * `inhabit_type_sorted` handles kinds: anything of type Type normalizes
-    to `forall xs, Prop` and is inhabited by `fun xs => top`.
-  * `inhabit_applied` handles Prop-sorted types presented as a closed
-    head applied to closed arguments, recursing along the derivation.
+  * `inhabit_applied` handles types presented as a closed head applied
+    to closed arguments, recursing along the derivation down to a product
+    formation, or to Prop itself, which `top` inhabits; `inhabit_closed`
+    runs it on a closed type of either sort.
   * `motivate_env` runs the cascade over a well-formedness derivation,
     producing one closed term per hypothesis; `motivate_judgment` and
     `usefulness_argument` specialize it.
@@ -161,7 +161,7 @@ def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
     return None
 
 
-def _decide(env: Environment, goal: Term, depth: int, fuel: int, budget: int,
+def _decide(env: Environment, goal: Term, depth: int, fuel: int,
             memo: dict) -> tuple[Term | None, Valuation | None]:
     """The full search's answer for a normal goal, and on a miss the
     model's countermodel if it has one.
@@ -173,14 +173,14 @@ def _decide(env: Environment, goal: Term, depth: int, fuel: int, budget: int,
     goal, the full search could find nothing.  It also runs on a miss the
     probe settles, so that the miss can say why.
     """
-    probe = [min(PROBE_BUDGET, budget)]
+    probe = [PROBE_BUDGET]
     found = _search(env, goal, depth, fuel, probe, memo)
     if found is not None:
         return found, None
     valuation = refute(env, goal, fuel, memo)
-    if valuation is not None or probe[0] > 0 or budget <= PROBE_BUDGET:
+    if valuation is not None or probe[0] > 0:
         return None, valuation
-    return _search(env, goal, depth, fuel, [budget], memo), None
+    return _search(env, goal, depth, fuel, [DEFAULT_SEARCH_BUDGET], memo), None
 
 
 class SearchOracle:
@@ -207,7 +207,7 @@ class SearchOracle:
         got = self._cache.get(key)
         if got is None:
             got = _decide(env, normalize(goal, self.fuel, self._nf), self.depth,
-                          self.fuel, DEFAULT_SEARCH_BUDGET, self._nf)
+                          self.fuel, self._nf)
             self._cache[key] = got
         return got
 
@@ -237,27 +237,26 @@ def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
 def inhabit_search(env: Environment, goal: Term,
                    depth: int = DEFAULT_SEARCH_DEPTH,
                    fuel: int = DEFAULT_FUEL,
-                   ) -> tuple[Term, Derivation] | Diagnostic | None:
+                   ) -> tuple[Term, Derivation] | Diagnostic:
     """Search for an inhabitant of `goal` and verify it from scratch.
 
-    Returns None if nothing is found.  The steps are the oracle's (probe,
-    model, full search), so a None means that the two-valued model shows
-    no inhabitant exists, or that the search at this depth and within
-    `DEFAULT_SEARCH_BUDGET` nodes ran out.  Running out of fuel is a
-    `Diagnostic(rule="fuel")`.
+    The search is a `SearchOracle`'s (probe, model, full search), so a
+    miss is a `Diagnostic(rule="inhabit")` that gives the oracle's
+    `miss_reason`: the two-valued model shows no inhabitant exists, or the
+    search at this depth and within `DEFAULT_SEARCH_BUDGET` nodes ran out.
+    Running out of fuel is a `Diagnostic(rule="fuel")`, and a found term
+    that fails to check is the kernel's diagnostic.
     """
-    memo: dict = {}
+    oracle = SearchOracle(depth, fuel)
     try:
-        term, _ = _decide(env, normalize(goal, fuel, memo), depth, fuel,
-                          DEFAULT_SEARCH_BUDGET, memo)
+        term = oracle(env, goal)
     except FuelExhausted as e:
         return _diagnostic(e)
     if term is None:
-        return None
+        return Diagnostic("inhabit", f"no inhabitant of {render_term(goal)} found: "
+                                     f"{oracle.miss_reason(env, goal)}")
     d = check_type(env, term, goal, SystemMode.CC, fuel=fuel)
-    if isinstance(d, Diagnostic):
-        return d if d.rule == "fuel" else None
-    return term, d
+    return d if isinstance(d, Diagnostic) else (term, d)
 
 
 # ---------------------------------------------------------------------------
@@ -293,46 +292,19 @@ def inhabit_from_prod_derivation(d: Derivation) -> tuple[Term, Derivation]:
     return term, deriv
 
 
-def inhabit_type_sorted(d: Derivation,
-                        oracle: WitnessOracle | None = None,
-                        fuel: int = DEFAULT_FUEL,
-                        ) -> tuple[Term, Derivation]:
-    """Inhabit the subject of `d : env |- B : Type`.
-
-    Kinds normalize to `forall xs, Prop`; their canonical inhabitant is
-    `fun xs => top`.  When `d` bottoms out at a product formation the
-    witness is read off directly; the only other well-typed possibility
-    is B literally Prop, inhabited by top itself.
-    """
-    c = d.conclusion
-    if not isinstance(c, HasType) or c.ty != TYPE:
-        raise ValueError("inhabit_type_sorted wants a derivation of B : Type")
-    node = _peel_conv(d)
-    if node.rule == "prod_r":
-        return inhabit_from_prod_derivation(node)
-    if node.conclusion.subject == PROP:
-        oracle = oracle or make_search_oracle()
-        dt = check_type(c.env, top_type, PROP, node.mode, oracle, fuel)
-        if isinstance(dt, Diagnostic):
-            raise AssertionError(f"top failed to check against Prop: {dt.message}")
-        return top_type, dt
-    raise AssertionError(
-        f"a kind must be Prop or a product; derivation ends with {node.rule}"
-    )
-
-
 def inhabit_applied(d: Derivation, args: list[Term] | tuple[Term, ...] = (),
                     oracle: WitnessOracle | None = None,
                     fuel: int = DEFAULT_FUEL,
                     trace: list | None = None,
                     ) -> tuple[Term, Derivation]:
-    """Inhabit `B args` given `d : env |- B : forall xs, Prop` with B and
-    the args closed.
+    """Inhabit `B args` given `d : env |- B : forall xs, kappa`, kappa a
+    sort, with B and the args closed.
 
     Recurses along the derivation: conversions are skipped, abstractions
     consume one argument by substitution (with a kernel re-check),
     applications fold their own argument into the list, and a product
-    formation node ends the recursion by yielding its stored witness.
+    formation node ends the recursion by yielding its stored witness, as
+    an ``ax`` node (B is Prop) does by yielding top.
     The measure (longest reduction of `B args`, then derivation height)
     strictly decreases; `trace`, if given, collects it for the tests.
     """
@@ -349,6 +321,13 @@ def inhabit_applied(d: Derivation, args: list[Term] | tuple[Term, ...] = (),
             if args:
                 raise AssertionError("a product applied to arguments is not a type")
             return inhabit_from_prod_derivation(node)
+        if node.rule == "ax":
+            if args:
+                raise AssertionError("Prop applied to arguments is not a type")
+            dt = check_type(node.conclusion.env, top_type, PROP, node.mode, oracle, fuel)
+            if isinstance(dt, Diagnostic):
+                raise AssertionError(f"top failed to check against Prop: {dt.message}")
+            return top_type, dt
         if node.rule == "abs":
             if not args:
                 raise AssertionError("an abstraction cannot have sort Prop")
@@ -376,13 +355,12 @@ def inhabit_closed(d: Derivation,
                    fuel: int = DEFAULT_FUEL,
                    trace: list | None = None,
                    ) -> tuple[Term, Derivation]:
-    """Inhabit the subject of `d : env |- B : kappa`, dispatching on the
-    sort kappa."""
+    """Inhabit the subject of `d : env |- B : kappa`, kappa a sort: a kind
+    normalizes to `forall xs, Prop`, so its derivation ends, past the
+    conversions, at a product formation or at B being Prop itself."""
     c = d.conclusion
     if not isinstance(c, HasType) or c.ty not in (PROP, TYPE):
         raise ValueError("inhabit_closed wants a derivation of B : sort")
-    if c.ty == TYPE:
-        return inhabit_type_sorted(d, oracle, fuel)
     return inhabit_applied(d, (), oracle, fuel, trace)
 
 

@@ -8,12 +8,15 @@ demands, at every axiom and variable use, a user-supplied motivation: a
 list of closed terms inhabiting the environment types after substituting
 the earlier motivation terms.
 
-The checker is syntax-directed.  Inferred types and the witnesses taken
-from `by` hints are kept in normal form (the restricted product that types
-an abstraction keeps its body as written); conversion nodes appear only
-where an inferred type is normalized or an application argument is
-adjusted to the function's domain.  Every result is a full `Derivation`
-tree that can be re-checked node by node with `verify_derivation`.
+The checker is syntax-directed, and derives each judgment once: a product,
+whether met as a term or as the type of an abstraction, is formed by one
+memoized step.  Inferred types and restricted-product witnesses are kept in
+normal form, save an abstraction's body taken as written when its normal
+form cannot be checked, as when the fuel runs out (see
+`Checker._find_witness`); conversion nodes appear only where an inferred
+type is normalized or an application argument is adjusted to the
+function's domain.  Every result is a full `Derivation` tree that can
+be re-checked node by node with `verify_derivation`.
 """
 
 from __future__ import annotations
@@ -142,7 +145,6 @@ def iter_nodes(d: Derivation, seen: set[int] | None = None):
 class _Inf(NamedTuple):
     ty: Term              # normalized type of the subject
     d: Derivation         # concludes subject : ty
-    d_sort: Derivation | None  # concludes ty : kappa, when cheaply at hand
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,7 @@ class Checker:
                     )
                 else:
                     node = Derivation("ax", HasType(ctx.env, PROP, TYPE), (ctx.wf,), mode)
-                return _Inf(TYPE, node, None)
+                return _Inf(TYPE, node)
 
             case SortConst(_):
                 raise CheckError(Diagnostic("ax", "Type is not typable", pos, found=t))
@@ -403,62 +405,35 @@ class Checker:
                         Diagnostic("abs", "abstraction body is a kind, not a term",
                                    pos, found=b.ty)
                     )
-                d_bsort = (b.d_sort
-                           or self._check_is_type(ctx2, b.ty, body_open, pos + (1,)).d)
-                kappa = d_bsort.conclusion.ty
+                d_bsort = self._check_is_type(ctx2, b.ty, body_open, pos + (1,)).d
                 res_ty = Prod(domain, close_binder(b.ty, x))
                 node = Derivation("abs", HasType(ctx.env, t, res_ty), (b.d, d_bsort), mode)
-                if mode is SystemMode.CCR:
-                    d_res_sort = Derivation(
-                        "prod_r", HasType(ctx.env, res_ty, kappa), (b.d, d_bsort),
-                        mode, witness=body_open,
-                    )
-                else:
-                    d_res_sort = Derivation(
-                        "prod", HasType(ctx.env, res_ty, kappa), (d_bsort,), mode
-                    )
-                res_nf = normalize(res_ty, self.fuel, self._nf)
-                if res_nf != res_ty:
-                    d_nf_sort = self._check_is_type(ctx, res_nf, t, pos).d
-                    node = Derivation(
-                        "conv", HasType(ctx.env, t, res_nf), (node, d_nf_sort), mode
-                    )
-                    return _Inf(res_nf, node, d_nf_sort)
-                return _Inf(res_ty, node, d_res_sort)
+                return self._normalized(ctx, t, res_ty, node, pos)
 
             case Prod(domain, body):
                 self._check_is_type(ctx, domain, None, pos + (0,))
                 x = fresh_name(ctx.env.names())
                 ctx2 = self._extend(ctx, x, domain, pos)
                 body_open = open_binder(body, x)
+                rule, witness = "prod", None
                 if mode is SystemMode.CCR:
+                    rule = "prod_r"
                     witness, d_w = self._find_witness(ctx2, body_open, hint, x, pos)
-                    b = self._infer(ctx2, body_open, witness, pos + (1,))
-                    if b.ty not in _SORTS:
-                        raise CheckError(
-                            Diagnostic("prod_r", "product body is not a type",
-                                       pos + (1,), found=b.ty)
-                        )
+                b = self._infer(ctx2, body_open, witness, pos + (1,))
+                if b.ty not in _SORTS:
+                    raise CheckError(
+                        Diagnostic(rule, "product body is not a type", pos + (1,), found=b.ty)
+                    )
+                premises = (b.d,)
+                if witness is not None:
                     if d_w.conclusion.ty != body_open:
                         d_w = Derivation(
                             "conv", HasType(ctx2.env, witness, body_open), (d_w, b.d), mode
                         )
-                    node = Derivation(
-                        "prod_r", HasType(ctx.env, t, b.ty), (d_w, b.d), mode, witness=witness
-                    )
-                else:
-                    b = self._infer(ctx2, body_open, None, pos + (1,))
-                    if b.ty not in _SORTS:
-                        raise CheckError(
-                            Diagnostic("prod", "product body is not a type",
-                                       pos + (1,), found=b.ty)
-                        )
-                    node = Derivation("prod", HasType(ctx.env, t, b.ty), (b.d,), mode)
-                d_sort = None
-                if b.ty == PROP:
-                    d_sort = Derivation("ax", HasType(ctx.env, PROP, TYPE), (ctx.wf,), mode) \
-                        if mode is not SystemMode.NAIVE else None
-                return _Inf(b.ty, node, d_sort)
+                    premises = (d_w, b.d)
+                node = Derivation(rule, HasType(ctx.env, t, b.ty), premises, mode,
+                                  witness=witness)
+                return _Inf(b.ty, node)
 
             case App(f, a):
                 f_inf = self._infer(ctx, f, None, pos + (0,))
@@ -493,11 +468,11 @@ class Checker:
         """Wrap `node` in a conversion so the reported type is normal."""
         ty_nf = normalize(ty, self.fuel, self._nf)
         if ty_nf == ty or ty_nf == TYPE:
-            return _Inf(ty_nf, node, None)
+            return _Inf(ty_nf, node)
         d_sort = self._check_is_type(ctx, ty_nf, subject, pos).d
         wrapped = Derivation("conv", HasType(ctx.env, subject, ty_nf), (node, d_sort),
                              self.mode)
-        return _Inf(ty_nf, wrapped, d_sort)
+        return _Inf(ty_nf, wrapped)
 
     def _check_is_type(self, ctx: _Ctx, ty: Term, hint: Term | None, pos: tuple) -> _Inf:
         """Infer `ty` and require a sort.  `hint`, an inhabitant of `ty`
@@ -514,15 +489,17 @@ class Checker:
                       binder: str, pos: tuple) -> tuple[Term, Derivation]:
         """Locate and re-check a witness inhabiting a product body.
 
-        The hint (an inhabitant of the whole product, when one was
-        annotated) is applied to the binder and tried first; the oracle
-        only runs if that fails, since searching is far more expensive
-        than checking.  The application is normalized before checking, so
-        an abstraction hint costs no re-check of its binder tower and the
-        stored witness is in normal form, like inferred types.  A hint
-        whose application finds no normal form before the fuel or the
-        interpreter's stack runs out is a failed candidate, like an
-        ill-typed one.
+        The hint (an inhabitant of the whole product: an annotation, or
+        the abstraction the product types) is applied to the binder and
+        tried first; the oracle only runs if that fails, since searching
+        is far more expensive than checking.  The application is
+        normalized before checking, so an abstraction hint costs no
+        re-check of its binder tower and the stored witness is in normal
+        form, like inferred types.  A hint whose application finds no
+        normal form before the fuel or the interpreter's stack runs out
+        is a failed candidate, like an ill-typed one; an abstraction
+        hint's body as written is tried next (when the product types that
+        abstraction, inferring it has already checked the body).
         """
         body_nf = normalize(body_open, self.fuel, self._nf)
 
@@ -532,6 +509,8 @@ class Checker:
                     yield normalize(App(hint, Free(binder)), self.fuel, self._nf)
                 except (FuelExhausted, RecursionError):
                     pass
+                if isinstance(hint, Abs):
+                    yield open_binder(hint.body, binder)
             if self.oracle is not None:
                 found = self.oracle(ctx2.env, body_open)
                 if found is not None:
@@ -934,30 +913,28 @@ def derivation_to_dict(d: Derivation, render: Callable[[Term], str]) -> dict:
     Nodes share their terms and environments too, so the encoding
     renders each distinct term once (the memo is keyed on the term, and
     lives for this call), builds one ``{"name", "type"}`` dict per
-    `EnvEntry` object and one ``env`` list per `Environment` object, and
-    shares them among every conclusion that holds them.  A JSON encoder
-    writes shared objects out in full, so the bytes are the same as with
-    fresh ones per node; the CLI's certificate writer encodes each shared
-    ``env`` list once.
+    `EnvEntry` and one ``env`` list per `Environment` (both interned, so
+    keyed on themselves), and shares them among every conclusion that
+    holds them.  A JSON encoder writes shared objects out in full, so the
+    bytes are the same as with fresh ones per node; the CLI's certificate
+    writer encodes each shared ``env`` list once.
     """
     render = functools.cache(render)
     index: dict[int, int] = {}
     nodes: list[dict] = []
-    # keyed on id(): every environment and entry is held by the derivation
-    # until this call returns, so no id is reused while the tables are alive
-    envs: dict[int, list[dict]] = {}
-    entries: dict[int, dict] = {}
+    envs: dict[Environment, list[dict]] = {}
+    entries: dict[EnvEntry, dict] = {}
 
     def entry_dict(e: EnvEntry) -> dict:
-        got = entries.get(id(e))
+        got = entries.get(e)
         if got is None:
-            got = entries[id(e)] = {"name": e.name, "type": render(e.ty)}
+            got = entries[e] = {"name": e.name, "type": render(e.ty)}
         return got
 
     def env_list(env: Environment) -> list[dict]:
-        got = envs.get(id(env))
+        got = envs.get(env)
         if got is None:
-            got = envs[id(env)] = [entry_dict(e) for e in env]
+            got = envs[env] = [entry_dict(e) for e in env]
         return got
 
     def visit(node: Derivation) -> int:

@@ -12,8 +12,6 @@ both components must share the type ``T``, the number component is first
 embedded into ``T`` by an encoder ``enc(T)`` with left inverse ``dec(T)``.
 
 Everything here is a closed kernel term (or a builder returning one).
-The inhabitation helper at the bottom also returns a derivation in the
-restricted system, where product formation itself demands a witness.
 """
 
 from __future__ import annotations
@@ -21,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .kernel import Derivation, SystemMode, check_type
 from .reduction import DEFAULT_FUEL, normalize
 from .terms import (
     Abs,
     App,
     Bound,
-    Environment,
     Free,
     PROP,
     Prod,
@@ -165,8 +161,7 @@ def dec(t: SimpleType) -> Term:
     """
     if isinstance(t, Nat):
         return Abs(nat_type, Bound(0))
-    a, _ = inhabit_simple_type(t.domain)
-    return Abs(decode(t), App(dec(t.codomain), App(Bound(0), a)))
+    return Abs(decode(t), App(dec(t.codomain), App(Bound(0), inhabitant(t.domain))))
 
 
 # -- pairs of a number and a T -----------------------------------------------
@@ -304,20 +299,6 @@ def inhabitant(t: SimpleType) -> Term:
     if isinstance(t, Nat):
         return zero
     return Abs(decode(t.domain), inhabitant(t.codomain))
-
-
-def inhabit_simple_type(t: SimpleType) -> tuple[Term, Derivation]:
-    """A closed inhabitant of T together with its derivation in the
-    restricted system."""
-    # import here: inhabit imports this module at load time
-    from .inhabit import make_search_oracle
-
-    term = inhabitant(t)
-    d = check_type(Environment(), term, decode(t), SystemMode.CCR,
-                   oracle=make_search_oracle())
-    if isinstance(d, Derivation):
-        return term, d
-    raise AssertionError(f"prelude inhabitant failed to check: {d.message}")
 
 
 def prelude_corpus() -> list[tuple[str, Term]]:

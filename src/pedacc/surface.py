@@ -501,15 +501,15 @@ def render_judgment(j: Judgment,
     memoized `render_term`: the renamed terms are built afresh on each
     call, so such a memo must be keyed on the term, not on its identity.
     It can also pass one `envs` dict for all of them, in which the
-    printed environment and its renames are kept per `Environment`
-    object, so judgments in one environment build them once.
+    printed environment and its renames are kept per (interned)
+    `Environment`, so judgments in one environment build them once.
     """
     if envs is None:
         envs = {}
-    got = envs.get(id(j.env))
+    got = envs.get(j.env)
     if got is None:
-        got = envs[id(j.env)] = _render_env(j.env, render)
-    _, env_s, renames = got
+        got = envs[j.env] = _render_env(j.env, render)
+    env_s, renames = got
     if isinstance(j, WellFormed):
         return f"wf {env_s}"
     subject = subst_simultaneous(j.subject, renames)
@@ -518,9 +518,8 @@ def render_judgment(j: Judgment,
 
 
 def _render_env(env: Environment, render: Callable[[Term], str],
-                ) -> tuple[Environment, str, list[tuple[str, Term]]]:
-    """`env` itself (so a memo keyed on its id keeps it alive), its
-    printed form, and the renames of its fresh names."""
+                ) -> tuple[str, list[tuple[str, Term]]]:
+    """The printed form of `env` and the renames of its fresh names."""
     renames: list[tuple[str, Term]] = []
     taken: set[str] = set(_KEYWORDS)
     shown: list[str] = []
@@ -533,7 +532,7 @@ def _render_env(env: Environment, render: Callable[[Term], str],
             new = _sanitize(entry.name)
         taken.add(new)
         shown.append(f"{new} : {render(ty)}")
-    return env, "[" + ", ".join(shown) + "]", renames
+    return "[" + ", ".join(shown) + "]", renames
 
 
 def render_diagnostic(d: Diagnostic) -> str:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -239,16 +240,17 @@ def test_demo_certificates_unfold_to_the_golden_trees(tmp_path, capsys):
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.ped")))
 def test_certificates_hold_each_context_and_variable_once(tmp_path, capsys,
                                                           demo, system):
-    # one context per environment and one memo key per judgment: no two
-    # wf or variable rows of a table unfold to the same tree
+    # one context per environment and one memo key per judgment, products
+    # and sorts included: no two rows of a table unfold to the same tree
     cert = tmp_path / "c.json"
     main(["check", str(DEMOS / demo), "--system", system,
           "--emit-derivation", str(cert)])
     capsys.readouterr()
     for tree in json.loads(cert.read_text(encoding="utf-8")).get("derivations", []):
-        rows = [digest for node, digest in zip(tree["nodes"], row_digests(tree))
-                if node["rule"] in ("env2", "var", "p-var")]
-        assert len(rows) == len(set(rows))
+        digests = row_digests(tree)
+        counts = Counter(digests)
+        assert [node["rule"] for node, digest in zip(tree["nodes"], digests)
+                if counts[digest] > 1] == []
 
 
 # an environment whose motivation needs a witness for a binder's domain
@@ -433,7 +435,13 @@ def test_inhabit_reports_findings_and_failures(tmp_path, capsys):
     assert "fun A : Prop => fun x : A => x : forall A : Prop, A -> A" in out
     f = _write(tmp_path, "hard.ped", "inhabit forall A : Prop, A")
     assert main(["inhabit", f]) == 1
-    assert "no inhabitant" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error[inhabit]: no inhabitant of forall A : Prop, A found: no witness exists\n")
+    f = _write(tmp_path, "deep.ped", "assume A : Prop\nassume B : Prop\n"
+                                     "assume f : A -> B\nassume a : A\ninhabit B")
+    assert main(["inhabit", f, "--search-depth", "0"]) == 1
+    assert capsys.readouterr().err == ("error[inhabit]: no inhabitant of B found: "
+                                       "search exhausted (depth 0, 4000 nodes)\n")
 
 
 def test_inhabit_rejects_a_goal_that_is_not_a_type(tmp_path, capsys):

@@ -58,7 +58,10 @@ def test_search_proves_top():
 
 
 def test_search_does_not_prove_bottom():
-    assert inhabit_search(Environment(), bot_type, depth=12) is None
+    got = inhabit_search(Environment(), bot_type, depth=12)
+    assert isinstance(got, Diagnostic)
+    assert (got.rule, got.message) == (
+        "inhabit", "no inhabitant of forall A : Prop, A found: no witness exists")
 
 
 def test_search_uses_hypotheses():

@@ -37,7 +37,7 @@ from pedacc.prelude import (
     times,
     top_type,
 )
-from pedacc.reduction import DEFAULT_FUEL
+from pedacc.reduction import DEFAULT_FUEL, normalize
 from pedacc.surface import elaborate, parse, render_term
 from pedacc.terms import (
     PROP,
@@ -211,6 +211,27 @@ def test_prod_r_witnesses_are_stored_in_normal_form(oracle):
              if n.rule == "prod_r" and n.conclusion.subject == env.entries[0].ty]
     assert [render_term(n.witness) for n in outer] == ["fun x : _x0 => x"]
     assert verify_derivation(d) == []
+    # so are those of the products that type abstractions, whose bodies
+    # the corpus often writes as redexes
+    stray = []
+    for name, term in prelude_corpus():
+        _, d = infer_type(Environment(), term, CCR, oracle)
+        stray += [(name, render_term(n.witness)) for n in iter_nodes(d)
+                  if n.rule == "prod_r" and normalize(n.witness) != n.witness]
+    assert stray == []
+
+
+def test_an_abstraction_hint_beyond_the_fuel_witnesses_as_written():
+    # at fuel 2 the body of the outer abstraction has no normal form, so
+    # its type's product takes the body as written for its witness
+    idz = Abs(Free("A"), Bound(0))
+    t = Abs(Free("A"), Abs(Free("A"), App(idz, App(idz, App(idz, Bound(0))))))
+    got = infer_type(env_of(("A", PROP), ("a", Free("A"))), t, CCR, oracle=None, fuel=2)
+    assert not isinstance(got, Diagnostic), got.message
+    assert got[0] == arrow(Free("A"), arrow(Free("A"), Free("A")))
+    assert verify_derivation(got[1]) == []
+    assert any(normalize(n.witness) != n.witness
+               for n in iter_nodes(got[1]) if n.rule == "prod_r")
 
 
 def test_a_hint_beyond_the_fuel_falls_back_to_the_oracle(oracle):

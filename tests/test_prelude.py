@@ -7,11 +7,11 @@ from pedacc.prelude import (
     NAT,
     Arrow,
     dec,
+    decode,
     enc,
     factorial,
     fst_term,
     id_term,
-    inhabit_simple_type,
     inhabitant,
     iter_term,
     iterate,
@@ -144,9 +144,17 @@ def test_encode_decode_left_inverse(ty):
         assert to_natural(round_tripped) == k
 
 
+def inhabit_simple_type(t, oracle) -> tuple:
+    """`inhabitant(t)` with its derivation in the restricted system."""
+    term = inhabitant(t)
+    d = check_type(Environment(), term, decode(t), SystemMode.CCR, oracle)
+    assert isinstance(d, Derivation), d.message
+    return term, d
+
+
 @pytest.mark.parametrize("ty", [NAT, NN, Arrow(NN, NN), NNN])
-def test_simple_type_inhabitation(ty):
-    term, d = inhabit_simple_type(ty)
+def test_simple_type_inhabitation(ty, oracle):
+    term, d = inhabit_simple_type(ty, oracle)
     assert is_closed(term)
     assert verify_derivation(d) == []
     assert normalize(term) == normalize(inhabitant(ty))
