@@ -14,10 +14,7 @@ from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
     MotivationResult,
     SearchOracle,
-    check_poincare,
     inhabit_applied,
-    inhabit_closed,
-    inhabit_from_prod_derivation,
     inhabit_search,
     make_search_oracle,
     motivate_env,
@@ -37,7 +34,6 @@ from .kernel import (
     check_type,
     check_wf,
     contract_derivation,
-    derivation_height,
     derivation_to_dict,
     infer_type,
     iter_nodes,

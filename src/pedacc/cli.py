@@ -263,12 +263,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_motivate(args) -> int:
     env, _ = _load(args.file)
-    oracle = make_search_oracle(args.search_depth, args.fuel)
-    d = check_wf(env, SystemMode.CCR, oracle, args.fuel)
-    if isinstance(d, Diagnostic):
-        print(render_diagnostic(d), file=sys.stderr)
-        return 1
-    res = motivate_env(d, oracle, args.fuel)
+    res = motivate_env(env, make_search_oracle(args.search_depth, args.fuel), args.fuel)
     if isinstance(res, Diagnostic):
         print(render_diagnostic(res), file=sys.stderr)
         return 1
@@ -388,8 +383,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motivate",
                        help="construct closed witnesses for the environment")
     with_depth(with_fuel(with_file(p)))
-    p.add_argument("--system", choices=["ccr"], default="ccr",
-                   help="only the restricted system motivates (default ccr)")
     p.set_defaults(run=_cmd_motivate)
 
     p = sub.add_parser("inhabit", help="search for inhabitants of the file's goals")

@@ -5,18 +5,17 @@ so a derivation that some closed type is well-sorted already contains,
 structurally, an inhabitant of that type.  This module reads those
 inhabitants back out:
 
-  * `inhabit_from_prod_derivation` peels the witness off a restricted
-    product-formation node and abstracts it (one `abs` node, no search).
-  * `inhabit_applied` handles types presented as a closed head applied
-    to closed arguments, recursing along the derivation down to a product
-    formation, or to Prop itself, which `top` inhabits; `inhabit_closed`
-    runs it on a closed type of either sort.
-  * `motivate_env` runs the cascade over a well-formedness derivation,
-    producing one closed term per hypothesis; `motivate_judgment` and
-    `usefulness_argument` specialize it.
+  * `inhabit_applied` walks a restricted checker's derivation of a type,
+    presented as a closed head applied to closed arguments, down to a
+    product formation, whose stored witness it abstracts, or to Prop
+    itself, which `top` inhabits.
+  * `motivate_env` checks an environment and runs the cascade over it,
+    producing one closed term per hypothesis, all through one restricted
+    checker; `motivate_judgment` and `usefulness_argument` specialize it.
 
-Everything found here is re-checked by the kernel from scratch; the
-engine is a constructor of candidates, never a trusted authority.
+The walk builds candidates, not derivations: the checker that derived
+the type re-checks every candidate from scratch, so the engine is a
+constructor of candidates, never a trusted authority.
 
 A small proof search (`inhabit_search`) backs the kernel's witness
 oracle.  It is deliberately bounded and deterministic: introduce binders
@@ -38,13 +37,8 @@ from .kernel import (
     HasType,
     Motivation,
     SystemMode,
-    WellFormed,
     WitnessOracle,
-    check_motivated_env,
     check_type,
-    check_wf,
-    derivation_height,
-    infer_type,
     _diagnostic,
 )
 from .model import Valuation, refute
@@ -263,81 +257,51 @@ def inhabit_search(env: Environment, goal: Term,
 # reading inhabitants out of derivations
 
 
-def _peel_conv(d: Derivation) -> Derivation:
-    while d.rule == "conv":
-        d = d.premises[0]
-    return d
-
-
-def inhabit_from_prod_derivation(d: Derivation) -> tuple[Term, Derivation]:
-    """Given a restricted derivation that a product is well-sorted, return
-    the product's inhabitant: the stored witness, abstracted.
-
-    No search and no checking happen here; the returned derivation is a
-    single `abs` node over the premises already present in `d`.
-    """
-    node = _peel_conv(d)
-    if node.rule != "prod_r":
-        raise ValueError(f"expected a restricted product formation, got {node.rule}")
-    d_w, d_b = node.premises
-    product = node.conclusion.subject
-    binder = d_b.conclusion.env.last.name
-    term = Abs(product.domain, close_binder(d_w.conclusion.subject, binder))
-    deriv = Derivation(
-        "abs",
-        HasType(node.conclusion.env, term, product),
-        (d_w, d_b),
-        node.mode,
-    )
-    return term, deriv
-
-
-def inhabit_applied(d: Derivation, args: list[Term] | tuple[Term, ...] = (),
-                    oracle: WitnessOracle | None = None,
-                    fuel: int = DEFAULT_FUEL,
+def inhabit_applied(checker: Checker, d: Derivation,
+                    args: list[Term] | tuple[Term, ...] = (),
                     trace: list | None = None,
-                    ) -> tuple[Term, Derivation]:
-    """Inhabit `B args` given `d : env |- B : forall xs, kappa`, kappa a
-    sort, with B and the args closed.
+                    ) -> Term | Diagnostic:
+    """A candidate inhabitant of `B args`, given `d : env |- B : forall xs,
+    kappa` from the restricted `checker`, kappa a sort, with B and the
+    args closed.
 
     Recurses along the derivation: conversions are skipped, abstractions
-    consume one argument by substitution (with a kernel re-check),
-    applications fold their own argument into the list, and a product
-    formation node ends the recursion by yielding its stored witness, as
-    an ``ax`` node (B is Prop) does by yielding top.
+    consume one argument by substitution (re-inferred by `checker`, whose
+    diagnostic, running out of fuel included, is returned), applications
+    fold their own argument into the list, and a product formation node
+    ends the recursion by abstracting its stored witness, as an ``ax``
+    node (B is Prop) does by yielding top.  The candidate is not checked
+    here: the caller checks it.
     The measure (longest reduction of `B args`, then derivation height)
-    strictly decreases; `trace`, if given, collects it for the tests.
+    strictly decreases; `trace`, if given, collects the subject and node
+    of each step for the tests.
     """
-    oracle = oracle or make_search_oracle()
     node = d
     while True:
         if trace is not None:
-            trace.append((apps(node.conclusion.subject, *args),
-                          derivation_height(node), node.rule))
+            trace.append((apps(node.conclusion.subject, *args), node))
         if node.rule == "conv":
             node = node.premises[0]
             continue
         if node.rule == "prod_r":
             if args:
                 raise AssertionError("a product applied to arguments is not a type")
-            return inhabit_from_prod_derivation(node)
+            product = node.conclusion.subject
+            binder = node.premises[1].conclusion.env.last.name
+            return Abs(product.domain, close_binder(node.witness, binder))
         if node.rule == "ax":
             if args:
                 raise AssertionError("Prop applied to arguments is not a type")
-            dt = check_type(node.conclusion.env, top_type, PROP, node.mode, oracle, fuel)
-            if isinstance(dt, Diagnostic):
-                raise AssertionError(f"top failed to check against Prop: {dt.message}")
-            return top_type, dt
+            return top_type
         if node.rule == "abs":
             if not args:
                 raise AssertionError("an abstraction cannot have sort Prop")
             body_d = node.premises[0]
             binder = body_d.conclusion.env.last.name
             reduced = subst(body_d.conclusion.subject, binder, args[0])
-            r = infer_type(node.conclusion.env, reduced, node.mode, oracle, fuel)
+            r = checker.infer(node.conclusion.env, reduced)
             if isinstance(r, Diagnostic):
-                raise AssertionError(
-                    f"substituted instance failed to re-check: {r.message}")
+                return r
             node, args = r[1], tuple(args[1:])
             continue
         if node.rule == "app":
@@ -350,50 +314,37 @@ def inhabit_applied(d: Derivation, args: list[Term] | tuple[Term, ...] = (),
         )
 
 
-def inhabit_closed(d: Derivation,
-                   oracle: WitnessOracle | None = None,
-                   fuel: int = DEFAULT_FUEL,
-                   trace: list | None = None,
-                   ) -> tuple[Term, Derivation]:
-    """Inhabit the subject of `d : env |- B : kappa`, kappa a sort: a kind
-    normalizes to `forall xs, Prop`, so its derivation ends, past the
-    conversions, at a product formation or at B being Prop itself."""
-    c = d.conclusion
-    if not isinstance(c, HasType) or c.ty not in (PROP, TYPE):
-        raise ValueError("inhabit_closed wants a derivation of B : sort")
-    return inhabit_applied(d, (), oracle, fuel, trace)
-
-
 # ---------------------------------------------------------------------------
 # motivating environments and judgments
 
 
-def motivate_env(d: Derivation,
+def motivate_env(env: Environment,
                  oracle: WitnessOracle | None = None,
                  fuel: int = DEFAULT_FUEL,
                  ) -> MotivationResult | Diagnostic:
-    """From `d : wf env` in the restricted system, construct the cascade:
-    one closed term per entry, each checking against its entry type with
-    all earlier variables substituted away.
+    """Check that `env` is well formed in the restricted system and
+    construct the cascade: one closed term per entry, each checking
+    against its entry type with all earlier variables substituted away.
 
-    Every constructed term is re-checked by the kernel, with one checker
-    for the whole cascade, so the inferences and normal forms the terms
-    share are computed once; each entry type's sort and each check is one
-    judgment of that checker, so a diagnostic gives the position where
-    that judgment met the failure.  The entry's witness annotation (when
-    present) only serves as a hint for deriving the sort of the
-    substituted entry type.  Running out of fuel is a
+    One restricted checker judges everything: the environment, each
+    substituted entry type's sort, the walk of that derivation to a
+    candidate (`inhabit_applied`) and the check of the candidate, so the
+    inferences and normal forms they share are computed once.  Each is
+    one judgment of that checker, so a diagnostic gives the position
+    where that judgment met the failure; an environment that is not well
+    formed gets the diagnostic `check_wf` gives.  The entry's witness
+    annotation (when present) only serves as a hint for deriving the sort
+    of the substituted entry type.  Running out of fuel is a
     `Diagnostic(rule="fuel")`.
     """
-    if not isinstance(d.conclusion, WellFormed):
-        raise ValueError("motivate_env wants a well-formedness derivation")
-    mode = d.mode
-    oracle = oracle or make_search_oracle()
-    checker = Checker(mode, oracle, fuel)
+    checker = Checker(SystemMode.CCR, oracle or make_search_oracle(), fuel)
+    wf = checker._judge(lambda: checker.root_ctx(env).wf)
+    if isinstance(wf, Diagnostic):
+        return wf
     empty = checker.root_ctx(Environment())
     sigma: list[tuple[str, Term]] = []
     derivs: list[Derivation] = []
-    for entry in d.conclusion.env:
+    for entry in env:
         closed_ty = subst_simultaneous(entry.ty, sigma)
         hint = None
         if entry.witness is not None:
@@ -407,7 +358,9 @@ def motivate_env(d: Derivation,
                 "env2", f"entry {entry.name} is not a type",
                 ("motivate", entry.name), found=inf.ty,
             )
-        term, _ = inhabit_closed(inf.d, oracle, fuel)
+        term = inhabit_applied(checker, inf.d)
+        if isinstance(term, Diagnostic):
+            return term
         final = checker.check(Environment(), term, closed_ty)
         if isinstance(final, Diagnostic):
             return final
@@ -427,10 +380,7 @@ def motivate_judgment(d: Derivation,
     if not isinstance(c, HasType):
         raise ValueError("motivate_judgment wants a typing derivation")
     oracle = oracle or make_search_oracle()
-    wf = check_wf(c.env, d.mode, oracle, fuel)
-    if isinstance(wf, Diagnostic):
-        return wf
-    mr = motivate_env(wf, oracle, fuel)
+    mr = motivate_env(c.env, oracle, fuel)
     if isinstance(mr, Diagnostic):
         return mr
     bindings = list(mr.motivation.assignments)
@@ -456,20 +406,7 @@ def usefulness_argument(d: Derivation,
     if not isinstance(c, HasType) or len(c.env) != 0 or not isinstance(c.ty, Prod):
         raise ValueError(
             "usefulness_argument wants a closed derivation of a product type")
-    oracle = oracle or make_search_oracle()
-    env = Environment((EnvEntry("x", c.ty.domain),))
-    wf = check_wf(env, d.mode, oracle, fuel)
-    if isinstance(wf, Diagnostic):
-        return wf
-    mr = motivate_env(wf, oracle, fuel)
+    mr = motivate_env(Environment((EnvEntry("x", c.ty.domain),)), oracle, fuel)
     if isinstance(mr, Diagnostic):
         return mr
     return mr.motivation.assignments[0][1], mr.derivations[0]
-
-
-def check_poincare(env: Environment, candidate: Motivation,
-                   fuel: int = DEFAULT_FUEL) -> bool:
-    """Does `candidate` justify `env`?  True iff every motivation term is
-    closed and the substitution cascade checks in the full calculus."""
-    result = check_motivated_env(env, candidate, SystemMode.CC, fuel=fuel)
-    return not isinstance(result, Diagnostic)

@@ -112,17 +112,6 @@ WitnessOracle = Callable[[Environment, Term], Optional[Term]]
 _SORTS = (PROP, TYPE)
 
 
-def derivation_height(d: Derivation, _memo: dict | None = None) -> int:
-    # memoized on identity: derivations share subtrees aggressively
-    if _memo is None:
-        _memo = {}
-    h = _memo.get(id(d))
-    if h is None:
-        h = 1 + max((derivation_height(p, _memo) for p in d.premises), default=0)
-        _memo[id(d)] = h
-    return h
-
-
 def iter_nodes(d: Derivation, seen: set[int] | None = None):
     """Every distinct node of the derivation, each exactly once.
 

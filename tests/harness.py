@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from pedacc.inhabit import check_poincare, make_search_oracle, motivate_env
+from pedacc.inhabit import make_search_oracle, motivate_env
 from pedacc.kernel import (
     Checker,
     Derivation,
@@ -275,10 +275,12 @@ def differential(case: GeneratedCase,
 
     motivatable = False
     if ccr == "accept":
-        mr = motivate_env(ccr_wf, oracle, fuel)
+        mr = motivate_env(env, oracle, fuel)
         motivatable = not isinstance(mr, Diagnostic)
     if not motivatable and case.motivation is not None:
-        motivatable = check_poincare(env, case.motivation, fuel)
+        motivatable = not isinstance(
+            check_motivated_env(env, case.motivation, SystemMode.CC, fuel=fuel),
+            Diagnostic)
 
     naive = None
     if case.motivation is not None:

@@ -115,7 +115,7 @@ def test_criterion_2_poincare_sweep(oracle):
         problems = verify_derivation(relabel_restricted_products(wf))
         if problems:
             failures.append(f"seed {seed}: relabeled derivation: {problems[0]}")
-        got = motivate_env(wf, oracle)
+        got = motivate_env(env, oracle)
         if isinstance(got, Diagnostic):
             failures.append(f"seed {seed}: {got.message}")
             continue

@@ -419,6 +419,19 @@ def test_motivate_rejects_unmotivatable_envs(tmp_path, capsys):
     assert main(["motivate", f]) == 1
 
 
+def test_motivate_out_of_fuel_in_the_walk_is_a_diagnostic(tmp_path, capsys):
+    # the environment checks without fuel; re-inferring the substituted
+    # body of the outer abstraction needs a step
+    f = _write(tmp_path, "walk.ped",
+               "assume x : (fun B : Prop => B -> B) "
+               "((fun C : Prop => C -> C) (forall A : Prop, A -> A))")
+    assert main(["motivate", f, "--fuel", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error[fuel]: no normal form within 0 reduction steps"
+    assert main(["motivate", f]) == 0
+    assert capsys.readouterr().out.startswith("x := fun x : ")
+
+
 def test_a_refuted_witness_goal_names_its_countermodel(tmp_path, capsys):
     f = _write(tmp_path, "neg.ped",
                "assume Zb : Prop\nassume Zc : Prop\nassume zh : Zb -> Zc")
@@ -544,5 +557,31 @@ def test_usage_error_exits_two():
         main(["check"])  # missing FILE
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["motivate", PRELUDE, "--system", "cc"])  # only ccr motivates
+        main(["motivate", PRELUDE, "--system", "cc"])  # motivate has no --system
     assert exc.value.code == 2
+
+
+def _readme_examples():
+    """Each fenced README block whose first line runs pedacc on a demo:
+    the command's arguments and the block's remaining lines."""
+    text = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```")[1::2]
+    for block in blocks:
+        lines = block.strip("\n").splitlines()
+        if lines and lines[0].startswith("$ pedacc ") and " demos/" in lines[0]:
+            yield lines[0].split()[2:], lines[1:]
+
+
+README_EXAMPLES = list(_readme_examples())
+
+
+def test_the_readme_shows_its_demo_examples():
+    assert [argv[0] for argv, _ in README_EXAMPLES] == ["check", "motivate", "eval"]
+
+
+@pytest.mark.parametrize("argv,want", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_print_what_they_show(argv, want, capsys):
+    argv = [str(DEMOS.parent / a) if a.startswith("demos/") else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == want

@@ -1,10 +1,7 @@
 from __future__ import annotations
 
 from pedacc.inhabit import (
-    check_poincare,
     inhabit_applied,
-    inhabit_closed,
-    inhabit_from_prod_derivation,
     inhabit_search,
     make_search_oracle,
     motivate_env,
@@ -12,10 +9,12 @@ from pedacc.inhabit import (
     usefulness_argument,
 )
 from pedacc.kernel import (
+    Checker,
     Derivation,
     Diagnostic,
     Motivation,
     SystemMode,
+    check_motivated_env,
     check_type,
     check_wf,
     infer_type,
@@ -40,6 +39,7 @@ from pedacc.terms import (
     Prod,
     apps,
     arrow,
+    close_binder,
     env_of,
     is_closed,
 )
@@ -76,66 +76,86 @@ def test_search_uses_hypotheses():
 def test_readback_reuses_the_product_witness(oracle):
     # the derivation of a restricted product stores the body witness;
     # turning it into a function is pure bookkeeping
-    ty, d = infer_type(Environment(), top_type, CCR, oracle)
+    checker = Checker(CCR, oracle)
+    ty, d = checker.infer(Environment(), top_type)
     assert ty == PROP
     node = d
     while node.rule == "conv":
         node = node.premises[0]
     assert node.rule == "prod_r"
-    term, abs_d = inhabit_from_prod_derivation(node)
+    term = inhabit_applied(checker, d)
+    binder = node.premises[1].conclusion.env.last.name
+    assert term == Abs(top_type.domain, close_binder(node.witness, binder))
     assert is_closed(term)
-    assert abs_d.rule == "abs"
-    # premises are taken from the product derivation itself, not re-derived
-    assert abs_d.premises[0] is node.premises[0]
-    assert verify_derivation(abs_d) == []
-    assert isinstance(check_type(Environment(), term, top_type, CC),
-                      Derivation)
+    assert isinstance(check_type(Environment(), term, top_type, CC), Derivation)
 
 
-def test_inhabit_closed_dispatches_on_sort(oracle):
-    _, d_prop = infer_type(Environment(), top_type, CCR, oracle)
-    t, _ = inhabit_closed(d_prop, oracle=oracle)
-    assert isinstance(check_type(Environment(), t, top_type, CC), Derivation)
+def test_inhabit_applied_dispatches_on_sort(oracle):
+    # Prop's own derivation is an ax node, which top inhabits unchecked
+    checker = Checker(CCR, oracle)
+    _, d = checker.infer(Environment(), PROP)
+    assert d.rule == "ax"
+    assert inhabit_applied(checker, d) == top_type
 
 
 def test_inhabit_applied_walks_abstractions(oracle):
     # B := fun A : Prop => A -> A, then B nat is a type to inhabit
     b = Abs(PROP, arrow(Bound(0), Bound(0)))
-    _, d = infer_type(Environment(), b, CCR, oracle)
+    checker = Checker(CCR, oracle)
+    _, d = checker.infer(Environment(), b)
     trace: list = []
-    term, _ = inhabit_applied(d, (nat_type,), oracle, trace=trace)
+    term = inhabit_applied(checker, d, (nat_type,), trace=trace)
     assert isinstance(
         check_type(Environment(), term, App(b, nat_type), CC), Derivation)
-    assert [r for _, _, r in trace] == ["abs", "prod_r"]
+    assert [node.rule for _, node in trace] == ["abs", "prod_r"]
+
+
+def derivation_height(d: Derivation, _memo: dict | None = None) -> int:
+    # memoized on identity: derivations share subtrees aggressively
+    if _memo is None:
+        _memo = {}
+    h = _memo.get(id(d))
+    if h is None:
+        h = 1 + max((derivation_height(p, _memo) for p in d.premises), default=0)
+        _memo[id(d)] = h
+    return h
 
 
 def test_inhabit_applied_measure_decreases(oracle):
     b = Abs(PROP, Abs(Bound(0), arrow(Bound(1), Bound(1))))
     subject = apps(b, top_type, id_term)
-    _, d = infer_type(Environment(), subject, CCR, oracle)
+    checker = Checker(CCR, oracle)
+    _, d = checker.infer(Environment(), subject)
     trace: list = []
-    inhabit_applied(d, (), oracle, trace=trace)
-    measures = [(longest_reduction_length(t), h) for t, h, _ in trace]
+    inhabit_applied(checker, d, (), trace=trace)
+    measures = [(longest_reduction_length(t), derivation_height(node))
+                for t, node in trace]
     assert all(a > b_ for a, b_ in zip(measures, measures[1:])), measures
 
 
 def test_motivate_env_produces_closed_rechecking_witnesses(oracle):
     env = env_of(("A", PROP), ("x", Free("A")),
                  ("f", arrow(Free("A"), Free("A"))))
-    d = check_wf(env, CCR, oracle)
-    res = motivate_env(d, oracle)
+    res = motivate_env(env, oracle)
     assert not isinstance(res, Diagnostic)
     assert res.motivation.names() == ("A", "x", "f")
     for _, w in res.motivation.assignments:
         assert is_closed(w)
     # and the motivation validates through the standalone checker
-    assert check_poincare(env, res.motivation)
+    assert not isinstance(check_motivated_env(env, res.motivation), Diagnostic)
 
 
-def test_check_poincare_rejects_wrong_candidates():
+def test_check_motivated_env_rejects_wrong_candidates():
     env = env_of(("A", PROP), ("x", Free("A")))
     bad = Motivation((("A", top_type), ("x", top_type)))
-    assert not check_poincare(env, bad)
+    assert isinstance(check_motivated_env(env, bad), Diagnostic)
+
+
+def test_motivate_env_rejects_an_ill_formed_env_as_check_wf_does(oracle):
+    env = env_of(("A", PROP), ("x", Free("B")))
+    got = motivate_env(env, oracle)
+    assert got == check_wf(env, CCR, oracle)
+    assert (got.rule, got.message) == ("var", "unbound variable B")
 
 
 def test_motivate_judgment_closes_the_subject(oracle):
@@ -195,11 +215,20 @@ def test_motivate_env_out_of_fuel_is_a_diagnostic(oracle):
     # x : forall y : Prop, (fun B : Prop => B -> B) y
     env = env_of(("x", Prod(PROP, App(Abs(PROP, arrow(Bound(0), Bound(0))),
                                       Bound(0)))))
-    wf = check_wf(env, CCR, oracle)
-    assert isinstance(wf, Derivation)
-    got = motivate_env(wf, oracle, fuel=0)
+    assert isinstance(check_wf(env, CCR, oracle), Derivation)
+    got = motivate_env(env, oracle, fuel=0)
     assert isinstance(got, Diagnostic)
     assert got.rule == "fuel"
+    # x : (fun B : Prop => B -> B) ((fun C : Prop => C -> C) top) is well
+    # formed without fuel; the walk's re-inference of the substituted body
+    # is what needs a step
+    double = Abs(PROP, arrow(Bound(0), Bound(0)))
+    env = env_of(("x", App(double, App(double, top_type))))
+    assert isinstance(check_wf(env, CCR, oracle, fuel=0), Derivation)
+    got = motivate_env(env, oracle, fuel=0)
+    assert isinstance(got, Diagnostic)
+    assert got.rule == "fuel"
+    assert not isinstance(motivate_env(env, oracle), Diagnostic)
 
 
 def test_oracle_misses_are_cached_not_sticky():

@@ -165,7 +165,7 @@ def test_refute_never_refutes_a_checked_witness(oracle):
             if found is not None and isinstance(cc.check(env, found, goal), Derivation):
                 holds(env, goal)
         # the motivation cascade: closed witnesses of closed types
-        got = motivate_env(wf, oracle)
+        got = motivate_env(env, oracle)
         assert not isinstance(got, Diagnostic)
         done = []
         for entry, (name, term) in zip(env, got.motivation.assignments):
