@@ -14,7 +14,6 @@ from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
     MotivationResult,
     SearchOracle,
-    inhabit_applied,
     inhabit_search,
     make_search_oracle,
     motivate_env,

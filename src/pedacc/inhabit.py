@@ -2,20 +2,16 @@
 
 The restricted calculus only forms a product when its body is witnessed,
 so a derivation that some closed type is well-sorted already contains,
-structurally, an inhabitant of that type.  This module reads those
-inhabitants back out:
+structurally, an inhabitant of that type.  `motivate_env` reads those
+inhabitants back out, one per hypothesis of an environment: a closed
+type's normal form is Prop, which `top` inhabits, or a product, whose
+formation stores a witness of its body to abstract.  `motivate_judgment`
+and `usefulness_argument` specialize it.
 
-  * `inhabit_applied` walks a restricted checker's derivation of a type,
-    presented as a closed head applied to closed arguments, down to a
-    product formation, whose stored witness it abstracts, or to Prop
-    itself, which `top` inhabits.
-  * `motivate_env` checks an environment and runs the cascade over it,
-    producing one closed term per hypothesis, all through one restricted
-    checker; `motivate_judgment` and `usefulness_argument` specialize it.
-
-The walk builds candidates, not derivations: the checker that derived
-the type re-checks every candidate from scratch, so the engine is a
-constructor of candidates, never a trusted authority.
+The engine builds candidates, not derivations: the checker that derived
+the type re-checks every candidate from scratch against the type as
+written, so the engine is a constructor of candidates, never a trusted
+authority.
 
 A small proof search (`inhabit_search`) backs the kernel's witness
 oracle.  It is deliberately bounded and deterministic: introduce binders
@@ -55,7 +51,6 @@ from .terms import (
     Prod,
     TYPE,
     Term,
-    apps,
     close_binder,
     fresh_name,
     free_vars,
@@ -254,67 +249,6 @@ def inhabit_search(env: Environment, goal: Term,
 
 
 # ---------------------------------------------------------------------------
-# reading inhabitants out of derivations
-
-
-def inhabit_applied(checker: Checker, d: Derivation,
-                    args: list[Term] | tuple[Term, ...] = (),
-                    trace: list | None = None,
-                    ) -> Term | Diagnostic:
-    """A candidate inhabitant of `B args`, given `d : env |- B : forall xs,
-    kappa` from the restricted `checker`, kappa a sort, with B and the
-    args closed.
-
-    Recurses along the derivation: conversions are skipped, abstractions
-    consume one argument by substitution (re-inferred by `checker`, whose
-    diagnostic, running out of fuel included, is returned), applications
-    fold their own argument into the list, and a product formation node
-    ends the recursion by abstracting its stored witness, as an ``ax``
-    node (B is Prop) does by yielding top.  The candidate is not checked
-    here: the caller checks it.
-    The measure (longest reduction of `B args`, then derivation height)
-    strictly decreases; `trace`, if given, collects the subject and node
-    of each step for the tests.
-    """
-    node = d
-    while True:
-        if trace is not None:
-            trace.append((apps(node.conclusion.subject, *args), node))
-        if node.rule == "conv":
-            node = node.premises[0]
-            continue
-        if node.rule == "prod_r":
-            if args:
-                raise AssertionError("a product applied to arguments is not a type")
-            product = node.conclusion.subject
-            binder = node.premises[1].conclusion.env.last.name
-            return Abs(product.domain, close_binder(node.witness, binder))
-        if node.rule == "ax":
-            if args:
-                raise AssertionError("Prop applied to arguments is not a type")
-            return top_type
-        if node.rule == "abs":
-            if not args:
-                raise AssertionError("an abstraction cannot have sort Prop")
-            body_d = node.premises[0]
-            binder = body_d.conclusion.env.last.name
-            reduced = subst(body_d.conclusion.subject, binder, args[0])
-            r = checker.infer(node.conclusion.env, reduced)
-            if isinstance(r, Diagnostic):
-                return r
-            node, args = r[1], tuple(args[1:])
-            continue
-        if node.rule == "app":
-            args = (node.conclusion.subject.arg,) + tuple(args)
-            node = node.premises[0]
-            continue
-        raise AssertionError(
-            f"inhabitation of an applied type reached rule {node.rule}; "
-            "this cannot happen for closed subjects"
-        )
-
-
-# ---------------------------------------------------------------------------
 # motivating environments and judgments
 
 
@@ -326,15 +260,20 @@ def motivate_env(env: Environment,
     construct the cascade: one closed term per entry, each checking
     against its entry type with all earlier variables substituted away.
 
+    Each substituted entry type is closed, so its normal form is Prop or
+    a product.  The engine derives the sort of that normal form: Prop's
+    ``ax`` node gives `top`, and a product's ``prod_r`` node gives its
+    stored witness abstracted over the binder.  The entry's witness
+    annotation (when present) is the hint for that product, so it is the
+    first candidate witness.  The candidate is then checked against the
+    entry type as written.
+
     One restricted checker judges everything: the environment, each
-    substituted entry type's sort, the walk of that derivation to a
-    candidate (`inhabit_applied`) and the check of the candidate, so the
-    inferences and normal forms they share are computed once.  Each is
-    one judgment of that checker, so a diagnostic gives the position
-    where that judgment met the failure; an environment that is not well
-    formed gets the diagnostic `check_wf` gives.  The entry's witness
-    annotation (when present) only serves as a hint for deriving the sort
-    of the substituted entry type.  Running out of fuel is a
+    normal form and its sort, and each candidate, so the inferences and
+    normal forms they share are computed once.  Each is one judgment of
+    that checker, so a diagnostic gives the position where that judgment
+    met the failure; an environment that is not well formed gets the
+    diagnostic `check_wf` gives.  Running out of fuel is a
     `Diagnostic(rule="fuel")`.
     """
     checker = Checker(SystemMode.CCR, oracle or make_search_oracle(), fuel)
@@ -350,7 +289,8 @@ def motivate_env(env: Environment,
         if entry.witness is not None:
             hint = subst_simultaneous(entry.witness, sigma)
         pos = ("motivate", entry.name)
-        inf = checker._judge(lambda: checker._infer(empty, closed_ty, hint, pos))
+        inf = checker._judge(lambda: checker._infer(
+            empty, normalize(closed_ty, checker.fuel, checker._nf), hint, pos))
         if isinstance(inf, Diagnostic):
             return inf
         if inf.ty not in (PROP, TYPE):
@@ -358,9 +298,12 @@ def motivate_env(env: Environment,
                 "env2", f"entry {entry.name} is not a type",
                 ("motivate", entry.name), found=inf.ty,
             )
-        term = inhabit_applied(checker, inf.d)
-        if isinstance(term, Diagnostic):
-            return term
+        node = inf.d
+        if node.rule == "ax":
+            term = top_type
+        else:  # prod_r: a closed normal type with a sort is Prop or a product
+            binder = node.premises[1].conclusion.env.last.name
+            term = Abs(node.conclusion.subject.domain, close_binder(node.witness, binder))
         final = checker.check(Environment(), term, closed_ty)
         if isinstance(final, Diagnostic):
             return final

@@ -379,9 +379,6 @@ class Environment(_Interned):
     def extended(self, name: str, ty: Term, witness: Term | None = None) -> "Environment":
         return _cons(self, EnvEntry(name, ty, witness))
 
-    def prefix(self, length: int) -> "Environment":
-        return Environment(self.entries[:length])
-
 
 def _cons(parent: Environment | None, last: EnvEntry | None) -> Environment:
     """The live environment `parent` extended by `last`; (None, None) is

@@ -10,8 +10,15 @@ import pytest
 
 from pedacc import cli
 from pedacc.cli import _encode, _write_json, main
-from pedacc.kernel import derivation_to_dict, verify_derivation
-from pedacc.surface import CheckCmd, elaborate, parse
+from pedacc.kernel import (
+    Diagnostic,
+    Motivation,
+    SystemMode,
+    check_motivated_env,
+    derivation_to_dict,
+    verify_derivation,
+)
+from pedacc.surface import CheckCmd, elaborate, parse, parse_term
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PRELUDE = str(DEMOS / "prelude.ped")
@@ -419,17 +426,57 @@ def test_motivate_rejects_unmotivatable_envs(tmp_path, capsys):
     assert main(["motivate", f]) == 1
 
 
-def test_motivate_out_of_fuel_in_the_walk_is_a_diagnostic(tmp_path, capsys):
-    # the environment checks without fuel; re-inferring the substituted
-    # body of the outer abstraction needs a step
-    f = _write(tmp_path, "walk.ped",
-               "assume x : (fun B : Prop => B -> B) "
-               "((fun C : Prop => C -> C) (forall A : Prop, A -> A))")
+# entry types that are redexes: the type the engine reads a witness off
+# is the normal form of each
+_DOUBLED = ("assume x : (fun B : Prop => B -> B) "
+            "((fun C : Prop => C -> C) (forall A : Prop, A -> A))")
+_HINTED = ("assume A : Prop\n"
+           "assume f : (fun B : Prop => B -> B) A by fun x : A => x")
+
+
+def test_motivate_out_of_fuel_normalizing_an_entry_type_is_a_diagnostic(tmp_path,
+                                                                        capsys):
+    # the environment checks without fuel; normalizing the substituted
+    # entry type needs a step
+    f = _write(tmp_path, "doubled.ped", _DOUBLED)
     assert main(["motivate", f, "--fuel", "0"]) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[0] == "error[fuel]: no normal form within 0 reduction steps"
     assert main(["motivate", f]) == 0
-    assert capsys.readouterr().out.startswith("x := fun x : ")
+    assert capsys.readouterr().out == (
+        "x := fun f : (forall A : Prop, A -> A) -> (forall A : Prop, A -> A) => "
+        "fun g : (forall A : Prop, A -> A) => fun A : Prop => fun x : A => x\n")
+
+
+def test_motivate_tries_the_by_hint_on_the_normal_form(tmp_path, capsys):
+    f = _write(tmp_path, "hinted.ped", _HINTED)
+    assert main(["motivate", f]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "f := fun f : (forall A : Prop, A -> A) => f")
+
+
+@pytest.mark.parametrize("source", [
+    *(pytest.param(p.read_text(encoding="utf-8"), id=p.name)
+      for p in sorted(DEMOS.glob("*.ped"))),
+    pytest.param(_DOUBLED, id="doubled"),
+    pytest.param(_HINTED, id="hinted"),
+])
+def test_printed_motivations_motivate_the_environment(tmp_path, capsys, source):
+    # read back as the benchmark reads them: each printed witness parses,
+    # and together they motivate the environment in the full calculus
+    code = main(["motivate", _write(tmp_path, "env.ped", source)])
+    out = capsys.readouterr().out
+    if code != 0:
+        assert (code, out) == (1, "")
+        return
+    env, _ = elaborate(parse(source))
+    assignments = []
+    for line, name in zip(out.splitlines(), env.names(), strict=True):
+        got, _, text = line.partition(" := ")
+        assert got == name
+        assignments.append((name, parse_term(text)))
+    verdict = check_motivated_env(env, Motivation(tuple(assignments)), SystemMode.CC)
+    assert not isinstance(verdict, Diagnostic), verdict
 
 
 def test_a_refuted_witness_goal_names_its_countermodel(tmp_path, capsys):

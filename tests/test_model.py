@@ -153,7 +153,7 @@ def test_refute_never_refutes_a_checked_witness(oracle):
             holds(goal_env, goal)
         # the by hints themselves, and the search's own hits
         for i, entry in enumerate(env):
-            prefix = env.prefix(i)
+            prefix = Environment(env.entries[:i])
             if entry.witness is not None and isinstance(
                     cc.check(prefix, entry.witness, entry.ty), Derivation):
                 holds(prefix, entry.ty)

@@ -190,7 +190,7 @@ def test_environment_lookup_and_prefix():
     assert env.names() == ("A", "x")
     assert env.lookup("x").ty == Free("A")
     assert env.lookup("nope") is None
-    assert env.prefix(1) == env_of(("A", PROP))
+    assert Environment(env.entries[:1]) == env_of(("A", PROP))
     assert len(Environment()) == 0
 
 
@@ -199,9 +199,9 @@ def test_equal_environments_reached_by_different_paths_are_one_object():
     by_steps = Environment().extended("A", PROP).extended("x", Free("A"))
     assert by_steps is env
     assert Environment(env.entries) is env
-    assert env_of(("A", PROP), ("x", Free("A")), ("y", PROP)).prefix(2) is env
-    assert env.prefix(1) is env.parent is env_of(("A", PROP))
-    assert env.prefix(0) is Environment()
+    assert env_of(("A", PROP), ("x", Free("A")), ("y", PROP)).parent is env
+    assert Environment(env.entries[:1]) is env.parent is env_of(("A", PROP))
+    assert env.parent.parent is Environment()
     assert copy.deepcopy(env) is env
     assert pickle.loads(pickle.dumps(env)) is env
     entry = env.last
