@@ -21,10 +21,11 @@ comes up empty, or a term runs out of fuel or nests deeper than the stack),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import json
 import sys
 from dataclasses import replace
-from json.encoder import encode_basestring_ascii as _quote
 
 from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
@@ -66,18 +67,25 @@ _MODES = {"cc": SystemMode.CC, "ccr": SystemMode.CCR, "naivep": SystemMode.NAIVE
 # Deep terms produce deep recursion in the checker and the printer.
 sys.setrecursionlimit(100000)
 
+# json.dumps(obj, separators=(",", ":")), without building an encoder per call
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class _UsageError(Exception):
-    pass
+    """Exit 2 with `message`; `diagnostic` is what a certificate records."""
+
+    def __init__(self, message: str, diagnostic: Diagnostic | None = None):
+        super().__init__(message)
+        self.diagnostic = diagnostic or Diagnostic("usage", message)
 
 
-def _diag_dict(d: Diagnostic) -> dict:
+def _error_payload(d: Diagnostic) -> dict:
     out = {"rule": d.rule, "message": d.message, "position": list(d.position)}
     if d.expected is not None:
         out["expected"] = render_term(d.expected)
     if d.found is not None:
         out["found"] = render_term(d.found)
-    return out
+    return {"status": "error", "diagnostic": out}
 
 
 def _load(path: str):
@@ -92,10 +100,10 @@ def _load(path: str):
         raise _UsageError(f"cannot read {path}: not UTF-8 text")
     decls = parse(text)
     if isinstance(decls, Diagnostic):
-        raise _UsageError(render_diagnostic(decls))
+        raise _UsageError(render_diagnostic(decls), decls)
     out = elaborate(decls)
     if isinstance(out, Diagnostic):
-        raise _UsageError(render_diagnostic(out))
+        raise _UsageError(render_diagnostic(out), out)
     return out
 
 
@@ -105,93 +113,28 @@ def _file_motivation(env: Environment, cmds) -> Motivation:
     return Motivation(tuple((n, given[n]) for n in env.names() if n in given))
 
 
-def _encode(obj, level: int, lists: dict) -> str:
-    """The text the standard `json` module, with an indent of 2, gives
-    for `obj` when it sits `level` containers deep.
-
-    `lists` memoizes the text of each list of containers by
-    ``(id, level)``, so a list shared by many parents is encoded once.
-    The caller keeps every list alive while the memo is in use.
-    """
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        # A list of scalars, such as a node's premises, is never shared and
-        # encodes about as fast as a lookup; keeping the text of every one
-        # of them raised peak memory by more than the shared lists saved.
-        memo = isinstance(obj[0], (dict, list))
-        if memo:
-            text = lists.get((id(obj), level))
-            if text is not None:
-                return text
-        sep = "\n" + "  " * (level + 1)
-        text = ("[" + sep
-                + ("," + sep).join([_encode(x, level + 1, lists) for x in obj])
-                + "\n" + "  " * level + "]")
-        if memo:
-            lists[id(obj), level] = text
-        return text
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # _quote raises TypeError on a key that is not a str
-        sep = "\n" + "  " * (level + 1)
-        return ("{" + sep
-                + ("," + sep).join([_quote(k) + ": " + _encode(v, level + 1, lists)
-                                    for k, v in obj.items()])
-                + "\n" + "  " * level + "}")
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# payload -> derivations -> derivation -> nodes: the containers above a
-# node are written piece by piece, each node as one string
-_STREAMED_LEVELS = 4
-
-
-def _write_json(fh, obj, level: int, lists: dict) -> None:
-    """Write `obj` as `_encode` would, one piece per value in the outer
-    `_STREAMED_LEVELS` levels, so the document is never one string."""
-    if level >= _STREAMED_LEVELS or not obj or not isinstance(obj, (dict, list)):
-        fh.write(_encode(obj, level, lists))
-        return
-    sep = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict):
-        fh.write("{")
-        for i, (k, v) in enumerate(obj.items()):
-            fh.write(("," + sep if i else sep) + _quote(k) + ": ")
-            _write_json(fh, v, level + 1, lists)
-        fh.write("\n" + "  " * level + "}")
-    else:
-        fh.write("[")
-        for i, x in enumerate(obj):
-            fh.write("," + sep if i else sep)
-            _write_json(fh, x, level + 1, lists)
-        fh.write("\n" + "  " * level + "]")
-
-
 def _emit(path: str | None, payload: dict) -> None:
-    """Write `payload` to `path` (if given) as the standard `json` module
-    writes it with an indent of 2, byte for byte, plus a final newline.
+    """Write `payload` to `path` (if given) as compact ASCII JSON plus a
+    final newline.
 
-    The payload shares its lists: `derivation_to_dict` gives every
-    conclusion in one environment the same ``env`` list, so that list is
-    encoded once per call and its text reused, not re-encoded per node.
+    An ok payload is written node by node, each node one call of the
+    `json` module's C encoder, so the document is never one string in
+    memory; ``python -m json.tool`` pretty-prints it.
     """
     if path is None:
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            _write_json(fh, payload, 0, {})
+            if payload["status"] == "ok":
+                fh.write('{"status":"ok","derivations":[')
+                for i, tree in enumerate(payload["derivations"]):
+                    fh.write(f'{"," if i else ""}{{"root":{tree["root"]},"nodes":[')
+                    for j, node in enumerate(tree["nodes"]):
+                        fh.write(("," if j else "") + _compact(node))
+                    fh.write("]}")
+                fh.write("]}")
+            else:
+                fh.write(_compact(payload))
             fh.write("\n")
     except OSError as e:
         raise _UsageError(f"cannot write {path}: {e.strerror}")
@@ -207,7 +150,14 @@ def _print_derivation(d: Derivation, render, envs: dict) -> None:
 
 
 def _cmd_check(args) -> int:
-    env, cmds = _load(args.file)
+    try:
+        env, cmds = _load(args.file)
+    except _UsageError as e:
+        # no stale certificate is left behind; the source's problem is the
+        # one reported even when the certificate cannot be written either
+        with contextlib.suppress(_UsageError):
+            _emit(args.emit_derivation, _error_payload(e.diagnostic))
+        raise
     mode = _MODES[args.system]
     oracle = make_search_oracle(args.search_depth, args.fuel)
     motivation = _file_motivation(env, cmds) if mode is SystemMode.NAIVE else None
@@ -241,8 +191,7 @@ def _cmd_check(args) -> int:
             derivations.append(res)
     except CheckError as e:
         print(render_diagnostic(e.diagnostic), file=sys.stderr)
-        _emit(args.emit_derivation,
-              {"status": "error", "diagnostic": _diag_dict(e.diagnostic)})
+        _emit(args.emit_derivation, _error_payload(e.diagnostic))
         return 1
 
     # memos for the whole call: the printed lines and the certificate

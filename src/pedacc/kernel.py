@@ -905,8 +905,8 @@ def derivation_to_dict(d: Derivation, render: Callable[[Term], str]) -> dict:
     `EnvEntry` and one ``env`` list per `Environment` (both interned, so
     keyed on themselves), and shares them among every conclusion that
     holds them.  A JSON encoder writes shared objects out in full, so the
-    bytes are the same as with fresh ones per node; the CLI's certificate
-    writer encodes each shared ``env`` list once.
+    bytes are the same as with fresh ones per node: the sharing saves
+    memory, not encoding.
     """
     render = functools.cache(render)
     index: dict[int, int] = {}

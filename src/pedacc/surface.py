@@ -585,6 +585,7 @@ def elaborate(decls: list[SourceDecl],
     env = Environment()
     defs: dict[str, Term] = {}
     commands: list[Command] = []
+    motivated: set[str] = set()
 
     def resolve(t: Term, pos: SourcePos) -> Term:
         names = free_vars(t)
@@ -621,6 +622,9 @@ def elaborate(decls: list[SourceDecl],
                 if env.lookup(d.name) is None:
                     raise _Syn(f"motivation for a name never assumed: {d.name!r}",
                                d.pos)
+                if d.name in motivated:
+                    raise _Syn(f"duplicate motivation for {d.name!r}", d.pos)
+                motivated.add(d.name)
                 commands.append(replace(d, body=resolve(d.body, d.pos)))
             else:
                 raise TypeError(f"not a declaration: {d!r}")

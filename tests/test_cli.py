@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pedacc import cli
-from pedacc.cli import _encode, _write_json, main
+from pedacc.cli import main
 from pedacc.kernel import (
     Diagnostic,
     Motivation,
@@ -119,57 +118,18 @@ def test_source_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"pedacc: cannot read {src}: not UTF-8 text\n"
 
 
-def _dumps(obj) -> tuple[str, str]:
-    """`obj` through the certificate writer, streamed and as one string."""
-    fh = io.StringIO()
-    _write_json(fh, obj, 0, {})
-    return fh.getvalue(), _encode(obj, 0, {})
-
-
-_INTS = [0, 1]
-_SHARED = [{"name": "$x0", "type": "Prop"}, [], {}, _INTS]
-_ENCODER_CASES = [
-    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[[[[]]]]]],
-    {"a": [{"b": {"c": [[], {}]}}]},
-    # one list twice at the same depth, and at two different depths
-    [_SHARED, _SHARED, _INTS, [_INTS]],
-    {"x": _SHARED, "y": [{"z": [_SHARED, [_SHARED]]}], "w": _SHARED},
-    {"nodes": [{"env": _SHARED}, {"env": _SHARED}], "deep": [[[[[_SHARED]]]]]},
-    # non-ASCII, control characters, quotes and backslashes
-    "λx. x → ∀ 🙂", "\x00\x01\x1f\x7f\t\n\r\b\f", 'say "hi"', "a\\b\\\\",
-    {"λ\"\\\n": "é", "": ""},
-    0, -1, -123456789012345678901234567890, 7, True, False, None,
-    [0, -3, True, False, None, "", {"k": None}],
-]
-
-
-@pytest.mark.parametrize("obj", _ENCODER_CASES)
-def test_certificate_encoder_matches_json_indent_2(obj):
-    want = json.dumps(obj, indent=2)
-    assert _dumps(obj) == (want, want)
-
-
-@pytest.mark.parametrize("obj", [1.5, {1, 2}, (1, 2), b"x", {"a": [float("nan")]},
-                                 [[[[[object()]]]]], {1: "int key"}])
-def test_certificate_encoder_rejects_other_types(obj):
-    with pytest.raises(TypeError):
-        _write_json(io.StringIO(), obj, 0, {})
-    with pytest.raises(TypeError):
-        _encode(obj, 0, {})
-
-
-def _assert_indent_2(text: str) -> None:
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+def _assert_compact(text: str) -> None:
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.ped")))
-def test_certificates_are_written_in_json_indent_2(tmp_path, capsys, demo, system):
+def test_certificates_are_written_in_compact_json(tmp_path, capsys, demo, system):
     cert = tmp_path / "c.json"
     main(["check", str(DEMOS / demo), "--system", system,
           "--emit-derivation", str(cert)])
     capsys.readouterr()
-    _assert_indent_2(cert.read_text(encoding="utf-8"))
+    _assert_compact(cert.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
@@ -324,14 +284,60 @@ def test_several_declarations_certify_the_trees_they_certify_alone(tmp_path, cap
     capsys.readouterr()
 
 
-def test_error_certificates_are_written_in_json_indent_2(tmp_path, capsys):
-    src = _write(tmp_path, "bad.ped", "assume h : bot")
+def test_error_certificates_are_written_in_compact_json(tmp_path, capsys):
+    junk = tmp_path / "junk.ped"
+    junk.write_bytes(b"\xff\xfe")
+    cases = [(1, "prod_r", _write(tmp_path, "bad.ped", "assume h : bot"), []),
+             (1, "fuel", _write(tmp_path, "redex.ped", "assume A : Prop\nassume x : A\n"
+                                "check x : (fun B : Prop => B) A"), ["--fuel", "0"]),
+             (2, "parse", _write(tmp_path, "syntax.ped", "check ("), []),
+             (2, "resolve", _write(tmp_path, "scope.ped", "check mystery"), []),
+             (2, "usage", str(tmp_path / "missing.ped"), []),
+             (2, "usage", str(junk), [])]
     cert = tmp_path / "c.json"
-    assert main(["check", src, "--emit-derivation", str(cert)]) == 1
+    for rc, rule, src, extra in cases:
+        assert main(["check", src, "--emit-derivation", str(cert), *extra]) == rc
+        capsys.readouterr()
+        text = cert.read_text(encoding="utf-8")
+        assert json.loads(text)["status"] == "error"
+        assert json.loads(text)["diagnostic"]["rule"] == rule
+        _assert_compact(text)
+
+
+def test_an_exit_two_overwrites_the_certificate_of_an_earlier_run(tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    assert main(["check", PRELUDE, "--emit-derivation", str(cert)]) == 0
     capsys.readouterr()
-    text = cert.read_text(encoding="utf-8")
-    assert json.loads(text)["status"] == "error"
-    _assert_indent_2(text)
+    src = _write(tmp_path, "syntax.ped", "check (")
+    assert main(["check", src, "--emit-derivation", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err == "pedacc: error[parse]: expected a term, found 'eof' at line 1, column 8\n"
+    assert json.loads(cert.read_text(encoding="utf-8")) == {
+        "status": "error",
+        "diagnostic": {"rule": "parse", "message": "expected a term, found 'eof'",
+                       "position": [1, 8, 7]}}
+    missing = str(tmp_path / "missing.ped")
+    assert main(["check", missing, "--emit-derivation", str(cert)]) == 2
+    message = f"cannot read {missing}: No such file or directory"
+    assert capsys.readouterr().err == f"pedacc: {message}\n"
+    assert json.loads(cert.read_text(encoding="utf-8")) == {
+        "status": "error",
+        "diagnostic": {"rule": "usage", "message": message, "position": []}}
+    # a source that cannot be read is what is reported, not the certificate
+    assert main(["check", missing, "--emit-derivation", "/nonexistent/dir/c.json"]) == 2
+    assert capsys.readouterr().err == f"pedacc: {message}\n"
+
+
+def test_certificates_are_ascii_and_read_back_non_ascii_names(tmp_path, capsys):
+    src = _write(tmp_path, "lambda.ped", "assume λ : Prop")
+    cert = tmp_path / "c.json"
+    assert main(["check", src, "--emit-derivation", str(cert)]) == 0
+    capsys.readouterr()
+    raw = cert.read_bytes()
+    assert raw.isascii()
+    tree = json.loads(raw)["derivations"][0]
+    assert tree["nodes"][tree["root"]]["conclusion"]["env"] == [
+        {"name": "λ", "type": "Prop"}]
 
 
 @pytest.mark.parametrize("argv", [
@@ -413,6 +419,15 @@ def test_naive_check_uses_file_motivations(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(DEMOS / "naive.ped"), "--system", "cc"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("first, second", [("bot", "top"), ("top", "bot")])
+def test_a_second_motivation_for_a_name_is_rejected(tmp_path, capsys, first, second):
+    f = _write(tmp_path, "twice.ped",
+               f"assume A : Prop\nmotivation A := {first}\nmotivation A := {second}")
+    assert main(["check", f, "--system", "naivep"]) == 2
+    assert capsys.readouterr().err == (
+        "pedacc: error[resolve]: duplicate motivation for 'A' at line 3, column 1\n")
 
 
 def test_motivate_prints_one_witness_per_name(capsys):
