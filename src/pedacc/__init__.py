@@ -33,12 +33,12 @@ from .kernel import (
     check_type,
     check_wf,
     contract_derivation,
-    derivation_to_dict,
     infer_type,
     iter_nodes,
     relabel_restricted_products,
     verify_derivation,
     verify_derivations,
+    write_certificate,
 )
 from .model import refute
 from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize

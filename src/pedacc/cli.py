@@ -43,8 +43,8 @@ from .kernel import (
     check_type,
     check_wf,
     contract_derivation,
-    derivation_to_dict,
     infer_type,
+    write_certificate,
 )
 from .prelude import to_natural
 from .reduction import DEFAULT_FUEL, FuelExhausted, normalize
@@ -113,29 +113,20 @@ def _file_motivation(env: Environment, cmds) -> Motivation:
     return Motivation(tuple((n, given[n]) for n in env.names() if n in given))
 
 
-def _emit(path: str | None, payload: dict) -> None:
-    """Write `payload` to `path` (if given) as compact ASCII JSON plus a
-    final newline.
-
-    An ok payload is written node by node, each node one call of the
-    `json` module's C encoder, so the document is never one string in
-    memory; ``python -m json.tool`` pretty-prints it.
-    """
+def _emit(path: str | None, result: list[Derivation] | Diagnostic,
+          render=render_term) -> None:
+    """Write the certificate of `result` to `path` (if given) as compact
+    ASCII JSON plus a final newline: the derivations, node by node (see
+    `write_certificate`), or the diagnostic.  ``python -m json.tool``
+    pretty-prints it."""
     if path is None:
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            if payload["status"] == "ok":
-                fh.write('{"status":"ok","derivations":[')
-                for i, tree in enumerate(payload["derivations"]):
-                    fh.write(f'{"," if i else ""}{{"root":{tree["root"]},"nodes":[')
-                    for j, node in enumerate(tree["nodes"]):
-                        fh.write(("," if j else "") + _compact(node))
-                    fh.write("]}")
-                fh.write("]}")
+            if isinstance(result, Diagnostic):
+                fh.write(_compact(_error_payload(result)) + "\n")
             else:
-                fh.write(_compact(payload))
-            fh.write("\n")
+                write_certificate(fh, result, render)
     except OSError as e:
         raise _UsageError(f"cannot write {path}: {e.strerror}")
 
@@ -156,7 +147,7 @@ def _cmd_check(args) -> int:
         # no stale certificate is left behind; the source's problem is the
         # one reported even when the certificate cannot be written either
         with contextlib.suppress(_UsageError):
-            _emit(args.emit_derivation, _error_payload(e.diagnostic))
+            _emit(args.emit_derivation, e.diagnostic)
         raise
     mode = _MODES[args.system]
     oracle = make_search_oracle(args.search_depth, args.fuel)
@@ -191,7 +182,7 @@ def _cmd_check(args) -> int:
             derivations.append(res)
     except CheckError as e:
         print(render_diagnostic(e.diagnostic), file=sys.stderr)
-        _emit(args.emit_derivation, _error_payload(e.diagnostic))
+        _emit(args.emit_derivation, e.diagnostic)
         return 1
 
     # memos for the whole call: the printed lines and the certificate
@@ -203,10 +194,7 @@ def _cmd_check(args) -> int:
         if i:
             print()
         _print_derivation(d, render, envs)
-    _emit(args.emit_derivation,
-          {"status": "ok",
-           "derivations": [derivation_to_dict(d, render)
-                           for d in derivations]})
+    _emit(args.emit_derivation, derivations, render)
     return 0
 
 
@@ -360,7 +348,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pedacc: fuel exhausted: {e}", file=sys.stderr)
         return 1
     except RecursionError as e:  # the recursive passes over terms
-        print(f"pedacc: term nests too deeply: {e}", file=sys.stderr)
+        message = f"term nests too deeply: {e}"
+        # a check leaves no stale certificate, nor a half-written one
+        with contextlib.suppress(_UsageError):
+            _emit(getattr(args, "emit_derivation", None), Diagnostic("depth", message))
+        print(f"pedacc: {message}", file=sys.stderr)
         return 1
 
 

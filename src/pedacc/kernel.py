@@ -21,17 +21,16 @@ be re-checked node by node with `verify_derivation`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Callable, Iterable, NamedTuple, Optional, TextIO, Union
 
 from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize
 from .terms import (
     Abs,
     App,
     Bound,
-    EnvEntry,
     Environment,
     Free,
     PROP,
@@ -891,73 +890,93 @@ def contract_derivation(d: Derivation) -> list[tuple[str, Judgment]]:
 # serialization
 
 
-def derivation_to_dict(d: Derivation, render: Callable[[Term], str]) -> dict:
-    """JSON-friendly encoding; `render` prints terms.
+def _env_json(env: Environment, string: Callable[[Term], str]) -> str:
+    """The ``env`` array of a certificate conclusion, one ``{"name",
+    "type"}`` object per entry; `string` gives a term's JSON string."""
+    return "[" + ",".join([f'{{"name":{_json_str(e.name)},"type":{string(e.ty)}}}'
+                           for e in env]) + "]"
 
-    Derivations share subtrees, so the encoding is a flat node table:
-    ``{"root": i, "nodes": [...]}`` with premises given as indices into
-    the table.  Each distinct node appears exactly once, in an order
-    that puts premises before conclusions.
 
-    Nodes share their terms and environments too, so the encoding
-    renders each distinct term once (the memo is keyed on the term, and
-    lives for this call), builds one ``{"name", "type"}`` dict per
-    `EnvEntry` and one ``env`` list per `Environment` (both interned, so
-    keyed on themselves), and shares them among every conclusion that
-    holds them.  A JSON encoder writes shared objects out in full, so the
-    bytes are the same as with fresh ones per node: the sharing saves
-    memory, not encoding.
+def write_certificate(fh: TextIO, derivations: Iterable[Derivation],
+                      render: Callable[[Term], str]) -> None:
+    """Write the certificate of `derivations` to `fh` as compact ASCII
+    JSON plus a final newline; `render` prints terms.
+
+    The document is ``{"status":"ok","derivations":[...]}``, with one
+    ``{"root": i, "nodes": [...]}`` table per derivation.  Derivations
+    share subtrees, so a table lists each distinct node once, premises
+    before conclusions (the root last), and gives premises as indices
+    into the table.  A node reads ``{"rule", "mode", "conclusion":
+    {"judgment", "env"[, "term", "type"]}, "premises"[, "witness"][,
+    "motivation"]}``, in the bytes ``json.dumps(node, separators=(",",
+    ":"))`` would give.
+
+    Nodes are written as text, one at a time, so the document is never
+    whole in memory.  They share terms and environments as well, so in
+    one call each distinct term is rendered and encoded once (keyed on
+    the term), and the ``env`` array of each distinct `Environment` is
+    encoded once (environments are interned, so keyed on themselves),
+    then cited by every node that holds it.
     """
-    render = functools.cache(render)
-    index: dict[int, int] = {}
-    nodes: list[dict] = []
-    envs: dict[Environment, list[dict]] = {}
-    entries: dict[EnvEntry, dict] = {}
+    strings: dict[Term, str] = {}
+    envs: dict[Environment, str] = {}
 
-    def entry_dict(e: EnvEntry) -> dict:
-        got = entries.get(e)
+    def string(t: Term) -> str:
+        got = strings.get(t)
         if got is None:
-            got = entries[e] = {"name": e.name, "type": render(e.ty)}
+            got = strings[t] = _json_str(render(t))
         return got
 
-    def env_list(env: Environment) -> list[dict]:
+    def env_json(env: Environment) -> str:
         got = envs.get(env)
         if got is None:
-            got = envs[env] = [entry_dict(e) for e in env]
+            got = envs[env] = _env_json(env, string)
         return got
 
-    def visit(node: Derivation) -> int:
-        got = index.get(id(node))
-        if got is not None:
-            return got
-        premises = [visit(p) for p in node.premises]
-        if isinstance(node.conclusion, WellFormed):
-            conclusion = {
-                "judgment": "wf",
-                "env": env_list(node.conclusion.env),
-            }
-        else:
-            conclusion = {
-                "judgment": "hastype",
-                "env": env_list(node.conclusion.env),
-                "term": render(node.conclusion.subject),
-                "type": render(node.conclusion.ty),
-            }
-        entry: dict = {
-            "rule": node.rule,
-            "mode": node.mode.value,
-            "conclusion": conclusion,
-            "premises": premises,
-        }
-        if node.witness is not None:
-            entry["witness"] = render(node.witness)
-        if node.motivation is not None:
-            entry["motivation"] = [
-                {"name": n, "term": render(t)}
-                for n, t in node.motivation.assignments
-            ]
-        index[id(node)] = len(nodes)
-        nodes.append(entry)
-        return index[id(node)]
+    fh.write('{"status":"ok","derivations":[')
+    for k, d in enumerate(derivations):
+        order, index = _post_order(d)
+        fh.write(f'{"," if k else ""}{{"root":{len(order) - 1},"nodes":[')
+        for i, node in enumerate(order):
+            c = node.conclusion
+            if isinstance(c, WellFormed):
+                conclusion = f'{{"judgment":"wf","env":{env_json(c.env)}}}'
+            else:
+                conclusion = (f'{{"judgment":"hastype","env":{env_json(c.env)}'
+                              f',"term":{string(c.subject)},"type":{string(c.ty)}}}')
+            premises = ",".join([str(index[id(p)]) for p in node.premises])
+            text = (f'{"," if i else ""}{{"rule":{_json_str(node.rule)}'
+                    f',"mode":{_json_str(node.mode.value)},"conclusion":{conclusion}'
+                    f',"premises":[{premises}]')
+            if node.witness is not None:
+                text += f',"witness":{string(node.witness)}'
+            if node.motivation is not None:
+                text += ',"motivation":[' + ",".join(
+                    [f'{{"name":{_json_str(n)},"term":{string(t)}}}'
+                     for n, t in node.motivation.assignments]) + "]"
+            fh.write(text + "}")
+        fh.write("]}")
+    fh.write("]}\n")
 
-    return {"root": visit(d), "nodes": nodes}
+
+def _post_order(d: Derivation) -> tuple[list[Derivation], dict[int, int]]:
+    """The distinct nodes of `d`, each after its premises, in the order a
+    recursive walk that visits premises left to right finishes them (so
+    `d` is last), and each node's position in that list by its id; an
+    explicit stack keeps deep spines clear of the recursion limit."""
+    order: list[Derivation] = []
+    index: dict[int, int] = {}
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        if id(node) in index:
+            stack.pop()
+            continue
+        pending = [p for p in node.premises if id(p) not in index]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        index[id(node)] = len(order)
+        order.append(node)
+    return order, index

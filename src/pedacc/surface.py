@@ -429,7 +429,11 @@ def _wrap(s: str, have: int, want: int) -> str:
     return f"({s})" if have < want else s
 
 
-def _render_term(t: Term, binders: list[str], avoid: set[str], prec: int) -> str:
+def _render_term(t: Term, binders: list[str], scope: set[str], prec: int) -> str:
+    """`binders` names the enclosing binders, innermost last ("->" for an
+    arrow's); `scope` holds the names a new binder must avoid: the free
+    names, the keywords and the enclosing binders' names.  Both grow on
+    entering a binder and are restored on leaving it."""
     if isinstance(t, SortConst):
         return t.sort.value
     if isinstance(t, Bound):
@@ -439,30 +443,34 @@ def _render_term(t: Term, binders: list[str], avoid: set[str], prec: int) -> str
     if isinstance(t, Free):
         return _sanitize(t.name)
     if isinstance(t, App):
-        f = _render_term(t.fun, binders, avoid, _APP)
-        a = _render_term(t.arg, binders, avoid, _ATOM)
+        f = _render_term(t.fun, binders, scope, _APP)
+        a = _render_term(t.arg, binders, scope, _ATOM)
         return _wrap(f"{f} {a}", _APP, prec)
-    if isinstance(t, Abs):
-        name = _pick(_pool_for(t.domain), avoid | set(binders))
-        dom = _render_term(t.domain, binders, avoid, _ARROW)
-        body = _render_term(t.body, binders + [name], avoid, _EXPR)
-        return _wrap(f"fun {name} : {dom} => {body}", _EXPR, prec)
-    if isinstance(t, Prod):
-        if _uses_top(t.body):
-            name = _pick(_pool_for(t.domain), avoid | set(binders))
-            dom = _render_term(t.domain, binders, avoid, _ARROW)
-            body = _render_term(t.body, binders + [name], avoid, _EXPR)
-            return _wrap(f"forall {name} : {dom}, {body}", _EXPR, prec)
-        dom = _render_term(t.domain, binders, avoid, _APP)
-        body = _render_term(t.body, binders + ["->"], avoid, _ARROW)
+    if isinstance(t, Prod) and not _uses_top(t.body):
+        dom = _render_term(t.domain, binders, scope, _APP)
+        binders.append("->")
+        body = _render_term(t.body, binders, scope, _ARROW)
+        binders.pop()
         return _wrap(f"{dom} -> {body}", _ARROW, prec)
+    if isinstance(t, (Abs, Prod)):
+        name = _pick(_pool_for(t.domain), scope)
+        dom = _render_term(t.domain, binders, scope, _ARROW)
+        binders.append(name)
+        scope.add(name)  # _pick chose a name not in scope, so remove restores it
+        body = _render_term(t.body, binders, scope, _EXPR)
+        scope.remove(name)
+        binders.pop()
+        if isinstance(t, Abs):
+            return _wrap(f"fun {name} : {dom} => {body}", _EXPR, prec)
+        return _wrap(f"forall {name} : {dom}, {body}", _EXPR, prec)
     raise TypeError(f"not a term: {t!r}")
 
 
 def render_term(t: Term) -> str:
     """Deterministic concrete syntax for a kernel term."""
-    avoid = {_sanitize(n) for n in free_vars(t)} | set(_KEYWORDS)
-    return _render_term(t, [], avoid, _EXPR)
+    scope = {_sanitize(n) for n in free_vars(t)}
+    scope.update(_KEYWORDS)
+    return _render_term(t, [], scope, _EXPR)
 
 
 def render(obj: Term | SourceDecl) -> str:

@@ -97,10 +97,12 @@ class _Node(_Interned):
 
     ``lb`` is one more than the highest bound index that is loose in the
     node (0 when it has none): index arithmetic returns a subterm as it is
-    when no index there can change.
+    when no index there can change.  ``fv`` holds the node's free names
+    once `free_vars` has asked for them; it is unset until then, so terms
+    that never need it cost nothing more to build.
     """
 
-    __slots__ = ("lb",)
+    __slots__ = ("lb", "fv")
 
 
 class SortConst(_Node):
@@ -231,7 +233,10 @@ def subst(t: Term, target: str | int, u: Term) -> Term:
 
 
 def subst_simultaneous(t: Term, bindings: Sequence[tuple[str, Term]]) -> Term:
-    """Replace several free variables in one pass over the term."""
+    """Replace several free variables in one pass over the term.
+
+    A subterm in which none of the names occurs is returned as it is.
+    """
     if not bindings:
         return t
     table = {}
@@ -241,8 +246,10 @@ def subst_simultaneous(t: Term, bindings: Sequence[tuple[str, Term]]) -> Term:
         table[name] = value
 
     def go(t: Term, depth: int) -> Term:
+        if t.fv.isdisjoint(table):  # free_vars below filled every subterm
+            return t
         match t:
-            case Free(n) if n in table:
+            case Free(n):
                 return lift(table[n], 0, depth)
             case App(f, a):
                 return App(go(f, depth), go(a, depth))
@@ -250,22 +257,55 @@ def subst_simultaneous(t: Term, bindings: Sequence[tuple[str, Term]]) -> Term:
                 return Abs(go(d, depth), go(b, depth + 1))
             case Prod(d, b):
                 return Prod(go(d, depth), go(b, depth + 1))
-            case _:
-                return t
 
+    free_vars(t)
     return go(t, 0)
 
 
-def free_vars(t: Term) -> set[str]:
-    match t:
-        case Free(n):
-            return {n}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Abs(d, b) | Prod(d, b):
-            return free_vars(d) | free_vars(b)
-        case _:
-            return set()
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    """The names of the free variables of `t`.
+
+    The set is computed once per interned node and kept on it, so later
+    calls on the node or on any of its subterms are a lookup.  It is
+    shared with every caller (and often with a subterm), hence a
+    `frozenset`: build a new set rather than mutate it.
+    """
+    try:
+        return t.fv
+    except AttributeError:
+        pass
+    # fill the uncached nodes bottom-up; a stack, not recursion, since
+    # terms may be deep
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if getattr(node, "fv", None) is not None:
+            continue  # pushed twice, as the child of two parents
+        kind = type(node)
+        if kind is App:
+            left, right = node.fun, node.arg
+        elif kind is Abs or kind is Prod:
+            left, right = node.domain, node.body
+        else:
+            fv = frozenset((node.name,)) if kind is Free else _NO_NAMES
+            object.__setattr__(node, "fv", fv)
+            continue
+        a = getattr(left, "fv", None)
+        b = getattr(right, "fv", None)
+        if a is None or b is None:
+            stack.append(node)
+            if a is None:
+                stack.append(left)
+            if b is None:
+                stack.append(right)
+            continue
+        # reuse a child's set when it already is the union
+        fv = a if b <= a else b if a <= b else a | b
+        object.__setattr__(node, "fv", fv)
+    return t.fv
 
 
 def is_closed(t: Term) -> bool:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from harness import DEMO_REJECTS
 from pedacc import cli
 from pedacc.cli import main
 from pedacc.kernel import (
@@ -14,8 +15,8 @@ from pedacc.kernel import (
     Motivation,
     SystemMode,
     check_motivated_env,
-    derivation_to_dict,
     verify_derivation,
+    write_certificate,
 )
 from pedacc.surface import CheckCmd, elaborate, parse, parse_term
 
@@ -137,21 +138,28 @@ def test_certificates_are_written_in_compact_json(tmp_path, capsys, demo, system
 def test_every_certified_derivation_passes_the_auditor(tmp_path, capsys,
                                                        monkeypatch, demo, system):
     made = []
+    calls = []
 
-    def recording(d, render):
-        made.append(d)
-        return derivation_to_dict(d, render)
+    def recording(fh, derivations, render):
+        made.extend(derivations)
+        calls.append(len(made))
+        write_certificate(fh, made, render)
 
-    monkeypatch.setattr(cli, "derivation_to_dict", recording)
-    main(["check", str(DEMOS / demo), "--system", system,
-          "--emit-derivation", str(tmp_path / "c.json")])
+    monkeypatch.setattr(cli, "write_certificate", recording)
+    rc = main(["check", str(DEMOS / demo), "--system", system,
+               "--emit-derivation", str(tmp_path / "c.json")])
     capsys.readouterr()
+    # every accepted run writes its certificate through the writer
+    assert rc == (1 if (demo, system) in DEMO_REJECTS else 0)
+    assert len(calls) == (rc == 0)
     # a naivep file with no check line certifies its motivation cascade,
-    # which is a cc derivation
-    _, cmds = elaborate(parse((DEMOS / demo).read_text(encoding="utf-8")))
+    # which is a cc derivation per assumption: none when nothing is
+    # assumed; every other accepted run certifies at least one
+    env, cmds = elaborate(parse((DEMOS / demo).read_text(encoding="utf-8")))
     want = system
     if system == "naivep" and not any(isinstance(c, CheckCmd) for c in cmds):
         want = "cc"
+    assert bool(made) == (rc == 0 and (want == system or bool(env.entries)))
     for d in made:
         assert d.mode.value == want
         assert verify_derivation(d) == []
@@ -326,6 +334,22 @@ def test_an_exit_two_overwrites_the_certificate_of_an_earlier_run(tmp_path, caps
     # a source that cannot be read is what is reported, not the certificate
     assert main(["check", missing, "--emit-derivation", "/nonexistent/dir/c.json"]) == 2
     assert capsys.readouterr().err == f"pedacc: {message}\n"
+
+
+def test_a_term_nested_too_deeply_overwrites_the_certificate_of_an_earlier_run(
+        tmp_path, capsys):
+    cert = tmp_path / "c.json"
+    assert main(["check", PRELUDE, "--emit-derivation", str(cert)]) == 0
+    capsys.readouterr()
+    src = _write(tmp_path, "deep.ped", "check " + "(" * 60_000 + "Prop" + ")" * 60_000)
+    assert main(["check", src, "--emit-derivation", str(cert)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pedacc: term nests too deeply: ")
+    assert err.count("\n") == 1
+    assert json.loads(cert.read_text(encoding="utf-8")) == {
+        "status": "error",
+        "diagnostic": {"rule": "depth", "message": err[len("pedacc: "):-1],
+                       "position": []}}
 
 
 def test_certificates_are_ascii_and_read_back_non_ascii_names(tmp_path, capsys):
@@ -572,7 +596,7 @@ def test_a_term_that_keeps_contracting_runs_out_of_fuel(tmp_path, capsys, verb):
 
 
 def test_a_term_too_deep_for_the_stack_gets_one_line(tmp_path, capsys):
-    f = _write(tmp_path, "deep.ped", "eval plus 100000 1")
+    f = _write(tmp_path, "deep.ped", "eval " + "(" * 60_000 + "zero" + ")" * 60_000)
     assert main(["eval", f]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

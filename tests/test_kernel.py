@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from harness import naive_p_examples
-from pedacc import kernel
+from harness import DEMO_REJECTS, naive_p_examples
+from pedacc import cli, kernel
 from pedacc.kernel import (
     Checker,
     Derivation,
@@ -20,12 +22,12 @@ from pedacc.kernel import (
     check_type,
     check_wf,
     contract_derivation,
-    derivation_to_dict,
     infer_type,
     iter_nodes,
     relabel_restricted_products,
     verify_derivation,
     verify_derivations,
+    write_certificate,
 )
 from pedacc.prelude import (
     bot_type,
@@ -52,6 +54,8 @@ from pedacc.terms import (
     env_of,
     subst_simultaneous,
 )
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 CC = SystemMode.CC
 CCR = SystemMode.CCR
@@ -422,9 +426,15 @@ def test_contract_derivation_prints_each_judgment_once(oracle):
     assert len(lines) > len(GOLDEN_RULES)
 
 
-def test_derivation_to_dict_is_a_postordered_node_table(oracle):
+def _certificate(derivations, render=render_term) -> str:
+    fh = io.StringIO()
+    write_certificate(fh, derivations, render)
+    return fh.getvalue()
+
+
+def test_certificate_is_a_postordered_node_table(oracle):
     d = check_type(Environment(), id_term, top_type, CCR, oracle)
-    table = derivation_to_dict(d, render_term)
+    (table,) = json.loads(_certificate([d]))["derivations"]
     nodes = table["nodes"]
     assert table["root"] == len(nodes) - 1
     for i, node in enumerate(nodes):
@@ -466,43 +476,94 @@ def _plain_table(d: Derivation, render) -> dict:
     return {"root": visit(d), "nodes": nodes}
 
 
+def _plain_certificate(derivations) -> str:
+    return json.dumps({"status": "ok",
+                       "derivations": [_plain_table(d, render_term)
+                                       for d in derivations]},
+                      separators=(",", ":")) + "\n"
+
+
 @pytest.mark.parametrize("mode", [CC, CCR, NAIVE])
-def test_derivation_to_dict_matches_the_plain_encoding(oracle, mode):
+def test_certificate_matches_the_plain_encoding(oracle, mode):
     motivation = Motivation(()) if mode is NAIVE else None
-    for name, term in prelude_corpus():
-        _, d = infer_type(Environment(), term, mode, oracle, motivation=motivation)
-        got = derivation_to_dict(d, render_term)
-        want = _plain_table(d, render_term)
-        # same keys in the same order, so the certificate bytes agree too
-        assert json.dumps(got) == json.dumps(want), name
+    derivations = [infer_type(Environment(), term, mode, oracle,
+                              motivation=motivation)[1]
+                   for _, term in prelude_corpus()]
+    # one certificate per derivation, and one for all of them, whose
+    # derivations share the call's rendered terms and environments
+    for d in derivations:
+        assert _certificate([d]) == _plain_certificate([d])
+    assert _certificate(derivations) == _plain_certificate(derivations)
 
 
-def test_derivation_to_dict_renders_each_distinct_term_once(oracle):
-    _, d = infer_type(Environment(), factorial, CCR, oracle)
+@pytest.mark.parametrize("demo, system", [
+    (demo, system)
+    for demo in sorted(p.name for p in DEMOS.glob("*.ped"))
+    for system in ("cc", "ccr", "naivep")
+    if (demo, system) not in DEMO_REJECTS
+])
+def test_demo_certificates_match_the_plain_encoding(tmp_path, capsys,
+                                                    monkeypatch, demo, system):
+    made = []
+
+    def recording(fh, derivations, render):
+        made.extend(derivations)
+        write_certificate(fh, made, render)
+
+    monkeypatch.setattr(cli, "write_certificate", recording)
+    cert = tmp_path / "c.json"
+    assert cli.main(["check", str(DEMOS / demo), "--system", system,
+                     "--emit-derivation", str(cert)]) == 0
+    capsys.readouterr()
+    assert cert.read_text(encoding="utf-8") == _plain_certificate(made)
+
+
+def _terms_and_envs(derivations) -> tuple[set, set]:
+    terms, envs = set(), set()
+    seen: set[int] = set()
+    for d in derivations:
+        for node in iter_nodes(d, seen):
+            envs.add(node.conclusion.env)
+            terms.update(e.ty for e in node.conclusion.env)
+            if isinstance(node.conclusion, HasType):
+                terms.update((node.conclusion.subject, node.conclusion.ty))
+            if node.witness is not None:
+                terms.add(node.witness)
+            if node.motivation is not None:
+                terms.update(t for _, t in node.motivation.assignments)
+    return terms, envs
+
+
+def test_certificate_renders_each_distinct_term_once(oracle):
+    derivations = [infer_type(Environment(), factorial, CCR, oracle)[1],
+                   infer_type(Environment(), times, CCR, oracle)[1]]
     calls: Counter = Counter()
 
     def counting_render(t):
         calls[t] += 1
         return render_term(t)
 
-    derivation_to_dict(d, counting_render)
-    terms = set()
-    for node in iter_nodes(d):
-        terms.update(e.ty for e in node.conclusion.env)
-        if isinstance(node.conclusion, HasType):
-            terms.update((node.conclusion.subject, node.conclusion.ty))
-        if node.witness is not None:
-            terms.add(node.witness)
+    _certificate(derivations, counting_render)
+    terms, _ = _terms_and_envs(derivations)
     assert set(calls) == terms
     assert max(calls.values()) == 1
 
 
-def test_derivation_to_dict_shares_env_entries(oracle):
-    _, d = infer_type(Environment(), factorial, CCR, oracle)
-    table = derivation_to_dict(d, render_term)
-    entry_dicts = {id(e) for n in table["nodes"] for e in n["conclusion"]["env"]}
-    env_entries = {id(e) for n in iter_nodes(d) for e in n.conclusion.env}
-    assert len(entry_dicts) == len(env_entries)
+def test_certificate_encodes_each_environment_once(monkeypatch, oracle):
+    derivations = [infer_type(Environment(), factorial, CCR, oracle)[1],
+                   infer_type(Environment(), times, CCR, oracle)[1]]
+    calls: Counter = Counter()
+    encode = kernel._env_json
+
+    def counting_env_json(env, string):
+        calls[env] += 1
+        return encode(env, string)
+
+    monkeypatch.setattr(kernel, "_env_json", counting_env_json)
+    _certificate(derivations)
+    _, envs = _terms_and_envs(derivations)
+    assert set(calls) == envs
+    assert max(calls.values()) == 1
 
 
 def test_motivation_helpers():

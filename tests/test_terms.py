@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import random
+import sys
 import weakref
 
 import pytest
@@ -165,6 +167,82 @@ def test_free_vars_and_closedness():
     assert not is_closed(t)
     # closedness is about names; dangling indices are a kernel error instead
     assert is_closed(Abs(PROP, Bound(0)))
+
+
+def _random_term(rng: random.Random, size: int):
+    """A term over the names a, b, c, with bound indices that may dangle."""
+    if size <= 1:
+        return rng.choice([PROP, TYPE, Bound(0), Bound(1), Free("a"), Free("b"),
+                           Free("c")])
+    left = rng.randint(1, size - 1)
+    kind = rng.choice([App, Abs, Prod])
+    return kind(_random_term(rng, left), _random_term(rng, size - left))
+
+
+def _names(t) -> set[str]:
+    """Free names by a plain walk, with nothing cached."""
+    match t:
+        case Free(n):
+            return {n}
+        case App(f, a):
+            return _names(f) | _names(a)
+        case Abs(d, b) | Prod(d, b):
+            return _names(d) | _names(b)
+        case _:
+            return set()
+
+
+def _subst_names(t, table: dict, depth: int = 0):
+    """`subst_simultaneous` by a plain walk that visits every node."""
+    match t:
+        case Free(n) if n in table:
+            return lift(table[n], 0, depth)
+        case App(f, a):
+            return App(_subst_names(f, table, depth), _subst_names(a, table, depth))
+        case Abs(d, b):
+            return Abs(_subst_names(d, table, depth), _subst_names(b, table, depth + 1))
+        case Prod(d, b):
+            return Prod(_subst_names(d, table, depth), _subst_names(b, table, depth + 1))
+        case _:
+            return t
+
+
+def test_free_vars_are_computed_once_per_node_and_shared():
+    t = Abs(PROP, App(Free("f"), Bound(0)))
+    got = free_vars(t)
+    assert isinstance(got, frozenset)
+    assert free_vars(t) is got
+    # a node whose free names are one child's shares that child's set
+    assert free_vars(App(Free("f"), PROP)) is free_vars(Free("f"))
+    # closed terms share one empty set
+    assert free_vars(PROP) is free_vars(Abs(PROP, Bound(0))) is free_vars(Bound(3))
+
+
+def test_free_vars_and_is_closed_agree_with_an_uncached_walk():
+    rng = random.Random(17)
+    for _ in range(300):
+        t = _random_term(rng, rng.randint(1, 30))
+        assert free_vars(t) == _names(t)
+        assert is_closed(t) == (not _names(t))
+
+
+def test_subst_simultaneous_agrees_with_a_walk_over_every_node():
+    rng = random.Random(23)
+    for _ in range(300):
+        t = _random_term(rng, rng.randint(1, 30))
+        u = _random_term(rng, rng.randint(1, 6))
+        # a term without the substituted names comes back as it is
+        assert subst_simultaneous(t, [("absent", u)]) is t
+        bindings = [("a", u), ("c", Free("b"))]
+        assert subst_simultaneous(t, bindings) == _subst_names(t, dict(bindings))
+
+
+def test_free_vars_of_a_term_deeper_than_the_recursion_limit():
+    t = Free("z")
+    for _ in range(sys.getrecursionlimit() + 1000):
+        t = App(Free("f"), t)
+    assert free_vars(t) == {"f", "z"}
+    assert not is_closed(t)
 
 
 def test_fresh_name_avoids_taken():
