@@ -10,13 +10,22 @@ the earlier motivation terms.
 
 The checker is syntax-directed, and derives each judgment once: a product,
 whether met as a term or as the type of an abstraction, is formed by one
-memoized step.  Inferred types and restricted-product witnesses are kept in
-normal form, save an abstraction's body taken as written when its normal
-form cannot be checked, as when the fuel runs out (see
-`Checker._find_witness`); conversion nodes appear only where an inferred
-type is normalized or an application argument is adjusted to the
-function's domain.  Every result is a full `Derivation` tree that can
-be re-checked node by node with `verify_derivation`.
+memoized step.  In ``cc`` and ``ccr`` an application, abstraction or
+product is derived in the shortest prefix of its environment that binds
+its free names (and its hint's), and cited in any longer environment by
+one ``weak`` step, whose premises are that derivation and the longer
+environment's well-formedness: thinning holds in every PTS, and in CC_r
+too, since a longer environment loses no witness.  So a subterm met under
+many binders is derived once.  The witness search is the one step that
+reads hypotheses a term does not name; a product with no witness in the
+prefix is formed in the whole environment instead.  Inferred types and
+restricted-product witnesses are kept in normal form, save an
+abstraction's body taken as written when its normal form cannot be
+checked, as when the fuel runs out (see `Checker._find_witness`);
+conversion nodes appear only where an inferred type is normalized or an
+application argument is adjusted to the function's domain.  Every result
+is a full `Derivation` tree that can be re-checked node by node with
+`verify_derivation`.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .terms import (
     TYPE,
     Term,
     close_binder,
+    free_vars,
     fresh_name,
     is_closed,
     open_binder,
@@ -150,7 +160,15 @@ class Checker:
     context per environment, file or binder: that environment's
     well-formedness derivation, built from its parent's context by one
     ``env2`` step.  So one checker derives each environment and each
-    judgment once.  In ``naivep`` mode it keeps one ``cc`` checker for the
+    judgment once.  Outside ``naivep``, an application, abstraction or
+    product is inferred under the key of the shortest prefix of the
+    environment that binds the names of the term and its hint; a longer
+    environment caches one ``weak`` node citing that judgment.  Should the
+    prefix lack a witness for some product in the term (a ``prod_r``
+    failure), the term is inferred in the whole environment, whose extra
+    hypotheses the witness search may use; any other failure stands.  A
+    restricted product formed under two hints that find one witness is one
+    node.  In ``naivep`` mode it keeps one ``cc`` checker for the
     motivation cascades, so each motivation term is inferred once too.
 
     Failures are cached only for the judgment being checked: a
@@ -175,6 +193,7 @@ class Checker:
         self._cascade_memo: dict = {}
         self._cascade_checker: Checker | None = None
         self._nf: dict = {}  # normal forms, for this checker's lifetime
+        self._formed: dict = {}  # prod_r results by (environment, product, witness)
 
     # -- public entry points --------------------------------------------------
 
@@ -342,13 +361,38 @@ class Checker:
                 return cached
             raise CheckError(cached)
         try:
-            out = self._infer_raw(ctx, t, hint, pos)
+            out = None
+            if self.mode is not SystemMode.NAIVE and isinstance(t, (App, Abs, Prod)):
+                out = self._weakened(ctx, t, hint, pos)
+            if out is None:
+                out = self._infer_raw(ctx, t, hint, pos)
         except CheckError as e:
             self._memo[key] = e.diagnostic
             self._failed.append(key)
             raise
         self._memo[key] = out
         return out
+
+    def _weakened(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> _Inf | None:
+        """`t` inferred in the shortest prefix of `ctx`'s environment that
+        binds its free names and its hint's, and cited in `ctx` by one
+        ``weak`` step.  None when that prefix is the whole environment, or
+        when a product in `t` has no witness in it, since the hypotheses
+        past it may supply one."""
+        names = free_vars(t) if hint is None else free_vars(t) | free_vars(hint)
+        prefix = ctx.env
+        while prefix.parent is not None and prefix.last.name not in names:
+            prefix = prefix.parent
+        if prefix is ctx.env:
+            return None
+        try:
+            inf = self._infer(self.root_ctx(prefix), t, hint, pos)
+        except CheckError as e:
+            if e.diagnostic.rule != "prod_r":
+                raise
+            return None
+        node = Derivation("weak", HasType(ctx.env, t, inf.ty), (inf.d, ctx.wf), self.mode)
+        return _Inf(inf.ty, node)
 
     def _infer_raw(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> _Inf:
         mode = self.mode
@@ -407,6 +451,10 @@ class Checker:
                 if mode is SystemMode.CCR:
                     rule = "prod_r"
                     witness, d_w = self._find_witness(ctx2, body_open, hint, x, pos)
+                    # two hints that find one witness form one product
+                    formed = self._formed.get((ctx.env, t, witness))
+                    if formed is not None:
+                        return formed
                 b = self._infer(ctx2, body_open, witness, pos + (1,))
                 if b.ty not in _SORTS:
                     raise CheckError(
@@ -421,7 +469,10 @@ class Checker:
                     premises = (d_w, b.d)
                 node = Derivation(rule, HasType(ctx.env, t, b.ty), premises, mode,
                                   witness=witness)
-                return _Inf(b.ty, node)
+                out = _Inf(b.ty, node)
+                if witness is not None:
+                    self._formed[(ctx.env, t, witness)] = out
+                return out
 
             case App(f, a):
                 f_inf = self._infer(ctx, f, None, pos + (0,))
@@ -611,8 +662,8 @@ def check_motivated_env(
 # derivation auditing
 
 _RULES_BY_MODE = {
-    SystemMode.CC: {"env1", "env2", "ax", "var", "abs", "prod", "app", "conv"},
-    SystemMode.CCR: {"env1", "env2", "ax", "var", "abs", "prod_r", "app", "conv"},
+    SystemMode.CC: {"env1", "env2", "ax", "var", "abs", "prod", "app", "conv", "weak"},
+    SystemMode.CCR: {"env1", "env2", "ax", "var", "abs", "prod_r", "app", "conv", "weak"},
     SystemMode.NAIVE: {"p-ax", "p-var", "abs", "prod", "app", "conv"},
 }
 
@@ -743,6 +794,18 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 )
                 if not ok:
                     problems.append("conv premises do not match conclusion")
+            case "weak":
+                p, w = premise(0).conclusion, premise(1).conclusion
+                ok = (
+                    isinstance(c, HasType) and isinstance(p, HasType)
+                    and len(p.env) < len(c.env)
+                    and c.env.entries[:len(p.env)] == p.env.entries
+                    and p.subject == c.subject
+                    and p.ty == c.ty
+                    and isinstance(w, WellFormed) and w.env == c.env
+                )
+                if not ok:
+                    problems.append("weak premises do not match conclusion")
             case "p-ax" | "p-var":
                 if not isinstance(c, HasType):
                     problems.append(f"{d.rule} conclusion is not a typing judgment")
@@ -850,6 +913,7 @@ def relabel_restricted_products(d: Derivation,
 _SPINE_PREMISES = {
     "env1": (), "env2": (0,), "ax": (0,), "var": (0,),
     "abs": (0,), "prod": (0,), "prod_r": (0, 1), "app": (0, 1), "conv": (0,),
+    "weak": (0,),
 }
 
 

@@ -31,6 +31,7 @@ roundtrip is lossy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -416,6 +417,7 @@ def _uses_top(t: Term, depth: int = 0) -> bool:
     return False
 
 
+@functools.cache  # a run renders few distinct names, each many times
 def _sanitize(name: str) -> str:
     out = "".join(c if (c.isalnum() or c in "_'") else "_" for c in name)
     if not out or out[0].isdigit():

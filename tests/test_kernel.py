@@ -367,6 +367,104 @@ def test_a_judgment_inferred_under_two_hints_is_one_derivation(oracle, mode, ter
     assert checker._infer(ctx, term, Free("b"), ()).d is first.d
 
 
+# ---------------------------------------------------------------------------
+# weakening: each judgment is derived in the shortest environment that
+# binds its names, and cited further in by one weak node
+
+
+def test_a_term_is_derived_in_the_shortest_environment_that_binds_it(oracle):
+    a = Free("A")
+    env = env_of(("A", PROP), ("a", a), ("b", a))
+    for mode in (CC, CCR):
+        checker = Checker(mode, oracle)
+        _, d = checker.infer(env, Abs(a, Bound(0)))
+        assert d.rule == "weak" and verify_derivation(d) == []
+        thin, wf = (p.conclusion for p in d.premises)
+        assert thin.env == env_of(("A", PROP)) and wf == WellFormed(env)
+        assert (thin.subject, thin.ty) == (d.conclusion.subject, d.conclusion.ty)
+        # one derivation in the prefix serves every longer environment
+        _, d2 = checker.infer(env.parent, Abs(a, Bound(0)))
+        assert d2.rule == "weak" and d2.premises[0] is d.premises[0]
+        # sorts and variables keep their one step in their own environment
+        for term, rule in ((PROP, "ax"), (a, "var")):
+            _, d = checker.infer(env, term)
+            assert d.rule == rule and d.conclusion.env == env
+
+
+def test_the_naive_system_keeps_its_cascades(oracle):
+    env = env_of(("A", PROP), ("a", Free("A")))
+    sigma = Motivation((("A", top_type), ("a", id_term)))
+    _, d = infer_type(env, App(Abs(Free("A"), Bound(0)), Free("a")), NAIVE, oracle,
+                      motivation=sigma)
+    assert "weak" not in {n.rule for n in iter_nodes(d)}
+    assert verify_derivation(d) == []
+
+
+def test_restricted_factorial_is_a_small_derivation(oracle):
+    # every candidate witness under factorial's binders is derived once, in
+    # the environment its names need, not again under each binder around it
+    _, d = infer_type(Environment(), factorial, CCR, oracle)
+    assert sum(1 for _ in iter_nodes(d)) <= 400
+    assert verify_derivation(d) == []
+
+
+# A -> B names A and B only, but only b inhabits B
+_WITNESS_PAST_ITS_NAMES = """\
+assume A : Prop
+assume B : Prop
+assume b : B
+check A -> B : Prop
+"""
+
+
+def test_a_product_whose_witness_lies_past_its_names_is_formed_in_the_whole_environment(
+        tmp_path, capsys, oracle):
+    src = tmp_path / "f.ped"
+    src.write_text(_WITNESS_PAST_ITS_NAMES, encoding="utf-8")
+    cert = tmp_path / "c.json"
+    assert cli.main(["check", str(src), "--system", "ccr",
+                     "--emit-derivation", str(cert)]) == 0
+    capsys.readouterr()
+    assert json.loads(cert.read_text(encoding="utf-8"))["status"] == "ok"
+    env, cmds = elaborate(parse(_WITNESS_PAST_ITS_NAMES))
+    check = cmds[-1]
+    # the binding prefix [A, B] has no witness, so the product is formed
+    # in the whole environment, with b
+    assert check_type(env.parent, check.subject, check.expected, CCR, oracle).rule == "prod_r"
+    d = check_type(env, check.subject, check.expected, CCR, oracle)
+    assert isinstance(d, Derivation) and verify_derivation(d) == []
+    assert (d.rule, d.conclusion.env, d.witness) == ("prod_r", env, Free("b"))
+
+
+def test_verify_derivation_flags_forged_weak_nodes(oracle):
+    a = Free("A")
+    env = env_of(("A", PROP), ("a", a), ("b", a))
+    term = Abs(a, Bound(0))
+    checker = Checker(CCR, oracle)
+    _, d = checker.infer(env, term)
+    assert d.rule == "weak" and verify_derivation(d) == []
+    thin, wf = d.premises
+    c, prefix = d.conclusion, thin.conclusion.env
+    _, elsewhere = checker.infer(env_of(("A", PROP), ("b", a)), term)
+    _, in_cc = Checker(CC).infer(prefix, term)
+    whole = dataclasses.replace(thin, conclusion=dataclasses.replace(thin.conclusion, env=env))
+    mismatch = "weak premises do not match conclusion"
+    mutants = [
+        (dataclasses.replace(d, premises=(elsewhere, wf)), mismatch),  # not a prefix
+        (dataclasses.replace(d, premises=(whole, wf)), mismatch),  # not a proper one
+        (dataclasses.replace(d, conclusion=dataclasses.replace(c, subject=Abs(a, Free("a")))),
+         mismatch),
+        (dataclasses.replace(d, conclusion=dataclasses.replace(c, ty=arrow(a, PROP))),
+         mismatch),
+        (dataclasses.replace(d, premises=(thin, checker.root_ctx(prefix).wf)), mismatch),
+        (dataclasses.replace(d, mode=NAIVE), "rule weak not part of mode naivep"),
+        (dataclasses.replace(d, premises=(in_cc, wf)),
+         f"{in_cc.rule} node of mode cc inside a ccr derivation"),
+    ]
+    for mutant, problem in mutants:
+        assert problem in verify_derivation(mutant)
+
+
 def test_naive_names_an_unmotivated_binder_by_its_domain(oracle):
     # top's binder ranges over Prop; with no oracle nothing motivates it
     got = check_motivated_env(env_of(("A", PROP)), Motivation((("A", top_type),)), NAIVE)

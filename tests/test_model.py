@@ -46,6 +46,10 @@ CC = SystemMode.CC
 CCR = SystemMode.CCR
 FUEL = DEFAULT_FUEL
 SEEDS = range(500)  # criterion 2's environments
+# and more for the soundness sweep: checking derives each judgment in the
+# shortest environment that binds it, so criterion 2's environments alone
+# hold too few distinct witnessed goals
+MORE_SEEDS = range(500, 1000)
 
 
 def _refuted(env: Environment, goal) -> bool:
@@ -146,7 +150,7 @@ def test_refute_never_refutes_a_checked_witness(oracle):
             checked.add((env, goal))
             assert refute(env, goal, FUEL, memo) is None, (env, goal)
 
-    for seed in SEEDS:
+    for seed in (*SEEDS, *MORE_SEEDS):
         env, wf = gen_ccr_env(seed, 5)
         # witnesses of the restricted formations: by hints and search hits
         for goal_env, goal in _witnessed_goals(wf):
