@@ -100,7 +100,7 @@ def _search(env: Environment, goal: Term, depth: int, fuel: int,
     if isinstance(goal, Prod):
         if intros >= _MAX_INTROS:
             return None
-        x = fresh_name(set(env.names()) | free_vars(goal))
+        x = fresh_name(set(env.names()) | free_vars(goal), goal.domain)
         sub = _search(env.extended(x, goal.domain), open_binder(goal.body, x),
                       depth, fuel, budget, memo, intros + 1)
         if sub is None:
@@ -212,7 +212,7 @@ class SearchOracle:
             return "no witness inhabits the body"
         if valuation is None:
             return f"search exhausted (depth {self.depth}, {DEFAULT_SEARCH_BUDGET} nodes)"
-        shown = ", ".join(f"{render_term(Free(name))} := {v}"
+        shown = ", ".join(f"{name} := {v}"
                           for name, v in valuation if isinstance(v, int))
         return f"no witness exists ({shown})" if shown else "no witness exists"
 

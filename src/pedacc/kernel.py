@@ -428,7 +428,7 @@ class Checker:
 
             case Abs(domain, body):
                 self._check_is_type(ctx, domain, None, pos + (0,))
-                x = fresh_name(ctx.env.names())
+                x = fresh_name(set(ctx.env.names()) | free_vars(body), domain)
                 ctx2 = self._extend(ctx, x, domain, pos)
                 body_open = open_binder(body, x)
                 b = self._infer(ctx2, body_open, None, pos + (1,))
@@ -444,7 +444,7 @@ class Checker:
 
             case Prod(domain, body):
                 self._check_is_type(ctx, domain, None, pos + (0,))
-                x = fresh_name(ctx.env.names())
+                x = fresh_name(set(ctx.env.names()) | free_vars(body), domain)
                 ctx2 = self._extend(ctx, x, domain, pos)
                 body_open = open_binder(body, x)
                 rule, witness = "prod", None
@@ -724,6 +724,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     ok = (
                         p0.env.entries[:-1] == c.env.entries
                         and p0.env.entries[-1].ty == c.subject.domain
+                        and x not in free_vars(c.subject.body)
                         and c.ty.domain == c.subject.domain
                         and p0.subject == open_binder(c.subject.body, x)
                         and p0.ty == open_binder(c.ty.body, x)
@@ -743,6 +744,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     ok = (
                         p.env.entries[:-1] == c.env.entries
                         and p.env.entries[-1].ty == c.subject.domain
+                        and x not in free_vars(c.subject.body)
                         and p.subject == open_binder(c.subject.body, x)
                         and p.ty == c.ty
                     )
@@ -759,6 +761,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     ok = (
                         pb.env.entries[:-1] == c.env.entries
                         and pb.env.entries[-1].ty == c.subject.domain
+                        and x not in free_vars(c.subject.body)
                         and pb.subject == open_binder(c.subject.body, x)
                         and pb.ty == c.ty
                         and pw.env == pb.env

@@ -216,7 +216,7 @@ def rec(t: SimpleType, n: Term, base: Term, step_body: Term) -> Term:
     so the counter tracks the recursion depth and the accumulator folds
     the step.  n, base, step_body must carry no other dangling indices.
     """
-    z = fresh_name(free_vars(n) | free_vars(base) | free_vars(step_body), "z")
+    z = fresh_name(free_vars(n) | free_vars(base) | free_vars(step_body), pair_type(t))
     zf = Free(z)
     prev_n = proj1(t, zf)
     prev_u = proj2(t, zf)
@@ -243,19 +243,18 @@ times: Term = Abs(
 )
 
 
-def _close1(domain: Term, body_of: Callable[[Term], Term], base: str) -> Term:
-    name = fresh_name(set(), base)
+def _close1(domain: Term, body_of: Callable[[Term], Term]) -> Term:
+    name = fresh_name((), domain)
     return Abs(domain, close_binder(body_of(Free(name)), name))
 
 
 #: predecessor, by recursion with step (x, y) -> x
-pred: Term = _close1(nat_type, lambda n: rec(NAT, n, zero, Bound(1)), "n")
+pred: Term = _close1(nat_type, lambda n: rec(NAT, n, zero, Bound(1)))
 
 #: factorial, by recursion with step (x, y) -> times (succ x) y
 factorial: Term = _close1(
     nat_type,
     lambda n: rec(NAT, n, numeral(1), apps(times, App(succ, Bound(1)), Bound(0))),
-    "n",
 )
 
 #: fun T : Prop => fun n : nat => fun b : T => fun s : T -> T => n T b s
@@ -275,11 +274,14 @@ iter_term: Term = Abs(
 
 
 def _rec_term() -> Term:
-    n, b, s = Free("$n"), Free("$b"), Free("$s")
-    core = rec(NAT, n, b, apps(s, Bound(1), Bound(0)))
-    t = Abs(arrow(nat_type, arrow(nat_type, nat_type)), close_binder(core, "$s"))
-    t = Abs(nat_type, close_binder(t, "$b"))
-    return Abs(nat_type, close_binder(t, "$n"))
+    step_type = arrow(nat_type, arrow(nat_type, nat_type))
+    n = fresh_name((), nat_type)
+    b = fresh_name({n}, nat_type)
+    s = fresh_name({n, b}, step_type)
+    core = rec(NAT, Free(n), Free(b), apps(Free(s), Bound(1), Bound(0)))
+    t = Abs(step_type, close_binder(core, s))
+    t = Abs(nat_type, close_binder(t, b))
+    return Abs(nat_type, close_binder(t, n))
 
 
 #: the recursor at T = nat, as a single closed term

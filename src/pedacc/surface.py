@@ -22,16 +22,14 @@ parsing, so expression fields of declarations are ordinary kernel terms
 whose free variables are names still to be resolved by `elaborate`.
 
 The printer (`render`) is the inverse: deterministic, with binder names
-drawn from fixed pools (types get A, B, C..., functions f, g, h...,
-other terms x, y, z...), so parsing its output recovers the original
-term up to indices.  Internal fresh names contain characters the lexer
-rejects; they are sanitized on output, which is the one place the
-roundtrip is lossy.
+drawn by `terms.fresh_name` from fixed pools (types get A, B, C...,
+functions f, g, h..., other terms x, y, z...), so parsing its output
+recovers the original term.  Free names print as they are: the kernel
+opens binders under those same pool names.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -66,6 +64,7 @@ from .terms import (
     TYPE,
     Term,
     free_vars,
+    fresh_name,
     subst_simultaneous,
 )
 
@@ -377,34 +376,8 @@ def parse_term(text: str) -> Term | Diagnostic:
 
 # --- printer ----------------------------------------------------------------
 
-_POOL_SORT = ("A", "B", "C", "D", "E", "F", "G", "H", "K", "L", "M", "N",
-              "P", "Q", "R", "S", "T", "U", "V", "W")
-_POOL_FUN = ("f", "g", "h", "k", "m", "p", "q", "r")
-_POOL_TERM = ("x", "y", "z", "u", "v", "w", "s", "t", "a", "b", "c", "d", "e")
-
 # precedence contexts, loosest to tightest
 _EXPR, _ARROW, _APP, _ATOM = 0, 1, 2, 3
-
-
-def _pick(pool: tuple[str, ...], avoid: set[str]) -> str:
-    for name in pool:
-        if name not in avoid:
-            return name
-    k = 1
-    while True:
-        for name in pool:
-            cand = f"{name}{k}"
-            if cand not in avoid:
-                return cand
-        k += 1
-
-
-def _pool_for(domain: Term) -> tuple[str, ...]:
-    if isinstance(domain, SortConst):
-        return _POOL_SORT
-    if isinstance(domain, Prod):
-        return _POOL_FUN
-    return _POOL_TERM
 
 
 def _uses_top(t: Term, depth: int = 0) -> bool:
@@ -417,16 +390,6 @@ def _uses_top(t: Term, depth: int = 0) -> bool:
     return False
 
 
-@functools.cache  # a run renders few distinct names, each many times
-def _sanitize(name: str) -> str:
-    out = "".join(c if (c.isalnum() or c in "_'") else "_" for c in name)
-    if not out or out[0].isdigit():
-        out = "_" + out
-    if out in _KEYWORDS:
-        out = out + "'"
-    return out
-
-
 def _wrap(s: str, have: int, want: int) -> str:
     return f"({s})" if have < want else s
 
@@ -434,8 +397,8 @@ def _wrap(s: str, have: int, want: int) -> str:
 def _render_term(t: Term, binders: list[str], scope: set[str], prec: int) -> str:
     """`binders` names the enclosing binders, innermost last ("->" for an
     arrow's); `scope` holds the names a new binder must avoid: the free
-    names, the keywords and the enclosing binders' names.  Both grow on
-    entering a binder and are restored on leaving it."""
+    names and the enclosing binders' names.  Both grow on entering a
+    binder and are restored on leaving it."""
     if isinstance(t, SortConst):
         return t.sort.value
     if isinstance(t, Bound):
@@ -443,7 +406,7 @@ def _render_term(t: Term, binders: list[str], scope: set[str], prec: int) -> str
             return binders[-1 - t.index]
         return f"?{t.index - len(binders)}"
     if isinstance(t, Free):
-        return _sanitize(t.name)
+        return t.name
     if isinstance(t, App):
         f = _render_term(t.fun, binders, scope, _APP)
         a = _render_term(t.arg, binders, scope, _ATOM)
@@ -455,10 +418,10 @@ def _render_term(t: Term, binders: list[str], scope: set[str], prec: int) -> str
         binders.pop()
         return _wrap(f"{dom} -> {body}", _ARROW, prec)
     if isinstance(t, (Abs, Prod)):
-        name = _pick(_pool_for(t.domain), scope)
+        name = fresh_name(scope, t.domain)
         dom = _render_term(t.domain, binders, scope, _ARROW)
         binders.append(name)
-        scope.add(name)  # _pick chose a name not in scope, so remove restores it
+        scope.add(name)  # a name not in scope, so remove restores it
         body = _render_term(t.body, binders, scope, _EXPR)
         scope.remove(name)
         binders.pop()
@@ -470,9 +433,7 @@ def _render_term(t: Term, binders: list[str], scope: set[str], prec: int) -> str
 
 def render_term(t: Term) -> str:
     """Deterministic concrete syntax for a kernel term."""
-    scope = {_sanitize(n) for n in free_vars(t)}
-    scope.update(_KEYWORDS)
-    return _render_term(t, [], scope, _EXPR)
+    return _render_term(t, [], set(free_vars(t)), _EXPR)
 
 
 def render(obj: Term | SourceDecl) -> str:
@@ -505,44 +466,23 @@ def render_judgment(j: Judgment,
                     envs: dict | None = None) -> str:
     """One-line concrete form of a judgment; `render` prints its terms.
 
-    Kernel-fresh hypothesis names (from opening binders) are renamed to
-    pool names, deterministically, so displayed derivations read like
-    hand-written ones.  A caller printing many judgments can pass a
-    memoized `render_term`: the renamed terms are built afresh on each
-    call, so such a memo must be keyed on the term, not on its identity.
-    It can also pass one `envs` dict for all of them, in which the
-    printed environment and its renames are kept per (interned)
-    `Environment`, so judgments in one environment build them once.
+    A caller printing many judgments can pass a memoized `render_term`,
+    and one `envs` dict for all of them, in which the printed environment
+    is kept per (interned) `Environment`, so judgments in one environment
+    build it once.
     """
     if envs is None:
         envs = {}
-    got = envs.get(j.env)
-    if got is None:
-        got = envs[j.env] = _render_env(j.env, render)
-    env_s, renames = got
+    env_s = envs.get(j.env)
+    if env_s is None:
+        env_s = envs[j.env] = _render_env(j.env, render)
     if isinstance(j, WellFormed):
         return f"wf {env_s}"
-    subject = subst_simultaneous(j.subject, renames)
-    ty = subst_simultaneous(j.ty, renames)
-    return f"{env_s} |- {render(subject)} : {render(ty)}"
+    return f"{env_s} |- {render(j.subject)} : {render(j.ty)}"
 
 
-def _render_env(env: Environment, render: Callable[[Term], str],
-                ) -> tuple[str, list[tuple[str, Term]]]:
-    """The printed form of `env` and the renames of its fresh names."""
-    renames: list[tuple[str, Term]] = []
-    taken: set[str] = set(_KEYWORDS)
-    shown: list[str] = []
-    for entry in env:
-        ty = subst_simultaneous(entry.ty, renames)
-        if entry.name.startswith("$"):
-            new = _pick(_pool_for(ty), taken)
-            renames.append((entry.name, Free(new)))
-        else:
-            new = _sanitize(entry.name)
-        taken.add(new)
-        shown.append(f"{new} : {render(ty)}")
-    return "[" + ", ".join(shown) + "]", renames
+def _render_env(env: Environment, render: Callable[[Term], str]) -> str:
+    return "[" + ", ".join([f"{e.name} : {render(e.ty)}" for e in env]) + "]"
 
 
 def render_diagnostic(d: Diagnostic) -> str:

@@ -2,7 +2,11 @@
 
 Bound variables are De Bruijn indices counted from the nearest enclosing
 binder; variables introduced by an environment entry or by opening a
-binder are named ``Free`` references.
+binder are named ``Free`` references.  Whoever opens a binder (the
+kernel, the witness search, the prelude's builders) names it by
+`fresh_name`: the first name of the domain's pool that is neither in the
+environment nor free in the body.  The printer draws bound names from the
+same pools, so a hypothesis has one name wherever it is shown.
 
 Terms are hash-consed: a constructor returns the one live node with those
 fields, so equal terms are the same object, and ``==`` and ``hash`` are
@@ -16,7 +20,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Container, Iterable, Iterator, Sequence, Union
 
 
 class Sort(Enum):
@@ -163,10 +167,6 @@ Term = Union[SortConst, Bound, Free, App, Abs, Prod]
 
 PROP = SortConst(Sort.PROP)
 TYPE = SortConst(Sort.TYPE)
-
-# Machine-generated variable names start with this prefix; the surface
-# syntax rejects it, so generated names can never collide with user ones.
-FRESH_PREFIX = "$"
 
 
 def arrow(a: Term, b: Term) -> Term:
@@ -326,13 +326,29 @@ def close_binder(t: Term, name: str) -> Term:
     return subst_simultaneous(lift(t, 0, 1), [(name, Bound(0))])
 
 
-def fresh_name(taken: Iterable[str], base: str = "x") -> str:
-    """Deterministic fresh name avoiding `taken`, using the reserved prefix."""
-    used = set(taken)
-    k = 0
-    while f"{FRESH_PREFIX}{base}{k}" in used:
+# Name pools for opened binders: a sort domain gets a type name, a
+# product domain a function name, anything else a term name.  None is a
+# keyword of the surface syntax.
+_POOL_SORT = ("A", "B", "C", "D", "E", "F", "G", "H", "K", "L", "M", "N",
+              "P", "Q", "R", "S", "T", "U", "V", "W")
+_POOL_FUN = ("f", "g", "h", "k", "m", "p", "q", "r")
+_POOL_TERM = ("x", "y", "z", "u", "v", "w", "s", "t", "a", "b", "c", "d", "e")
+
+
+def fresh_name(taken: Container[str], domain: Term) -> str:
+    """The first name not in `taken` from the pool for a binder of
+    `domain`, then from that pool with 1, 2, ... appended."""
+    pool = (_POOL_SORT if isinstance(domain, SortConst)
+            else _POOL_FUN if isinstance(domain, Prod) else _POOL_TERM)
+    for name in pool:
+        if name not in taken:
+            return name
+    k = 1
+    while True:
+        for name in pool:
+            if f"{name}{k}" not in taken:
+                return f"{name}{k}"
         k += 1
-    return f"{FRESH_PREFIX}{base}{k}"
 
 
 # ---------------------------------------------------------------------------

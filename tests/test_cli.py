@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from pedacc.kernel import (
     write_certificate,
 )
 from pedacc.surface import CheckCmd, elaborate, parse, parse_term
+from pedacc.terms import free_vars
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PRELUDE = str(DEMOS / "prelude.ped")
@@ -228,6 +230,36 @@ def test_certificates_hold_each_context_and_variable_once(tmp_path, capsys,
                 if counts[digest] > 1] == []
 
 
+@pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.ped")))
+def test_certificates_parse_back(tmp_path, capsys, demo, system):
+    # every term of a certificate parses, under the names its environment
+    # gives: a witness under its premise's, which opens the product's binder
+    cert = tmp_path / "c.json"
+    main(["check", str(DEMOS / demo), "--system", system,
+          "--emit-derivation", str(cert)])
+    capsys.readouterr()
+
+    def free_names(text):
+        t = parse_term(text)
+        assert not isinstance(t, Diagnostic), (text, t)
+        return free_vars(t)
+
+    for tree in json.loads(cert.read_text(encoding="utf-8")).get("derivations", []):
+        nodes = tree["nodes"]
+        for node in nodes:
+            c = node["conclusion"]
+            names = [e["name"] for e in c["env"]]
+            texts = [e["type"] for e in c["env"]] + [c.get("term"), c.get("type")]
+            for text in filter(None, texts):
+                assert free_names(text) <= set(names), text
+            if "witness" in node:
+                opened = nodes[node["premises"][0]]["conclusion"]["env"]
+                assert free_names(node["witness"]) <= {e["name"] for e in opened}
+            for m in node.get("motivation", []):
+                assert free_names(m["term"]) == set()
+
+
 # an environment whose motivation needs a witness for a binder's domain
 # that the cascade, a cc derivation, never asks for
 _MOTIVATED_IDENTITY = """\
@@ -385,8 +417,8 @@ def test_zero_budgets_are_accepted(capsys):
                  "--search-depth", "0"]) == 0
 
 
-# the printed derivation of `check id : top`, whose hypotheses are fresh
-# names opened from binders and shown under pool names
+# the printed derivation of `check id : top`, whose hypotheses are opened
+# from binders under pool names
 _ID_TOP_LINES = {
     "cc": [
         "env1        wf []",
@@ -431,11 +463,14 @@ def test_printed_derivation_names_fresh_hypotheses(tmp_path, capsys, system):
     cert = tmp_path / "d.json"
     assert main(["check", src, "--system", system,
                  "--emit-derivation", str(cert)]) == 0
-    assert capsys.readouterr().out.splitlines() == _ID_TOP_LINES[system]
-    # the kernel's own names for those hypotheses are fresh ones
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == _ID_TOP_LINES[system]
+    # the certificate names the hypotheses as the printed lines do
+    shown = {name for line in lines
+             for name in re.findall(r"(?:\[|, )(\w+) : ", line.split("|-")[0])}
     (tree,) = json.loads(cert.read_text())["derivations"]
     names = {e["name"] for n in tree["nodes"] for e in n["conclusion"]["env"]}
-    assert names and all(name.startswith("$") for name in names)
+    assert names == shown == {"A", "x"}
 
 
 def test_naive_check_uses_file_motivations(tmp_path, capsys):

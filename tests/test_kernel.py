@@ -94,6 +94,31 @@ def test_unbound_variable_is_reported():
     assert "ghost" in res.message
 
 
+@pytest.mark.parametrize("mode", [CC, CCR, NAIVE])
+@pytest.mark.parametrize("name", ["$x0", "x", "A"])
+def test_an_unbound_name_is_never_captured(oracle, mode, name):
+    # the binder is opened at a name that is not free in its body
+    res = infer_type(Environment(), Abs(PROP, Free(name)), mode, oracle)
+    assert isinstance(res, Diagnostic)
+    assert (res.rule, res.message) == ("var", f"unbound variable {name}")
+
+
+@pytest.mark.parametrize("rule", ["abs", "prod"])
+def test_verify_derivation_flags_a_binder_opened_at_a_free_name(rule):
+    # `fun _ : Prop => x` (or `forall`) in [], its binder opened as x: the
+    # premise [x : Prop] |- x : Prop then reads the free x as the binder
+    opened = env_of(("x", PROP))
+    _, body = infer_type(opened, Free("x"), CC)
+    _, sort = infer_type(opened, PROP, CC)
+    if rule == "abs":
+        c = HasType(Environment(), Abs(PROP, Free("x")), arrow(PROP, PROP))
+        mutant, problem = Derivation(rule, c, (body, sort), CC), "abs premises do"
+    else:
+        c = HasType(Environment(), Prod(PROP, Free("x")), PROP)
+        mutant, problem = Derivation(rule, c, (body,), CC), "prod premise does"
+    assert verify_derivation(mutant) == [f"{problem} not match conclusion"]
+
+
 def test_dangling_index_is_reported():
     res = infer_type(Environment(), Bound(3), CC)
     assert isinstance(res, Diagnostic)
@@ -213,7 +238,7 @@ def test_prod_r_witnesses_are_stored_in_normal_form(oracle):
     d = check_wf(env, CCR, oracle)
     outer = [n for n in iter_nodes(d)
              if n.rule == "prod_r" and n.conclusion.subject == env.entries[0].ty]
-    assert [render_term(n.witness) for n in outer] == ["fun x : _x0 => x"]
+    assert [render_term(n.witness) for n in outer] == ["fun x : A => x"]
     assert verify_derivation(d) == []
     # so are those of the products that type abstractions, whose bodies
     # the corpus often writes as redexes

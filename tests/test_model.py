@@ -204,7 +204,7 @@ class _RecordingOracle(SearchOracle):
 
 @pytest.mark.parametrize("label, refuted, reason", [
     ("composition-goal", True, "no witness exists (A := 1, B := 0)"),
-    ("absurd-hypothesis", True, "no witness exists (_x0 := 0)"),
+    ("absurd-hypothesis", True, "no witness exists (A := 0)"),
     # the model identifies the proofs x and y, so it cannot tell them apart
     ("leibniz-hypothesis", False, "search exhausted (depth 8, 4000 nodes)"),
 ])

@@ -9,9 +9,9 @@ import weakref
 
 import pytest
 
-from pedacc import terms
+from pedacc import surface, terms
 from pedacc.reduction import normalize
-from pedacc.surface import elaborate, parse
+from pedacc.surface import elaborate, parse, parse_term
 from pedacc.terms import (
     PROP,
     TYPE,
@@ -246,9 +246,27 @@ def test_free_vars_of_a_term_deeper_than_the_recursion_limit():
 
 
 def test_fresh_name_avoids_taken():
-    got = fresh_name({"$x0", "$x1"}, "x")
-    assert got.startswith("$x")
-    assert got not in {"$x0", "$x1"}
+    # the pool follows the domain's shape: a sort, a product, anything else
+    assert [fresh_name((), d) for d in (PROP, TYPE, arrow(PROP, PROP), Free("A"))] \
+        == ["A", "A", "f", "x"]
+    assert fresh_name({"x", "y"}, Free("A")) == "z"
+    # a fully taken pool starts over with a suffix
+    for pool, domain in ((terms._POOL_SORT, PROP), (terms._POOL_FUN, arrow(PROP, PROP)),
+                         (terms._POOL_TERM, Free("A"))):
+        assert fresh_name(set(pool), domain) == f"{pool[0]}1"
+        assert fresh_name(set(pool) | {f"{pool[0]}1"}, domain) == f"{pool[1]}1"
+        taken: set[str] = set()
+        for _ in range(3 * len(pool)):
+            got = fresh_name(taken, domain)
+            assert got not in taken
+            taken.add(got)
+        assert f"{pool[-1]}2" in taken
+
+
+def test_no_pool_name_is_a_keyword():
+    for name in terms._POOL_SORT + terms._POOL_FUN + terms._POOL_TERM:
+        assert name not in surface._KEYWORDS
+        assert parse_term(name) == Free(name)
 
 
 def test_subst_simultaneous_is_parallel():
