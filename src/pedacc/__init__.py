@@ -12,7 +12,6 @@ naturals, and a small surface language.
 
 from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
-    MotivationResult,
     SearchOracle,
     inhabit_search,
     make_search_oracle,

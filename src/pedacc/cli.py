@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 from dataclasses import replace
 
@@ -67,9 +66,6 @@ _MODES = {"cc": SystemMode.CC, "ccr": SystemMode.CCR, "naivep": SystemMode.NAIVE
 # Deep terms produce deep recursion in the checker and the printer.
 sys.setrecursionlimit(100000)
 
-# json.dumps(obj, separators=(",", ":")), without building an encoder per call
-_compact = json.JSONEncoder(separators=(",", ":")).encode
-
 
 class _UsageError(Exception):
     """Exit 2 with `message`; `diagnostic` is what a certificate records."""
@@ -77,15 +73,6 @@ class _UsageError(Exception):
     def __init__(self, message: str, diagnostic: Diagnostic | None = None):
         super().__init__(message)
         self.diagnostic = diagnostic or Diagnostic("usage", message)
-
-
-def _error_payload(d: Diagnostic) -> dict:
-    out = {"rule": d.rule, "message": d.message, "position": list(d.position)}
-    if d.expected is not None:
-        out["expected"] = render_term(d.expected)
-    if d.found is not None:
-        out["found"] = render_term(d.found)
-    return {"status": "error", "diagnostic": out}
 
 
 def _load(path: str):
@@ -114,19 +101,16 @@ def _file_motivation(env: Environment, cmds) -> Motivation:
 
 
 def _emit(path: str | None, result: list[Derivation] | Diagnostic,
-          render=render_term) -> None:
-    """Write the certificate of `result` to `path` (if given) as compact
-    ASCII JSON plus a final newline: the derivations, node by node (see
-    `write_certificate`), or the diagnostic.  ``python -m json.tool``
+          render=None) -> None:
+    """Write the certificate of `result` to `path` (if given): the
+    derivations or the diagnostic, as `write_certificate` writes them with
+    `render`, by default `render_term`.  ``python -m json.tool``
     pretty-prints it."""
     if path is None:
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            if isinstance(result, Diagnostic):
-                fh.write(_compact(_error_payload(result)) + "\n")
-            else:
-                write_certificate(fh, result, render)
+            write_certificate(fh, result, render or render_term)
     except OSError as e:
         raise _UsageError(f"cannot write {path}: {e.strerror}")
 
@@ -175,8 +159,6 @@ def _cmd_check(args) -> int:
             else:
                 res = infer_type(env, cmd.subject, mode, oracle, args.fuel,
                                  motivation)
-                if not isinstance(res, Diagnostic):
-                    res = res[1]
             if isinstance(res, Diagnostic):
                 raise CheckError(res)
             derivations.append(res)
@@ -204,8 +186,8 @@ def _cmd_motivate(args) -> int:
     if isinstance(res, Diagnostic):
         print(render_diagnostic(res), file=sys.stderr)
         return 1
-    for name, witness in res.motivation.assignments:
-        print(f"{name} := {render_term(witness)}")
+    for entry, d in zip(env, res):
+        print(f"{entry.name} := {render_term(d.conclusion.subject)}")
     return 0
 
 
@@ -218,8 +200,8 @@ def _why_not_a_type(env: Environment, goal, fuel: int) -> str | None:
     res = infer_type(env, goal, SystemMode.CC, fuel=fuel)
     if isinstance(res, Diagnostic):
         return render_diagnostic(replace(res, expected=None, found=None))
-    if not isinstance(res[0], SortConst):
-        return f"error[sort]: its type is {render_term(res[0])}"
+    if not isinstance(res.conclusion.ty, SortConst):
+        return f"error[sort]: its type is {render_term(res.conclusion.ty)}"
     return None
 
 
@@ -240,8 +222,7 @@ def _cmd_inhabit(args) -> int:
             print(render_diagnostic(replace(found, found=None)), file=sys.stderr)
             failures += 1
         else:
-            term, _ = found
-            print(f"{render_term(term)} : {render_term(goal)}")
+            print(f"{render_term(found.conclusion.subject)} : {render_term(goal)}")
     return 1 if failures else 0
 
 

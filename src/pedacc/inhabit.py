@@ -24,20 +24,17 @@ witness exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kernel import (
     Checker,
     Derivation,
     Diagnostic,
     HasType,
-    Motivation,
     SystemMode,
     WitnessOracle,
     check_type,
     _diagnostic,
 )
-from .model import Valuation, refute
+from .model import Valuation, _is_kind, refute
 from .prelude import top_type
 from .reduction import DEFAULT_FUEL, FuelExhausted, normalize
 from .surface import render_term
@@ -73,11 +70,7 @@ DEFAULT_SEARCH_BUDGET = 4000
 # dozen nodes at most, and misses take the model's time, not the budget's
 PROBE_BUDGET = 64
 
-
-@dataclass(frozen=True)
-class MotivationResult:
-    motivation: Motivation
-    derivations: tuple[Derivation, ...]
+_Answer = tuple[Term | None, Valuation | None, bool]  # see `_decide`
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +143,10 @@ def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
     return None
 
 
-def _decide(env: Environment, goal: Term, depth: int, fuel: int,
-            memo: dict) -> tuple[Term | None, Valuation | None]:
+def _decide(env: Environment, goal: Term, depth: int, fuel: int, memo: dict) -> _Answer:
     """The full search's answer for a normal goal, and on a miss the
-    model's countermodel if it has one.
+    model's countermodel if it has one, or whether the budget cut the
+    search short.
 
     The search is depth-first and deterministic, and its budget only cuts
     it short.  So a term the probe finds is the one the full search would
@@ -165,11 +158,13 @@ def _decide(env: Environment, goal: Term, depth: int, fuel: int,
     probe = [PROBE_BUDGET]
     found = _search(env, goal, depth, fuel, probe, memo)
     if found is not None:
-        return found, None
+        return found, None, False
     valuation = refute(env, goal, fuel, memo)
     if valuation is not None or probe[0] > 0:
-        return None, valuation
-    return _search(env, goal, depth, fuel, [DEFAULT_SEARCH_BUDGET], memo), None
+        return None, valuation, False
+    budget = [DEFAULT_SEARCH_BUDGET]
+    found = _search(env, goal, depth, fuel, budget, memo)
+    return found, None, found is None and budget[0] <= 0
 
 
 class SearchOracle:
@@ -187,11 +182,10 @@ class SearchOracle:
     def __init__(self, depth: int, fuel: int):
         self.depth = depth
         self.fuel = fuel
-        self._cache: dict[tuple[Environment, Term],
-                          tuple[Term | None, Valuation | None]] = {}
+        self._cache: dict[tuple[Environment, Term], _Answer] = {}
         self._nf: dict = {}
 
-    def _answer(self, env: Environment, goal: Term) -> tuple[Term | None, Valuation | None]:
+    def _answer(self, env: Environment, goal: Term) -> _Answer:
         key = (env, goal)
         got = self._cache.get(key)
         if got is None:
@@ -204,16 +198,30 @@ class SearchOracle:
         return self._answer(env, goal)[0]
 
     def miss_reason(self, env: Environment, goal: Term) -> str:
-        """Why no witness was found: the countermodel, restricted to the
-        variables of sort Prop, or the search's bounds.  A term the search
-        found but the caller rejected is no miss of the search's."""
-        term, valuation = self._answer(env, goal)
+        """Why no witness was found: the countermodel, or the bound that
+        stopped the search.  A term the search found but the caller
+        rejected is no miss of the search's.  The countermodel shows the
+        variables of sort Prop that the goal mentions or that share a
+        hypothesis with one shown: the rest play no part in refuting it."""
+        term, valuation, cut = self._answer(env, goal)
         if term is not None:
             return "no witness inhabits the body"
         if valuation is None:
-            return f"search exhausted (depth {self.depth}, {DEFAULT_SEARCH_BUDGET} nodes)"
-        shown = ", ".join(f"{name} := {v}"
-                          for name, v in valuation if isinstance(v, int))
+            if cut:
+                return (f"search cut off after {DEFAULT_SEARCH_BUDGET} nodes "
+                        f"(depth {self.depth})")
+            return f"no witness within search depth {self.depth}"
+        # refute normalized all of these through the same memo
+        hypotheses = [free_vars(ty) for ty in
+                      (normalize(e.ty, self.fuel, self._nf) for e in env)
+                      if not _is_kind(ty)]
+        names = set(free_vars(normalize(goal, self.fuel, self._nf)))
+        linked = True
+        while linked:
+            linked = [fv for fv in hypotheses if not fv.isdisjoint(names) and not fv <= names]
+            names.update(*linked)
+        shown = ", ".join(f"{name} := {v}" for name, v in valuation
+                          if isinstance(v, int) and name in names)
         return f"no witness exists ({shown})" if shown else "no witness exists"
 
 
@@ -226,13 +234,14 @@ def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
 def inhabit_search(env: Environment, goal: Term,
                    depth: int = DEFAULT_SEARCH_DEPTH,
                    fuel: int = DEFAULT_FUEL,
-                   ) -> tuple[Term, Derivation] | Diagnostic:
-    """Search for an inhabitant of `goal` and verify it from scratch.
+                   ) -> Derivation | Diagnostic:
+    """Search for an inhabitant of `goal` and verify it from scratch: the
+    derivation's subject is the inhabitant.
 
     The search is a `SearchOracle`'s (probe, model, full search), so a
     miss is a `Diagnostic(rule="inhabit")` that gives the oracle's
     `miss_reason`: the two-valued model shows no inhabitant exists, or the
-    search at this depth and within `DEFAULT_SEARCH_BUDGET` nodes ran out.
+    search found none at this depth or within `DEFAULT_SEARCH_BUDGET` nodes.
     Running out of fuel is a `Diagnostic(rule="fuel")`, and a found term
     that fails to check is the kernel's diagnostic.
     """
@@ -244,8 +253,7 @@ def inhabit_search(env: Environment, goal: Term,
     if term is None:
         return Diagnostic("inhabit", f"no inhabitant of {render_term(goal)} found: "
                                      f"{oracle.miss_reason(env, goal)}")
-    d = check_type(env, term, goal, SystemMode.CC, fuel=fuel)
-    return d if isinstance(d, Diagnostic) else (term, d)
+    return check_type(env, term, goal, SystemMode.CC, fuel=fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +263,12 @@ def inhabit_search(env: Environment, goal: Term,
 def motivate_env(env: Environment,
                  oracle: WitnessOracle | None = None,
                  fuel: int = DEFAULT_FUEL,
-                 ) -> MotivationResult | Diagnostic:
+                 ) -> tuple[Derivation, ...] | Diagnostic:
     """Check that `env` is well formed in the restricted system and
     construct the cascade: one closed term per entry, each checking
     against its entry type with all earlier variables substituted away.
+    Returns the cascade the way `check_motivated_env` does: the i-th
+    derivation's subject is the i-th entry's motivation term.
 
     Each substituted entry type is closed, so its normal form is Prop or
     a product.  The engine derives the sort of that normal form: Prop's
@@ -289,16 +299,15 @@ def motivate_env(env: Environment,
         if entry.witness is not None:
             hint = subst_simultaneous(entry.witness, sigma)
         pos = ("motivate", entry.name)
-        inf = checker._judge(lambda: checker._infer(
+        node = checker._judge(lambda: checker._infer(
             empty, normalize(closed_ty, checker.fuel, checker._nf), hint, pos))
-        if isinstance(inf, Diagnostic):
-            return inf
-        if inf.ty not in (PROP, TYPE):
+        if isinstance(node, Diagnostic):
+            return node
+        if node.conclusion.ty not in (PROP, TYPE):
             return Diagnostic(
                 "env2", f"entry {entry.name} is not a type",
-                ("motivate", entry.name), found=inf.ty,
+                ("motivate", entry.name), found=node.conclusion.ty,
             )
-        node = inf.d
         if node.rule == "ax":
             term = top_type
         else:  # prod_r: a closed normal type with a sort is Prop or a product
@@ -309,13 +318,13 @@ def motivate_env(env: Environment,
             return final
         sigma.append((entry.name, term))
         derivs.append(final)
-    return MotivationResult(Motivation(tuple(sigma)), tuple(derivs))
+    return tuple(derivs)
 
 
 def motivate_judgment(d: Derivation,
                       oracle: WitnessOracle | None = None,
                       fuel: int = DEFAULT_FUEL,
-                      ) -> tuple[MotivationResult, Derivation] | Diagnostic:
+                      ) -> tuple[tuple[Derivation, ...], Derivation] | Diagnostic:
     """From `d : env |- u : B`, motivate the environment and transport the
     judgment under the substitution: returns the cascade plus a derivation
     of `|- u[sigma] : B[sigma]`."""
@@ -323,24 +332,24 @@ def motivate_judgment(d: Derivation,
     if not isinstance(c, HasType):
         raise ValueError("motivate_judgment wants a typing derivation")
     oracle = oracle or make_search_oracle()
-    mr = motivate_env(c.env, oracle, fuel)
-    if isinstance(mr, Diagnostic):
-        return mr
-    bindings = list(mr.motivation.assignments)
+    cascade = motivate_env(c.env, oracle, fuel)
+    if isinstance(cascade, Diagnostic):
+        return cascade
+    bindings = [(e.name, m.conclusion.subject) for e, m in zip(c.env, cascade)]
     subject = subst_simultaneous(c.subject, bindings)
     ty = subst_simultaneous(c.ty, bindings)
     final = check_type(Environment(), subject, ty, d.mode, oracle, fuel)
     if isinstance(final, Diagnostic):
         return final
-    return mr, final
+    return cascade, final
 
 
 def usefulness_argument(d: Derivation,
                         oracle: WitnessOracle | None = None,
                         fuel: int = DEFAULT_FUEL,
-                        ) -> tuple[Term, Derivation] | Diagnostic:
+                        ) -> Derivation | Diagnostic:
     """A function typed in the empty environment has an inhabited domain:
-    from `d : |- f : forall x : A, B`, produce `u` with `|- u : A`.
+    from `d : |- f : forall x : A, B`, derive `|- u : A` for some `u`.
 
     This is the formal shape of "you may only speak of functions whose
     argument type is demonstrably non-empty".
@@ -349,7 +358,5 @@ def usefulness_argument(d: Derivation,
     if not isinstance(c, HasType) or len(c.env) != 0 or not isinstance(c.ty, Prod):
         raise ValueError(
             "usefulness_argument wants a closed derivation of a product type")
-    mr = motivate_env(Environment((EnvEntry("x", c.ty.domain),)), oracle, fuel)
-    if isinstance(mr, Diagnostic):
-        return mr
-    return mr.motivation.assignments[0][1], mr.derivations[0]
+    cascade = motivate_env(Environment((EnvEntry("x", c.ty.domain),)), oracle, fuel)
+    return cascade if isinstance(cascade, Diagnostic) else cascade[0]

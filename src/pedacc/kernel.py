@@ -30,10 +30,13 @@ is a full `Derivation` tree that can be re-checked node by node with
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, NamedTuple, Optional, TextIO, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize
 from .terms import (
@@ -121,28 +124,36 @@ WitnessOracle = Callable[[Environment, Term], Optional[Term]]
 _SORTS = (PROP, TYPE)
 
 
-def iter_nodes(d: Derivation, seen: set[int] | None = None):
-    """Every distinct node of the derivation, each exactly once.
+def iter_nodes(
+    d: Derivation,
+    seen: set[int] | None = None,
+    premises: Callable[[Derivation], Iterable[Derivation]] = attrgetter("premises"),
+) -> Iterator[Derivation]:
+    """Every distinct node reachable from `d` through `premises` (by
+    default all of a node's premises), each exactly once and after the
+    premises it reaches: in the order a recursive walk that visits them
+    left to right finishes them, so `d` comes last.
 
     Derivations are DAGs (checking shares repeated subderivations), so
     the walk dedupes on identity; an explicit stack keeps deep spines
     clear of the recursion limit.  A `seen` set shared across calls
-    skips the nodes that earlier walks yielded.
+    skips the nodes that earlier walks reached.
     """
     seen = set() if seen is None else seen
-    stack = [d]
+    if id(d) in seen:
+        return
+    seen.add(id(d))
+    stack = [(d, iter(premises(d)))]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(node.premises)
-
-
-class _Inf(NamedTuple):
-    ty: Term              # normalized type of the subject
-    d: Derivation         # concludes subject : ty
+        node, pending = stack[-1]
+        for p in pending:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(premises(p))))
+                break
+        else:
+            stack.pop()
+            yield node
 
 
 @dataclass(frozen=True)
@@ -202,11 +213,9 @@ class Checker:
         env: Environment,
         term: Term,
         motivation: Motivation | None = None,
-    ) -> tuple[Term, Derivation] | Diagnostic:
-        def run():
-            inf = self._infer(self.root_ctx(env, motivation), term, None, ())
-            return inf.ty, inf.d
-        return self._judge(run)
+    ) -> Derivation | Diagnostic:
+        return self._judge(
+            lambda: self._infer(self.root_ctx(env, motivation), term, None, ()))
 
     def check(
         self,
@@ -259,12 +268,11 @@ class Checker:
         entry, pos = env.last, ("env", len(ctx.env))
         if entry.name in ctx.env.names():
             raise CheckError(Diagnostic("env2", f"duplicate variable {entry.name}", pos))
-        inf = self._infer(ctx, entry.ty, entry.witness, pos)
-        if inf.ty not in _SORTS:
-            raise CheckError(
-                Diagnostic("env2", "environment entry is not a type", pos, found=inf.ty)
-            )
-        return Derivation("env2", WellFormed(env), (inf.d,), self.mode)
+        d = self._infer(ctx, entry.ty, entry.witness, pos)
+        if d.conclusion.ty not in _SORTS:
+            raise CheckError(Diagnostic("env2", "environment entry is not a type", pos,
+                                        found=d.conclusion.ty))
+        return Derivation("env2", WellFormed(env), (d,), self.mode)
 
     def _extend(self, ctx: _Ctx, name: str, ty: Term, pos: tuple) -> _Ctx:
         """The context under a binder of domain `ty`, already checked to be
@@ -349,7 +357,7 @@ class Checker:
 
     # -- inference -----------------------------------------------------------
 
-    def _infer(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> _Inf:
+    def _infer(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> Derivation:
         # failures memoize too: witness discovery probes lots of dead ends;
         # only a restricted product reads the hint, so only its key holds it
         if hint is not None and not (self.mode is SystemMode.CCR and isinstance(t, Prod)):
@@ -357,7 +365,7 @@ class Checker:
         key = (ctx.env, ctx.motivation, t, hint)
         cached = self._memo.get(key)
         if cached is not None:
-            if isinstance(cached, _Inf):
+            if isinstance(cached, Derivation):
                 return cached
             raise CheckError(cached)
         try:
@@ -373,7 +381,8 @@ class Checker:
         self._memo[key] = out
         return out
 
-    def _weakened(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> _Inf | None:
+    def _weakened(self, ctx: _Ctx, t: Term, hint: Term | None,
+                  pos: tuple) -> Derivation | None:
         """`t` inferred in the shortest prefix of `ctx`'s environment that
         binds its free names and its hint's, and cited in `ctx` by one
         ``weak`` step.  None when that prefix is the whole environment, or
@@ -386,26 +395,23 @@ class Checker:
         if prefix is ctx.env:
             return None
         try:
-            inf = self._infer(self.root_ctx(prefix), t, hint, pos)
+            d = self._infer(self.root_ctx(prefix), t, hint, pos)
         except CheckError as e:
             if e.diagnostic.rule != "prod_r":
                 raise
             return None
-        node = Derivation("weak", HasType(ctx.env, t, inf.ty), (inf.d, ctx.wf), self.mode)
-        return _Inf(inf.ty, node)
+        return Derivation("weak", HasType(ctx.env, t, d.conclusion.ty), (d, ctx.wf), self.mode)
 
-    def _infer_raw(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> _Inf:
+    def _infer_raw(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> Derivation:
         mode = self.mode
         match t:
             case SortConst(s) if t == PROP:
                 if mode is SystemMode.NAIVE:
-                    node = Derivation(
+                    return Derivation(
                         "p-ax", HasType(ctx.env, PROP, TYPE), self._cascade(ctx, pos),
                         mode, motivation=ctx.motivation,
                     )
-                else:
-                    node = Derivation("ax", HasType(ctx.env, PROP, TYPE), (ctx.wf,), mode)
-                return _Inf(TYPE, node)
+                return Derivation("ax", HasType(ctx.env, PROP, TYPE), (ctx.wf,), mode)
 
             case SortConst(_):
                 raise CheckError(Diagnostic("ax", "Type is not typable", pos, found=t))
@@ -432,14 +438,15 @@ class Checker:
                 ctx2 = self._extend(ctx, x, domain, pos)
                 body_open = open_binder(body, x)
                 b = self._infer(ctx2, body_open, None, pos + (1,))
-                if b.ty == TYPE:
+                b_ty = b.conclusion.ty
+                if b_ty == TYPE:
                     raise CheckError(
                         Diagnostic("abs", "abstraction body is a kind, not a term",
-                                   pos, found=b.ty)
+                                   pos, found=b_ty)
                     )
-                d_bsort = self._check_is_type(ctx2, b.ty, body_open, pos + (1,)).d
-                res_ty = Prod(domain, close_binder(b.ty, x))
-                node = Derivation("abs", HasType(ctx.env, t, res_ty), (b.d, d_bsort), mode)
+                d_bsort = self._check_is_type(ctx2, b_ty, body_open, pos + (1,))
+                res_ty = Prod(domain, close_binder(b_ty, x))
+                node = Derivation("abs", HasType(ctx.env, t, res_ty), (b, d_bsort), mode)
                 return self._normalized(ctx, t, res_ty, node, pos)
 
             case Prod(domain, body):
@@ -450,52 +457,53 @@ class Checker:
                 rule, witness = "prod", None
                 if mode is SystemMode.CCR:
                     rule = "prod_r"
-                    witness, d_w = self._find_witness(ctx2, body_open, hint, x, pos)
+                    d_w = self._find_witness(ctx2, body_open, hint, x, pos)
+                    witness = d_w.conclusion.subject
                     # two hints that find one witness form one product
                     formed = self._formed.get((ctx.env, t, witness))
                     if formed is not None:
                         return formed
                 b = self._infer(ctx2, body_open, witness, pos + (1,))
-                if b.ty not in _SORTS:
+                b_ty = b.conclusion.ty
+                if b_ty not in _SORTS:
                     raise CheckError(
-                        Diagnostic(rule, "product body is not a type", pos + (1,), found=b.ty)
+                        Diagnostic(rule, "product body is not a type", pos + (1,), found=b_ty)
                     )
-                premises = (b.d,)
+                premises = (b,)
                 if witness is not None:
                     if d_w.conclusion.ty != body_open:
                         d_w = Derivation(
-                            "conv", HasType(ctx2.env, witness, body_open), (d_w, b.d), mode
+                            "conv", HasType(ctx2.env, witness, body_open), (d_w, b), mode
                         )
-                    premises = (d_w, b.d)
-                node = Derivation(rule, HasType(ctx.env, t, b.ty), premises, mode,
+                    premises = (d_w, b)
+                node = Derivation(rule, HasType(ctx.env, t, b_ty), premises, mode,
                                   witness=witness)
-                out = _Inf(b.ty, node)
                 if witness is not None:
-                    self._formed[(ctx.env, t, witness)] = out
-                return out
+                    self._formed[(ctx.env, t, witness)] = node
+                return node
 
             case App(f, a):
-                f_inf = self._infer(ctx, f, None, pos + (0,))
-                if not isinstance(f_inf.ty, Prod):
+                d_f = self._infer(ctx, f, None, pos + (0,))
+                f_ty = d_f.conclusion.ty
+                if not isinstance(f_ty, Prod):
                     raise CheckError(
                         Diagnostic("app", "application of a non-function",
-                                   pos + (0,), found=f_inf.ty)
+                                   pos + (0,), found=f_ty)
                     )
-                a_inf = self._infer(ctx, a, None, pos + (1,))
-                dom = f_inf.ty.domain
-                d_arg = a_inf.d
-                if a_inf.ty != dom:
-                    if not convertible(a_inf.ty, dom, self.fuel, self._nf):
+                d_arg = self._infer(ctx, a, None, pos + (1,))
+                a_ty, dom = d_arg.conclusion.ty, f_ty.domain
+                if a_ty != dom:
+                    if not convertible(a_ty, dom, self.fuel, self._nf):
                         raise CheckError(
                             Diagnostic("app", "argument type mismatch", pos + (1,),
-                                       expected=dom, found=a_inf.ty)
+                                       expected=dom, found=a_ty)
                         )
-                    d_dom_sort = self._check_is_type(ctx, dom, a, pos + (1,)).d
+                    d_dom_sort = self._check_is_type(ctx, dom, a, pos + (1,))
                     d_arg = Derivation(
                         "conv", HasType(ctx.env, a, dom), (d_arg, d_dom_sort), mode
                     )
-                raw = subst(f_inf.ty.body, 0, a)
-                node = Derivation("app", HasType(ctx.env, t, raw), (f_inf.d, d_arg), mode)
+                raw = subst(f_ty.body, 0, a)
+                node = Derivation("app", HasType(ctx.env, t, raw), (d_f, d_arg), mode)
                 return self._normalized(ctx, t, raw, node, pos)
 
         raise CheckError(Diagnostic("var", f"unrecognized term {t!r}", pos))
@@ -503,30 +511,29 @@ class Checker:
     # -- helpers -------------------------------------------------------------
 
     def _normalized(self, ctx: _Ctx, subject: Term, ty: Term, node: Derivation,
-                    pos: tuple) -> _Inf:
+                    pos: tuple) -> Derivation:
         """Wrap `node` in a conversion so the reported type is normal."""
         ty_nf = normalize(ty, self.fuel, self._nf)
-        if ty_nf == ty or ty_nf == TYPE:
-            return _Inf(ty_nf, node)
-        d_sort = self._check_is_type(ctx, ty_nf, subject, pos).d
-        wrapped = Derivation("conv", HasType(ctx.env, subject, ty_nf), (node, d_sort),
-                             self.mode)
-        return _Inf(ty_nf, wrapped)
+        if ty_nf == ty:
+            return node
+        d_sort = self._check_is_type(ctx, ty_nf, subject, pos)
+        return Derivation("conv", HasType(ctx.env, subject, ty_nf), (node, d_sort), self.mode)
 
-    def _check_is_type(self, ctx: _Ctx, ty: Term, hint: Term | None, pos: tuple) -> _Inf:
+    def _check_is_type(self, ctx: _Ctx, ty: Term, hint: Term | None,
+                       pos: tuple) -> Derivation:
         """Infer `ty` and require a sort.  `hint`, an inhabitant of `ty`
         when one is at hand, feeds witness extraction for restricted
         products."""
-        inf = self._infer(ctx, ty, hint, pos)
-        if inf.ty not in _SORTS:
-            raise CheckError(
-                Diagnostic("prod", "expected a type", pos, expected=PROP, found=inf.ty)
-            )
-        return inf
+        d = self._infer(ctx, ty, hint, pos)
+        if d.conclusion.ty not in _SORTS:
+            raise CheckError(Diagnostic("prod", "expected a type", pos, expected=PROP,
+                                        found=d.conclusion.ty))
+        return d
 
     def _find_witness(self, ctx2: _Ctx, body_open: Term, hint: Term | None,
-                      binder: str, pos: tuple) -> tuple[Term, Derivation]:
-        """Locate and re-check a witness inhabiting a product body.
+                      binder: str, pos: tuple) -> Derivation:
+        """Locate and re-check a witness inhabiting a product body: the
+        derivation's subject.
 
         The hint (an inhabitant of the whole product: an annotation, or
         the abstraction the product types) is applied to the binder and
@@ -557,11 +564,11 @@ class Checker:
 
         for cand in candidates():
             try:
-                c = self._infer(ctx2, cand, None, pos)
+                d = self._infer(ctx2, cand, None, pos)
             except CheckError:
                 continue
-            if c.ty == body_nf:
-                return cand, c.d
+            if d.conclusion.ty == body_nf:
+                return d
         # the standard oracle can say why it missed; it answers from its cache
         why = getattr(self.oracle, "miss_reason", None)
         reason = why(ctx2.env, body_open) if why else "no witness inhabits the body"
@@ -570,21 +577,22 @@ class Checker:
         )
 
     def _check(self, ctx: _Ctx, t: Term, expected: Term, pos: tuple) -> Derivation:
-        inf = self._infer(ctx, t, None, pos)
+        d = self._infer(ctx, t, None, pos)
+        found = d.conclusion.ty
         if expected == TYPE:
-            if inf.ty == TYPE:
-                return inf.d
+            if found == TYPE:
+                return d
             raise CheckError(
-                Diagnostic("conv", "type mismatch", pos, expected=TYPE, found=inf.ty)
+                Diagnostic("conv", "type mismatch", pos, expected=TYPE, found=found)
             )
-        e = self._check_is_type(ctx, expected, t, pos)
-        if inf.ty == expected:
-            return inf.d
-        if not convertible(inf.ty, expected, self.fuel, self._nf):
+        d_sort = self._check_is_type(ctx, expected, t, pos)
+        if found == expected:
+            return d
+        if not convertible(found, expected, self.fuel, self._nf):
             raise CheckError(
-                Diagnostic("conv", "type mismatch", pos, expected=expected, found=inf.ty)
+                Diagnostic("conv", "type mismatch", pos, expected=expected, found=found)
             )
-        return Derivation("conv", HasType(ctx.env, t, expected), (inf.d, e.d), self.mode)
+        return Derivation("conv", HasType(ctx.env, t, expected), (d, d_sort), self.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +630,8 @@ def infer_type(
     oracle: WitnessOracle | None = None,
     fuel: int = DEFAULT_FUEL,
     motivation: Motivation | None = None,
-) -> tuple[Term, Derivation] | Diagnostic:
-    """Infer the (normal-form) type of `term`, with its derivation."""
+) -> Derivation | Diagnostic:
+    """The derivation of `term`'s (normal-form) type, its conclusion's ``ty``."""
     return Checker(mode, oracle, fuel).infer(env, term, motivation)
 
 
@@ -887,37 +895,34 @@ def verify_derivation(d: Derivation, fuel: int = DEFAULT_FUEL) -> list[str]:
     return verify_derivations((d,), fuel)
 
 
-def relabel_restricted_products(d: Derivation,
-                                _memo: dict | None = None) -> Derivation:
+def relabel_restricted_products(d: Derivation) -> Derivation:
     """Map a restricted-calculus derivation into the full calculus:
     witness premises of product formations are dropped and every node is
     relabeled to CC mode."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(id(d))
-    if got is not None:
-        return got
-    if d.rule == "prod_r":
-        premises = (relabel_restricted_products(d.premises[1], _memo),)
-        out = Derivation("prod", d.conclusion, premises, SystemMode.CC)
-    else:
-        premises = tuple(relabel_restricted_products(p, _memo) for p in d.premises)
-        out = Derivation(d.rule, d.conclusion, premises, SystemMode.CC,
-                         motivation=d.motivation)
-    _memo[id(d)] = out
-    return out
+    out: dict[int, Derivation] = {}
+    for node in iter_nodes(d):
+        rule, premises = node.rule, node.premises
+        if rule == "prod_r":
+            rule, premises = "prod", premises[1:]
+        out[id(node)] = Derivation(rule, node.conclusion, tuple(out[id(p)] for p in premises),
+                                   SystemMode.CC, motivation=node.motivation)
+    return out[id(d)]
 
 
 # ---------------------------------------------------------------------------
 # condensed display
 
-# Premises that carry the "spine" of a textbook proof.  Sort bookkeeping
+# How many premises, from the first, carry the "spine" of a textbook
+# proof (None: all, the cascade of a naive rule).  Sort bookkeeping
 # (second premise of abs, conversion targets) is elided from display.
 _SPINE_PREMISES = {
-    "env1": (), "env2": (0,), "ax": (0,), "var": (0,),
-    "abs": (0,), "prod": (0,), "prod_r": (0, 1), "app": (0, 1), "conv": (0,),
-    "weak": (0,),
+    "env1": 0, "env2": 1, "ax": 1, "var": 1, "abs": 1, "prod": 1, "prod_r": 2,
+    "app": 2, "conv": 1, "weak": 1, "p-ax": None, "p-var": None,
 }
+
+
+def _spine(d: Derivation) -> tuple[Derivation, ...]:
+    return d.premises[:_SPINE_PREMISES[d.rule]]
 
 
 def contract_derivation(d: Derivation) -> list[tuple[str, Judgment]]:
@@ -929,18 +934,7 @@ def contract_derivation(d: Derivation) -> list[tuple[str, Judgment]]:
     """
     lines: list[tuple[str, Judgment]] = []
     seen: set = set()
-    walked: set[int] = set()
-
-    def walk(node: Derivation) -> None:
-        if id(node) in walked:
-            return
-        walked.add(id(node))
-        if node.rule in ("p-ax", "p-var"):
-            spine = range(len(node.premises))
-        else:
-            spine = _SPINE_PREMISES[node.rule]
-        for i in spine:
-            walk(node.premises[i])
+    for node in iter_nodes(d, premises=_spine):
         label = node.rule
         if label == "abs" and node.mode is SystemMode.CCR:
             label = "abs+prod_r"
@@ -948,8 +942,6 @@ def contract_derivation(d: Derivation) -> list[tuple[str, Judgment]]:
         if key not in seen:
             seen.add(key)
             lines.append((label, node.conclusion))
-
-    walk(d)
     return lines
 
 
@@ -964,45 +956,46 @@ def _env_json(env: Environment, string: Callable[[Term], str]) -> str:
                            for e in env]) + "]"
 
 
-def write_certificate(fh: TextIO, derivations: Iterable[Derivation],
+def write_certificate(fh: TextIO, result: Iterable[Derivation] | Diagnostic,
                       render: Callable[[Term], str]) -> None:
-    """Write the certificate of `derivations` to `fh` as compact ASCII
-    JSON plus a final newline; `render` prints terms.
+    """Write the certificate of `result` to `fh` as compact ASCII JSON
+    plus a final newline; `render` prints terms.
 
-    The document is ``{"status":"ok","derivations":[...]}``, with one
-    ``{"root": i, "nodes": [...]}`` table per derivation.  Derivations
-    share subtrees, so a table lists each distinct node once, premises
-    before conclusions (the root last), and gives premises as indices
-    into the table.  A node reads ``{"rule", "mode", "conclusion":
-    {"judgment", "env"[, "term", "type"]}, "premises"[, "witness"][,
-    "motivation"]}``, in the bytes ``json.dumps(node, separators=(",",
-    ":"))`` would give.
+    For derivations the document is ``{"status":"ok","derivations":
+    [...]}``, with one ``{"root": i, "nodes": [...]}`` table per
+    derivation.  Derivations share subtrees, so a table lists each
+    distinct node once, premises before conclusions (the root last), and
+    gives premises as indices into the table.  A node reads ``{"rule",
+    "mode", "conclusion": {"judgment", "env"[, "term", "type"]},
+    "premises"[, "witness"][, "motivation"]}``, in the bytes
+    ``json.dumps(node, separators=(",", ":"))`` would give.  For a
+    diagnostic it is ``{"status":"error","diagnostic":{"rule",
+    "message", "position"[, "expected"][, "found"]}}``.
 
     Nodes are written as text, one at a time, so the document is never
     whole in memory.  They share terms and environments as well, so in
-    one call each distinct term is rendered and encoded once (keyed on
-    the term), and the ``env`` array of each distinct `Environment` is
-    encoded once (environments are interned, so keyed on themselves),
-    then cited by every node that holds it.
+    one call each distinct term is rendered and encoded once, and the
+    ``env`` array of each distinct `Environment` is encoded once, then
+    cited by every node that holds it.
     """
-    strings: dict[Term, str] = {}
-    envs: dict[Environment, str] = {}
+    if isinstance(result, Diagnostic):
+        out = {"rule": result.rule, "message": result.message,
+               "position": list(result.position)}
+        if result.expected is not None:
+            out["expected"] = render(result.expected)
+        if result.found is not None:
+            out["found"] = render(result.found)
+        fh.write(json.dumps({"status": "error", "diagnostic": out},
+                            separators=(",", ":")) + "\n")
+        return
 
-    def string(t: Term) -> str:
-        got = strings.get(t)
-        if got is None:
-            got = strings[t] = _json_str(render(t))
-        return got
-
-    def env_json(env: Environment) -> str:
-        got = envs.get(env)
-        if got is None:
-            got = envs[env] = _env_json(env, string)
-        return got
-
+    # terms are hash-consed and environments interned: each keys itself
+    string = functools.cache(lambda t: _json_str(render(t)))
+    env_json = functools.cache(lambda env: _env_json(env, string))
     fh.write('{"status":"ok","derivations":[')
-    for k, d in enumerate(derivations):
-        order, index = _post_order(d)
+    for k, d in enumerate(result):
+        order = list(iter_nodes(d))
+        index = {id(node): i for i, node in enumerate(order)}
         fh.write(f'{"," if k else ""}{{"root":{len(order) - 1},"nodes":[')
         for i, node in enumerate(order):
             c = node.conclusion
@@ -1024,26 +1017,3 @@ def write_certificate(fh: TextIO, derivations: Iterable[Derivation],
             fh.write(text + "}")
         fh.write("]}")
     fh.write("]}\n")
-
-
-def _post_order(d: Derivation) -> tuple[list[Derivation], dict[int, int]]:
-    """The distinct nodes of `d`, each after its premises, in the order a
-    recursive walk that visits premises left to right finishes them (so
-    `d` is last), and each node's position in that list by its id; an
-    explicit stack keeps deep spines clear of the recursion limit."""
-    order: list[Derivation] = []
-    index: dict[int, int] = {}
-    stack = [d]
-    while stack:
-        node = stack[-1]
-        if id(node) in index:
-            stack.pop()
-            continue
-        pending = [p for p in node.premises if id(p) not in index]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        index[id(node)] = len(order)
-        order.append(node)
-    return order, index

@@ -201,17 +201,12 @@ def lift(t: Term, cutoff: int, amount: int) -> Term:
             return t
 
 
-def subst(t: Term, target: str | int, u: Term) -> Term:
-    """Capture-avoiding substitution.
-
-    A `str` target replaces the free variable of that name.  An `int`
-    target replaces the bound variable with that index as seen from the
-    top of `t` and renumbers higher indices downward, the way a beta
-    contraction consumes the binder that used to bind it.
+def subst(t: Term, target: int, u: Term) -> Term:
+    """Capture-avoiding substitution of `u` for the bound variable with
+    index `target` as seen from the top of `t`; higher indices are
+    renumbered downward, the way a beta contraction consumes the binder
+    that used to bind it.  `subst_simultaneous` replaces free variables.
     """
-    if isinstance(target, str):
-        return subst_simultaneous(t, [(target, u)])
-
     def go_bound(t: Term, depth: int) -> Term:
         if t.lb <= target + depth:
             return t

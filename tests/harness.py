@@ -344,7 +344,7 @@ def subject_reduction_fuzz(n_cases: int, seed: int = 0,
                 report.failures.append(
                     f"seed {seed + i} [{mode.value}]: original failed: {res.message}")
                 continue
-            inferred, d = res
+            inferred, d = res.conclusion.ty, res
             if keep is not None:
                 keep.append(d)
             if not convertible(inferred, ty, fuel):

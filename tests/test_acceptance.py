@@ -121,7 +121,8 @@ def test_criterion_2_poincare_sweep(oracle):
             continue
         _DERIVATIONS.append(wf)
         done = []
-        for entry, (name, witness) in zip(env, got.motivation.assignments):
+        for entry, mot in zip(env, got):
+            name, witness = entry.name, mot.conclusion.subject
             if not is_closed(witness):
                 failures.append(f"seed {seed}: witness for {name} is open")
             chk = recheck.check(
@@ -149,13 +150,12 @@ def test_criterion_3_usefulness_corpus(oracle):
         if isinstance(res, Diagnostic):
             failures.append(f"{name}: does not type ({res.message})")
             continue
-        _, d = res
-        arg = usefulness_argument(d, oracle)
+        arg = usefulness_argument(res, oracle)
         if isinstance(arg, Diagnostic):
             failures.append(f"{name}: no argument found ({arg.message})")
             continue
-        _DERIVATIONS.append(d)
-        _DERIVATIONS.append(arg[1])
+        _DERIVATIONS.append(res)
+        _DERIVATIONS.append(arg)
     assert not failures, failures
     print("PASS criterion 3: usefulness argument found for all 20 corpus functions")
 
@@ -324,7 +324,7 @@ def test_criterion_9_kernel_invariants(oracle):
         if hit is None:
             checker = checkers.setdefault(mode, Checker(mode, oracle))
             res = checker.infer(env, ty)
-            hit = not isinstance(res, Diagnostic) and res[0] in (PROP, TYPE)
+            hit = not isinstance(res, Diagnostic) and res.conclusion.ty in (PROP, TYPE)
             sorted_cache[key] = hit
         return hit
 

@@ -39,8 +39,7 @@ def test_generated_envs_are_restricted_wellformed(oracle):
 def test_generated_terms_carry_their_type(oracle):
     for seed in range(30):
         term, ty = gen_typed_term(seed)
-        res = infer_type(Environment(), term, SystemMode.CC)
-        inferred, _ = res
+        inferred = infer_type(Environment(), term, SystemMode.CC).conclusion.ty
         assert normalize(inferred) == normalize(ty), seed
 
 

@@ -47,10 +47,9 @@ CCR = SystemMode.CCR
 
 
 def test_search_proves_top():
-    found = inhabit_search(Environment(), top_type)
-    assert found is not None
-    term, d = found
-    assert convertible(term, id_term)
+    d = inhabit_search(Environment(), top_type)
+    assert isinstance(d, Derivation)
+    assert convertible(d.conclusion.subject, id_term)
     assert verify_derivation(d) == []
 
 
@@ -65,28 +64,27 @@ def test_search_uses_hypotheses():
     env = env_of(("A", PROP), ("f", arrow(Free("A"), Free("A"))),
                  ("x", Free("A")))
     found = inhabit_search(env, Free("A"))
-    assert found is not None
-    term, _ = found
-    assert check_type(env, term, Free("A"), CC) is not None
+    assert isinstance(found, Derivation)
+    assert check_type(env, found.conclusion.subject, Free("A"), CC) is not None
 
 
 def test_readback_reuses_the_product_witness(oracle):
     # the derivation of a restricted product stores the body witness;
     # turning it into a function is pure bookkeeping
-    mr = motivate_env(env_of(("x", top_type)), oracle)
-    _, node = Checker(CCR, oracle).infer(Environment(), top_type)
+    (mot,) = motivate_env(env_of(("x", top_type)), oracle)
+    node = Checker(CCR, oracle).infer(Environment(), top_type)
     assert node.rule == "prod_r"
     binder = node.premises[1].conclusion.env.last.name
     term = Abs(top_type.domain, close_binder(node.witness, binder))
-    assert mr.motivation.assignments == (("x", term),)
+    assert mot.conclusion.subject == term
     assert is_closed(term)
     assert isinstance(check_type(Environment(), term, top_type, CC), Derivation)
 
 
 def test_motivate_env_gives_top_for_prop(oracle):
     # Prop's own derivation is an ax node, which top inhabits
-    mr = motivate_env(env_of(("A", PROP)), oracle)
-    assert mr.motivation.assignments == (("A", top_type),)
+    (mot,) = motivate_env(env_of(("A", PROP)), oracle)
+    assert mot.conclusion.subject == top_type
 
 
 def test_motivate_env_produces_closed_rechecking_witnesses(oracle):
@@ -94,11 +92,12 @@ def test_motivate_env_produces_closed_rechecking_witnesses(oracle):
                  ("f", arrow(Free("A"), Free("A"))))
     res = motivate_env(env, oracle)
     assert not isinstance(res, Diagnostic)
-    assert res.motivation.names() == ("A", "x", "f")
-    for _, w in res.motivation.assignments:
+    assert len(res) == 3
+    motivation = Motivation(tuple((e.name, d.conclusion.subject) for e, d in zip(env, res)))
+    for _, w in motivation.assignments:
         assert is_closed(w)
     # and the motivation validates through the standalone checker
-    assert not isinstance(check_motivated_env(env, res.motivation), Diagnostic)
+    assert not isinstance(check_motivated_env(env, motivation), Diagnostic)
 
 
 def test_check_motivated_env_rejects_wrong_candidates():
@@ -117,7 +116,7 @@ def test_motivate_env_rejects_an_ill_formed_env_as_check_wf_does(oracle):
 def test_motivate_judgment_closes_the_subject(oracle):
     env = env_of(("A", PROP), ("x", Free("A")),
                  ("f", arrow(Free("A"), Free("A"))))
-    _, d = infer_type(env, App(Free("f"), Free("x")), CCR, oracle)
+    d = infer_type(env, App(Free("f"), Free("x")), CCR, oracle)
     res, final = motivate_judgment(d, oracle)
     assert not isinstance(res, Diagnostic)
     assert isinstance(final, Derivation)
@@ -126,16 +125,17 @@ def test_motivate_judgment_closes_the_subject(oracle):
 
 
 def test_usefulness_gives_an_argument_for_succ(oracle):
-    _, d = infer_type(Environment(), succ, CCR, oracle)
-    u, arg_d = usefulness_argument(d, oracle)
+    d = infer_type(Environment(), succ, CCR, oracle)
+    arg_d = usefulness_argument(d, oracle)
+    u = arg_d.conclusion.subject
     assert to_natural(u) is not None
     assert isinstance(check_type(Environment(), u, nat_type, CC), Derivation)
     assert verify_derivation(arg_d) == []
 
 
 def test_usefulness_gives_an_argument_for_id(oracle):
-    _, d = infer_type(Environment(), id_term, CCR, oracle)
-    u, _ = usefulness_argument(d, oracle)
+    d = infer_type(Environment(), id_term, CCR, oracle)
+    u = usefulness_argument(d, oracle).conclusion.subject
     # id's domain is Prop itself, so the argument is a proposition
     assert isinstance(check_type(Environment(), u, PROP, CC), Derivation)
 
@@ -164,7 +164,7 @@ def test_inhabit_search_out_of_fuel_is_a_diagnostic():
     got = inhabit_search(env, goal, fuel=1)
     assert isinstance(got, Diagnostic)
     assert got.rule == "fuel"
-    assert inhabit_search(env, goal, fuel=2)[0] == Free("h")
+    assert inhabit_search(env, goal, fuel=2).conclusion.subject == Free("h")
 
 
 def test_motivate_env_out_of_fuel_is_a_diagnostic(oracle):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -76,9 +77,8 @@ def test_identity_derivation_rule_sequence(oracle):
 
 def test_identity_type_inference_agrees_between_systems(oracle):
     for mode in (CC, CCR):
-        res = infer_type(Environment(), id_term, mode, oracle)
-        ty, d = res
-        assert ty == top_type
+        d = infer_type(Environment(), id_term, mode, oracle)
+        assert d.conclusion.ty == top_type
         assert verify_derivation(d) == []
 
 
@@ -108,8 +108,8 @@ def test_verify_derivation_flags_a_binder_opened_at_a_free_name(rule):
     # `fun _ : Prop => x` (or `forall`) in [], its binder opened as x: the
     # premise [x : Prop] |- x : Prop then reads the free x as the binder
     opened = env_of(("x", PROP))
-    _, body = infer_type(opened, Free("x"), CC)
-    _, sort = infer_type(opened, PROP, CC)
+    body = infer_type(opened, Free("x"), CC)
+    sort = infer_type(opened, PROP, CC)
     if rule == "abs":
         c = HasType(Environment(), Abs(PROP, Free("x")), arrow(PROP, PROP))
         mutant, problem = Derivation(rule, c, (body, sort), CC), "abs premises do"
@@ -126,7 +126,7 @@ def test_dangling_index_is_reported():
 
 def test_application_mismatch_carries_both_types(oracle):
     good = App(App(id_term, top_type), id_term)
-    assert isinstance(infer_type(Environment(), good, CC), tuple)
+    assert isinstance(infer_type(Environment(), good, CC), Derivation)
     # id's first argument must be a proposition, not a proof
     res = infer_type(Environment(), App(id_term, id_term), CC)
     assert isinstance(res, Diagnostic)
@@ -145,8 +145,7 @@ def test_conversion_node_appears_for_reducible_annotation(oracle):
     # annotate the binder with a type that only reduces to top -> top
     redex_ty = App(Abs(PROP, arrow(Bound(0), Bound(0))), top_type)
     t = Abs(redex_ty, Bound(0))
-    res = infer_type(Environment(), t, CC, oracle)
-    ty, d = res
+    d = infer_type(Environment(), t, CC, oracle)
     rules = {n.rule for n in iter_nodes(d)}
     assert "conv" in rules
     assert verify_derivation(d) == []
@@ -209,20 +208,19 @@ def test_naive_rejects_open_motivation_terms(oracle):
 
 def test_restricted_derivations_embed_into_the_full_system(oracle):
     for name, term in prelude_corpus()[:8]:
-        res = infer_type(Environment(), term, CCR, oracle)
-        ty, d = res
+        d = infer_type(Environment(), term, CCR, oracle)
         full = relabel_restricted_products(d)
         assert verify_derivation(full) == [], name
         assert full.mode is CC
         # and the full system agrees on the type directly
         direct = infer_type(Environment(), term, CC)
-        assert direct[0] == ty, name
+        assert direct.conclusion.ty == d.conclusion.ty, name
 
 
 def test_substitution_preserves_typing(oracle):
     env = env_of(("A", PROP))
     t = Abs(Free("A"), Bound(0))
-    ty, _ = infer_type(env, t, CC)
+    ty = infer_type(env, t, CC).conclusion.ty
     for closed in (top_type, nat_type):
         sub = [("A", closed)]
         d = check_type(Environment(), subst_simultaneous(t, sub),
@@ -244,7 +242,7 @@ def test_prod_r_witnesses_are_stored_in_normal_form(oracle):
     # the corpus often writes as redexes
     stray = []
     for name, term in prelude_corpus():
-        _, d = infer_type(Environment(), term, CCR, oracle)
+        d = infer_type(Environment(), term, CCR, oracle)
         stray += [(name, render_term(n.witness)) for n in iter_nodes(d)
                   if n.rule == "prod_r" and normalize(n.witness) != n.witness]
     assert stray == []
@@ -257,10 +255,10 @@ def test_an_abstraction_hint_beyond_the_fuel_witnesses_as_written():
     t = Abs(Free("A"), Abs(Free("A"), App(idz, App(idz, App(idz, Bound(0))))))
     got = infer_type(env_of(("A", PROP), ("a", Free("A"))), t, CCR, oracle=None, fuel=2)
     assert not isinstance(got, Diagnostic), got.message
-    assert got[0] == arrow(Free("A"), arrow(Free("A"), Free("A")))
-    assert verify_derivation(got[1]) == []
+    assert got.conclusion.ty == arrow(Free("A"), arrow(Free("A"), Free("A")))
+    assert verify_derivation(got) == []
     assert any(normalize(n.witness) != n.witness
-               for n in iter_nodes(got[1]) if n.rule == "prod_r")
+               for n in iter_nodes(got) if n.rule == "prod_r")
 
 
 def test_a_hint_beyond_the_fuel_falls_back_to_the_oracle(oracle):
@@ -305,9 +303,9 @@ def test_running_out_of_fuel_is_a_diagnostic(call):
 def test_checkers_do_not_share_normal_forms():
     env = env_of(("A", PROP), ("x", _REDEX))
     first, second = Checker(CC), Checker(CC)
-    ty1, _ = first.infer(env, Free("x"))
-    ty2, _ = second.infer(env, Free("x"))
-    assert ty1 == ty2 == Free("A")
+    d1 = first.infer(env, Free("x"))
+    d2 = second.infer(env, Free("x"))
+    assert d1.conclusion.ty == d2.conclusion.ty == Free("A")
     # each checker normalized the redex itself, into a memo of its own
     assert (_REDEX, DEFAULT_FUEL) in first._nf
     assert (_REDEX, DEFAULT_FUEL) in second._nf
@@ -348,7 +346,7 @@ def test_a_cascade_infers_each_motivation_term_once_per_checker(monkeypatch, ora
     # `a` under two binders: three environments, so three cascades
     term = Abs(PROP, Abs(Bound(0), Free("a")))
     got = Checker(NAIVE, oracle).infer(env, term, sigma)
-    assert isinstance(got, tuple), got
+    assert isinstance(got, Derivation), got
     assert inferred[top_type, None] == inferred[id_term, None] == 1
     assert set(inferred.values()) == {1}
 
@@ -372,7 +370,7 @@ def test_abstractions_over_one_domain_share_the_binders_context(oracle):
     checker = Checker(CCR, oracle)
     wf_nodes = set()
     for body in (Bound(0), Free("a")):  # fun x : A => x, fun x : A => a
-        _, d = checker.infer(env, Abs(Free("A"), body))
+        d = checker.infer(env, Abs(Free("A"), body))
         wf_nodes |= {id(n) for n in iter_nodes(d)
                      if n.rule == "env2" and len(n.conclusion.env) == 3}
     assert len(wf_nodes) == 1
@@ -389,7 +387,7 @@ def test_a_judgment_inferred_under_two_hints_is_one_derivation(oracle, mode, ter
     checker = Checker(mode, oracle)
     ctx = checker.root_ctx(env)
     first = checker._infer(ctx, term, Free("a"), ())
-    assert checker._infer(ctx, term, Free("b"), ()).d is first.d
+    assert checker._infer(ctx, term, Free("b"), ()) is first
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +400,24 @@ def test_a_term_is_derived_in_the_shortest_environment_that_binds_it(oracle):
     env = env_of(("A", PROP), ("a", a), ("b", a))
     for mode in (CC, CCR):
         checker = Checker(mode, oracle)
-        _, d = checker.infer(env, Abs(a, Bound(0)))
+        d = checker.infer(env, Abs(a, Bound(0)))
         assert d.rule == "weak" and verify_derivation(d) == []
         thin, wf = (p.conclusion for p in d.premises)
         assert thin.env == env_of(("A", PROP)) and wf == WellFormed(env)
         assert (thin.subject, thin.ty) == (d.conclusion.subject, d.conclusion.ty)
         # one derivation in the prefix serves every longer environment
-        _, d2 = checker.infer(env.parent, Abs(a, Bound(0)))
+        d2 = checker.infer(env.parent, Abs(a, Bound(0)))
         assert d2.rule == "weak" and d2.premises[0] is d.premises[0]
         # sorts and variables keep their one step in their own environment
         for term, rule in ((PROP, "ax"), (a, "var")):
-            _, d = checker.infer(env, term)
+            d = checker.infer(env, term)
             assert d.rule == rule and d.conclusion.env == env
 
 
 def test_the_naive_system_keeps_its_cascades(oracle):
     env = env_of(("A", PROP), ("a", Free("A")))
     sigma = Motivation((("A", top_type), ("a", id_term)))
-    _, d = infer_type(env, App(Abs(Free("A"), Bound(0)), Free("a")), NAIVE, oracle,
+    d = infer_type(env, App(Abs(Free("A"), Bound(0)), Free("a")), NAIVE, oracle,
                       motivation=sigma)
     assert "weak" not in {n.rule for n in iter_nodes(d)}
     assert verify_derivation(d) == []
@@ -428,7 +426,7 @@ def test_the_naive_system_keeps_its_cascades(oracle):
 def test_restricted_factorial_is_a_small_derivation(oracle):
     # every candidate witness under factorial's binders is derived once, in
     # the environment its names need, not again under each binder around it
-    _, d = infer_type(Environment(), factorial, CCR, oracle)
+    d = infer_type(Environment(), factorial, CCR, oracle)
     assert sum(1 for _ in iter_nodes(d)) <= 400
     assert verify_derivation(d) == []
 
@@ -466,12 +464,12 @@ def test_verify_derivation_flags_forged_weak_nodes(oracle):
     env = env_of(("A", PROP), ("a", a), ("b", a))
     term = Abs(a, Bound(0))
     checker = Checker(CCR, oracle)
-    _, d = checker.infer(env, term)
+    d = checker.infer(env, term)
     assert d.rule == "weak" and verify_derivation(d) == []
     thin, wf = d.premises
     c, prefix = d.conclusion, thin.conclusion.env
-    _, elsewhere = checker.infer(env_of(("A", PROP), ("b", a)), term)
-    _, in_cc = Checker(CC).infer(prefix, term)
+    elsewhere = checker.infer(env_of(("A", PROP), ("b", a)), term)
+    in_cc = Checker(CC).infer(prefix, term)
     whole = dataclasses.replace(thin, conclusion=dataclasses.replace(thin.conclusion, env=env))
     mismatch = "weak premises do not match conclusion"
     mutants = [
@@ -610,7 +608,7 @@ def _plain_certificate(derivations) -> str:
 def test_certificate_matches_the_plain_encoding(oracle, mode):
     motivation = Motivation(()) if mode is NAIVE else None
     derivations = [infer_type(Environment(), term, mode, oracle,
-                              motivation=motivation)[1]
+                              motivation=motivation)
                    for _, term in prelude_corpus()]
     # one certificate per derivation, and one for all of them, whose
     # derivations share the call's rendered terms and environments
@@ -658,8 +656,8 @@ def _terms_and_envs(derivations) -> tuple[set, set]:
 
 
 def test_certificate_renders_each_distinct_term_once(oracle):
-    derivations = [infer_type(Environment(), factorial, CCR, oracle)[1],
-                   infer_type(Environment(), times, CCR, oracle)[1]]
+    derivations = [infer_type(Environment(), factorial, CCR, oracle),
+                   infer_type(Environment(), times, CCR, oracle)]
     calls: Counter = Counter()
 
     def counting_render(t):
@@ -673,8 +671,8 @@ def test_certificate_renders_each_distinct_term_once(oracle):
 
 
 def test_certificate_encodes_each_environment_once(monkeypatch, oracle):
-    derivations = [infer_type(Environment(), factorial, CCR, oracle)[1],
-                   infer_type(Environment(), times, CCR, oracle)[1]]
+    derivations = [infer_type(Environment(), factorial, CCR, oracle),
+                   infer_type(Environment(), times, CCR, oracle)]
     calls: Counter = Counter()
     encode = kernel._env_json
 
@@ -687,6 +685,37 @@ def test_certificate_encodes_each_environment_once(monkeypatch, oracle):
     _, envs = _terms_and_envs(derivations)
     assert set(calls) == envs
     assert max(calls.values()) == 1
+
+
+def test_walks_over_a_deep_derivation_do_not_recurse():
+    # fun x : Prop => ... => fun x : Prop => x, 600 binders deep: each
+    # level is an abs node over a weak node, so the spine is 1,200 deep
+    t = Bound(0)
+    for _ in range(600):
+        t = Abs(PROP, t)
+    d = infer_type(Environment(), t, CC)
+    assert isinstance(d, Derivation)
+    fh = io.StringIO()
+    recursed = False
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        nodes = list(iter_nodes(d))
+        lines = contract_derivation(d)
+        full = relabel_restricted_products(d)
+        # the printer recurses over the term, the writer must not
+        write_certificate(fh, [d], lambda t: type(t).__name__)
+    except RecursionError:
+        recursed = True
+    finally:
+        sys.setrecursionlimit(limit)
+    # (no assertion prints a derivation: repr() unfolds the shared nodes)
+    assert not recursed, "a walk over the derivation recursed"
+    assert len(nodes) > 2400 and id(nodes[-1]) == id(d)
+    assert [label for label, _ in lines[-1:]] == ["abs"]
+    assert full.mode is CC and verify_derivation(full) == []
+    (table,) = json.loads(fh.getvalue())["derivations"]
+    assert len(table["nodes"]) == len(nodes)
 
 
 def test_motivation_helpers():

@@ -172,15 +172,15 @@ def test_refute_never_refutes_a_checked_witness(oracle):
         got = motivate_env(env, oracle)
         assert not isinstance(got, Diagnostic)
         done = []
-        for entry, (name, term) in zip(env, got.motivation.assignments):
+        for entry, d in zip(env, got):
             holds(Environment(), subst_simultaneous(entry.ty, done))
-            done.append((name, term))
-        for d in got.derivations:
+            done.append((entry.name, d.conclusion.subject))
+        for d in got:
             for goal_env, goal in _witnessed_goals(d):
                 holds(goal_env, goal)
     for _, term in prelude_corpus():
-        ty, d = infer_type(Environment(), term, CCR, oracle)
-        holds(Environment(), ty)
+        d = infer_type(Environment(), term, CCR, oracle)
+        holds(Environment(), d.conclusion.ty)
         for goal_env, goal in _witnessed_goals(d):
             holds(goal_env, goal)
     assert len(checked) > 5000
@@ -203,10 +203,10 @@ class _RecordingOracle(SearchOracle):
 
 
 @pytest.mark.parametrize("label, refuted, reason", [
-    ("composition-goal", True, "no witness exists (A := 1, B := 0)"),
+    ("composition-goal", True, "no witness exists (B := 0)"),
     ("absurd-hypothesis", True, "no witness exists (A := 0)"),
     # the model identifies the proofs x and y, so it cannot tell them apart
-    ("leibniz-hypothesis", False, "search exhausted (depth 8, 4000 nodes)"),
+    ("leibniz-hypothesis", False, "no witness within search depth 8"),
 ])
 def test_negative_fixtures(label, refuted, reason):
     case = next(c for c in negative_corpus()
@@ -224,10 +224,34 @@ def test_negative_fixtures(label, refuted, reason):
     assert _refuted(env, goal) is refuted
 
 
+def test_a_countermodel_shows_only_the_variables_bound_up_with_the_goal():
+    # R reaches the goal Q through g and h; S shares no hypothesis with it
+    p, q, r, s = Free("P"), Free("Q"), Free("R"), Free("S")
+    env = env_of(("P", PROP), ("Q", PROP), ("R", PROP), ("S", PROP),
+                 ("s", s), ("g", arrow(r, p)), ("h", arrow(p, q)))
+    assert refute(env, q, FUEL, {}) == (("P", 0), ("Q", 0), ("R", 0), ("S", 1))
+    assert (make_search_oracle().miss_reason(env, q)
+            == "no witness exists (P := 0, Q := 0, R := 0)")
+
+
+def test_a_miss_the_model_cannot_refute_says_what_bounded_the_search():
+    # the search walks every tree of depth 2; at depth 8 three heads
+    # A -> A make more than 4000 nodes.  The model cannot read P, a kind
+    # over a proposition.
+    a = Free("A")
+    env = env_of(("A", PROP), ("B", PROP), ("P", arrow(a, PROP)),
+                 ("f1", arrow(a, a)), ("f2", arrow(a, a)), ("f3", arrow(a, a)),
+                 ("g", Prod(a, arrow(App(Free("P"), Bound(0)), Free("B")))))
+    assert (make_search_oracle(2, FUEL).miss_reason(env, Free("B"))
+            == "no witness within search depth 2")
+    assert (make_search_oracle(8, FUEL).miss_reason(env, Free("B"))
+            == f"search cut off after {DEFAULT_SEARCH_BUDGET} nodes (depth 8)")
+
+
 def test_a_rejected_candidate_is_no_miss_of_the_search():
     class _Rejected(SearchOracle):
         def _answer(self, env, goal):
-            return PROP, None  # not a proof of anything
+            return PROP, None, False  # not a proof of anything
 
     a = Free("A")
     env = env_of(("A", PROP), ("h", arrow(a, a)))
@@ -272,6 +296,6 @@ def test_the_oracle_answers_like_the_full_search():
             want = _search(env, normalize(goal), DEFAULT_SEARCH_DEPTH, FUEL,
                            [DEFAULT_SEARCH_BUDGET], {})
             assert oracle(env, goal) is want, (seed, goal)
-            if want is None and oracle.miss_reason(env, goal).startswith("no witness"):
+            if want is None and oracle.miss_reason(env, goal).startswith("no witness exists"):
                 refuted += 1
     assert refuted > 100

@@ -166,8 +166,7 @@ def test_prelude_corpus_is_twenty_closed_product_functions(oracle):
     assert len({name for name, _ in corpus}) == 20
     for name, term in corpus:
         assert is_closed(term), name
-        res = infer_type(Environment(), term, SystemMode.CCR, oracle)
-        ty, _ = res
+        ty = infer_type(Environment(), term, SystemMode.CCR, oracle).conclusion.ty
         assert isinstance(normalize(ty), Prod), name
 
 

@@ -225,7 +225,7 @@ def test_render_judgment_shares_environments_through_its_memo(mode, oracle):
     from pedacc.prelude import factorial, times
     envs: dict = {}
     for term in (id_term, times, factorial):
-        _, d = infer_type(Environment(), term, mode, oracle)
+        d = infer_type(Environment(), term, mode, oracle)
         judgments = [j for _, j in contract_derivation(d)]
         shared = [render_judgment(j, envs=envs) for j in judgments]
         assert shared == [render_judgment(j) for j in judgments]

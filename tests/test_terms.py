@@ -52,7 +52,7 @@ def test_equal_terms_reached_by_different_paths_are_one_object():
     assert cmd.subject is by_hand
     # (fun B : Prop => ident) Prop contracts to ident, read back node by node
     assert normalize(App(Abs(PROP, ident), PROP)) is ident
-    assert subst(App(Free("f"), PROP), "f", ident) is by_hand
+    assert subst_simultaneous(App(Free("f"), PROP), [("f", ident)]) is by_hand
     assert subst(App(Bound(0), PROP), 0, ident) is by_hand
     assert copy.deepcopy(by_hand) is by_hand
     assert pickle.loads(pickle.dumps(by_hand)) is by_hand
@@ -142,8 +142,8 @@ def test_subst_lifts_replacement_under_binders():
 
 def test_subst_by_name():
     t = Abs(PROP, App(Free("a"), Bound(0)))
-    assert subst(t, "a", PROP) == Abs(PROP, App(PROP, Bound(0)))
-    assert subst(t, "missing", PROP) == t
+    assert subst_simultaneous(t, [("a", PROP)]) == Abs(PROP, App(PROP, Bound(0)))
+    assert subst_simultaneous(t, [("missing", PROP)]) == t
 
 
 def test_open_close_binder_roundtrip():
