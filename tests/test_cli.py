@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 from collections import Counter
@@ -708,3 +710,39 @@ def test_readme_examples_print_what_they_show(argv, want, capsys):
     argv = [str(DEMOS.parent / a) if a.startswith("demos/") else a for a in argv]
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == want
+
+
+DIGESTS = Path(__file__).resolve().parent / "golden" / "demo_digests.json"
+VERBS = (("check", "--system", "cc"), ("check", "--system", "ccr"),
+         ("check", "--system", "naivep"), ("motivate",), ("inhabit",),
+         ("normalize",), ("eval",))
+
+
+def demo_digests(tmp_path) -> dict[str, list]:
+    """`"DEMO VERB [--system S]"` -> [exit code, SHA-256 of stdout, of
+    stderr, and, for `check`, of the certificate] for every demo and verb.
+    Paths print as ``demos/NAME``, so the digests hold in any checkout."""
+    out = {}
+    cert = tmp_path / "c.json"
+    with contextlib.chdir(DEMOS.parent):
+        for demo in sorted(p.name for p in DEMOS.glob("*.ped")):
+            for verb, *args in VERBS:
+                argv = [verb, f"demos/{demo}", *args]
+                if verb == "check":
+                    argv += ["--emit-derivation", str(cert)]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    rc = main(argv)
+                row = [rc] + [hashlib.sha256(s.getvalue().encode()).hexdigest()
+                              for s in (stdout, stderr)]
+                if verb == "check":
+                    row.append(hashlib.sha256(cert.read_bytes()).hexdigest())
+                out[" ".join([verb, demo, *args])] = row
+    return out
+
+
+def test_every_demo_verb_and_system_prints_the_golden_bytes(tmp_path):
+    # exit code, stdout, stderr and certificate bytes are pinned: a change
+    # that means to keep the output must keep every one of them
+    golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert demo_digests(tmp_path) == golden
