@@ -168,9 +168,9 @@ def _cmd_check(args) -> int:
         return 1
 
     # memos for the whole call: the printed lines and the certificate
-    # render the same terms, and the lines the same environments, over
-    # and over
-    render = functools.cache(render_term)
+    # render the same terms and subterms, and the lines the same
+    # environments, over and over
+    render = functools.cache(functools.partial(render_term, memo={}))
     envs: dict = {}
     for i, d in enumerate(derivations):
         if i:
@@ -248,7 +248,7 @@ def _cmd_eval(args) -> int:
     memo: dict = {}
     for subject in _subjects(args, EvalCmd, "eval"):
         nf = normalize(subject, args.fuel, memo)
-        n = to_natural(nf, args.fuel, memo)  # nf is in the memo: no work
+        n = to_natural(nf, args.fuel, memo)  # nf is normal: no work
         print(n if n is not None else render_term(nf))
     return 0
 

@@ -103,6 +103,12 @@ class Derivation:
     witness: Term | None = None
     motivation: Motivation | None = None
 
+    def __repr__(self) -> str:
+        # premises are counted, not shown: they share subderivations, and
+        # unfolding them grows with the paths through the DAG
+        return (f"Derivation(rule={self.rule!r}, conclusion={self.conclusion!r}, "
+                f"premises={len(self.premises)})")
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -545,18 +551,22 @@ class Checker:
         normal form before the fuel or the interpreter's stack runs out
         is a failed candidate, like an ill-typed one; an abstraction
         hint's body as written is tried next (when the product types that
-        abstraction, inferring it has already checked the body).
+        abstraction, inferring it has already checked the body).  When
+        that body is normal it is the application's normal form, and it
+        is the one candidate the hint gives, found with no evaluation.
         """
         body_nf = normalize(body_open, self.fuel, self._nf)
 
         def candidates():
             if hint is not None:
-                try:
-                    yield normalize(App(hint, Free(binder)), self.fuel, self._nf)
-                except (FuelExhausted, RecursionError):
-                    pass
-                if isinstance(hint, Abs):
-                    yield open_binder(hint.body, binder)
+                opened = open_binder(hint.body, binder) if isinstance(hint, Abs) else None
+                if opened is None or not opened.nf:
+                    try:
+                        yield normalize(App(hint, Free(binder)), self.fuel, self._nf)
+                    except (FuelExhausted, RecursionError):
+                        pass
+                if opened is not None:
+                    yield opened
             if self.oracle is not None:
                 found = self.oracle(ctx2.env, body_open)
                 if found is not None:

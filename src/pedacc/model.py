@@ -68,7 +68,7 @@ def _elements(kind: Term, tables: _Tables) -> tuple:
     if got is None:
         if kind is PROP:
             got = (0, 1)
-        elif type(kind) is Prod and _is_kind(kind.domain) and kind.body.lb == 0:
+        elif type(kind) is Prod and _is_kind(kind.domain) and not kind.body.mask:
             dom = _elements(kind.domain, tables)
             cod = _elements(kind.body, tables)
             if len(cod) ** len(dom) > MAX_VALUATIONS:

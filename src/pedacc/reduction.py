@@ -22,6 +22,12 @@ environment, evaluating the binder's domain only when it is read back
 drops its environment when it contracts.  What still recurses is forcing
 an argument, and the read-back.
 
+Every term node knows whether it is beta-normal (`terms._Node.nf`), so a
+normal term is its own normal form: `normalize` returns it with no
+evaluation, whatever the fuel, and `convertible` tells two distinct normal
+terms apart at once.  The read-back returns a closure's node as it is
+when that node is normal and reads no variable of its environment.
+
 Checking asks for the same normal forms over and over (types of shared
 subterms, convertibility probes), so results go into a `memo` dict that
 the caller owns and drops when its work is done: a `Checker`, one search
@@ -29,7 +35,8 @@ oracle, one `inhabit_search` or `verify_derivation` call, one CLI verb.
 Without one, a call gets a fresh memo of its own.  Nothing is kept from
 call to call at module level, so a normal form lives only as long as its
 owner.  Keys carry the fuel as well as the term: a small budget that
-exhausts must keep doing so, whatever a larger one has already found.
+exhausts must keep doing so, whatever a larger one has already found.  A
+normal term never enters the memo; it needs no entry.
 """
 
 from __future__ import annotations
@@ -149,7 +156,7 @@ def _eval(t: Term, env: tuple, steps: _Steps):
         steps.left -= 1
         # a closed abstraction needs none of its environment: dropping it
         # keeps a chain of closed redexes from copying an ever longer tuple
-        t, env = node.body, (args.pop(),) if node.lb == 0 else env + (args.pop(),)
+        t, env = node.body, (args.pop(),) if not node.mask else env + (args.pop(),)
 
 
 def _quote(v, depth: int, steps: _Steps) -> Term:
@@ -157,6 +164,8 @@ def _quote(v, depth: int, steps: _Steps) -> Term:
         return v
     if type(v) is _VAbs or type(v) is _VProd:
         node = v.node
+        if node.nf and not node.mask:
+            return node  # its environment binds nothing it reads
         if v.dom is None:
             v.dom = _eval(node.domain, v.env, steps)
         dom = _quote(v.dom, depth, steps)
@@ -179,14 +188,14 @@ def _quote(v, depth: int, steps: _Steps) -> Term:
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL, memo: dict | None = None) -> Term:
+    if t.nf:
+        return t
     memo = {} if memo is None else memo
     key = (t, fuel)
     got = memo.get(key)
     if got is None:
         steps = _Steps(fuel, t)
-        got = _quote(_eval(t, (), steps), 0, steps)
-        memo[key] = got
-        memo[(got, fuel)] = got
+        got = memo[key] = _quote(_eval(t, (), steps), 0, steps)
     return got
 
 
@@ -194,4 +203,6 @@ def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL,
                 memo: dict | None = None) -> bool:
     if a == b:
         return True
+    if a.nf and b.nf:
+        return False  # two normal forms, and a term has one
     return normalize(a, fuel, memo) == normalize(b, fuel, memo)

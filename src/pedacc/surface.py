@@ -30,6 +30,7 @@ opens binders under those same pool names.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -145,14 +146,23 @@ _KEYWORDS = frozenset({
     "motivation", "by", "forall", "fun", "Prop", "Type",
 })
 
-_PUNCT = (":=", "=>", "->", "(", ")", ":", ",")
+# One alternative per token class, tried in order; `bad` takes any other
+# character, so the matches tile the text.  A word starts with a letter or
+# `_` (checked after the match: `[^\W\d]` also admits a few non-letters,
+# such as superscript digits); a number is a run of the decimal digits
+# `int` reads.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+)
+  | (?P<comment>--[^\n]*)
+  | (?P<word>[^\W\d][\w']*)
+  | (?P<number>\d+)
+  | (?P<punct>:=|=>|->|[():,])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str     # kw | ident | number | punct | eof
-    text: str
-    pos: SourcePos
+# A token is (kind, text, offset): kind is kw, ident, number, punct or eof.
+# Its position is worked out only when a declaration or an error needs it.
+_Token = tuple[str, str, int]
 
 
 class _Syn(Exception):
@@ -164,59 +174,61 @@ class _Syn(Exception):
 
 def _lex(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def pos() -> SourcePos:
-        return SourcePos(line, col, i)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1; line += 1; col = 1
+    # the eof token counts its column from the start of a comment that
+    # ends the text
+    eof_at = len(text)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if c in " \t\r":
-            i += 1; col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            p = pos()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            toks.append(_Token("kw" if word in _KEYWORDS else "ident", word, p))
-            col += j - i; i = j
-            continue
-        if c.isdigit():
-            p = pos()
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("number", text[i:j], p))
-            col += j - i; i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                toks.append(_Token("punct", punct, pos()))
-                col += len(punct); i += len(punct)
-                break
+        at, word = m.start(), m.group()
+        if kind == "word" and (word[0].isalpha() or word[0] == "_"):
+            toks.append(("kw" if word in _KEYWORDS else "ident", word, at))
+        elif kind == "number" or kind == "punct":
+            toks.append((kind, word, at))
+        elif kind == "comment":
+            if m.end() == len(text):
+                eof_at = at
         else:
-            raise _Syn(f"unexpected character {c!r}", pos())
-    toks.append(_Token("eof", "", pos()))
+            raise _Syn(f"unexpected character {word[0]!r}", _Lines(text).pos(at))
+    toks.append(("eof", "", eof_at))
     return toks
+
+
+class _Lines:
+    """Source positions of offsets into a text.  The line count resumes
+    from the last offset asked for, so asking in increasing order, as the
+    parser does for declarations, reads the text once in all."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.at, self.line, self.line_start = 0, 1, 0
+
+    def pos(self, at: int, offset: int | None = None) -> SourcePos:
+        """The position of offset `at`, reported at `offset` if given."""
+        if at < self.at:
+            self.at, self.line, self.line_start = 0, 1, 0
+        newlines = self.text.count("\n", self.at, at)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.text.rfind("\n", self.at, at) + 1
+        self.at = at
+        return SourcePos(self.line, at - self.line_start + 1,
+                         at if offset is None else offset)
 
 
 # --- parser -----------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.toks = _lex(text)
         self.i = 0
+        self.lines = _Lines(text)
+
+    def pos(self, tok: _Token) -> SourcePos:
+        kind, _, at = tok
+        return self.lines.pos(at, len(self.lines.text) if kind == "eof" else None)
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -228,77 +240,78 @@ class _Parser:
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
-            raise _Syn(f"expected {want!r}, found {t.text or t.kind!r}", t.pos)
+            raise _Syn(f"expected {want!r}, found {t[1] or t[0]!r}", self.pos(t))
         return self.next()
 
     def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+        kind, word, _ = self.peek()
+        return kind == "punct" and word == text
 
     def at_kw(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == text
+        kind, word, _ = self.peek()
+        return kind == "kw" and word == text
 
     # declarations
 
     def decls(self) -> list[SourceDecl]:
         out: list[SourceDecl] = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             out.append(self.decl())
         return out
 
     def decl(self) -> SourceDecl:
         t = self.peek()
-        if t.kind != "kw":
-            raise _Syn(f"expected a declaration keyword, found {t.text!r}", t.pos)
-        if t.text == "assume":
+        kind, word, _ = t
+        if kind != "kw":
+            raise _Syn(f"expected a declaration keyword, found {word!r}", self.pos(t))
+        pos = self.pos(t)
+        if word == "assume":
             self.next()
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("punct", ":")
             ty = self.expr([])
             witness = None
             if self.at_kw("by"):
                 self.next()
                 witness = self.expr([])
-            return AssumeDecl(name, ty, witness, t.pos)
-        if t.text == "def":
+            return AssumeDecl(name, ty, witness, pos)
+        if word == "def":
             self.next()
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("punct", ":=")
-            return DefineDecl(name, self.expr([]), t.pos)
-        if t.text == "check":
+            return DefineDecl(name, self.expr([]), pos)
+        if word == "check":
             self.next()
             subject = self.expr([])
             expected = None
             if self.at_punct(":"):
                 self.next()
                 expected = self.expr([])
-            return CheckCmd(subject, expected, t.pos)
-        if t.text == "inhabit":
+            return CheckCmd(subject, expected, pos)
+        if word == "inhabit":
             self.next()
-            return InhabitCmd(self.expr([]), t.pos)
-        if t.text == "normalize":
+            return InhabitCmd(self.expr([]), pos)
+        if word == "normalize":
             self.next()
-            return NormalizeCmd(self.expr([]), t.pos)
-        if t.text == "eval":
+            return NormalizeCmd(self.expr([]), pos)
+        if word == "eval":
             self.next()
-            return EvalCmd(self.expr([]), t.pos)
-        if t.text == "motivation":
+            return EvalCmd(self.expr([]), pos)
+        if word == "motivation":
             self.next()
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("punct", ":=")
-            return SetMotivationCmd(name, self.expr([]), t.pos)
-        raise _Syn(f"{t.text!r} cannot start a declaration", t.pos)
+            return SetMotivationCmd(name, self.expr([]), pos)
+        raise _Syn(f"{word!r} cannot start a declaration", pos)
 
     # expressions; `binders` is the stack of surface names, innermost last
 
     def expr(self, binders: list[str]) -> Term:
-        t = self.peek()
         if self.at_kw("forall"):
             self.next()
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("punct", ":")
             dom = self.expr(binders)
             self.expect("punct", ",")
@@ -306,7 +319,7 @@ class _Parser:
             return Prod(dom, body)
         if self.at_kw("fun"):
             self.next()
-            name = self.expect("ident").text
+            name = self.expect("ident")[1]
             self.expect("punct", ":")
             dom = self.expr(binders)
             self.expect("punct", "=>")
@@ -324,39 +337,40 @@ class _Parser:
     def app(self, binders: list[str]) -> Term:
         t = self.atom(binders)
         while True:
-            nxt = self.peek()
-            if (nxt.kind in ("ident", "number")
-                    or (nxt.kind == "punct" and nxt.text == "(")
-                    or (nxt.kind == "kw" and nxt.text in ("Prop", "Type"))):
+            kind, word, _ = self.peek()
+            if (kind == "ident" or kind == "number"
+                    or (kind == "punct" and word == "(")
+                    or (kind == "kw" and word in ("Prop", "Type"))):
                 t = App(t, self.atom(binders))
             else:
                 return t
 
     def atom(self, binders: list[str]) -> Term:
         t = self.next()
-        if t.kind == "kw" and t.text == "Prop":
+        kind, word, _ = t
+        if kind == "kw" and word == "Prop":
             return PROP
-        if t.kind == "kw" and t.text == "Type":
+        if kind == "kw" and word == "Type":
             return TYPE
-        if t.kind == "ident":
+        if kind == "ident":
             for depth, name in enumerate(reversed(binders)):
-                if name == t.text:
+                if name == word:
                     return Bound(depth)
-            return Free(t.text)
-        if t.kind == "number":
-            return numeral(int(t.text))
-        if t.kind == "punct" and t.text == "(":
+            return Free(word)
+        if kind == "number":
+            return numeral(int(word))
+        if kind == "punct" and word == "(":
             inner = self.expr(binders)
             self.expect("punct", ")")
             return inner
-        raise _Syn(f"expected a term, found {t.text or t.kind!r}", t.pos)
+        raise _Syn(f"expected a term, found {word or kind!r}", self.pos(t))
 
 
 def parse(text: str) -> list[SourceDecl] | Diagnostic:
     """Parse source text into declarations, or a position-tagged syntax
     Diagnostic."""
     try:
-        return _Parser(_lex(text)).decls()
+        return _Parser(text).decls()
     except _Syn as e:
         return Diagnostic("parse", e.message, (e.pos.line, e.pos.column, e.pos.offset))
 
@@ -364,11 +378,11 @@ def parse(text: str) -> list[SourceDecl] | Diagnostic:
 def parse_term(text: str) -> Term | Diagnostic:
     """Parse a single expression (no declarations)."""
     try:
-        p = _Parser(_lex(text))
+        p = _Parser(text)
         t = p.expr([])
         tok = p.peek()
-        if tok.kind != "eof":
-            raise _Syn(f"trailing input {tok.text!r}", tok.pos)
+        if tok[0] != "eof":
+            raise _Syn(f"trailing input {tok[1]!r}", p.pos(tok))
         return t
     except _Syn as e:
         return Diagnostic("parse", e.message, (e.pos.line, e.pos.column, e.pos.offset))
@@ -380,60 +394,75 @@ def parse_term(text: str) -> Term | Diagnostic:
 _EXPR, _ARROW, _APP, _ATOM = 0, 1, 2, 3
 
 
-def _uses_top(t: Term, depth: int = 0) -> bool:
-    if isinstance(t, Bound):
-        return t.index == depth
-    if isinstance(t, App):
-        return _uses_top(t.fun, depth) or _uses_top(t.arg, depth)
-    if isinstance(t, (Abs, Prod)):
-        return _uses_top(t.domain, depth) or _uses_top(t.body, depth + 1)
-    return False
+def _loose_names(mask: int, binders: list[str]) -> tuple[str, ...]:
+    """The text of each loose index in `mask`, lowest first, under
+    `binders`."""
+    n = len(binders)
+    names = []
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        names.append(binders[-1 - i] if i < n else f"?{i - n}")
+        mask ^= low
+    return tuple(names)
 
 
-def _wrap(s: str, have: int, want: int) -> str:
-    return f"({s})" if have < want else s
-
-
-def _render_term(t: Term, binders: list[str], scope: set[str], prec: int) -> str:
+def _render_term(t: Term, binders: list[str], scope: frozenset[str], prec: int,
+                 memo: dict) -> str:
     """`binders` names the enclosing binders, innermost last ("->" for an
-    arrow's); `scope` holds the names a new binder must avoid: the free
-    names and the enclosing binders' names.  Both grow on entering a
-    binder and are restored on leaving it."""
-    if isinstance(t, SortConst):
-        return t.sort.value
-    if isinstance(t, Bound):
-        if t.index < len(binders):
-            return binders[-1 - t.index]
-        return f"?{t.index - len(binders)}"
-    if isinstance(t, Free):
+    arrow's), and grows and shrinks as binders are entered and left;
+    `scope` holds the names a new binder must avoid: the free names and
+    the enclosing binders' names.
+
+    A node's text depends only on the node, on what its loose indices
+    print as and, if it holds a named binder, on `scope`, so `memo` keeps
+    it under those (parentheses are added after, for `prec`).  A subterm
+    met again in the same context is not walked again."""
+    kind = type(t)
+    if kind is Free:
         return t.name
-    if isinstance(t, App):
-        f = _render_term(t.fun, binders, scope, _APP)
-        a = _render_term(t.arg, binders, scope, _ATOM)
-        return _wrap(f"{f} {a}", _APP, prec)
-    if isinstance(t, Prod) and not _uses_top(t.body):
-        dom = _render_term(t.domain, binders, scope, _APP)
-        binders.append("->")
-        body = _render_term(t.body, binders, scope, _ARROW)
-        binders.pop()
-        return _wrap(f"{dom} -> {body}", _ARROW, prec)
-    if isinstance(t, (Abs, Prod)):
-        name = fresh_name(scope, t.domain)
-        dom = _render_term(t.domain, binders, scope, _ARROW)
-        binders.append(name)
-        scope.add(name)  # a name not in scope, so remove restores it
-        body = _render_term(t.body, binders, scope, _EXPR)
-        scope.remove(name)
-        binders.pop()
-        if isinstance(t, Abs):
-            return _wrap(f"fun {name} : {dom} => {body}", _EXPR, prec)
-        return _wrap(f"forall {name} : {dom}, {body}", _EXPR, prec)
-    raise TypeError(f"not a term: {t!r}")
+    if kind is Bound:
+        i, n = t.index, len(binders)
+        return binders[-1 - i] if i < n else f"?{i - n}"
+    if kind is SortConst:
+        return t.sort.value
+    key = (t, _loose_names(t.mask, binders)) if t.mask else t
+    if t.named:
+        key = (key, scope)
+    if kind is App:
+        have = _APP
+    elif kind is Prod and not t.body.mask & 1:
+        have = _ARROW
+    else:
+        have = _EXPR
+    s = memo.get(key)
+    if s is None:
+        if have == _APP:
+            s = (f"{_render_term(t.fun, binders, scope, _APP, memo)} "
+                 f"{_render_term(t.arg, binders, scope, _ATOM, memo)}")
+        elif have == _ARROW:
+            dom = _render_term(t.domain, binders, scope, _APP, memo)
+            binders.append("->")
+            s = f"{dom} -> {_render_term(t.body, binders, scope, _ARROW, memo)}"
+            binders.pop()
+        else:
+            name = fresh_name(scope, t.domain)
+            dom = _render_term(t.domain, binders, scope, _ARROW, memo)
+            binders.append(name)
+            body = _render_term(t.body, binders, scope | {name}, _EXPR, memo)
+            binders.pop()
+            s = (f"fun {name} : {dom} => {body}" if kind is Abs
+                 else f"forall {name} : {dom}, {body}")
+        memo[key] = s
+    return f"({s})" if have < prec else s
 
 
-def render_term(t: Term) -> str:
-    """Deterministic concrete syntax for a kernel term."""
-    return _render_term(t, [], set(free_vars(t)), _EXPR)
+def render_term(t: Term, memo: dict | None = None) -> str:
+    """Deterministic concrete syntax for a kernel term.
+
+    A caller printing many terms can pass one `memo` dict for all of them:
+    each subterm is then rendered once per context it is printed in."""
+    return _render_term(t, [], free_vars(t), _EXPR, {} if memo is None else memo)
 
 
 def render(obj: Term | SourceDecl) -> str:

@@ -11,8 +11,10 @@ same pools, so a hypothesis has one name wherever it is shown.
 Terms are hash-consed: a constructor returns the one live node with those
 fields, so equal terms are the same object, and ``==`` and ``hash`` are
 the identity ones every object has.  Terms are immutable and can key memo
-tables; build them only through their constructors.  Environments and
-their entries are interned the same way.
+tables; build them only through their constructors.  Each node also
+carries facts computed from its children when it is made (see `_Node`):
+its loose bound indices, whether it is beta-normal, and whether it holds
+a named binder.  Environments and their entries are interned the same way.
 """
 
 from __future__ import annotations
@@ -53,26 +55,20 @@ def _drop(ref: _Ref, table: dict = _TABLE) -> None:
         del table[ref.key]
 
 
-def _add(cls: type, key: tuple, lb: int, *values) -> "Term":
-    """Make and enter the node for a key that has no live node."""
-    t = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(t, name, value)
-    object.__setattr__(t, "lb", lb)
-    ref = _TABLE[key] = _Ref(t, _drop)
-    ref.key = key
-    return t
-
-
-def _add_unbounded(cls: type, key: tuple, *values):
-    """`_add` for an object with no ``lb``: an entry or an environment.
-    Kept apart so that making a term node tests nothing."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
+def _enter(obj, key: tuple):
+    """Enter `obj` as the live object for `key`, which has none."""
     ref = _TABLE[key] = _Ref(obj, _drop)
     ref.key = key
     return obj
+
+
+def _add(cls: type, key: tuple, *values):
+    """Make and enter the object for a key that has no live one, with
+    `values` for its `__match_args__` fields."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return _enter(obj, key)
 
 
 class _Interned:
@@ -99,60 +95,107 @@ class _Interned:
 class _Node(_Interned):
     """Immutable, hash-consed term node.
 
-    ``lb`` is one more than the highest bound index that is loose in the
-    node (0 when it has none): index arithmetic returns a subterm as it is
-    when no index there can change.  ``fv`` holds the node's free names
-    once `free_vars` has asked for them; it is unset until then, so terms
-    that never need it cost nothing more to build.
+    Every node carries three facts about itself, each set when the node
+    is made, from its children's, in O(1):
+
+    - ``mask``: its loose bound indices, bit i set when index i occurs
+      free in the node.  Index arithmetic returns a subterm as it is when
+      no index there can change, and a product whose body's bit 0 is
+      clear does not use its binder (it prints as an arrow).
+    - ``nf``: the node is beta-normal, with no application of an
+      abstraction anywhere inside it.  Normalizing it gives it back.
+    - ``named``: the node holds a binder that prints with a name: an
+      abstraction, or a product whose body uses its binder.  Only such a
+      node's text depends on the names around it.
+
+    ``fv`` holds the node's free names once `free_vars` has asked for
+    them; it is unset until then, so terms that never need it cost
+    nothing more to build.  A leaf's facts are constants of its class
+    (a `Bound`'s mask is its own).
     """
 
-    __slots__ = ("lb", "fv")
+    __slots__ = ("fv",)
 
 
 class SortConst(_Node):
     __slots__ = __match_args__ = ("sort",)
+    mask, nf, named = 0, True, False
 
     def __new__(cls, sort: Sort):
         key = (cls, sort)
         ref = _TABLE.get(key)
-        return (ref and ref()) or _add(cls, key, 0, sort)
+        return (ref and ref()) or _add(cls, key, sort)
 
 
 class Bound(_Node):
-    __slots__ = __match_args__ = ("index",)
+    __slots__ = ("index", "mask")
+    __match_args__ = ("index",)
+    nf, named = True, False
 
     def __new__(cls, index: int):
         key = (cls, index)
         ref = _TABLE.get(key)
-        return (ref and ref()) or _add(cls, key, index + 1, index)
+        t = ref and ref()
+        if t is None:
+            t = _add(cls, key, index)
+            object.__setattr__(t, "mask", 1 << index)
+        return t
 
 
 class Free(_Node):
     __slots__ = __match_args__ = ("name",)
+    mask, nf, named = 0, True, False
 
     def __new__(cls, name: str):
         key = (cls, name)
         ref = _TABLE.get(key)
-        return (ref and ref()) or _add(cls, key, 0, name)
+        return (ref and ref()) or _add(cls, key, name)
+
+
+# Applications and binders are most of the nodes made (NbE's read-back
+# builds one per node it quotes), so each makes its own, with no loop
+# over its fields.
 
 
 class App(_Node):
-    __slots__ = __match_args__ = ("fun", "arg")
+    __slots__ = ("fun", "arg", "mask", "nf", "named")
+    __match_args__ = ("fun", "arg")
 
     def __new__(cls, fun: "Term", arg: "Term"):
         key = (cls, id(fun), id(arg))
         ref = _TABLE.get(key)
-        return (ref and ref()) or _add(cls, key, max(fun.lb, arg.lb), fun, arg)
+        t = ref and ref()
+        if t is None:
+            t = object.__new__(cls)
+            put = object.__setattr__
+            put(t, "fun", fun)
+            put(t, "arg", arg)
+            put(t, "mask", fun.mask | arg.mask)
+            put(t, "nf", fun.nf and arg.nf and type(fun) is not Abs)
+            put(t, "named", fun.named or arg.named)
+            _enter(t, key)
+        return t
 
 
 class _Binder(_Node):
-    __slots__ = __match_args__ = ("domain", "body")
+    __slots__ = ("domain", "body", "mask", "nf", "named")
+    __match_args__ = ("domain", "body")
 
     def __new__(cls, domain: "Term", body: "Term"):
         key = (cls, id(domain), id(body))
         ref = _TABLE.get(key)
-        return (ref and ref()) or _add(cls, key, max(domain.lb, body.lb - 1),
-                                       domain, body)
+        t = ref and ref()
+        if t is None:
+            t = object.__new__(cls)
+            put = object.__setattr__
+            put(t, "domain", domain)
+            put(t, "body", body)
+            put(t, "mask", domain.mask | body.mask >> 1)
+            put(t, "nf", domain.nf and body.nf)
+            put(t, "named", (cls is Abs or domain.named or body.named
+                             or body.mask & 1 == 1))
+            _enter(t, key)
+        return t
 
 
 class Abs(_Binder):
@@ -186,7 +229,7 @@ def apps(fun: Term, *args: Term) -> Term:
 
 def lift(t: Term, cutoff: int, amount: int) -> Term:
     """Add `amount` to every bound index that is `cutoff` or higher."""
-    if t.lb <= cutoff:
+    if not t.mask >> cutoff:
         return t
     match t:
         case Bound(i):
@@ -208,7 +251,7 @@ def subst(t: Term, target: int, u: Term) -> Term:
     that used to bind it.  `subst_simultaneous` replaces free variables.
     """
     def go_bound(t: Term, depth: int) -> Term:
-        if t.lb <= target + depth:
+        if not t.mask >> (target + depth):
             return t
         match t:
             case Bound(i):
@@ -362,7 +405,7 @@ class EnvEntry(_Interned):
     def __new__(cls, name: str, ty: Term, witness: Term | None = None):
         key = (cls, name, id(ty), id(witness))
         ref = _TABLE.get(key)
-        return (ref and ref()) or _add_unbounded(cls, key, name, ty, witness)
+        return (ref and ref()) or _add(cls, key, name, ty, witness)
 
 
 class Environment(_Interned):
@@ -438,7 +481,7 @@ def _cons(parent: Environment | None, last: EnvEntry | None) -> Environment:
     ref = _TABLE.get(key)
     env = ref and ref()
     if env is None:  # not `or`: the empty environment is falsy
-        env = _add_unbounded(Environment, key, parent, last)
+        env = _add(Environment, key, parent, last)
         object.__setattr__(env, "_len", 0 if parent is None else parent._len + 1)
         object.__setattr__(env, "_entries", () if parent is None else None)
         object.__setattr__(env, "_names", None)

@@ -66,7 +66,8 @@ from pedacc.prelude import (
     to_natural,
     top_type,
 )
-from pedacc.surface import render_diagnostic
+from pedacc.surface import render_diagnostic, render_term
+from reference_render import render_term as reference_render_term
 
 ROOT = Path(__file__).resolve().parent
 GOLDEN = ROOT / "golden"
@@ -355,3 +356,26 @@ def test_criterion_9_kernel_invariants(oracle):
     print(f"PASS criterion 9: {audited} of {total} distinct derivation nodes "
           f"audited, 0 invariant violations; {len(_DERIVATIONS)} derivations "
           f"pass the auditor")
+
+
+def test_memoized_rendering_matches_the_reference():
+    """Every term of every derivation the earlier tests registered prints,
+    through one memo for them all, as the plain recursive printer prints
+    it."""
+    assert _DERIVATIONS, "the earlier tests feed this check; run the whole module"
+    terms: dict = {}  # insertion-ordered, so the run is the same each time
+    seen: set[int] = set()
+    for root in _DERIVATIONS:
+        for node in iter_nodes(root, seen):
+            c = node.conclusion
+            for entry in c.env:
+                terms[entry.ty] = None
+            if isinstance(c, HasType):
+                terms[c.subject] = terms[c.ty] = None
+            if node.witness is not None:
+                terms[node.witness] = None
+    memo: dict = {}
+    wrong = [t for t in terms if render_term(t, memo) != reference_render_term(t)]
+    assert not wrong, wrong[:3]
+    print(f"PASS memoized rendering: {len(terms)} distinct terms print as the "
+          f"reference printer prints them")

@@ -746,3 +746,25 @@ def test_every_demo_verb_and_system_prints_the_golden_bytes(tmp_path):
     # that means to keep the output must keep every one of them
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert demo_digests(tmp_path) == golden
+
+
+JUNK = {"superscript": "check \u00b2\n".encode(), "arabic-indic": "check \u0663\n".encode(),
+        "combining": "check A\u0301\n".encode(), "nul": b"check \x00\n",
+        "invalid-utf8": b"check \xff\xfe\n"}
+
+
+@pytest.mark.parametrize("junk", sorted(JUNK))
+def test_junk_characters_end_in_a_message_through_every_verb(tmp_path, capsys, junk):
+    path = tmp_path / "junk.ped"
+    path.write_bytes(JUNK[junk])
+    for verb, *args in VERBS:
+        assert main([verb, str(path), *args]) in (0, 1, 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+
+
+def test_a_superscript_digit_is_a_parse_error(tmp_path, capsys):
+    path = _write(tmp_path, "sup.ped", "check \u00b2\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "pedacc: error[parse]: unexpected character '\u00b2' at line 1, column 7")

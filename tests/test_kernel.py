@@ -709,13 +709,27 @@ def test_walks_over_a_deep_derivation_do_not_recurse():
         recursed = True
     finally:
         sys.setrecursionlimit(limit)
-    # (no assertion prints a derivation: repr() unfolds the shared nodes)
     assert not recursed, "a walk over the derivation recursed"
     assert len(nodes) > 2400 and id(nodes[-1]) == id(d)
     assert [label for label, _ in lines[-1:]] == ["abs"]
     assert full.mode is CC and verify_derivation(full) == []
     (table,) = json.loads(fh.getvalue())["derivations"]
     assert len(table["nodes"]) == len(nodes)
+
+
+def test_the_repr_of_a_deep_derivation_counts_its_premises():
+    # unfolding the shared premises would print a conclusion per path
+    # through the DAG: about n**2 paths here, each with a term of up to n
+    # binders
+    t = Bound(0)
+    for _ in range(2000):
+        t = Abs(PROP, t)
+    d = infer_type(Environment(), t, CC)
+    text = repr(d)
+    assert text.startswith("Derivation(rule='abs', conclusion=HasType(")
+    assert text.endswith(", premises=2)")
+    # the conclusion is shown whole, and it is linear in the binders
+    assert len(text) < 200 * 2000
 
 
 def test_motivation_helpers():

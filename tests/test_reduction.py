@@ -152,6 +152,21 @@ def test_a_memo_keeps_normal_forms_per_fuel():
         convertible(t, numeral(5), 1, memo)
 
 
+def test_a_normal_term_is_its_own_normal_form_with_no_work():
+    memo: dict = {}
+    normal = [IDENT, Free("a"), Bound(3), App(PROP, Free("a")),
+              Prod(PROP, App(Bound(0), Bound(2))), numeral(3)]
+    for seed in range(200):
+        t, _ = gen_typed_term(seed)
+        normal += [u for u in (t, normalize(t)) if beta_step(u) is None]
+    for t in normal:
+        assert t.nf
+        # no evaluation, so no fuel: a budget of 0 is enough
+        assert normalize(t, 0, memo) is t
+    assert not convertible(numeral(2), numeral(3), 0, memo)
+    assert memo == {}  # nothing was worth keeping
+
+
 @pytest.fixture
 def shallow_stack():
     """A recursion limit far below the depth of the terms the test builds,

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import pytest
 
+import reference_render
 from harness import gen_typed_term
+from pedacc import surface
+from pedacc.cli import main
 from pedacc.kernel import Diagnostic, SystemMode, infer_type
 from pedacc.prelude import id_term, numeral, plus, top_type
 from pedacc.surface import (
@@ -236,3 +241,79 @@ def test_render_judgment_shares_environments_through_its_memo(mode, oracle):
 def test_eval_builtin_arithmetic_elaborates():
     env, cmds = elaborate(parse("eval plus 2 2"))
     assert cmds[0].subject == apps(plus, numeral(2), numeral(2))
+
+
+def _random_term(rng: random.Random, size: int):
+    """A term over the names a, x and A, with redexes, bound indices that
+    may dangle, and binders whose domains draw from every name pool."""
+    if size <= 1:
+        return rng.choice([PROP, TYPE, Bound(0), Bound(1), Bound(3), Free("a"),
+                           Free("x"), Free("A")])
+    left = rng.randint(1, size - 1)
+    kind = rng.choice([App, Abs, Prod])
+    return kind(_random_term(rng, left), _random_term(rng, size - left))
+
+
+def test_memoized_rendering_matches_the_reference_on_random_terms():
+    # one memo for every term, as a check call shares it: a subterm met
+    # under other binder names or another scope must not reuse a text
+    rng = random.Random(41)
+    memo: dict = {}
+    for _ in range(1500):
+        t = _random_term(rng, rng.randint(1, 24))
+        assert render_term(t, memo) == reference_render.render_term(t)
+        assert render_term(t) == reference_render.render_term(t)
+
+
+def test_render_calls_grow_linearly_on_binder_towers(monkeypatch, tmp_path):
+    # each suffix of the tower is a line of the derivation; the memo
+    # renders each once, where a plain walk renders each suffix anew
+    calls = 0
+    real = surface._render_term
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(surface, "_render_term", counting)
+    towers = {"arrows": lambda n: "assume A : Prop\ncheck " + "A -> " * n + "A\n",
+              "forall": lambda n: "check forall A : Prop, " + "A -> " * n + "A\n"}
+    for make in towers.values():
+        counts = []
+        for n in (100, 200):
+            path = tmp_path / "tower.ped"
+            path.write_text(make(n))
+            calls = 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["check", str(path), "--system", "cc"]) == 0
+            counts.append(calls)
+        assert counts[0] <= 6 * 100
+        assert counts[1] <= 2 * counts[0] + 10
+
+
+@pytest.mark.parametrize("char", ["²", "½", "́", "\x00"])
+def test_a_character_outside_the_grammar_is_a_parse_error(char):
+    for text in (char, f"check {char}", f"check 1{char}", f"def x{char} := {char}"):
+        d = parse(text)
+        if isinstance(d, Diagnostic):
+            assert d.rule == "parse" and "unexpected character" in d.message
+
+
+def test_a_number_is_what_int_reads():
+    # decimal digits of any script are a number; a superscript is not
+    (d,) = parse("check ٣")
+    assert d.subject == numeral(3)
+    bad = parse("check ²")
+    assert isinstance(bad, Diagnostic)
+    assert bad.message == "unexpected character '²'" and bad.position == (1, 7, 6)
+
+
+def test_positions_count_lines_and_columns():
+    decls = parse("-- c\ncheck Prop\n\n  assume A : Prop\r\ncheck A")
+    assert [(d.pos.line, d.pos.column, d.pos.offset) for d in decls] == [
+        (2, 1, 5), (4, 3, 19), (5, 1, 36)]
+    # the end of the text after a final comment is reported at the
+    # comment's column
+    assert parse("check ( -- open").position == (1, 9, 15)
+    assert parse("check (\n").position == (2, 1, 8)

@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 from pedacc import surface, terms
+from reference_reduction import beta_step
 from pedacc.reduction import normalize
 from pedacc.surface import elaborate, parse, parse_term
 from pedacc.terms import (
@@ -95,12 +96,14 @@ def test_repr_is_the_dataclass_text():
 
 
 def test_loose_bound_level():
-    assert PROP.lb == Free("x").lb == 0
-    assert Bound(3).lb == 4
-    assert App(Bound(1), Free("x")).lb == 2
+    # the mask's bit i is set when index i is loose; its length is one
+    # more than the highest loose index
+    assert PROP.mask == Free("x").mask == 0
+    assert Bound(3).mask == 0b1000 and Bound(3).mask.bit_length() == 4
+    assert App(Bound(1), Free("x")).mask == 0b10
     # a binder hides its own index 0 from the levels above it
-    assert Abs(PROP, Bound(0)).lb == 0
-    assert Prod(Bound(0), App(Bound(0), Bound(2))).lb == 2
+    assert Abs(PROP, Bound(0)).mask == 0
+    assert Prod(Bound(0), App(Bound(0), Bound(2))).mask == 0b11
 
 
 def test_sorts_are_distinct():
@@ -205,6 +208,46 @@ def _subst_names(t, table: dict, depth: int = 0):
             return Prod(_subst_names(d, table, depth), _subst_names(b, table, depth + 1))
         case _:
             return t
+
+
+def _loose(t, depth: int = 0) -> set[int]:
+    """Loose bound indices by a plain walk, with nothing cached."""
+    match t:
+        case Bound(i):
+            return {i - depth} if i >= depth else set()
+        case App(f, a):
+            return _loose(f, depth) | _loose(a, depth)
+        case Abs(d, b) | Prod(d, b):
+            return _loose(d, depth) | _loose(b, depth + 1)
+        case _:
+            return set()
+
+
+def _named(t) -> bool:
+    """Whether a binder in `t` prints with a name, by a plain walk."""
+    match t:
+        case Abs():
+            return True
+        case Prod(d, b):
+            return 0 in _loose(b) or _named(d) or _named(b)
+        case App(f, a):
+            return _named(f) or _named(a)
+        case _:
+            return False
+
+
+def test_node_facts_agree_with_reference_walks():
+    rng = random.Random(29)
+    normal = 0
+    for _ in range(2000):
+        # lifted, so that some masks outgrow a machine word
+        t = lift(_random_term(rng, rng.randint(1, 30)), rng.randint(0, 1),
+                 rng.choice([0, 1, 5, 70]))
+        assert t.nf == (beta_step(t) is None)
+        assert t.mask == sum(1 << i for i in _loose(t))
+        assert t.named == _named(t)
+        normal += t.nf
+    assert 0 < normal < 2000  # both kinds were met
 
 
 def test_free_vars_are_computed_once_per_node_and_shared():
