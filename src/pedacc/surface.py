@@ -25,7 +25,11 @@ The printer (`render`) is the inverse: deterministic, with binder names
 drawn by `terms.fresh_name` from fixed pools (types get A, B, C...,
 functions f, g, h..., other terms x, y, z...), so parsing its output
 recovers the original term.  Free names print as they are: the kernel
-opens binders under those same pool names.
+opens binders under those same pool names.  It reads the facts each term
+node carries: a product whose body's mask has no bit 0 prints as an
+arrow, and the text of a subterm is memoized under the node, the names
+its loose indices print as and, only when it holds a named binder, the
+names taken around it.
 """
 
 from __future__ import annotations
@@ -264,9 +268,9 @@ class _Parser:
     def decl(self) -> SourceDecl:
         t = self.peek()
         kind, word, _ = t
-        if kind != "kw":
-            raise _Syn(f"expected a declaration keyword, found {word!r}", self.pos(t))
         pos = self.pos(t)
+        if kind != "kw":
+            raise _Syn(f"expected a declaration keyword, found {word!r}", pos)
         if word == "assume":
             self.next()
             name = self.expect("ident")[1]

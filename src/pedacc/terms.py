@@ -106,7 +106,7 @@ class _Node(_Interned):
       abstraction anywhere inside it.  Normalizing it gives it back.
     - ``named``: the node holds a binder that prints with a name: an
       abstraction, or a product whose body uses its binder.  Only such a
-      node's text depends on the names around it.
+      node's text depends on which names are taken around it.
 
     ``fv`` holds the node's free names once `free_vars` has asked for
     them; it is unset until then, so terms that never need it cost
