@@ -363,6 +363,20 @@ def subject_reduction_fuzz(n_cases: int, seed: int = 0,
     return report
 
 
+_LEAVES = (PROP, TYPE, Bound(0), Bound(1), Free("a"), Free("b"), Free("c"))
+
+
+def random_term(rng: random.Random, size: int, leaves: tuple = _LEAVES) -> Term:
+    """A term of `size` leaves drawn from `leaves` (by default over the
+    names a, b, c, with bound indices that may dangle), joined by
+    applications and binders at random, so it may hold redexes."""
+    if size <= 1:
+        return rng.choice(leaves)
+    left = rng.randint(1, size - 1)
+    kind = rng.choice([App, Abs, Prod])
+    return kind(random_term(rng, left, leaves), random_term(rng, size - left, leaves))
+
+
 def one_step_reducts(t: Term) -> list[Term]:
     """All terms reachable by contracting exactly one redex of `t`."""
     out: list[Term] = []

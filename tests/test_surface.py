@@ -7,7 +7,7 @@ import random
 import pytest
 
 import reference_render
-from harness import gen_typed_term
+from harness import gen_typed_term, random_term
 from pedacc import surface
 from pedacc.cli import main
 from pedacc.kernel import Diagnostic, SystemMode, infer_type
@@ -243,24 +243,15 @@ def test_eval_builtin_arithmetic_elaborates():
     assert cmds[0].subject == apps(plus, numeral(2), numeral(2))
 
 
-def _random_term(rng: random.Random, size: int):
-    """A term over the names a, x and A, with redexes, bound indices that
-    may dangle, and binders whose domains draw from every name pool."""
-    if size <= 1:
-        return rng.choice([PROP, TYPE, Bound(0), Bound(1), Bound(3), Free("a"),
-                           Free("x"), Free("A")])
-    left = rng.randint(1, size - 1)
-    kind = rng.choice([App, Abs, Prod])
-    return kind(_random_term(rng, left), _random_term(rng, size - left))
-
-
 def test_memoized_rendering_matches_the_reference_on_random_terms():
     # one memo for every term, as a check call shares it: a subterm met
-    # under other binder names or another scope must not reuse a text
+    # under other binder names or another scope must not reuse a text.
+    # The free names are pool names, so they are in the binders' way.
+    leaves = (PROP, TYPE, Bound(0), Bound(1), Bound(3), Free("a"), Free("x"), Free("A"))
     rng = random.Random(41)
     memo: dict = {}
     for _ in range(1500):
-        t = _random_term(rng, rng.randint(1, 24))
+        t = random_term(rng, rng.randint(1, 24), leaves)
         assert render_term(t, memo) == reference_render.render_term(t)
         assert render_term(t) == reference_render.render_term(t)
 
@@ -296,17 +287,15 @@ def test_render_calls_grow_linearly_on_binder_towers(monkeypatch, tmp_path):
 def test_a_character_outside_the_grammar_is_a_parse_error(char):
     for text in (char, f"check {char}", f"check 1{char}", f"def x{char} := {char}"):
         d = parse(text)
-        if isinstance(d, Diagnostic):
-            assert d.rule == "parse" and "unexpected character" in d.message
+        assert isinstance(d, Diagnostic) and d.rule == "parse"
+        assert d.message == f"unexpected character {char!r}"
 
 
 def test_a_number_is_what_int_reads():
     # decimal digits of any script are a number; a superscript is not
+    # (see test_a_character_outside_the_grammar_is_a_parse_error)
     (d,) = parse("check ٣")
     assert d.subject == numeral(3)
-    bad = parse("check ²")
-    assert isinstance(bad, Diagnostic)
-    assert bad.message == "unexpected character '²'" and bad.position == (1, 7, 6)
 
 
 def test_positions_count_lines_and_columns():

@@ -9,8 +9,8 @@ import weakref
 
 import pytest
 
+from harness import random_term
 from pedacc import surface, terms
-from reference_reduction import beta_step
 from pedacc.reduction import normalize
 from pedacc.surface import elaborate, parse, parse_term
 from pedacc.terms import (
@@ -35,6 +35,7 @@ from pedacc.terms import (
     subst,
     subst_simultaneous,
 )
+from reference_reduction import beta_step
 
 
 def test_structural_equality_across_constructions():
@@ -172,16 +173,6 @@ def test_free_vars_and_closedness():
     assert is_closed(Abs(PROP, Bound(0)))
 
 
-def _random_term(rng: random.Random, size: int):
-    """A term over the names a, b, c, with bound indices that may dangle."""
-    if size <= 1:
-        return rng.choice([PROP, TYPE, Bound(0), Bound(1), Free("a"), Free("b"),
-                           Free("c")])
-    left = rng.randint(1, size - 1)
-    kind = rng.choice([App, Abs, Prod])
-    return kind(_random_term(rng, left), _random_term(rng, size - left))
-
-
 def _names(t) -> set[str]:
     """Free names by a plain walk, with nothing cached."""
     match t:
@@ -241,7 +232,7 @@ def test_node_facts_agree_with_reference_walks():
     normal = 0
     for _ in range(2000):
         # lifted, so that some masks outgrow a machine word
-        t = lift(_random_term(rng, rng.randint(1, 30)), rng.randint(0, 1),
+        t = lift(random_term(rng, rng.randint(1, 30)), rng.randint(0, 1),
                  rng.choice([0, 1, 5, 70]))
         assert t.nf == (beta_step(t) is None)
         assert t.mask == sum(1 << i for i in _loose(t))
@@ -264,7 +255,7 @@ def test_free_vars_are_computed_once_per_node_and_shared():
 def test_free_vars_and_is_closed_agree_with_an_uncached_walk():
     rng = random.Random(17)
     for _ in range(300):
-        t = _random_term(rng, rng.randint(1, 30))
+        t = random_term(rng, rng.randint(1, 30))
         assert free_vars(t) == _names(t)
         assert is_closed(t) == (not _names(t))
 
@@ -272,8 +263,8 @@ def test_free_vars_and_is_closed_agree_with_an_uncached_walk():
 def test_subst_simultaneous_agrees_with_a_walk_over_every_node():
     rng = random.Random(23)
     for _ in range(300):
-        t = _random_term(rng, rng.randint(1, 30))
-        u = _random_term(rng, rng.randint(1, 6))
+        t = random_term(rng, rng.randint(1, 30))
+        u = random_term(rng, rng.randint(1, 6))
         # a term without the substituted names comes back as it is
         assert subst_simultaneous(t, [("absent", u)]) is t
         bindings = [("a", u), ("c", Free("b"))]
