@@ -6,8 +6,8 @@ inhabitant, and a naive system that instead asks for closed motivation
 terms at the leaves.  Around the kernel: a normalizer, a bounded
 inhabitation search backed by a two-valued model that refutes goals
 no witness can inhabit, a constructive witness extractor for well-formed
-restricted environments, an arithmetic prelude of iterator-encoded
-naturals, and a small surface language.
+restricted environments, a small surface language, and an arithmetic
+prelude of iterator-encoded naturals written in it.
 """
 
 from .inhabit import (

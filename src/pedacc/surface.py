@@ -16,10 +16,11 @@ The grammar is small and LL(1):
     atom  := 'Prop' | 'Type' | IDENT | NUMBER | '(' expr ')'
 
 `--` starts a comment running to end of line.  `A -> B` is sugar for a
-product whose body does not use its binder.  Number literals expand to
-the standard library numerals.  Binders are resolved to indices during
-parsing, so expression fields of declarations are ordinary kernel terms
-whose free variables are names still to be resolved by `elaborate`.
+product whose body does not use its binder.  A number literal expands
+to `prelude.numeral`; one above `MAX_LITERAL` is a parse error.  Binders
+are resolved to indices during parsing, so expression fields of
+declarations are ordinary kernel terms whose free variables are names
+still to be resolved by `elaborate`, last against `prelude.SOURCE`.
 
 The printer (`render`) is the inverse: deterministic, with binder names
 drawn by `terms.fresh_name` from fixed pools (types get A, B, C...,
@@ -34,29 +35,15 @@ names taken around it.
 
 from __future__ import annotations
 
+import functools
 import re
+import unicodedata
 from dataclasses import dataclass, replace
 from typing import Callable
 
+from . import prelude
 from .kernel import Diagnostic, Judgment, WellFormed
-from .prelude import (
-    bot_type,
-    factorial,
-    fst_term,
-    id_term,
-    iter_term,
-    nat_type,
-    numeral,
-    pair_term,
-    plus,
-    pred,
-    rec_term,
-    snd_term,
-    succ,
-    times,
-    top_type,
-    zero,
-)
+from .prelude import numeral
 from .terms import (
     Abs,
     App,
@@ -163,6 +150,10 @@ _TOKEN = re.compile(r"""
   | (?P<punct>:=|=>|->|[():,])
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
+
+# the largest number literal: its numeral, of a million nodes, takes
+# seconds and hundreds of megabytes to build and evaluate
+MAX_LITERAL = 1_000_000
 
 # A token is (kind, text, offset): kind is kw, ident, number, punct or eof.
 # Its position is worked out only when a declaration or an error needs it.
@@ -362,7 +353,12 @@ class _Parser:
                     return Bound(depth)
             return Free(word)
         if kind == "number":
-            return numeral(int(word))
+            # decided from the digits: `int` refuses a long enough run
+            cut = len(word) - len(str(MAX_LITERAL))
+            head, tail = word[:cut], word[cut:]
+            if any(unicodedata.digit(c) for c in head) or int(tail) > MAX_LITERAL:
+                raise _Syn(f"number literal above {MAX_LITERAL}", self.pos(t))
+            return numeral(int(tail))
         if kind == "punct" and word == "(":
             inner = self.expr(binders)
             self.expect("punct", ")")
@@ -535,26 +531,6 @@ def render_diagnostic(d: Diagnostic) -> str:
 
 # --- elaboration ------------------------------------------------------------
 
-# names every source file may use without defining; user declarations
-# shadow them silently
-BUILTINS: dict[str, Term] = {
-    "nat": nat_type,
-    "top": top_type,
-    "bot": bot_type,
-    "id": id_term,
-    "zero": zero,
-    "succ": succ,
-    "plus": plus,
-    "times": times,
-    "pred": pred,
-    "factorial": factorial,
-    "iter": iter_term,
-    "rec": rec_term,
-    "pair": pair_term,
-    "fst": fst_term,
-    "snd": snd_term,
-}
-
 
 def elaborate(decls: list[SourceDecl],
               ) -> tuple[Environment, tuple[Command, ...]] | Diagnostic:
@@ -563,18 +539,34 @@ def elaborate(decls: list[SourceDecl],
     Assumptions accumulate into an Environment (with witness annotations
     when given); everything else becomes a kernel command.  Definitions
     are transparent: occurrences are replaced by their bodies, so the
-    kernel never sees a defined name.
+    kernel never sees a defined name.  A name neither defined nor assumed
+    resolves to the built-in of that name, if there is one.
     """
-    env = Environment()
+    return _elaborate(decls, _builtins(), {})
+
+
+@functools.cache  # built on first use, not at import: set-up stays cheap
+def _builtins() -> dict[str, Term]:
+    """The terms of the names in `prelude.BUILTINS`, defined by
+    `prelude.SOURCE`."""
     defs: dict[str, Term] = {}
+    _elaborate(parse(prelude.SOURCE), {}, defs)
+    return {name: defs[name] for name in prelude.BUILTINS}
+
+
+def _elaborate(decls: list[SourceDecl], builtins: dict[str, Term],
+               defs: dict[str, Term],
+               ) -> tuple[Environment, tuple[Command, ...]] | Diagnostic:
+    """`elaborate` with these built-ins, entering each definition into `defs`."""
+    env = Environment()
     commands: list[Command] = []
     motivated: set[str] = set()
 
     def resolve(t: Term, pos: SourcePos) -> Term:
         names = free_vars(t)
         bindings = [(n, defs[n]) for n in names if n in defs]
-        bindings += [(n, BUILTINS[n]) for n in names
-                     if n not in defs and n not in env.names() and n in BUILTINS]
+        bindings += [(n, builtins[n]) for n in names
+                     if n not in defs and n not in env.names() and n in builtins]
         t = subst_simultaneous(t, bindings)
         for n in sorted(free_vars(t)):
             if env.lookup(n) is None:

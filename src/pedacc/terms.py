@@ -3,7 +3,7 @@
 Bound variables are De Bruijn indices counted from the nearest enclosing
 binder; variables introduced by an environment entry or by opening a
 binder are named ``Free`` references.  Whoever opens a binder (the
-kernel, the witness search, the prelude's builders) names it by
+kernel, the witness search) names it by
 `fresh_name`: the first name of the domain's pool that is neither in the
 environment nor free in the body.  The printer draws bound names from the
 same pools, so a hypothesis has one name wherever it is shown.

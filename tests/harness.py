@@ -27,23 +27,7 @@ from pedacc.kernel import (
     check_type,
     check_wf,
 )
-from pedacc.prelude import (
-    NAT,
-    Arrow,
-    SimpleType,
-    bot_type,
-    decode,
-    id_term,
-    leibniz_eq,
-    nat_type,
-    numeral,
-    plus,
-    pred,
-    refl_term,
-    succ,
-    times,
-    top_type,
-)
+from pedacc.prelude import numeral, top_type
 from pedacc.reduction import DEFAULT_FUEL, convertible
 from pedacc.terms import (
     Abs,
@@ -60,6 +44,21 @@ from pedacc.terms import (
     env_of,
     lift,
     subst,
+)
+from reference_prelude import (
+    NAT,
+    Arrow,
+    SimpleType,
+    bot_type,
+    decode,
+    id_term,
+    leibniz_eq,
+    nat_type,
+    plus,
+    pred,
+    refl_term,
+    succ,
+    times,
 )
 
 

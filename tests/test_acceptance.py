@@ -45,7 +45,9 @@ from pedacc import (
     verify_derivations,
 )
 from pedacc.cli import main as cli_main
-from pedacc.prelude import (
+from pedacc.prelude import numeral, to_natural, top_type
+from pedacc.surface import render_diagnostic, render_term
+from reference_prelude import (
     NAT,
     Arrow,
     dec,
@@ -54,7 +56,6 @@ from pedacc.prelude import (
     factorial,
     id_term,
     iterate,
-    numeral,
     pair,
     plus,
     pred,
@@ -63,10 +64,7 @@ from pedacc.prelude import (
     proj2,
     rec,
     times,
-    to_natural,
-    top_type,
 )
-from pedacc.surface import render_diagnostic, render_term
 from reference_render import render_term as reference_render_term
 
 ROOT = Path(__file__).resolve().parent

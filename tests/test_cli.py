@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -68,6 +70,21 @@ def test_unbound_name_exits_two(tmp_path, capsys):
     f = _write(tmp_path, "scope.ped", "check mystery")
     assert main(["check", f]) == 2
     assert "error[resolve]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["enc", "P", "first", "second"])
+def test_the_prelude_helpers_stay_unbound(name, tmp_path, capsys):
+    f = _write(tmp_path, "helper.ped", f"check {name}")
+    assert main(["check", f]) == 2
+    assert capsys.readouterr().err == (
+        f"pedacc: error[resolve]: unbound name {name!r} at line 1, column 1\n")
+
+
+def test_importing_the_cli_builds_no_builtin():
+    code = "import pedacc.cli, pedacc.surface as s; print(s._builtins.cache_info().currsize)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(DEMOS.parent / "src")}, check=True)
+    assert run.stdout == "0\n"
 
 
 def test_missing_file_exits_two(capsys):
@@ -709,6 +726,15 @@ def test_the_readme_shows_its_demo_examples():
 def test_readme_examples_print_what_they_show(argv, want, capsys):
     argv = [str(DEMOS.parent / a) if a.startswith("demos/") else a for a in argv]
     assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_the_readme_library_snippet_prints_what_it_shows(capsys):
+    text = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    snippet = text.split("## Library")[1].split("```python\n")[1].split("```")[0]
+    exec(snippet, {})
+    want = [line.split("# ")[1] for line in snippet.splitlines() if "# " in line]
+    assert want == ["abs", "forall A : Prop, A -> A"]
     assert capsys.readouterr().out.splitlines() == want
 
 

@@ -19,14 +19,7 @@ from pedacc.kernel import (
     infer_type,
     verify_derivation,
 )
-from pedacc.prelude import (
-    bot_type,
-    id_term,
-    nat_type,
-    succ,
-    to_natural,
-    top_type,
-)
+from pedacc.prelude import to_natural, top_type
 from pedacc.reduction import convertible
 from pedacc.terms import (
     PROP,
@@ -41,6 +34,7 @@ from pedacc.terms import (
     env_of,
     is_closed,
 )
+from reference_prelude import bot_type, id_term, nat_type, succ
 
 CC = SystemMode.CC
 CCR = SystemMode.CCR

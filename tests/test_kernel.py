@@ -30,16 +30,7 @@ from pedacc.kernel import (
     verify_derivations,
     write_certificate,
 )
-from pedacc.prelude import (
-    bot_type,
-    factorial,
-    id_term,
-    nat_type,
-    numeral,
-    prelude_corpus,
-    times,
-    top_type,
-)
+from pedacc.prelude import numeral, top_type
 from pedacc.reduction import DEFAULT_FUEL, normalize
 from pedacc.surface import elaborate, parse, render_term
 from pedacc.terms import (
@@ -54,6 +45,14 @@ from pedacc.terms import (
     arrow,
     env_of,
     subst_simultaneous,
+)
+from reference_prelude import (
+    bot_type,
+    factorial,
+    id_term,
+    nat_type,
+    prelude_corpus,
+    times,
 )
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"

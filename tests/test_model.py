@@ -27,7 +27,7 @@ from pedacc.kernel import (
     iter_nodes,
 )
 from pedacc.model import MAX_VALUATIONS, refute
-from pedacc.prelude import bot_type, prelude_corpus, top_type
+from pedacc.prelude import top_type
 from pedacc.reduction import DEFAULT_FUEL, normalize
 from pedacc.terms import (
     PROP,
@@ -41,6 +41,7 @@ from pedacc.terms import (
     env_of,
     subst_simultaneous,
 )
+from reference_prelude import bot_type, prelude_corpus
 
 CC = SystemMode.CC
 CCR = SystemMode.CCR

@@ -2,8 +2,23 @@ from __future__ import annotations
 
 import pytest
 
+from pedacc import inhabit, surface
 from pedacc.kernel import Derivation, SystemMode, check_type, infer_type, verify_derivation
-from pedacc.prelude import (
+from pedacc.prelude import numeral, to_natural, top_type
+from pedacc.reduction import normalize
+from pedacc.terms import (
+    PROP,
+    Abs,
+    App,
+    Bound,
+    Environment,
+    Prod,
+    apps,
+    arrow,
+    is_closed,
+)
+from reference_prelude import (
+    BUILTINS,
     NAT,
     Arrow,
     dec,
@@ -17,7 +32,6 @@ from pedacc.prelude import (
     iterate,
     leibniz_eq,
     nat_type,
-    numeral,
     pair,
     pair_term,
     pair_type,
@@ -32,21 +46,7 @@ from pedacc.prelude import (
     snd_term,
     succ,
     times,
-    to_natural,
-    top_type,
     zero,
-)
-from pedacc.reduction import normalize
-from pedacc.terms import (
-    PROP,
-    Abs,
-    App,
-    Bound,
-    Environment,
-    Prod,
-    apps,
-    arrow,
-    is_closed,
 )
 
 NN = Arrow(NAT, NAT)
@@ -63,12 +63,21 @@ FROZEN = {
 
 
 def test_frozen_spellings():
-    from pedacc.prelude import bot_type
+    from reference_prelude import bot_type
     assert nat_type == FROZEN["nat"]
     assert zero == FROZEN["zero"]
     assert top_type == FROZEN["top"]
     assert id_term == FROZEN["id"]
     assert bot_type == FROZEN["bot"]
+
+
+def test_the_shipped_builtins_are_the_reference_terms():
+    shipped = surface._builtins()
+    assert shipped.keys() == BUILTINS.keys()
+    for name, term in [*BUILTINS.items(), *FROZEN.items()]:
+        assert shipped[name] is term, name
+    # the type the witness search proves Prop by
+    assert shipped["top"] is top_type is inhabit.top_type
 
 
 def test_numeral_readback_roundtrip():

@@ -11,7 +11,7 @@ from harness import gen_typed_term, random_term
 from pedacc import surface
 from pedacc.cli import main
 from pedacc.kernel import Diagnostic, SystemMode, infer_type
-from pedacc.prelude import id_term, numeral, plus, top_type
+from pedacc.prelude import numeral, top_type
 from pedacc.surface import (
     AssumeDecl,
     CheckCmd,
@@ -37,6 +37,7 @@ from pedacc.terms import (
     apps,
     arrow,
 )
+from reference_prelude import id_term, plus
 
 
 def test_parse_assume():
@@ -227,7 +228,7 @@ def test_render_judgment_names_fresh_hypotheses():
 @pytest.mark.parametrize("mode", [SystemMode.CC, SystemMode.CCR])
 def test_render_judgment_shares_environments_through_its_memo(mode, oracle):
     from pedacc.kernel import contract_derivation
-    from pedacc.prelude import factorial, times
+    from reference_prelude import factorial, times
     envs: dict = {}
     for term in (id_term, times, factorial):
         d = infer_type(Environment(), term, mode, oracle)
@@ -296,6 +297,19 @@ def test_a_number_is_what_int_reads():
     # (see test_a_character_outside_the_grammar_is_a_parse_error)
     (d,) = parse("check ٣")
     assert d.subject == numeral(3)
+
+
+def test_a_number_literal_is_at_most_a_million(monkeypatch, tmp_path, capsys):
+    # a stand-in numeral: the real one of a million takes seconds to build
+    monkeypatch.setattr(surface, "numeral", lambda k: Free(f"n{k}"))
+    for digits in ("1000000", "0001000000", "٠" * 5000 + "1000000"):
+        assert parse(f"check {digits}")[0].subject == Free("n1000000")
+    for digits in ("1000001", "1" * 5000, "٣000000", "1" + "0" * 4999):
+        assert parse(f"check Prop\ncheck {digits}") == Diagnostic(
+            "parse", "number literal above 1000000", (2, 7, 17))
+    (tmp_path / "big.ped").write_text("check " + "1" * 5000)
+    assert main(["eval", str(tmp_path / "big.ped")]) == 2
+    assert "error[parse]: number literal above 1000000 at line 1" in capsys.readouterr().err
 
 
 def test_positions_count_lines_and_columns():
