@@ -11,7 +11,6 @@ prelude of iterator-encoded naturals written in it.
 """
 
 from .inhabit import (
-    DEFAULT_SEARCH_DEPTH,
     SearchOracle,
     inhabit_search,
     make_search_oracle,
@@ -23,11 +22,8 @@ from .kernel import (
     Checker,
     Derivation,
     Diagnostic,
-    HasType,
-    Judgment,
     Motivation,
     SystemMode,
-    WellFormed,
     check_motivated_env,
     check_type,
     check_wf,
@@ -37,10 +33,9 @@ from .kernel import (
     relabel_restricted_products,
     verify_derivation,
     verify_derivations,
-    write_certificate,
 )
 from .model import refute
-from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize
+from .reduction import convertible, normalize
 from .terms import (
     PROP,
     TYPE,
@@ -51,17 +46,7 @@ from .terms import (
     Environment,
     Free,
     Prod,
-    Sort,
     SortConst,
-    Term,
-    apps,
-    arrow,
-    env_of,
-    free_vars,
-    is_closed,
-    lift,
-    subst,
-    subst_simultaneous,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -273,10 +273,10 @@ def motivate_env(env: Environment,
     Each substituted entry type is closed, so its normal form is Prop or
     a product.  The engine derives the sort of that normal form: Prop's
     ``ax`` node gives `top`, and a product's ``prod_r`` node gives its
-    stored witness abstracted over the binder.  The entry's witness
-    annotation (when present) is the hint for that product, so it is the
-    first candidate witness.  The candidate is then checked against the
-    entry type as written.
+    witness, its first premise's subject, abstracted over the binder.
+    The entry's witness annotation (when present) is the hint for that
+    product, so it is the first candidate witness.  The candidate is then
+    checked against the entry type as written.
 
     One restricted checker judges everything: the environment, each
     normal form and its sort, and each candidate, so the inferences and
@@ -311,8 +311,8 @@ def motivate_env(env: Environment,
         if node.rule == "ax":
             term = top_type
         else:  # prod_r: a closed normal type with a sort is Prop or a product
-            binder = node.premises[1].conclusion.env.last.name
-            term = Abs(node.conclusion.subject.domain, close_binder(node.witness, binder))
+            w = node.premises[0].conclusion
+            term = Abs(node.conclusion.subject.domain, close_binder(w.subject, w.env.last.name))
         final = checker.check(Environment(), term, closed_ty)
         if isinstance(final, Diagnostic):
             return final

@@ -22,10 +22,10 @@ prefix is formed in the whole environment instead.  Inferred types and
 restricted-product witnesses are kept in normal form, save an
 abstraction's body taken as written when its normal form cannot be
 checked, as when the fuel runs out (see `Checker._find_witness`);
-conversion nodes appear only where an inferred type is normalized or an
-application argument is adjusted to the function's domain.  Every result
-is a full `Derivation` tree that can be re-checked node by node with
-`verify_derivation`.
+conversion nodes appear only where an inferred type is normalized, a
+witness's type is converted to the product body, or `check` meets a given
+type.  Every result is a full `Derivation` tree that can be re-checked node
+by node with `verify_derivation`.
 """
 
 from __future__ import annotations
@@ -96,12 +96,14 @@ class Motivation:
 
 @dataclass(frozen=True)
 class Derivation:
+    """One rule application.  A ``prod_r`` node's witness is its first
+    premise's subject; a ``p-ax``/``p-var`` node's motivation pairs its
+    environment's names with its premises' subjects."""
+
     rule: str
     conclusion: Judgment
     premises: tuple["Derivation", ...] = ()
     mode: SystemMode = SystemMode.CC
-    witness: Term | None = None
-    motivation: Motivation | None = None
 
     def __repr__(self) -> str:
         # premises are counted, not shown: they share subderivations, and
@@ -414,9 +416,7 @@ class Checker:
             case SortConst(s) if t == PROP:
                 if mode is SystemMode.NAIVE:
                     return Derivation(
-                        "p-ax", HasType(ctx.env, PROP, TYPE), self._cascade(ctx, pos),
-                        mode, motivation=ctx.motivation,
-                    )
+                        "p-ax", HasType(ctx.env, PROP, TYPE), self._cascade(ctx, pos), mode)
                 return Derivation("ax", HasType(ctx.env, PROP, TYPE), (ctx.wf,), mode)
 
             case SortConst(_):
@@ -431,9 +431,7 @@ class Checker:
                     raise CheckError(Diagnostic("var", f"unbound variable {name}", pos))
                 if mode is SystemMode.NAIVE:
                     node = Derivation(
-                        "p-var", HasType(ctx.env, t, entry.ty), self._cascade(ctx, pos),
-                        mode, motivation=ctx.motivation,
-                    )
+                        "p-var", HasType(ctx.env, t, entry.ty), self._cascade(ctx, pos), mode)
                 else:
                     node = Derivation("var", HasType(ctx.env, t, entry.ty), (ctx.wf,), mode)
                 return self._normalized(ctx, t, entry.ty, node, pos)
@@ -475,17 +473,12 @@ class Checker:
                     raise CheckError(
                         Diagnostic(rule, "product body is not a type", pos + (1,), found=b_ty)
                     )
-                premises = (b,)
-                if witness is not None:
-                    if d_w.conclusion.ty != body_open:
-                        d_w = Derivation(
-                            "conv", HasType(ctx2.env, witness, body_open), (d_w, b), mode
-                        )
-                    premises = (d_w, b)
-                node = Derivation(rule, HasType(ctx.env, t, b_ty), premises, mode,
-                                  witness=witness)
-                if witness is not None:
-                    self._formed[(ctx.env, t, witness)] = node
+                if witness is None:
+                    return Derivation(rule, HasType(ctx.env, t, b_ty), (b,), mode)
+                if d_w.conclusion.ty != body_open:
+                    d_w = Derivation("conv", HasType(ctx2.env, witness, body_open), (d_w, b), mode)
+                node = self._formed[(ctx.env, t, witness)] = Derivation(
+                    rule, HasType(ctx.env, t, b_ty), (d_w, b), mode)
                 return node
 
             case App(f, a):
@@ -497,16 +490,10 @@ class Checker:
                                    pos + (0,), found=f_ty)
                     )
                 d_arg = self._infer(ctx, a, None, pos + (1,))
-                a_ty, dom = d_arg.conclusion.ty, f_ty.domain
-                if a_ty != dom:
-                    if not convertible(a_ty, dom, self.fuel, self._nf):
-                        raise CheckError(
-                            Diagnostic("app", "argument type mismatch", pos + (1,),
-                                       expected=dom, found=a_ty)
-                        )
-                    d_dom_sort = self._check_is_type(ctx, dom, a, pos + (1,))
-                    d_arg = Derivation(
-                        "conv", HasType(ctx.env, a, dom), (d_arg, d_dom_sort), mode
+                if d_arg.conclusion.ty != f_ty.domain:  # both normal: convertible iff equal
+                    raise CheckError(
+                        Diagnostic("app", "argument type mismatch", pos + (1,),
+                                   expected=f_ty.domain, found=d_arg.conclusion.ty)
                     )
                 raw = subst(f_ty.body, 0, a)
                 node = Derivation("app", HasType(ctx.env, t, raw), (d_f, d_arg), mode)
@@ -546,7 +533,7 @@ class Checker:
         tried first; the oracle only runs if that fails, since searching
         is far more expensive than checking.  The application is
         normalized before checking, so an abstraction hint costs no
-        re-check of its binder tower and the stored witness is in normal
+        re-check of its binder tower and the witness is in normal
         form, like inferred types.  A hint whose application finds no
         normal form before the fuel or the interpreter's stack runs out
         is a failed candidate, like an ill-typed one; an abstraction
@@ -724,9 +711,9 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     problems.append("ax node malformed")
             case "var":
                 p = premise(0).conclusion
-                entry = c.env.lookup(c.subject.name) if isinstance(c.subject, Free) else None
                 ok = (
-                    isinstance(c, HasType) and entry is not None and entry.ty == c.ty
+                    isinstance(c, HasType) and isinstance(c.subject, Free)
+                    and (entry := c.env.lookup(c.subject.name)) is not None and entry.ty == c.ty
                     and isinstance(p, WellFormed) and p.env == c.env
                 )
                 if not ok:
@@ -783,7 +770,6 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                         and pb.subject == open_binder(c.subject.body, x)
                         and pb.ty == c.ty
                         and pw.env == pb.env
-                        and pw.subject == d.witness
                         and pw.ty == pb.subject
                     )
                     if not ok:
@@ -838,21 +824,18 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     entry = c.env.lookup(c.subject.name) if isinstance(c.subject, Free) else None
                     if entry is None or entry.ty != c.ty:
                         problems.append("p-var conclusion not in the environment")
-                mot = d.motivation
-                if mot is None or mot.names() != c.env.names():
-                    problems.append(f"{d.rule} motivation does not cover the environment")
-                    return
                 if len(d.premises) != len(c.env):
                     problems.append(f"{d.rule} cascade has wrong length")
                     return
                 done: list[tuple[str, Term]] = []
-                for entry, (_, mt), pd in zip(c.env, mot.assignments, d.premises):
+                for entry, pd in zip(c.env, d.premises):
                     pc = pd.conclusion
                     want = subst_simultaneous(entry.ty, done)
                     if not (isinstance(pc, HasType) and len(pc.env) == 0
-                            and pc.subject == mt and convertible(pc.ty, want, fuel, memo)):
+                            and convertible(pc.ty, want, fuel, memo)):
                         problems.append(f"{d.rule} cascade entry {entry.name} malformed")
-                    done.append((entry.name, mt))
+                        return
+                    done.append((entry.name, pc.subject))
     except IndexError:
         problems.append(f"{d.rule} node is missing premises")
 
@@ -915,7 +898,7 @@ def relabel_restricted_products(d: Derivation) -> Derivation:
         if rule == "prod_r":
             rule, premises = "prod", premises[1:]
         out[id(node)] = Derivation(rule, node.conclusion, tuple(out[id(p)] for p in premises),
-                                   SystemMode.CC, motivation=node.motivation)
+                                   SystemMode.CC)
     return out[id(d)]
 
 
@@ -978,7 +961,8 @@ def write_certificate(fh: TextIO, result: Iterable[Derivation] | Diagnostic,
     gives premises as indices into the table.  A node reads ``{"rule",
     "mode", "conclusion": {"judgment", "env"[, "term", "type"]},
     "premises"[, "witness"][, "motivation"]}``, in the bytes
-    ``json.dumps(node, separators=(",", ":"))`` would give.  For a
+    ``json.dumps(node, separators=(",", ":"))`` would give; the last two
+    are read off the premises (see `Derivation`).  For a
     diagnostic it is ``{"status":"error","diagnostic":{"rule",
     "message", "position"[, "expected"][, "found"]}}``.
 
@@ -1018,12 +1002,12 @@ def write_certificate(fh: TextIO, result: Iterable[Derivation] | Diagnostic,
             text = (f'{"," if i else ""}{{"rule":{_json_str(node.rule)}'
                     f',"mode":{_json_str(node.mode.value)},"conclusion":{conclusion}'
                     f',"premises":[{premises}]')
-            if node.witness is not None:
-                text += f',"witness":{string(node.witness)}'
-            if node.motivation is not None:
+            if node.rule == "prod_r":
+                text += f',"witness":{string(node.premises[0].conclusion.subject)}'
+            elif node.rule in ("p-ax", "p-var"):
                 text += ',"motivation":[' + ",".join(
-                    [f'{{"name":{_json_str(n)},"term":{string(t)}}}'
-                     for n, t in node.motivation.assignments]) + "]"
+                    [f'{{"name":{_json_str(e.name)},"term":{string(p.conclusion.subject)}}}'
+                     for e, p in zip(c.env, node.premises)]) + "]"
             fh.write(text + "}")
         fh.write("]}")
     fh.write("]}\n")

@@ -167,6 +167,11 @@ class _Syn(Exception):
         self.pos = pos
 
 
+def _quote(word: str) -> str:
+    """`word` quoted for a message: its first 40 characters, then `…`."""
+    return repr(word if len(word) <= 40 else word[:40] + "…")
+
+
 def _lex(text: str) -> list[_Token]:
     toks: list[_Token] = []
     # the eof token counts its column from the start of a comment that
@@ -237,7 +242,7 @@ class _Parser:
         t = self.peek()
         if t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
-            raise _Syn(f"expected {want!r}, found {t[1] or t[0]!r}", self.pos(t))
+            raise _Syn(f"expected {want!r}, found {_quote(t[1] or t[0])}", self.pos(t))
         return self.next()
 
     def at_punct(self, text: str) -> bool:
@@ -261,7 +266,7 @@ class _Parser:
         kind, word, _ = t
         pos = self.pos(t)
         if kind != "kw":
-            raise _Syn(f"expected a declaration keyword, found {word!r}", pos)
+            raise _Syn(f"expected a declaration keyword, found {_quote(word)}", pos)
         if word == "assume":
             self.next()
             name = self.expect("ident")[1]
@@ -299,7 +304,7 @@ class _Parser:
             name = self.expect("ident")[1]
             self.expect("punct", ":=")
             return SetMotivationCmd(name, self.expr([]), pos)
-        raise _Syn(f"{word!r} cannot start a declaration", pos)
+        raise _Syn(f"{_quote(word)} cannot start a declaration", pos)
 
     # expressions; `binders` is the stack of surface names, innermost last
 
@@ -363,7 +368,7 @@ class _Parser:
             inner = self.expr(binders)
             self.expect("punct", ")")
             return inner
-        raise _Syn(f"expected a term, found {word or kind!r}", self.pos(t))
+        raise _Syn(f"expected a term, found {_quote(word or kind)}", self.pos(t))
 
 
 def parse(text: str) -> list[SourceDecl] | Diagnostic:
@@ -382,7 +387,7 @@ def parse_term(text: str) -> Term | Diagnostic:
         t = p.expr([])
         tok = p.peek()
         if tok[0] != "eof":
-            raise _Syn(f"trailing input {tok[1]!r}", p.pos(tok))
+            raise _Syn(f"trailing input {_quote(tok[1])}", p.pos(tok))
         return t
     except _Syn as e:
         return Diagnostic("parse", e.message, (e.pos.line, e.pos.column, e.pos.offset))
@@ -570,14 +575,14 @@ def _elaborate(decls: list[SourceDecl], builtins: dict[str, Term],
         t = subst_simultaneous(t, bindings)
         for n in sorted(free_vars(t)):
             if env.lookup(n) is None:
-                raise _Syn(f"unbound name {n!r}", pos)
+                raise _Syn(f"unbound name {_quote(n)}", pos)
         return t
 
     try:
         for d in decls:
             if isinstance(d, (AssumeDecl, DefineDecl)):
                 if d.name in defs or env.lookup(d.name) is not None:
-                    raise _Syn(f"duplicate name {d.name!r}", d.pos)
+                    raise _Syn(f"duplicate name {_quote(d.name)}", d.pos)
             if isinstance(d, AssumeDecl):
                 ty = resolve(d.ty, d.pos)
                 witness = resolve(d.witness, d.pos) if d.witness is not None else None
@@ -595,10 +600,10 @@ def _elaborate(decls: list[SourceDecl], builtins: dict[str, Term],
                 commands.append(replace(d, subject=resolve(d.subject, d.pos)))
             elif isinstance(d, SetMotivationCmd):
                 if env.lookup(d.name) is None:
-                    raise _Syn(f"motivation for a name never assumed: {d.name!r}",
+                    raise _Syn(f"motivation for a name never assumed: {_quote(d.name)}",
                                d.pos)
                 if d.name in motivated:
-                    raise _Syn(f"duplicate motivation for {d.name!r}", d.pos)
+                    raise _Syn(f"duplicate motivation for {_quote(d.name)}", d.pos)
                 motivated.add(d.name)
                 commands.append(replace(d, body=resolve(d.body, d.pos)))
             else:

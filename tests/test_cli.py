@@ -794,3 +794,65 @@ def test_a_superscript_digit_is_a_parse_error(tmp_path, capsys):
     assert main(["check", path]) == 2
     assert capsys.readouterr().err.startswith(
         "pedacc: error[parse]: unexpected character '\u00b2' at line 1, column 7")
+
+
+@pytest.mark.parametrize("source, first_line", [
+    ("check fun x : Prop => Prop", "error[abs]: abstraction body is a kind, not a term"),
+    ("assume A : Prop\nassume a : A\ncheck forall x : A, a",
+     "error[prod]: product body is not a type at 1"),
+    ("assume A : Prop\nassume a : A\ncheck fun x : a => x", "error[prod]: expected a type at 0"),
+    ("assume A : Prop\ncheck A : Type", "error[conv]: type mismatch"),
+    ("assume A : Prop\nassume a : A\nassume y : a",
+     "error[env2]: environment entry is not a type at env.2"),
+])
+def test_kernel_diagnostics_name_their_rule(tmp_path, capsys, source, first_line):
+    f = _write(tmp_path, "bad.ped", source)
+    assert main(["check", f, "--system", "cc"]) == 1
+    assert capsys.readouterr().err.splitlines()[0] == first_line
+
+
+def test_normalize_prints_a_stuck_application_as_it_is(tmp_path, capsys):
+    f = _write(tmp_path, "stuck.ped", "normalize Prop Prop")
+    assert main(["normalize", f]) == 0
+    assert capsys.readouterr().out == "Prop Prop\n"
+
+
+# one source per message that quotes a token or a name; {} is that token
+_QUOTING = [
+    ("def {} := Prop", "parse", "expected 'ident', found {} at line 1, column 5"),
+    ("{}", "parse", "expected a declaration keyword, found {} at line 1, column 1"),
+    ("check {}", "resolve", "unbound name {} at line 1, column 1"),
+    ("assume {0} : Prop\nassume {0} : Prop", "resolve", "duplicate name {} at line 2, column 1"),
+    ("motivation {} := Prop", "resolve",
+     "motivation for a name never assumed: {} at line 1, column 1"),
+    ("assume {0} : top\nmotivation {0} := id\nmotivation {0} := id", "resolve",
+     "duplicate motivation for {} at line 3, column 1"),
+]
+
+
+@pytest.mark.parametrize("source, rule, message", _QUOTING)
+def test_a_message_quotes_a_short_token_whole(tmp_path, capsys, source, rule, message):
+    token = "1" if source.startswith("def") else "x" * 40
+    f = _write(tmp_path, "short.ped", source.format(token))
+    assert main(["check", f]) == 2
+    assert capsys.readouterr().err == (
+        f"pedacc: error[{rule}]: {message.format(repr(token))}\n")
+
+
+@pytest.mark.parametrize("source, rule, message", _QUOTING)
+def test_a_message_quotes_a_long_token_by_its_first_40_characters(tmp_path, capsys,
+                                                                  source, rule, message):
+    token = ("1" if source.startswith("def") else "x") * 5000
+    f = _write(tmp_path, "long.ped", source.format(token))
+    assert main(["check", f]) == 2
+    err = capsys.readouterr().err
+    assert err == f"pedacc: error[{rule}]: {message.format(repr(token[:40] + '…'))}\n"
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Prop check", "trailing input 'check'"),
+    ("check", "expected a term, found 'check'"),
+])
+def test_parse_term_quotes_the_token_it_stops_at(text, message):
+    assert parse_term(text).message == message

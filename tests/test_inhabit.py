@@ -69,7 +69,7 @@ def test_readback_reuses_the_product_witness(oracle):
     node = Checker(CCR, oracle).infer(Environment(), top_type)
     assert node.rule == "prod_r"
     binder = node.premises[1].conclusion.env.last.name
-    term = Abs(top_type.domain, close_binder(node.witness, binder))
+    term = Abs(top_type.domain, close_binder(node.premises[0].conclusion.subject, binder))
     assert mot.conclusion.subject == term
     assert is_closed(term)
     assert isinstance(check_type(Environment(), term, top_type, CC), Derivation)

@@ -235,15 +235,15 @@ def test_prod_r_witnesses_are_stored_in_normal_form(oracle):
     d = check_wf(env, CCR, oracle)
     outer = [n for n in iter_nodes(d)
              if n.rule == "prod_r" and n.conclusion.subject == env.entries[0].ty]
-    assert [render_term(n.witness) for n in outer] == ["fun x : A => x"]
+    assert [render_term(n.premises[0].conclusion.subject) for n in outer] == ["fun x : A => x"]
     assert verify_derivation(d) == []
     # so are those of the products that type abstractions, whose bodies
     # the corpus often writes as redexes
     stray = []
     for name, term in prelude_corpus():
         d = infer_type(Environment(), term, CCR, oracle)
-        stray += [(name, render_term(n.witness)) for n in iter_nodes(d)
-                  if n.rule == "prod_r" and normalize(n.witness) != n.witness]
+        stray += [(name, render_term(w)) for n in iter_nodes(d) if n.rule == "prod_r"
+                  for w in [n.premises[0].conclusion.subject] if normalize(w) != w]
     assert stray == []
 
 
@@ -256,8 +256,8 @@ def test_an_abstraction_hint_beyond_the_fuel_witnesses_as_written():
     assert not isinstance(got, Diagnostic), got.message
     assert got.conclusion.ty == arrow(Free("A"), arrow(Free("A"), Free("A")))
     assert verify_derivation(got) == []
-    assert any(normalize(n.witness) != n.witness
-               for n in iter_nodes(got) if n.rule == "prod_r")
+    assert any(normalize(w) != w for n in iter_nodes(got) if n.rule == "prod_r"
+               for w in [n.premises[0].conclusion.subject])
 
 
 def test_a_hint_beyond_the_fuel_falls_back_to_the_oracle(oracle):
@@ -455,7 +455,7 @@ def test_a_product_whose_witness_lies_past_its_names_is_formed_in_the_whole_envi
     assert check_type(env.parent, check.subject, check.expected, CCR, oracle).rule == "prod_r"
     d = check_type(env, check.subject, check.expected, CCR, oracle)
     assert isinstance(d, Derivation) and verify_derivation(d) == []
-    assert (d.rule, d.conclusion.env, d.witness) == ("prod_r", env, Free("b"))
+    assert (d.rule, d.conclusion.env, d.premises[0].conclusion.subject) == ("prod_r", env, Free("b"))
 
 
 def test_verify_derivation_flags_forged_weak_nodes(oracle):
@@ -584,11 +584,11 @@ def _plain_table(d: Derivation, render) -> dict:
                 conclusion["type"] = render(c.ty)
             entry = {"rule": node.rule, "mode": node.mode.value,
                      "conclusion": conclusion, "premises": premises}
-            if node.witness is not None:
-                entry["witness"] = render(node.witness)
-            if node.motivation is not None:
-                entry["motivation"] = [{"name": n, "term": render(t)}
-                                       for n, t in node.motivation.assignments]
+            if node.rule == "prod_r":
+                entry["witness"] = render(node.premises[0].conclusion.subject)
+            if node.rule in ("p-ax", "p-var"):
+                entry["motivation"] = [{"name": e.name, "term": render(p.conclusion.subject)}
+                                       for e, p in zip(c.env, node.premises)]
             index[id(node)] = len(nodes)
             nodes.append(entry)
         return index[id(node)]
@@ -647,10 +647,10 @@ def _terms_and_envs(derivations) -> tuple[set, set]:
             terms.update(e.ty for e in node.conclusion.env)
             if isinstance(node.conclusion, HasType):
                 terms.update((node.conclusion.subject, node.conclusion.ty))
-            if node.witness is not None:
-                terms.add(node.witness)
-            if node.motivation is not None:
-                terms.update(t for _, t in node.motivation.assignments)
+            if node.rule == "prod_r":
+                terms.add(node.premises[0].conclusion.subject)
+            if node.rule in ("p-ax", "p-var"):
+                terms.update(p.conclusion.subject for p in node.premises)
     return terms, envs
 
 

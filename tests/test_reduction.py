@@ -65,6 +65,15 @@ def test_strategies_agree_on_handcrafted():
         assert normalize(t) == normalize_by_substitution(t)
 
 
+@pytest.mark.parametrize("t, nf", [
+    (App(PROP, PROP), App(PROP, PROP)),              # normal, so returned as it is
+    (App(App(IDENT, PROP), PROP), App(PROP, PROP)),  # a stuck head stays inert
+    (App(Abs(PROP, Bound(1)), PROP), Bound(0)),      # a dangling index reads back
+])
+def test_stuck_and_dangling_heads(t, nf):
+    assert normalize(t) == normalize_by_substitution(t) == normalize_applicative(t) == nf
+
+
 def test_confluence_on_random_corpus():
     # 500 generated terms, two independent strategies, one answer
     for seed in range(500):
