@@ -29,6 +29,7 @@ from .kernel import (
     Derivation,
     Diagnostic,
     HasType,
+    Motivation,
     SystemMode,
     WitnessOracle,
     check_type,
@@ -275,16 +276,16 @@ def motivate_env(env: Environment,
     ``ax`` node gives `top`, and a product's ``prod_r`` node gives its
     witness, its first premise's subject, abstracted over the binder.
     The entry's witness annotation (when present) is the hint for that
-    product, so it is the first candidate witness.  The candidate is then
-    checked against the entry type as written.
+    product, so it is the first candidate witness.  The candidates are
+    then checked against the entry types as written, as one cascade, by
+    the code `check_motivated_env` runs.
 
     One restricted checker judges everything: the environment, each
-    normal form and its sort, and each candidate, so the inferences and
-    normal forms they share are computed once.  Each is one judgment of
-    that checker, so a diagnostic gives the position where that judgment
-    met the failure; an environment that is not well formed gets the
-    diagnostic `check_wf` gives.  Running out of fuel is a
-    `Diagnostic(rule="fuel")`.
+    normal form and its sort, and the cascade, so the inferences and
+    normal forms they share are computed once.  A diagnostic gives the
+    position where the judgment at hand met the failure; an environment
+    that is not well formed gets the diagnostic `check_wf` gives.
+    Running out of fuel is a `Diagnostic(rule="fuel")`.
     """
     checker = Checker(SystemMode.CCR, oracle or make_search_oracle(), fuel)
     wf = checker._judge(lambda: checker.root_ctx(env).wf)
@@ -292,7 +293,6 @@ def motivate_env(env: Environment,
         return wf
     empty = checker.root_ctx(Environment())
     sigma: list[tuple[str, Term]] = []
-    derivs: list[Derivation] = []
     for entry in env:
         closed_ty = subst_simultaneous(entry.ty, sigma)
         hint = None
@@ -313,12 +313,9 @@ def motivate_env(env: Environment,
         else:  # prod_r: a closed normal type with a sort is Prop or a product
             w = node.premises[0].conclusion
             term = Abs(node.conclusion.subject.domain, close_binder(w.subject, w.env.last.name))
-        final = checker.check(Environment(), term, closed_ty)
-        if isinstance(final, Diagnostic):
-            return final
         sigma.append((entry.name, term))
-        derivs.append(final)
-    return tuple(derivs)
+    return checker._judge(lambda: checker._motivate(env, Motivation(tuple(sigma)), (),
+                                                    ("motivate",)))
 
 
 def motivate_judgment(d: Derivation,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -134,7 +134,6 @@ _SORTS = (PROP, TYPE)
 
 def iter_nodes(
     d: Derivation,
-    seen: set[int] | None = None,
     premises: Callable[[Derivation], Iterable[Derivation]] = attrgetter("premises"),
 ) -> Iterator[Derivation]:
     """Every distinct node reachable from `d` through `premises` (by
@@ -144,13 +143,9 @@ def iter_nodes(
 
     Derivations are DAGs (checking shares repeated subderivations), so
     the walk dedupes on identity; an explicit stack keeps deep spines
-    clear of the recursion limit.  A `seen` set shared across calls
-    skips the nodes that earlier walks reached.
+    clear of the recursion limit.
     """
-    seen = set() if seen is None else seen
-    if id(d) in seen:
-        return
-    seen.add(id(d))
+    seen = {id(d)}
     stack = [(d, iter(premises(d)))]
     while stack:
         node, pending = stack[-1]
@@ -190,10 +185,10 @@ class Checker:
     node.  In ``naivep`` mode it keeps one ``cc`` checker for the
     motivation cascades, so each motivation term is inferred once too.
 
-    Failures are cached only for the judgment being checked: a
-    diagnostic carries the position where it was first met, and a later
-    judgment reaching the same failure must report its own.  The public
-    entry points return type errors and running out of fuel as a
+    It keeps every result, failures too, for its life: a failure is
+    kept with the position where it was first met, and one met again is
+    reported at the position where the judgment at hand meets it.  The
+    public entry points return type errors and running out of fuel as a
     `Diagnostic`.
     """
 
@@ -206,8 +201,7 @@ class Checker:
         self.mode = mode
         self.oracle = oracle
         self.fuel = fuel
-        self._memo: dict = {}
-        self._failed: list = []  # keys of the failures in _memo
+        self._memo: dict = {}  # a Derivation, or (first position, Diagnostic)
         self._ctxs: dict[Environment, _Ctx] = {}
         self._cascade_memo: dict = {}
         self._cascade_checker: Checker | None = None
@@ -236,18 +230,11 @@ class Checker:
             lambda: self._check(self.root_ctx(env, motivation), term, expected, ()))
 
     def _judge(self, run: Callable):
-        """`run()` as one judgment: failures cached by earlier judgments
-        are dropped first, and errors come back as a `Diagnostic`."""
-        self._forget_failures()
+        """`run()`, with errors returned as a `Diagnostic`."""
         try:
             return run()
         except (CheckError, FuelExhausted) as e:
             return _diagnostic(e)
-
-    def _forget_failures(self) -> None:
-        for key in self._failed:
-            del self._memo[key]
-        self._failed.clear()
 
     # -- context construction ------------------------------------------------
 
@@ -313,8 +300,7 @@ class Checker:
         """The closed ``cc`` derivations that justify `ctx`'s motivation.
 
         One ``cc`` checker serves every cascade, so a motivation term
-        shared by several cascades is inferred once; each cascade is one
-        judgment of that checker.
+        shared by several cascades is inferred once.
         """
         key = (ctx.env, ctx.motivation)
         got = self._cascade_memo.get(key)
@@ -323,7 +309,6 @@ class Checker:
             if cc is None:
                 cc = self._cascade_checker = Checker(SystemMode.CC, fuel=self.fuel)
                 cc._nf = self._nf  # same fuel, so the same normal forms
-            cc._forget_failures()
             got = self._cascade_memo[key] = cc._motivate(ctx.env, ctx.motivation, pos, pos)
         return got
 
@@ -375,7 +360,9 @@ class Checker:
         if cached is not None:
             if isinstance(cached, Derivation):
                 return cached
-            raise CheckError(cached)
+            # a failure leaving _infer(..., pos) is positioned under pos
+            first, diag = cached
+            raise CheckError(replace(diag, position=pos + diag.position[len(first):]))
         try:
             out = None
             if self.mode is not SystemMode.NAIVE and isinstance(t, (App, Abs, Prod)):
@@ -383,8 +370,7 @@ class Checker:
             if out is None:
                 out = self._infer_raw(ctx, t, hint, pos)
         except CheckError as e:
-            self._memo[key] = e.diagnostic
-            self._failed.append(key)
+            self._memo[key] = (pos, e.diagnostic)
             raise
         self._memo[key] = out
         return out
@@ -436,11 +422,8 @@ class Checker:
                     node = Derivation("var", HasType(ctx.env, t, entry.ty), (ctx.wf,), mode)
                 return self._normalized(ctx, t, entry.ty, node, pos)
 
-            case Abs(domain, body):
-                self._check_is_type(ctx, domain, None, pos + (0,))
-                x = fresh_name(set(ctx.env.names()) | free_vars(body), domain)
-                ctx2 = self._extend(ctx, x, domain, pos)
-                body_open = open_binder(body, x)
+            case Abs(domain, _):
+                ctx2, body_open = self._open(ctx, t, pos)
                 b = self._infer(ctx2, body_open, None, pos + (1,))
                 b_ty = b.conclusion.ty
                 if b_ty == TYPE:
@@ -449,19 +432,16 @@ class Checker:
                                    pos, found=b_ty)
                     )
                 d_bsort = self._check_is_type(ctx2, b_ty, body_open, pos + (1,))
-                res_ty = Prod(domain, close_binder(b_ty, x))
+                res_ty = Prod(domain, close_binder(b_ty, ctx2.env.last.name))
                 node = Derivation("abs", HasType(ctx.env, t, res_ty), (b, d_bsort), mode)
                 return self._normalized(ctx, t, res_ty, node, pos)
 
-            case Prod(domain, body):
-                self._check_is_type(ctx, domain, None, pos + (0,))
-                x = fresh_name(set(ctx.env.names()) | free_vars(body), domain)
-                ctx2 = self._extend(ctx, x, domain, pos)
-                body_open = open_binder(body, x)
+            case Prod():
+                ctx2, body_open = self._open(ctx, t, pos)
                 rule, witness = "prod", None
                 if mode is SystemMode.CCR:
                     rule = "prod_r"
-                    d_w = self._find_witness(ctx2, body_open, hint, x, pos)
+                    d_w = self._find_witness(ctx2, body_open, hint, pos)
                     witness = d_w.conclusion.subject
                     # two hints that find one witness form one product
                     formed = self._formed.get((ctx.env, t, witness))
@@ -503,13 +483,27 @@ class Checker:
 
     # -- helpers -------------------------------------------------------------
 
+    def _open(self, ctx: _Ctx, t: Abs | Prod, pos: tuple) -> tuple[_Ctx, Term]:
+        """The binder step: check that `t`'s domain is a type, and return
+        the context under the binder, named afresh, and the body opened at
+        that name."""
+        self._check_is_type(ctx, t.domain, None, pos + (0,))
+        x = fresh_name(set(ctx.env.names()) | free_vars(t.body), t.domain)
+        return self._extend(ctx, x, t.domain, pos), open_binder(t.body, x)
+
     def _normalized(self, ctx: _Ctx, subject: Term, ty: Term, node: Derivation,
                     pos: tuple) -> Derivation:
-        """Wrap `node` in a conversion so the reported type is normal."""
+        """Wrap `node` in a conversion so the reported type is normal.
+
+        Only an abstraction is the hint for that type's sort: its body is
+        derived by now, while the judgment of a variable or an application
+        is still in progress, so applying one to the binder would infer it
+        again and form the same product again, without end."""
         ty_nf = normalize(ty, self.fuel, self._nf)
         if ty_nf == ty:
             return node
-        d_sort = self._check_is_type(ctx, ty_nf, subject, pos)
+        hint = subject if isinstance(subject, Abs) else None
+        d_sort = self._check_is_type(ctx, ty_nf, hint, pos)
         return Derivation("conv", HasType(ctx.env, subject, ty_nf), (node, d_sort), self.mode)
 
     def _check_is_type(self, ctx: _Ctx, ty: Term, hint: Term | None,
@@ -524,9 +518,9 @@ class Checker:
         return d
 
     def _find_witness(self, ctx2: _Ctx, body_open: Term, hint: Term | None,
-                      binder: str, pos: tuple) -> Derivation:
-        """Locate and re-check a witness inhabiting a product body: the
-        derivation's subject.
+                      pos: tuple) -> Derivation:
+        """Locate and re-check a witness inhabiting a product body, opened
+        at the binder `ctx2` ends with: the derivation's subject.
 
         The hint (an inhabitant of the whole product: an annotation, or
         the abstraction the product types) is applied to the binder and
@@ -543,6 +537,7 @@ class Checker:
         is the one candidate the hint gives, found with no evaluation.
         """
         body_nf = normalize(body_open, self.fuel, self._nf)
+        binder = ctx2.env.last.name
 
         def candidates():
             if hint is not None:
@@ -673,23 +668,29 @@ _RULES_BY_MODE = {
 }
 
 
+def _under_binder(c: HasType, p: HasType) -> bool:
+    """Whether `p` is a judgment under the binder of `c`'s subject: its
+    environment is `c`'s extended at the binder's domain by a name not
+    free in the body, and its subject is that body opened at the name."""
+    b, last = c.subject, p.env.last
+    return (p.env.parent == c.env and last.ty == b.domain
+            and last.name not in free_vars(b.body)
+            and p.subject == open_binder(b.body, last.name))
+
+
 def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> None:
     c = d.conclusion
     rules = _RULES_BY_MODE[d.mode]
     if d.rule not in rules:
         problems.append(f"rule {d.rule} not part of mode {d.mode.value}")
         return
-
-    def premise(i: int) -> Derivation:
-        return d.premises[i]
-
     try:
         match d.rule:
             case "env1":
                 if not (isinstance(c, WellFormed) and len(c.env) == 0 and not d.premises):
                     problems.append("env1 must conclude the empty environment")
             case "env2":
-                p = premise(0).conclusion
+                p = d.premises[0].conclusion
                 ok = (
                     isinstance(c, WellFormed)
                     and isinstance(p, HasType)
@@ -702,7 +703,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 if not ok:
                     problems.append("env2 premise does not match conclusion")
             case "ax":
-                p = premise(0).conclusion
+                p = d.premises[0].conclusion
                 ok = (
                     isinstance(c, HasType) and c.subject == PROP and c.ty == TYPE
                     and isinstance(p, WellFormed) and p.env == c.env
@@ -710,7 +711,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 if not ok:
                     problems.append("ax node malformed")
             case "var":
-                p = premise(0).conclusion
+                p = d.premises[0].conclusion
                 ok = (
                     isinstance(c, HasType) and isinstance(c.subject, Free)
                     and (entry := c.env.lookup(c.subject.name)) is not None and entry.ty == c.ty
@@ -719,63 +720,33 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 if not ok:
                     problems.append("var node malformed")
             case "abs":
-                p0, p1 = premise(0).conclusion, premise(1).conclusion
+                p0, p1 = d.premises[0].conclusion, d.premises[1].conclusion
                 if not (isinstance(c, HasType) and isinstance(c.subject, Abs)
                         and isinstance(c.ty, Prod) and isinstance(p0, HasType)
                         and isinstance(p1, HasType)):
                     problems.append("abs node malformed")
-                else:
-                    x = p0.env.entries[-1].name
-                    ok = (
-                        p0.env.entries[:-1] == c.env.entries
-                        and p0.env.entries[-1].ty == c.subject.domain
-                        and x not in free_vars(c.subject.body)
-                        and c.ty.domain == c.subject.domain
-                        and p0.subject == open_binder(c.subject.body, x)
-                        and p0.ty == open_binder(c.ty.body, x)
-                        and p1.env == p0.env
-                        and p1.subject == p0.ty
-                        and p1.ty in _SORTS
-                    )
-                    if not ok:
-                        problems.append("abs premises do not match conclusion")
+                elif not (_under_binder(c, p0) and c.ty.domain == c.subject.domain
+                          and p0.ty == open_binder(c.ty.body, p0.env.last.name)
+                          and p1.env == p0.env and p1.subject == p0.ty and p1.ty in _SORTS):
+                    problems.append("abs premises do not match conclusion")
             case "prod":
-                p = premise(0).conclusion
+                p = d.premises[0].conclusion
                 if not (isinstance(c, HasType) and isinstance(c.subject, Prod)
                         and c.ty in _SORTS and isinstance(p, HasType)):
                     problems.append("prod node malformed")
-                else:
-                    x = p.env.entries[-1].name
-                    ok = (
-                        p.env.entries[:-1] == c.env.entries
-                        and p.env.entries[-1].ty == c.subject.domain
-                        and x not in free_vars(c.subject.body)
-                        and p.subject == open_binder(c.subject.body, x)
-                        and p.ty == c.ty
-                    )
-                    if not ok:
-                        problems.append("prod premise does not match conclusion")
+                elif not (_under_binder(c, p) and p.ty == c.ty):
+                    problems.append("prod premise does not match conclusion")
             case "prod_r":
-                pw, pb = premise(0).conclusion, premise(1).conclusion
+                pw, pb = d.premises[0].conclusion, d.premises[1].conclusion
                 if not (isinstance(c, HasType) and isinstance(c.subject, Prod)
                         and c.ty in _SORTS and isinstance(pw, HasType)
                         and isinstance(pb, HasType)):
                     problems.append("prod_r node malformed")
-                else:
-                    x = pb.env.entries[-1].name
-                    ok = (
-                        pb.env.entries[:-1] == c.env.entries
-                        and pb.env.entries[-1].ty == c.subject.domain
-                        and x not in free_vars(c.subject.body)
-                        and pb.subject == open_binder(c.subject.body, x)
-                        and pb.ty == c.ty
-                        and pw.env == pb.env
-                        and pw.ty == pb.subject
-                    )
-                    if not ok:
-                        problems.append("prod_r premises do not match conclusion")
+                elif not (_under_binder(c, pb) and pb.ty == c.ty
+                          and pw.env == pb.env and pw.ty == pb.subject):
+                    problems.append("prod_r premises do not match conclusion")
             case "app":
-                pf, pa = premise(0).conclusion, premise(1).conclusion
+                pf, pa = d.premises[0].conclusion, d.premises[1].conclusion
                 ok = (
                     isinstance(c, HasType) and isinstance(c.subject, App)
                     and isinstance(pf, HasType) and isinstance(pa, HasType)
@@ -789,7 +760,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 if not ok:
                     problems.append("app premises do not match conclusion")
             case "conv":
-                pt, ps = premise(0).conclusion, premise(1).conclusion
+                pt, ps = d.premises[0].conclusion, d.premises[1].conclusion
                 ok = (
                     isinstance(c, HasType) and isinstance(pt, HasType)
                     and isinstance(ps, HasType)
@@ -802,7 +773,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 if not ok:
                     problems.append("conv premises do not match conclusion")
             case "weak":
-                p, w = premise(0).conclusion, premise(1).conclusion
+                p, w = d.premises[0].conclusion, d.premises[1].conclusion
                 ok = (
                     isinstance(c, HasType) and isinstance(p, HasType)
                     and len(p.env) < len(c.env)
@@ -840,14 +811,26 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
         problems.append(f"{d.rule} node is missing premises")
 
 
-def _mode_problems(roots, problems: list[str]) -> None:
-    """Nodes whose mode is not the one their root expects: the root's
+def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
+    """Re-check every node of the derivations against its rule schema, and
+    check that every node is in the mode its root expects: the root's
     own, except in the closed full-calculus cascade under a naive ``p-ax``
-    or ``p-var``, whose nodes are all ``cc``.  The subtree under a stray
-    node is not walked: that node is reported, and its premises would
-    repeat it.  Each (node, expected mode) pair is looked at once."""
+    or ``p-var``, whose nodes are all ``cc``.
+
+    One walk, on an explicit stack, visits each (node, expected mode) pair
+    once.  The derivations may share subtrees: each distinct node's schema
+    is checked once, so auditing many derivations together costs their
+    distinct nodes, not their sum, and a problem in a node shared by
+    several roots is reported once.  A node in a stray mode is reported,
+    and the walk does not go under it, where its premises would repeat
+    the report.  Returns a list of problems; an empty list means every
+    tree is valid.
+    """
+    problems: list[str] = []
+    memo: dict = {}
+    checked: set[int] = set()
     seen: set[tuple[int, SystemMode]] = set()
-    stack = [(d, d.mode) for d in roots]
+    stack = [(d, d.mode) for d in reversed(list(roots))]
     while stack:
         node, mode = stack.pop()
         if (id(node), mode) in seen:
@@ -857,29 +840,12 @@ def _mode_problems(roots, problems: list[str]) -> None:
             problems.append(f"{node.rule} node of mode {node.mode.value} "
                             f"inside a {mode.value} derivation")
             continue
+        if id(node) not in checked:
+            checked.add(id(node))
+            _verify_node(node, problems, fuel, memo)
         if node.rule in ("p-ax", "p-var"):
             mode = SystemMode.CC
-        stack.extend((p, mode) for p in node.premises)
-
-
-def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
-    """Re-check every node of the derivations against its rule schema, and
-    check that every node is in the mode its root expects.
-
-    The derivations may share subtrees: each distinct node's schema is
-    checked once, and each (node, expected mode) pair once, so auditing
-    many derivations together costs their distinct nodes, not their sum.
-    Returns a list of problems; an empty list means every tree is valid.
-    A problem in a node shared by several roots is reported once.
-    """
-    roots = list(roots)
-    problems: list[str] = []
-    memo: dict = {}
-    seen: set[int] = set()
-    for root in roots:
-        for node in iter_nodes(root, seen):
-            _verify_node(node, problems, fuel, memo)
-    _mode_problems(roots, problems)
+        stack.extend((p, mode) for p in reversed(node.premises))
     return problems
 
 

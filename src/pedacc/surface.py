@@ -22,7 +22,7 @@ are resolved to indices during parsing, so expression fields of
 declarations are ordinary kernel terms whose free variables are names
 still to be resolved by `elaborate`, last against `prelude.SOURCE`.
 
-The printer (`render`) is the inverse: deterministic, with binder names
+The printer (`render_term`) is the inverse: deterministic, with binder names
 drawn by `terms.fresh_name` from fixed pools (types get A, B, C...,
 functions f, g, h..., other terms x, y, z...), so parsing its output
 recovers the original term.  Free names print as they are: the kernel
@@ -167,9 +167,13 @@ class _Syn(Exception):
         self.pos = pos
 
 
+def _cut(text: str, limit: int) -> str:
+    """`text` for a message: its first `limit` characters, then `…`."""
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 def _quote(word: str) -> str:
-    """`word` quoted for a message: its first 40 characters, then `…`."""
-    return repr(word if len(word) <= 40 else word[:40] + "…")
+    return repr(_cut(word, 40))
 
 
 def _lex(text: str) -> list[_Token]:
@@ -470,31 +474,6 @@ def render_term(t: Term, memo: dict | None = None) -> str:
     return _render_term(t, [], free_vars(t), _EXPR, {} if memo is None else memo)
 
 
-def render(obj: Term | SourceDecl) -> str:
-    """Concrete syntax for a term or a declaration."""
-    if isinstance(obj, AssumeDecl):
-        s = f"assume {obj.name} : {render_term(obj.ty)}"
-        if obj.witness is not None:
-            s += f" by {render_term(obj.witness)}"
-        return s
-    if isinstance(obj, DefineDecl):
-        return f"def {obj.name} := {render_term(obj.body)}"
-    if isinstance(obj, CheckCmd):
-        s = f"check {render_term(obj.subject)}"
-        if obj.expected is not None:
-            s += f" : {render_term(obj.expected)}"
-        return s
-    if isinstance(obj, InhabitCmd):
-        return f"inhabit {render_term(obj.goal)}"
-    if isinstance(obj, NormalizeCmd):
-        return f"normalize {render_term(obj.subject)}"
-    if isinstance(obj, EvalCmd):
-        return f"eval {render_term(obj.subject)}"
-    if isinstance(obj, SetMotivationCmd):
-        return f"motivation {obj.name} := {render_term(obj.body)}"
-    return render_term(obj)
-
-
 def render_judgment(j: Judgment,
                     render: Callable[[Term], str] = render_term,
                     envs: dict | None = None) -> str:
@@ -527,10 +506,11 @@ def render_diagnostic(d: Diagnostic) -> str:
     elif d.position:
         where = " at " + ".".join(str(p) for p in d.position)
     out = f"error[{d.rule}]: {d.message}{where}"
+    # a certificate keeps the whole term; a message quotes its start
     if d.expected is not None:
-        out += f"\n  expected: {render_term(d.expected)}"
+        out += f"\n  expected: {_cut(render_term(d.expected), 200)}"
     if d.found is not None:
-        out += f"\n  found:    {render_term(d.found)}"
+        out += f"\n  found:    {_cut(render_term(d.found), 200)}"
     return out
 
 

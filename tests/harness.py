@@ -68,6 +68,16 @@ DEMO_REJECTS = frozenset({
     ("motivate.ped", "naivep"), ("naive.ped", "cc"), ("naive.ped", "ccr"),
 })
 
+# a variable, an application and both, each of a type that normalizes to a
+# product: sources that every system checks
+NORMALIZED_PRODUCTS = {
+    "app.ped": "assume A : Prop\nassume a : A\n"
+               "assume g : A -> (fun T : Prop => T -> T) A\ncheck g a\n",
+    "var.ped": "assume A : Prop\nassume f : (fun T : Prop => T -> T) A\ncheck f\n",
+    "var-app.ped": "assume A : Prop\nassume a : A\n"
+                   "assume f : (fun T : Prop => T -> T) A\ncheck f a\n",
+}
+
 
 @dataclass(frozen=True)
 class GeneratedCase:

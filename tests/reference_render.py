@@ -3,10 +3,24 @@
 It walks every node of the term, with no memo, and asks whether a
 product's body uses its binder by walking that body again.  The tests
 check that the memoized printer gives the same text.
+
+`render` prints a declaration through the shipped term printer, for the
+tests that parse printed declarations back.
 """
 
 from __future__ import annotations
 
+from pedacc import surface
+from pedacc.surface import (
+    AssumeDecl,
+    CheckCmd,
+    DefineDecl,
+    EvalCmd,
+    InhabitCmd,
+    NormalizeCmd,
+    SetMotivationCmd,
+    SourceDecl,
+)
 from pedacc.terms import Abs, App, Bound, Free, Prod, SortConst, Term, free_vars, fresh_name
 
 # precedence contexts, loosest to tightest
@@ -67,3 +81,29 @@ def _render_term(t: Term, binders: list[str], scope: set[str], prec: int) -> str
 def render_term(t: Term) -> str:
     """Deterministic concrete syntax for a kernel term."""
     return _render_term(t, [], set(free_vars(t)), _EXPR)
+
+
+def render(obj: Term | SourceDecl) -> str:
+    """Concrete syntax for a term or a declaration."""
+    render_term = surface.render_term
+    if isinstance(obj, AssumeDecl):
+        s = f"assume {obj.name} : {render_term(obj.ty)}"
+        if obj.witness is not None:
+            s += f" by {render_term(obj.witness)}"
+        return s
+    if isinstance(obj, DefineDecl):
+        return f"def {obj.name} := {render_term(obj.body)}"
+    if isinstance(obj, CheckCmd):
+        s = f"check {render_term(obj.subject)}"
+        if obj.expected is not None:
+            s += f" : {render_term(obj.expected)}"
+        return s
+    if isinstance(obj, InhabitCmd):
+        return f"inhabit {render_term(obj.goal)}"
+    if isinstance(obj, NormalizeCmd):
+        return f"normalize {render_term(obj.subject)}"
+    if isinstance(obj, EvalCmd):
+        return f"eval {render_term(obj.subject)}"
+    if isinstance(obj, SetMotivationCmd):
+        return f"motivation {obj.name} := {render_term(obj.body)}"
+    return render_term(obj)

@@ -329,7 +329,10 @@ def test_criterion_9_kernel_invariants(oracle):
     total = audited = 0
     violations: list[str] = []
     for root in _DERIVATIONS:
-        for node in iter_nodes(root, seen):
+        for node in iter_nodes(root):
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
             total += 1
             if node.mode is SystemMode.NAIVE:
                 continue
@@ -362,7 +365,10 @@ def test_memoized_rendering_matches_the_reference():
     terms: dict = {}  # insertion-ordered, so the run is the same each time
     seen: set[int] = set()
     for root in _DERIVATIONS:
-        for node in iter_nodes(root, seen):
+        for node in iter_nodes(root):
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
             c = node.conclusion
             for entry in c.env:
                 terms[entry.ty] = None

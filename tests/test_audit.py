@@ -127,7 +127,10 @@ def generic(certified) -> list[tuple[str, list[str]]]:
     parent: dict[int, Derivation] = {}
     seen: set[int] = set()
     for root in certified:
-        for node in iter_nodes(root, seen):
+        for node in iter_nodes(root):
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
             order.append(node)
             for p in node.premises:
                 parent.setdefault(id(p), node)

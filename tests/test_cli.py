@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import DEMO_REJECTS
+from harness import DEMO_REJECTS, NORMALIZED_PRODUCTS
 from pedacc import cli
 from pedacc.cli import main
 from pedacc.kernel import (
@@ -809,6 +809,28 @@ def test_kernel_diagnostics_name_their_rule(tmp_path, capsys, source, first_line
     f = _write(tmp_path, "bad.ped", source)
     assert main(["check", f, "--system", "cc"]) == 1
     assert capsys.readouterr().err.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_PRODUCTS))
+@pytest.mark.parametrize("system", ["cc", "ccr"])
+def test_a_subject_whose_type_normalizes_to_a_product_checks(tmp_path, capsys, name, system):
+    f = _write(tmp_path, name, NORMALIZED_PRODUCTS[name])
+    assert main(["check", f, "--system", system]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_kernel_diagnostic_quotes_a_long_term_by_its_first_200_characters(tmp_path,
+                                                                           capsys):
+    name = "N" * 5000
+    f = _write(tmp_path, "long.ped", f"assume {name} : Prop\nassume a : {name}\ncheck a : Prop")
+    assert main(["check", f, "--system", "cc"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[1:] == ["  expected: Prop", f"  found:    {name[:200]}…"]
+    assert max(len(line.encode()) for line in lines) <= 220
+    # a short term keeps its exact text
+    f = _write(tmp_path, "short.ped", "assume N : Prop\nassume a : N\ncheck a : Prop")
+    assert main(["check", f, "--system", "cc"]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == ["  expected: Prop", "  found:    N"]
 
 
 def test_normalize_prints_a_stuck_application_as_it_is(tmp_path, capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import DEMO_REJECTS, naive_p_examples
+from harness import DEMO_REJECTS, NORMALIZED_PRODUCTS, naive_p_examples
 from pedacc import cli, kernel
 from pedacc.kernel import (
     Checker,
@@ -351,15 +351,25 @@ def test_a_cascade_infers_each_motivation_term_once_per_checker(monkeypatch, ora
 
 
 @pytest.mark.parametrize("mode", [CC, CCR, NAIVE])
-def test_a_failure_comes_back_at_the_later_judgments_position(oracle, mode):
+def test_a_failure_comes_back_at_the_later_judgments_position(monkeypatch, oracle, mode):
     env = env_of(("A", PROP), ("a", Free("A")))
     sigma = Motivation((("A", top_type), ("a", id_term))) if mode is NAIVE else None
     bad = App(Free("a"), Free("a"))
     checker = Checker(mode, oracle)
     first = checker.infer(env, bad, sigma)
     assert isinstance(first, Diagnostic) and first.position == (0,)
-    # the same failure, one application deeper
+    derived = []
+    infer_raw = Checker._infer_raw
+
+    def recording(self, ctx, t, hint, pos):
+        if self is checker:
+            derived.append(t)
+        return infer_raw(self, ctx, t, hint, pos)
+
+    monkeypatch.setattr(Checker, "_infer_raw", recording)
+    # the same failure, one application deeper, comes from the memo
     later = checker.infer(env, App(bad, Free("a")), sigma)
+    assert bad not in derived
     assert later == infer_type(env, App(bad, Free("a")), mode, oracle, motivation=sigma)
     assert later.position == (0, 0)
 
@@ -642,7 +652,10 @@ def _terms_and_envs(derivations) -> tuple[set, set]:
     terms, envs = set(), set()
     seen: set[int] = set()
     for d in derivations:
-        for node in iter_nodes(d, seen):
+        for node in iter_nodes(d):
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
             envs.add(node.conclusion.env)
             terms.update(e.ty for e in node.conclusion.env)
             if isinstance(node.conclusion, HasType):
@@ -714,6 +727,21 @@ def test_walks_over_a_deep_derivation_do_not_recurse():
     assert full.mode is CC and verify_derivation(full) == []
     (table,) = json.loads(fh.getvalue())["derivations"]
     assert len(table["nodes"]) == len(nodes)
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_PRODUCTS))
+def test_a_subject_whose_type_normalizes_to_a_product_checks_in_ccr(oracle, name):
+    # the sort of the normal type is derived with no hint from a variable
+    # or an application, whose own judgment is still in progress
+    env, cmds = elaborate(parse(NORMALIZED_PRODUCTS[name]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        d = infer_type(env, cmds[-1].subject, CCR, oracle)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(d, Derivation), d
+    assert verify_derivation(d) == []
 
 
 def test_the_repr_of_a_deep_derivation_counts_its_premises():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import reference_render
+from reference_render import render
 from harness import gen_typed_term, random_term
 from pedacc import surface
 from pedacc.cli import main
@@ -20,7 +21,6 @@ from pedacc.surface import (
     elaborate,
     parse,
     parse_term,
-    render,
     render_diagnostic,
     render_judgment,
     render_term,
