@@ -495,14 +495,16 @@ class Checker:
                     pos: tuple) -> Derivation:
         """Wrap `node` in a conversion so the reported type is normal.
 
-        Only an abstraction is the hint for that type's sort: its body is
-        derived by now, while the judgment of a variable or an application
-        is still in progress, so applying one to the binder would infer it
-        again and form the same product again, without end."""
+        The subject is the hint for that type's sort, unless it is a normal
+        variable or application: applied to the binder, such a subject
+        stays inside the normal form, so its own judgment, still in
+        progress, would run again and form the same product again, without
+        end.  An abstraction's body is derived by now, and a subject that
+        still reduces cannot occur in a normal form."""
         ty_nf = normalize(ty, self.fuel, self._nf)
         if ty_nf == ty:
             return node
-        hint = subject if isinstance(subject, Abs) else None
+        hint = subject if isinstance(subject, Abs) or not subject.nf else None
         d_sort = self._check_is_type(ctx, ty_nf, hint, pos)
         return Derivation("conv", HasType(ctx.env, subject, ty_nf), (node, d_sort), self.mode)
 
@@ -821,30 +823,31 @@ def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
     once.  The derivations may share subtrees: each distinct node's schema
     is checked once, so auditing many derivations together costs their
     distinct nodes, not their sum, and a problem in a node shared by
-    several roots is reported once.  A node in a stray mode is reported,
-    and the walk does not go under it, where its premises would repeat
-    the report.  Returns a list of problems; an empty list means every
-    tree is valid.
+    several roots is reported once.  A node in a stray mode is reported;
+    the nodes under it have their schemas checked but not their modes,
+    which would repeat that report.  Returns a list of problems; an empty
+    list means every tree is valid.
     """
     problems: list[str] = []
     memo: dict = {}
     checked: set[int] = set()
-    seen: set[tuple[int, SystemMode]] = set()
+    seen: set[tuple[int, SystemMode | None]] = set()
     stack = [(d, d.mode) for d in reversed(list(roots))]
     while stack:
         node, mode = stack.pop()
         if (id(node), mode) in seen:
             continue
         seen.add((id(node), mode))
-        if node.mode is not mode:
-            problems.append(f"{node.rule} node of mode {node.mode.value} "
-                            f"inside a {mode.value} derivation")
-            continue
         if id(node) not in checked:
             checked.add(id(node))
             _verify_node(node, problems, fuel, memo)
-        if node.rule in ("p-ax", "p-var"):
-            mode = SystemMode.CC
+        if mode is not None:  # None: under a stray node
+            if node.mode is not mode:
+                problems.append(f"{node.rule} node of mode {node.mode.value} "
+                                f"inside a {mode.value} derivation")
+                mode = None
+            elif node.rule in ("p-ax", "p-var"):
+                mode = SystemMode.CC
         stack.extend((p, mode) for p in reversed(node.premises))
     return problems
 

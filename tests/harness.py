@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from pedacc.inhabit import make_search_oracle, motivate_env
 from pedacc.kernel import (
@@ -26,6 +27,7 @@ from pedacc.kernel import (
     check_motivated_env,
     check_type,
     check_wf,
+    iter_nodes,
 )
 from pedacc.prelude import numeral, top_type
 from pedacc.reduction import DEFAULT_FUEL, convertible
@@ -69,14 +71,29 @@ DEMO_REJECTS = frozenset({
 })
 
 # a variable, an application and both, each of a type that normalizes to a
-# product: sources that every system checks
+# product, and a redex whose type does: sources that every system checks
 NORMALIZED_PRODUCTS = {
     "app.ped": "assume A : Prop\nassume a : A\n"
                "assume g : A -> (fun T : Prop => T -> T) A\ncheck g a\n",
     "var.ped": "assume A : Prop\nassume f : (fun T : Prop => T -> T) A\ncheck f\n",
     "var-app.ped": "assume A : Prop\nassume a : A\n"
                    "assume f : (fun T : Prop => T -> T) A\ncheck f a\n",
+    "redex.ped": "assume A : Prop\nassume b : A\n"
+                 "check (fun T : Prop => fun y : T => b) ((fun S : Prop => S) A)\n",
 }
+
+
+def distinct_nodes(roots) -> Iterator[Derivation]:
+    """Each node reachable from the derivations `roots` once, after its
+    premises: `iter_nodes` of each root in turn, not going under a node
+    that an earlier root reached."""
+    seen: set[int] = set()
+    for root in roots:
+        if id(root) in seen:
+            continue
+        for node in iter_nodes(root, lambda n: (p for p in n.premises if id(p) not in seen)):
+            seen.add(id(node))
+            yield node
 
 
 @dataclass(frozen=True)

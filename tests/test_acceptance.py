@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 from harness import (
+    distinct_nodes,
     evaluate_case,
     gen_ccr_env,
     naive_p_examples,
@@ -32,7 +33,6 @@ from pedacc import (
     check_type,
     check_wf,
     infer_type,
-    iter_nodes,
     motivate_env,
     normalize,
     relabel_restricted_products,
@@ -325,29 +325,24 @@ def test_criterion_9_kernel_invariants(oracle):
             sorted_cache[key] = hit
         return hit
 
-    seen: set[int] = set()
     total = audited = 0
     violations: list[str] = []
-    for root in _DERIVATIONS:
-        for node in iter_nodes(root):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            total += 1
-            if node.mode is SystemMode.NAIVE:
-                continue
-            audited += 1
-            c = node.conclusion
-            for entry in c.env:
-                if _mentions_top_sort(entry.ty, clean):
-                    violations.append(
-                        f"{node.rule}: top sort inside environment entry {entry.name}")
-            if isinstance(c, HasType):
-                if _mentions_top_sort(c.subject, clean):
-                    violations.append(f"{node.rule}: top sort inside a subject")
-                if c.ty != TYPE and not type_is_sorted(node.mode, c.env, c.ty):
-                    violations.append(
-                        f"{node.rule}: type neither the top sort nor well-sorted")
+    for node in distinct_nodes(_DERIVATIONS):
+        total += 1
+        if node.mode is SystemMode.NAIVE:
+            continue
+        audited += 1
+        c = node.conclusion
+        for entry in c.env:
+            if _mentions_top_sort(entry.ty, clean):
+                violations.append(
+                    f"{node.rule}: top sort inside environment entry {entry.name}")
+        if isinstance(c, HasType):
+            if _mentions_top_sort(c.subject, clean):
+                violations.append(f"{node.rule}: top sort inside a subject")
+            if c.ty != TYPE and not type_is_sorted(node.mode, c.env, c.ty):
+                violations.append(
+                    f"{node.rule}: type neither the top sort nor well-sorted")
     assert not violations, violations[:5]
     # the auditor, which also holds every node to its root's mode
     problems = verify_derivations(_DERIVATIONS)
@@ -363,19 +358,14 @@ def test_memoized_rendering_matches_the_reference():
     it."""
     assert _DERIVATIONS, "the earlier tests feed this check; run the whole module"
     terms: dict = {}  # insertion-ordered, so the run is the same each time
-    seen: set[int] = set()
-    for root in _DERIVATIONS:
-        for node in iter_nodes(root):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            c = node.conclusion
-            for entry in c.env:
-                terms[entry.ty] = None
-            if isinstance(c, HasType):
-                terms[c.subject] = terms[c.ty] = None
-            if node.rule == "prod_r":
-                terms[node.premises[0].conclusion.subject] = None
+    for node in distinct_nodes(_DERIVATIONS):
+        c = node.conclusion
+        for entry in c.env:
+            terms[entry.ty] = None
+        if isinstance(c, HasType):
+            terms[c.subject] = terms[c.ty] = None
+        if node.rule == "prod_r":
+            terms[node.premises[0].conclusion.subject] = None
     memo: dict = {}
     wrong = [t for t in terms if render_term(t, memo) != reference_render_term(t)]
     assert not wrong, wrong[:3]

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from harness import distinct_nodes
 from pedacc import cli, kernel
 from pedacc.kernel import (
     Derivation,
@@ -33,7 +34,6 @@ from pedacc.kernel import (
     WellFormed,
     check_type,
     infer_type,
-    iter_nodes,
     verify_derivation,
 )
 from pedacc.prelude import top_type
@@ -125,15 +125,10 @@ def generic(certified) -> list[tuple[str, list[str]]]:
     distinct node of the certified derivations."""
     order: list[Derivation] = []
     parent: dict[int, Derivation] = {}
-    seen: set[int] = set()
-    for root in certified:
-        for node in iter_nodes(root):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            order.append(node)
-            for p in node.premises:
-                parent.setdefault(id(p), node)
+    for node in distinct_nodes(certified):
+        order.append(node)
+        for p in node.premises:
+            parent.setdefault(id(p), node)
     terms = list(dict.fromkeys(t for n in order if isinstance(n.conclusion, HasType)
                                for t in (n.conclusion.subject, n.conclusion.ty)))
     form = {WellFormed: HasType, HasType: WellFormed}

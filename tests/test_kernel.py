@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import DEMO_REJECTS, NORMALIZED_PRODUCTS, naive_p_examples
+from harness import DEMO_REJECTS, NORMALIZED_PRODUCTS, distinct_nodes, naive_p_examples
 from pedacc import cli, kernel
 from pedacc.kernel import (
     Checker,
@@ -527,6 +527,15 @@ def test_verify_derivation_flags_a_derivation_that_mixes_modes(oracle):
     relabelled = dataclasses.replace(d, mode=CCR)
     assert verify_derivation(relabelled) == [
         "prod node of mode cc inside a ccr derivation"]
+    # a forged node in a stray mode, and one under it, have their schemas
+    # checked too
+    (prod,) = d.premises
+    forged = Derivation("ax", HasType(Environment(), PROP, PROP), (), CC)
+    under = dataclasses.replace(
+        relabelled, premises=(dataclasses.replace(prod, premises=(forged,)),))
+    assert sorted(verify_derivation(under)) == [
+        "ax node is missing premises", "prod node of mode cc inside a ccr derivation",
+        "prod premise does not match conclusion"]
 
 
 def test_one_shared_audit_reports_what_per_root_audits_report(oracle):
@@ -650,20 +659,15 @@ def test_demo_certificates_match_the_plain_encoding(tmp_path, capsys,
 
 def _terms_and_envs(derivations) -> tuple[set, set]:
     terms, envs = set(), set()
-    seen: set[int] = set()
-    for d in derivations:
-        for node in iter_nodes(d):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            envs.add(node.conclusion.env)
-            terms.update(e.ty for e in node.conclusion.env)
-            if isinstance(node.conclusion, HasType):
-                terms.update((node.conclusion.subject, node.conclusion.ty))
-            if node.rule == "prod_r":
-                terms.add(node.premises[0].conclusion.subject)
-            if node.rule in ("p-ax", "p-var"):
-                terms.update(p.conclusion.subject for p in node.premises)
+    for node in distinct_nodes(derivations):
+        envs.add(node.conclusion.env)
+        terms.update(e.ty for e in node.conclusion.env)
+        if isinstance(node.conclusion, HasType):
+            terms.update((node.conclusion.subject, node.conclusion.ty))
+        if node.rule == "prod_r":
+            terms.add(node.premises[0].conclusion.subject)
+        if node.rule in ("p-ax", "p-var"):
+            terms.update(p.conclusion.subject for p in node.premises)
     return terms, envs
 
 
@@ -731,8 +735,8 @@ def test_walks_over_a_deep_derivation_do_not_recurse():
 
 @pytest.mark.parametrize("name", sorted(NORMALIZED_PRODUCTS))
 def test_a_subject_whose_type_normalizes_to_a_product_checks_in_ccr(oracle, name):
-    # the sort of the normal type is derived with no hint from a variable
-    # or an application, whose own judgment is still in progress
+    # the sort of the normal type is derived with no hint from a normal
+    # variable or application, whose own judgment is still in progress
     env, cmds = elaborate(parse(NORMALIZED_PRODUCTS[name]))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -742,6 +746,19 @@ def test_a_subject_whose_type_normalizes_to_a_product_checks_in_ccr(oracle, name
         sys.setrecursionlimit(limit)
     assert isinstance(d, Derivation), d
     assert verify_derivation(d) == []
+
+
+def test_a_redex_is_the_hint_for_the_sort_of_its_normalized_type():
+    # the redex cannot occur in the normal form of itself applied to the
+    # binder, so it stays the hint, and with no oracle its body's `b` is
+    # the witness of A -> A
+    env, cmds = elaborate(parse(NORMALIZED_PRODUCTS["redex.ped"]))
+    d = infer_type(env, cmds[-1].subject, CCR, oracle=None)
+    assert isinstance(d, Derivation), d
+    assert d.conclusion.ty == arrow(Free("A"), Free("A"))
+    assert verify_derivation(d) == []
+    witnesses = {n.premises[0].conclusion.subject for n in iter_nodes(d) if n.rule == "prod_r"}
+    assert witnesses == {Free("b")}
 
 
 def test_the_repr_of_a_deep_derivation_counts_its_premises():
