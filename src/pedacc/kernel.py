@@ -438,27 +438,26 @@ class Checker:
 
             case Prod():
                 ctx2, body_open = self._open(ctx, t, pos)
-                rule, witness = "prod", None
-                if mode is SystemMode.CCR:
-                    rule = "prod_r"
-                    d_w = self._find_witness(ctx2, body_open, hint, pos)
-                    witness = d_w.conclusion.subject
-                    # two hints that find one witness form one product
-                    formed = self._formed.get((ctx.env, t, witness))
-                    if formed is not None:
-                        return formed
-                b = self._infer(ctx2, body_open, witness, pos + (1,))
-                b_ty = b.conclusion.ty
-                if b_ty not in _SORTS:
-                    raise CheckError(
-                        Diagnostic(rule, "product body is not a type", pos + (1,), found=b_ty)
-                    )
-                if witness is None:
-                    return Derivation(rule, HasType(ctx.env, t, b_ty), (b,), mode)
+                if mode is not SystemMode.CCR:
+                    b = self._body(ctx2, body_open, None, pos)
+                    return Derivation("prod", HasType(ctx.env, t, b.conclusion.ty), (b,), mode)
+                # `_infer` reads a hint only for a product, so any other
+                # body has one derivation with or without the witness: it
+                # is derived first, and one that is not a type fails as
+                # such, before a witness search
+                b = None if isinstance(body_open, Prod) else self._body(ctx2, body_open, None, pos)
+                d_w = self._find_witness(ctx2, body_open, hint, pos)
+                witness = d_w.conclusion.subject
+                # two hints that find one witness form one product
+                formed = self._formed.get((ctx.env, t, witness))
+                if formed is not None:
+                    return formed
+                if b is None:
+                    b = self._body(ctx2, body_open, witness, pos)
                 if d_w.conclusion.ty != body_open:
                     d_w = Derivation("conv", HasType(ctx2.env, witness, body_open), (d_w, b), mode)
                 node = self._formed[(ctx.env, t, witness)] = Derivation(
-                    rule, HasType(ctx.env, t, b_ty), (d_w, b), mode)
+                    "prod_r", HasType(ctx.env, t, b.conclusion.ty), (d_w, b), mode)
                 return node
 
             case App(f, a):
@@ -490,6 +489,17 @@ class Checker:
         self._check_is_type(ctx, t.domain, None, pos + (0,))
         x = fresh_name(set(ctx.env.names()) | free_vars(t.body), t.domain)
         return self._extend(ctx, x, t.domain, pos), open_binder(t.body, x)
+
+    def _body(self, ctx2: _Ctx, body_open: Term, witness: Term | None,
+              pos: tuple) -> Derivation:
+        """Derive a product's body, opened under `ctx2` with `witness`
+        as its hint, and require a sort."""
+        b = self._infer(ctx2, body_open, witness, pos + (1,))
+        if b.conclusion.ty not in _SORTS:
+            rule = "prod_r" if self.mode is SystemMode.CCR else "prod"
+            raise CheckError(Diagnostic(rule, "product body is not a type", pos + (1,),
+                                        found=b.conclusion.ty))
+        return b
 
     def _normalized(self, ctx: _Ctx, subject: Term, ty: Term, node: Derivation,
                     pos: tuple) -> Derivation:

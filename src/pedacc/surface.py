@@ -35,6 +35,7 @@ names taken around it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
 import unicodedata
@@ -166,6 +167,9 @@ class _Syn(Exception):
         self.message = message
         self.pos = pos
 
+    def diagnostic(self, rule: str) -> Diagnostic:
+        return Diagnostic(rule, self.message, (self.pos.line, self.pos.column, self.pos.offset))
+
 
 def _cut(text: str, limit: int) -> str:
     """`text` for a message: its first `limit` characters, then `…`."""
@@ -176,7 +180,14 @@ def _quote(word: str) -> str:
     return repr(_cut(word, 40))
 
 
-def _lex(text: str) -> list[_Token]:
+def _position(starts: list[int], at: int, offset: int | None = None) -> SourcePos:
+    """The position of offset `at` in the text whose lines start at
+    `starts`, reported at `offset` if given."""
+    line = bisect.bisect_right(starts, at)
+    return SourcePos(line, at - starts[line - 1] + 1, at if offset is None else offset)
+
+
+def _lex(text: str, starts: list[int]) -> list[_Token]:
     toks: list[_Token] = []
     # the eof token counts its column from the start of a comment that
     # ends the text
@@ -194,45 +205,35 @@ def _lex(text: str) -> list[_Token]:
             if m.end() == len(text):
                 eof_at = at
         else:
-            raise _Syn(f"unexpected character {word[0]!r}", _Lines(text).pos(at))
+            raise _Syn(f"unexpected character {word[0]!r}", _position(starts, at))
     toks.append(("eof", "", eof_at))
     return toks
 
 
-class _Lines:
-    """Source positions of offsets into a text.  The line count resumes
-    from the last offset asked for, so asking in increasing order, as the
-    parser does for declarations, reads the text once in all."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.at, self.line, self.line_start = 0, 1, 0
-
-    def pos(self, at: int, offset: int | None = None) -> SourcePos:
-        """The position of offset `at`, reported at `offset` if given."""
-        if at < self.at:
-            self.at, self.line, self.line_start = 0, 1, 0
-        newlines = self.text.count("\n", self.at, at)
-        if newlines:
-            self.line += newlines
-            self.line_start = self.text.rfind("\n", self.at, at) + 1
-        self.at = at
-        return SourcePos(self.line, at - self.line_start + 1,
-                         at if offset is None else offset)
-
-
 # --- parser -----------------------------------------------------------------
+
+# the declarations that name a term: keyword, name, separator, term (and,
+# for `assume`, an optional `by` witness)
+_NAMING = {"assume": (":", AssumeDecl), "def": (":=", DefineDecl),
+           "motivation": (":=", SetMotivationCmd)}
+# the commands that are a keyword and one term
+_ONE_TERM = {"inhabit": InhabitCmd, "normalize": NormalizeCmd, "eval": EvalCmd}
+# the binders: keyword, name, `:`, domain, separator, body
+_BINDERS = {"forall": (",", Prod), "fun": ("=>", Abs)}
+_SORTS = {"Prop": PROP, "Type": TYPE}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _lex(text)
+        self.end = len(text)
+        # the offset at which each line starts, for `_position`
+        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
+        self.toks = _lex(text, self.starts)
         self.i = 0
-        self.lines = _Lines(text)
 
     def pos(self, tok: _Token) -> SourcePos:
         kind, _, at = tok
-        return self.lines.pos(at, len(self.lines.text) if kind == "eof" else None)
+        return _position(self.starts, at, self.end if kind == "eof" else None)
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -242,20 +243,20 @@ class _Parser:
         self.i += 1
         return t
 
+    def accept(self, kind: str, text: str) -> bool:
+        """Consume the next token if it is this one; say whether it was."""
+        t = self.toks[self.i]
+        if t[0] == kind and t[1] == text:
+            self.i += 1
+            return True
+        return False
+
     def expect(self, kind: str, text: str | None = None) -> _Token:
         t = self.peek()
         if t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
             raise _Syn(f"expected {want!r}, found {_quote(t[1] or t[0])}", self.pos(t))
         return self.next()
-
-    def at_punct(self, text: str) -> bool:
-        kind, word, _ = self.peek()
-        return kind == "punct" and word == text
-
-    def at_kw(self, text: str) -> bool:
-        kind, word, _ = self.peek()
-        return kind == "kw" and word == text
 
     # declarations
 
@@ -266,76 +267,44 @@ class _Parser:
         return out
 
     def decl(self) -> SourceDecl:
-        t = self.peek()
-        kind, word, _ = t
+        kind, word, _ = t = self.next()
         pos = self.pos(t)
         if kind != "kw":
             raise _Syn(f"expected a declaration keyword, found {_quote(word)}", pos)
-        if word == "assume":
-            self.next()
+        if word in _NAMING:
+            sep, cls = _NAMING[word]
             name = self.expect("ident")[1]
-            self.expect("punct", ":")
-            ty = self.expr([])
-            witness = None
-            if self.at_kw("by"):
-                self.next()
-                witness = self.expr([])
-            return AssumeDecl(name, ty, witness, pos)
-        if word == "def":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("punct", ":=")
-            return DefineDecl(name, self.expr([]), pos)
+            self.expect("punct", sep)
+            body = self.expr([])
+            if cls is AssumeDecl:
+                witness = self.expr([]) if self.accept("kw", "by") else None
+                return AssumeDecl(name, body, witness, pos)
+            return cls(name, body, pos)
         if word == "check":
-            self.next()
             subject = self.expr([])
-            expected = None
-            if self.at_punct(":"):
-                self.next()
-                expected = self.expr([])
+            expected = self.expr([]) if self.accept("punct", ":") else None
             return CheckCmd(subject, expected, pos)
-        if word == "inhabit":
-            self.next()
-            return InhabitCmd(self.expr([]), pos)
-        if word == "normalize":
-            self.next()
-            return NormalizeCmd(self.expr([]), pos)
-        if word == "eval":
-            self.next()
-            return EvalCmd(self.expr([]), pos)
-        if word == "motivation":
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("punct", ":=")
-            return SetMotivationCmd(name, self.expr([]), pos)
+        if word in _ONE_TERM:
+            return _ONE_TERM[word](self.expr([]), pos)
         raise _Syn(f"{_quote(word)} cannot start a declaration", pos)
 
     # expressions; `binders` is the stack of surface names, innermost last
 
     def expr(self, binders: list[str]) -> Term:
-        if self.at_kw("forall"):
+        kind, word, _ = self.peek()
+        if kind == "kw" and word in _BINDERS:
             self.next()
+            sep, cls = _BINDERS[word]
             name = self.expect("ident")[1]
             self.expect("punct", ":")
             dom = self.expr(binders)
-            self.expect("punct", ",")
-            body = self.expr(binders + [name])
-            return Prod(dom, body)
-        if self.at_kw("fun"):
-            self.next()
-            name = self.expect("ident")[1]
-            self.expect("punct", ":")
-            dom = self.expr(binders)
-            self.expect("punct", "=>")
-            body = self.expr(binders + [name])
-            return Abs(dom, body)
+            self.expect("punct", sep)
+            return cls(dom, self.expr(binders + [name]))
         left = self.app(binders)
-        if self.at_punct("->"):
-            self.next()
+        if self.accept("punct", "->"):
             # non-dependent product: the codomain never mentions the binder,
             # parse it one level out and shift
-            body = self.expr(binders + ["->"])
-            return Prod(left, body)
+            return Prod(left, self.expr(binders + ["->"]))
         return left
 
     def app(self, binders: list[str]) -> Term:
@@ -344,18 +313,15 @@ class _Parser:
             kind, word, _ = self.peek()
             if (kind == "ident" or kind == "number"
                     or (kind == "punct" and word == "(")
-                    or (kind == "kw" and word in ("Prop", "Type"))):
+                    or (kind == "kw" and word in _SORTS)):
                 t = App(t, self.atom(binders))
             else:
                 return t
 
     def atom(self, binders: list[str]) -> Term:
-        t = self.next()
-        kind, word, _ = t
-        if kind == "kw" and word == "Prop":
-            return PROP
-        if kind == "kw" and word == "Type":
-            return TYPE
+        kind, word, _ = t = self.next()
+        if kind == "kw" and word in _SORTS:
+            return _SORTS[word]
         if kind == "ident":
             for depth, name in enumerate(reversed(binders)):
                 if name == word:
@@ -381,7 +347,7 @@ def parse(text: str) -> list[SourceDecl] | Diagnostic:
     try:
         return _Parser(text).decls()
     except _Syn as e:
-        return Diagnostic("parse", e.message, (e.pos.line, e.pos.column, e.pos.offset))
+        return e.diagnostic("parse")
 
 
 def parse_term(text: str) -> Term | Diagnostic:
@@ -394,7 +360,7 @@ def parse_term(text: str) -> Term | Diagnostic:
             raise _Syn(f"trailing input {_quote(tok[1])}", p.pos(tok))
         return t
     except _Syn as e:
-        return Diagnostic("parse", e.message, (e.pos.line, e.pos.column, e.pos.offset))
+        return e.diagnostic("parse")
 
 
 # --- printer ----------------------------------------------------------------
@@ -589,6 +555,5 @@ def _elaborate(decls: list[SourceDecl], builtins: dict[str, Term],
             else:
                 raise TypeError(f"not a declaration: {d!r}")
     except _Syn as e:
-        return Diagnostic("resolve", e.message,
-                          (e.pos.line, e.pos.column, e.pos.offset))
+        return e.diagnostic("resolve")
     return env, tuple(commands)

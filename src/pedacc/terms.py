@@ -212,36 +212,34 @@ PROP = SortConst(Sort.PROP)
 TYPE = SortConst(Sort.TYPE)
 
 
-def arrow(a: Term, b: Term) -> Term:
-    """Non-dependent product ``a -> b`` (the body ignores the binder)."""
-    return Prod(a, lift(b, 0, 1))
-
-
-def apps(fun: Term, *args: Term) -> Term:
-    for a in args:
-        fun = App(fun, a)
-    return fun
-
-
 # ---------------------------------------------------------------------------
 # index arithmetic
 
 
+def _rebuild(t: Term, depth: int, keep, leaf) -> Term:
+    """The one walk of index arithmetic and substitution: `t` as it is
+    when `keep(t, depth)` holds, else an application or a binder rebuilt
+    from its children, a binder's body at `depth + 1`, and any other node
+    as `leaf(t, depth)` makes it."""
+    if keep(t, depth):
+        return t
+    kind = type(t)
+    if kind is App:
+        return App(_rebuild(t.fun, depth, keep, leaf), _rebuild(t.arg, depth, keep, leaf))
+    if kind is Abs or kind is Prod:
+        return kind(_rebuild(t.domain, depth, keep, leaf),
+                    _rebuild(t.body, depth + 1, keep, leaf))
+    return leaf(t, depth)
+
+
+def _no_index_from(t: Term, depth: int) -> bool:
+    """No loose index of `t` is `depth` or higher: none can change."""
+    return not t.mask >> depth
+
+
 def lift(t: Term, cutoff: int, amount: int) -> Term:
     """Add `amount` to every bound index that is `cutoff` or higher."""
-    if not t.mask >> cutoff:
-        return t
-    match t:
-        case Bound(i):
-            return Bound(i + amount)
-        case App(f, a):
-            return App(lift(f, cutoff, amount), lift(a, cutoff, amount))
-        case Abs(d, b):
-            return Abs(lift(d, cutoff, amount), lift(b, cutoff + 1, amount))
-        case Prod(d, b):
-            return Prod(lift(d, cutoff, amount), lift(b, cutoff + 1, amount))
-        case _:
-            return t
+    return _rebuild(t, cutoff, _no_index_from, lambda b, depth: Bound(b.index + amount))
 
 
 def subst(t: Term, target: int, u: Term) -> Term:
@@ -250,24 +248,11 @@ def subst(t: Term, target: int, u: Term) -> Term:
     renumbered downward, the way a beta contraction consumes the binder
     that used to bind it.  `subst_simultaneous` replaces free variables.
     """
-    def go_bound(t: Term, depth: int) -> Term:
-        if not t.mask >> (target + depth):
-            return t
-        match t:
-            case Bound(i):
-                if i == target + depth:
-                    return lift(u, 0, depth)
-                return Bound(i - 1)
-            case App(f, a):
-                return App(go_bound(f, depth), go_bound(a, depth))
-            case Abs(d, b):
-                return Abs(go_bound(d, depth), go_bound(b, depth + 1))
-            case Prod(d, b):
-                return Prod(go_bound(d, depth), go_bound(b, depth + 1))
-            case _:
-                return t
+    def leaf(b: Bound, depth: int) -> Term:
+        # `depth` counts from `target`: the index the target has here
+        return lift(u, 0, depth - target) if b.index == depth else Bound(b.index - 1)
 
-    return go_bound(t, 0)
+    return _rebuild(t, target, _no_index_from, leaf)
 
 
 def subst_simultaneous(t: Term, bindings: Sequence[tuple[str, Term]]) -> Term:
@@ -282,22 +267,9 @@ def subst_simultaneous(t: Term, bindings: Sequence[tuple[str, Term]]) -> Term:
         if name in table:
             raise ValueError(f"duplicate variable in bindings: {name}")
         table[name] = value
-
-    def go(t: Term, depth: int) -> Term:
-        if t.fv.isdisjoint(table):  # free_vars below filled every subterm
-            return t
-        match t:
-            case Free(n):
-                return lift(table[n], 0, depth)
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-            case Abs(d, b):
-                return Abs(go(d, depth), go(b, depth + 1))
-            case Prod(d, b):
-                return Prod(go(d, depth), go(b, depth + 1))
-
-    free_vars(t)
-    return go(t, 0)
+    free_vars(t)  # fills every subterm's `fv`, which the walk reads
+    return _rebuild(t, 0, lambda s, depth: s.fv.isdisjoint(table),
+                    lambda v, depth: lift(table[v.name], 0, depth))
 
 
 _NO_NAMES: frozenset[str] = frozenset()
@@ -487,6 +459,3 @@ def _cons(parent: Environment | None, last: EnvEntry | None) -> Environment:
         object.__setattr__(env, "_names", None)
     return env
 
-
-def env_of(*pairs: tuple[str, Term]) -> Environment:
-    return Environment(EnvEntry(n, t) for n, t in pairs)

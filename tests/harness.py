@@ -42,8 +42,6 @@ from pedacc.terms import (
     Prod,
     TYPE,
     Term,
-    arrow,
-    env_of,
     lift,
     subst,
 )
@@ -51,6 +49,7 @@ from reference_prelude import (
     NAT,
     Arrow,
     SimpleType,
+    arrow,
     bot_type,
     decode,
     id_term,
@@ -81,6 +80,11 @@ NORMALIZED_PRODUCTS = {
     "redex.ped": "assume A : Prop\nassume b : A\n"
                  "check (fun T : Prop => fun y : T => b) ((fun S : Prop => S) A)\n",
 }
+
+
+def env_of(*pairs: tuple[str, Term]) -> Environment:
+    """The environment of these (name, type) hypotheses, oldest first."""
+    return Environment(EnvEntry(n, t) for n, t in pairs)
 
 
 def distinct_nodes(roots) -> Iterator[Derivation]:

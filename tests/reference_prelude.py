@@ -1,5 +1,6 @@
 """The built-ins as kernel terms, the reference for `pedacc.prelude.SOURCE`:
-hand-built de Bruijn trees, and System T style builders over simple types.
+hand-built de Bruijn trees (with the `arrow` and `apps` builders the tests
+share), and System T style builders over simple types.
 A pair over a simple type T lives at (T -> T -> T) -> T, its number
 embedded into T by enc(T), with left inverse dec(T); primitive recursion
 iterates on such pairs.
@@ -12,9 +13,21 @@ from typing import Union
 
 from pedacc.prelude import numeral, top_type
 from pedacc.terms import (
-    Abs, App, Bound, Free, PROP, Prod, Term, apps, arrow, close_binder, free_vars,
-    fresh_name, lift, subst,
+    Abs, App, Bound, Free, PROP, Prod, Term, close_binder, free_vars, fresh_name,
+    lift, subst,
 )
+
+
+def arrow(a: Term, b: Term) -> Term:
+    """Non-dependent product ``a -> b`` (the body ignores the binder)."""
+    return Prod(a, lift(b, 0, 1))
+
+
+def apps(fun: Term, *args: Term) -> Term:
+    for a in args:
+        fun = App(fun, a)
+    return fun
+
 
 # -- core closed types and terms --------------------------------------------
 

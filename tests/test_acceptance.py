@@ -44,10 +44,11 @@ from pedacc.cli import main as cli_main
 from pedacc.kernel import HasType
 from pedacc.prelude import numeral, to_natural, top_type
 from pedacc.surface import render_diagnostic, render_term
-from pedacc.terms import apps, is_closed, subst_simultaneous
+from pedacc.terms import is_closed, subst_simultaneous
 from reference_prelude import (
     NAT,
     Arrow,
+    apps,
     dec,
     decode,
     enc,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import distinct_nodes
+from harness import distinct_nodes, env_of
 from pedacc import cli, kernel
 from pedacc.kernel import (
     Derivation,
@@ -38,7 +38,7 @@ from pedacc.kernel import (
 )
 from pedacc.prelude import top_type
 from pedacc.terms import (
-    PROP, TYPE, Abs, App, Bound, Environment, Free, Prod, env_of, open_binder,
+    PROP, TYPE, Abs, App, Bound, Environment, Free, Prod, open_binder,
 )
 
 CC, CCR, NAIVE = SystemMode.CC, SystemMode.CCR, SystemMode.NAIVE

@@ -29,12 +29,11 @@ from pedacc.terms import (
     Environment,
     Free,
     Prod,
-    arrow,
     close_binder,
-    env_of,
     is_closed,
 )
-from reference_prelude import bot_type, id_term, nat_type, succ
+from harness import env_of
+from reference_prelude import arrow, bot_type, id_term, nat_type, succ
 
 CC = SystemMode.CC
 CCR = SystemMode.CCR

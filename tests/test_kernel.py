@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from harness import DEMO_REJECTS, NORMALIZED_PRODUCTS, distinct_nodes, naive_p_examples
+from harness import (
+    DEMO_REJECTS,
+    NORMALIZED_PRODUCTS,
+    distinct_nodes,
+    env_of,
+    naive_p_examples,
+)
 from pedacc import cli, kernel
 from pedacc.kernel import (
     Checker,
@@ -42,11 +48,10 @@ from pedacc.terms import (
     Environment,
     Free,
     Prod,
-    arrow,
-    env_of,
     subst_simultaneous,
 )
 from reference_prelude import (
+    arrow,
     bot_type,
     factorial,
     id_term,
@@ -245,6 +250,29 @@ def test_prod_r_witnesses_are_stored_in_normal_form(oracle):
         stray += [(name, render_term(w)) for n in iter_nodes(d) if n.rule == "prod_r"
                   for w in [n.premises[0].conclusion.subject] if normalize(w) != w]
     assert stray == []
+
+
+@pytest.mark.parametrize("body", ["a", "a a", "Type"])
+def test_a_product_whose_body_fails_fails_as_in_cc_with_no_search(body):
+    # `a` is a proof, not a proposition, and the other two have no type:
+    # ccr reports the body's failure as cc does, before it spends a
+    # witness search on it
+    goals = []
+
+    def oracle(env, goal):
+        goals.append(goal)
+        return None
+
+    env, cmds = elaborate(parse(f"assume A : Prop\nassume a : A\ncheck forall x : A, {body}"))
+    cc = infer_type(env, cmds[-1].subject, CC, oracle)
+    ccr = infer_type(env, cmds[-1].subject, CCR, oracle)
+    assert isinstance(cc, Diagnostic) and isinstance(ccr, Diagnostic)
+    if body == "a":
+        assert (cc.rule, cc.message, cc.position, cc.found) == (
+            "prod", "product body is not a type", (1,), Free("A"))
+    assert (ccr.rule, ccr.message, ccr.position, ccr.found) == (
+        "prod_r" if cc.rule == "prod" else cc.rule, cc.message, cc.position, cc.found)
+    assert goals == []
 
 
 def test_an_abstraction_hint_beyond_the_fuel_witnesses_as_written():

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from harness import gen_ccr_env, negative_corpus
+from harness import env_of, gen_ccr_env, negative_corpus
 from pedacc.inhabit import (
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_SEARCH_DEPTH,
@@ -37,11 +37,9 @@ from pedacc.terms import (
     Environment,
     Free,
     Prod,
-    arrow,
-    env_of,
     subst_simultaneous,
 )
-from reference_prelude import bot_type, prelude_corpus
+from reference_prelude import arrow, bot_type, prelude_corpus
 
 CC = SystemMode.CC
 CCR = SystemMode.CCR

@@ -13,14 +13,14 @@ from pedacc.terms import (
     Bound,
     Environment,
     Prod,
-    apps,
-    arrow,
     is_closed,
 )
 from reference_prelude import (
     BUILTINS,
     NAT,
     Arrow,
+    apps,
+    arrow,
     dec,
     decode,
     enc,

@@ -9,8 +9,8 @@ import pytest
 from harness import gen_typed_term, one_step_reducts
 from pedacc.prelude import numeral
 from pedacc.reduction import FuelExhausted, convertible, normalize
-from pedacc.terms import PROP, TYPE, Abs, App, Bound, Free, Prod, apps
-from reference_prelude import factorial, plus, pred, times
+from pedacc.terms import PROP, TYPE, Abs, App, Bound, Free, Prod
+from reference_prelude import apps, factorial, plus, pred, times
 from reference_reduction import (
     beta_step,
     longest_reduction_length,

@@ -34,10 +34,8 @@ from pedacc.terms import (
     Environment,
     Free,
     Prod,
-    apps,
-    arrow,
 )
-from reference_prelude import id_term, plus
+from reference_prelude import apps, arrow, id_term, plus
 
 
 def test_parse_assume():
@@ -320,3 +318,9 @@ def test_positions_count_lines_and_columns():
     # comment's column
     assert parse("check ( -- open").position == (1, 9, 15)
     assert parse("check (\n").position == (2, 1, 8)
+    # a lexer error past line 1, and errors after a line that ends in \r\n:
+    # a line starts after its \n, so the \r is the last column before it
+    assert parse("check A\n\ncheck \u00b2").position == (3, 7, 15)
+    assert parse("check A\r\ncheck \u00b2").position == (2, 7, 15)
+    assert parse("check A\r\n  check (").position == (2, 10, 18)
+    assert parse_term("A\r\n ->").position == (2, 4, 6)

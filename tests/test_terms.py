@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from harness import random_term
+from harness import env_of, random_term
 from pedacc import surface, terms
 from pedacc.reduction import normalize
 from pedacc.surface import elaborate, parse, parse_term
@@ -23,10 +23,7 @@ from pedacc.terms import (
     Environment,
     Free,
     Prod,
-    apps,
-    arrow,
     close_binder,
-    env_of,
     free_vars,
     fresh_name,
     is_closed,
@@ -35,6 +32,7 @@ from pedacc.terms import (
     subst,
     subst_simultaneous,
 )
+from reference_prelude import apps, arrow
 from reference_reduction import beta_step
 
 
@@ -201,6 +199,38 @@ def _subst_names(t, table: dict, depth: int = 0):
             return t
 
 
+def _lift_walk(t, cutoff: int, amount: int):
+    """`lift` by a plain walk that visits every node."""
+    match t:
+        case Bound(i):
+            return Bound(i + amount) if i >= cutoff else t
+        case App(f, a):
+            return App(_lift_walk(f, cutoff, amount), _lift_walk(a, cutoff, amount))
+        case Abs(d, b):
+            return Abs(_lift_walk(d, cutoff, amount), _lift_walk(b, cutoff + 1, amount))
+        case Prod(d, b):
+            return Prod(_lift_walk(d, cutoff, amount), _lift_walk(b, cutoff + 1, amount))
+        case _:
+            return t
+
+
+def _subst_walk(t, target: int, u, depth: int = 0):
+    """`subst` by a plain walk that visits every node."""
+    match t:
+        case Bound(i):
+            if i == target + depth:
+                return _lift_walk(u, 0, depth)
+            return Bound(i - 1) if i > target + depth else t
+        case App(f, a):
+            return App(_subst_walk(f, target, u, depth), _subst_walk(a, target, u, depth))
+        case Abs(d, b):
+            return Abs(_subst_walk(d, target, u, depth), _subst_walk(b, target, u, depth + 1))
+        case Prod(d, b):
+            return Prod(_subst_walk(d, target, u, depth), _subst_walk(b, target, u, depth + 1))
+        case _:
+            return t
+
+
 def _loose(t, depth: int = 0) -> set[int]:
     """Loose bound indices by a plain walk, with nothing cached."""
     match t:
@@ -269,6 +299,34 @@ def test_subst_simultaneous_agrees_with_a_walk_over_every_node():
         assert subst_simultaneous(t, [("absent", u)]) is t
         bindings = [("a", u), ("c", Free("b"))]
         assert subst_simultaneous(t, bindings) == _subst_names(t, dict(bindings))
+
+
+# leaves whose indices dangle at the top and under a few binders
+_INDEX_LEAVES = (PROP, Free("a"), Bound(0), Bound(1), Bound(2), Bound(3))
+
+
+def test_lift_agrees_with_a_walk_over_every_node():
+    rng = random.Random(31)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(1, 30), _INDEX_LEAVES)
+        cutoff, amount = rng.randint(0, 3), rng.randint(0, 3)
+        assert lift(t, cutoff, amount) == _lift_walk(t, cutoff, amount)
+    # no index at or above the cutoff: the term comes back as it is
+    t = Abs(PROP, App(Bound(0), Bound(1)))
+    assert lift(t, 2, 4) is t
+
+
+def test_subst_agrees_with_a_walk_over_every_node():
+    rng = random.Random(37)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(1, 30), _INDEX_LEAVES)
+        # the replacement may hold loose indices, which it keeps under binders
+        u = random_term(rng, rng.randint(1, 6), _INDEX_LEAVES)
+        target = rng.randint(0, 2)
+        assert subst(t, target, u) == _subst_walk(t, target, u)
+    # indices above the target are renumbered, those below kept
+    assert subst(App(Bound(0), App(Bound(1), Bound(2))), 1, Free("u")) \
+        == App(Bound(0), App(Free("u"), Bound(1)))
 
 
 def test_free_vars_of_a_term_deeper_than_the_recursion_limit():
