@@ -159,6 +159,25 @@ def iter_nodes(
             yield node
 
 
+def _from_nearest(table: dict, key, parent: Callable, step: Callable):
+    """`table[key]`.  When it is missing, it is built from the nearest
+    ancestor of `key` (by `parent`) that `table` holds, by one
+    ``step(value, key)`` per generation, oldest first, and each result is
+    kept.  A loop, not recursion: the chain of ancestors may be long."""
+    value, newer = table.get(key), []
+    while value is None:
+        newer.append(key)
+        key = parent(key)
+        value = table.get(key)
+    for key in reversed(newer):
+        value = table[key] = step(value, key)
+    return value
+
+
+def _shorter(key: tuple[Environment, tuple]) -> tuple[Environment, tuple]:
+    return key[0].parent, key[1][:-1]  # one entry fewer
+
+
 @dataclass(frozen=True)
 class _Ctx:
     env: Environment
@@ -173,17 +192,19 @@ class Checker:
     hint of a restricted product), the normal forms it computes, and one
     context per environment, file or binder: that environment's
     well-formedness derivation, built from its parent's context by one
-    ``env2`` step.  So one checker derives each environment and each
-    judgment once.  Outside ``naivep``, an application, abstraction or
-    product is inferred under the key of the shortest prefix of the
-    environment that binds the names of the term and its hint; a longer
-    environment caches one ``weak`` node citing that judgment.  Should the
-    prefix lack a witness for some product in the term (a ``prod_r``
-    failure), the term is inferred in the whole environment, whose extra
-    hypotheses the witness search may use; any other failure stands.  A
-    restricted product formed under two hints that find one witness is one
-    node.  In ``naivep`` mode it keeps one ``cc`` checker for the
-    motivation cascades, so each motivation term is inferred once too.
+    ``env2`` step (see `_from_nearest`).  So one checker derives each
+    environment and each judgment once.  Outside ``naivep``, an
+    application, abstraction or product is inferred under the key of the
+    shortest prefix of the environment that binds the names of the term
+    and its hint; a longer environment caches one ``weak`` node citing
+    that judgment.  Should the prefix lack a witness for some product in
+    the term (a ``prod_r`` failure), the term is inferred in the whole
+    environment, whose extra hypotheses the witness search may use; any
+    other failure stands.  A restricted product formed under two hints
+    that find one witness is one node.  In ``naivep`` mode it makes one
+    ``cc`` checker, which keeps the cascade of each motivation prefix,
+    built from the prefix one entry shorter by one check: so each
+    motivation entry is checked once.
 
     It keeps every result, failures too, for its life: a failure is
     kept with the position where it was first met, and one met again is
@@ -202,11 +223,14 @@ class Checker:
         self.oracle = oracle
         self.fuel = fuel
         self._memo: dict = {}  # a Derivation, or (first position, Diagnostic)
-        self._ctxs: dict[Environment, _Ctx] = {}
-        self._cascade_memo: dict = {}
-        self._cascade_checker: Checker | None = None
+        empty = Environment()
+        self._ctxs = {empty: _Ctx(empty, Derivation("env1", WellFormed(empty), (), mode))}
+        self._cascades: dict = {(empty, ()): ()}  # by (environment, assignments)
         self._nf: dict = {}  # normal forms, for this checker's lifetime
         self._formed: dict = {}  # prod_r results by (environment, product, witness)
+        if mode is SystemMode.NAIVE:
+            self._cc = Checker(SystemMode.CC, fuel=fuel)
+            self._cc._nf = self._nf  # same fuel, so the same normal forms
 
     # -- public entry points --------------------------------------------------
 
@@ -241,25 +265,12 @@ class Checker:
     def root_ctx(self, env: Environment, motivation: Motivation | None = None) -> _Ctx:
         if self.mode is SystemMode.NAIVE:
             return _Ctx(env, None, motivation or Motivation(()))
-        ctx = self._ctxs.get(env)
-        if ctx is not None:
-            return ctx
-        # from the nearest environment with a context, oldest entry first
-        newer = []
-        while ctx is None and env.parent is not None:
-            newer.append(env)
-            env = env.parent
-            ctx = self._ctxs.get(env)
-        if ctx is None:
-            ctx = self._ctxs[env] = _Ctx(
-                env, Derivation("env1", WellFormed(env), (), self.mode))
-        for env in reversed(newer):
-            ctx = self._ctxs[env] = _Ctx(env, self._extend_wf(ctx, env))
-        return ctx
+        return self._ctxs.get(env) or _from_nearest(self._ctxs, env, attrgetter("parent"),
+                                                    self._extend_wf)
 
-    def _extend_wf(self, ctx: _Ctx, env: Environment) -> Derivation:
-        """The ``env2`` step from `ctx` to `env`, its environment extended
-        by one entry."""
+    def _extend_wf(self, ctx: _Ctx, env: Environment) -> _Ctx:
+        """The context of `env`, `ctx`'s environment extended by one
+        entry: its ``env2`` step."""
         entry, pos = env.last, ("env", len(ctx.env))
         if entry.name in ctx.env.names():
             raise CheckError(Diagnostic("env2", f"duplicate variable {entry.name}", pos))
@@ -267,7 +278,7 @@ class Checker:
         if d.conclusion.ty not in _SORTS:
             raise CheckError(Diagnostic("env2", "environment entry is not a type", pos,
                                         found=d.conclusion.ty))
-        return Derivation("env2", WellFormed(env), (d,), self.mode)
+        return _Ctx(env, Derivation("env2", WellFormed(env), (d,), self.mode))
 
     def _extend(self, ctx: _Ctx, name: str, ty: Term, pos: tuple) -> _Ctx:
         """The context under a binder of domain `ty`, already checked to be
@@ -296,22 +307,6 @@ class Checker:
 
     # -- NAIVE cascade -------------------------------------------------------
 
-    def _cascade(self, ctx: _Ctx, pos: tuple) -> tuple[Derivation, ...]:
-        """The closed ``cc`` derivations that justify `ctx`'s motivation.
-
-        One ``cc`` checker serves every cascade, so a motivation term
-        shared by several cascades is inferred once.
-        """
-        key = (ctx.env, ctx.motivation)
-        got = self._cascade_memo.get(key)
-        if got is None:
-            cc = self._cascade_checker
-            if cc is None:
-                cc = self._cascade_checker = Checker(SystemMode.CC, fuel=self.fuel)
-                cc._nf = self._nf  # same fuel, so the same normal forms
-            got = self._cascade_memo[key] = cc._motivate(ctx.env, ctx.motivation, pos, pos)
-        return got
-
     def _motivate(self, env: Environment, motivation: Motivation,
                   pos: tuple, entry_pos: tuple) -> tuple[Derivation, ...]:
         """Check `motivation` against `env`: the i-th motivation term must
@@ -319,8 +314,10 @@ class Checker:
         entry type with the earlier variables replaced by their motivation
         terms.
 
-        A diagnostic about the whole motivation sits at `pos`, one about an
-        entry at `entry_pos` followed by the entry's name.
+        The cascade of each prefix is kept, so a cascade is its prefix's
+        one entry shorter plus one check.  A diagnostic about the whole
+        motivation sits at `pos`, one about an entry at `entry_pos`
+        followed by the entry's name.
         """
         if motivation.names() != env.names():
             raise CheckError(
@@ -332,21 +329,27 @@ class Checker:
                 )
             )
         empty = self.root_ctx(Environment())
-        done: list[tuple[str, Term]] = []
-        derivs: list[Derivation] = []
-        for entry, (_, mot_term) in zip(env, motivation.assignments):
-            where = entry_pos + (entry.name,)
+
+        def step(cascade: tuple[Derivation, ...], key) -> tuple[Derivation, ...]:
+            entry, assignments = key[0].last, key[1]
+            mot_term, where = assignments[-1][1], entry_pos + (entry.name,)
             if not is_closed(mot_term):
-                raise CheckError(
-                    Diagnostic(
-                        "p-var", f"motivation term for {entry.name} is not closed",
-                        where, found=mot_term,
-                    )
-                )
-            closed_ty = subst_simultaneous(entry.ty, done)
-            derivs.append(self._check(empty, mot_term, closed_ty, where))
-            done.append((entry.name, mot_term))
-        return tuple(derivs)
+                raise CheckError(Diagnostic(
+                    "p-var", f"motivation term for {entry.name} is not closed", where,
+                    found=mot_term))
+            closed_ty = subst_simultaneous(entry.ty, assignments[:-1])
+            return cascade + (self._check(empty, mot_term, closed_ty, where),)
+
+        return _from_nearest(self._cascades, (env, motivation.assignments), _shorter, step)
+
+    def _leaf(self, ctx: _Ctx, rule: str, judgment: HasType, pos: tuple) -> Derivation:
+        """The node of a sort or variable, `rule` being ``ax`` or ``var``:
+        it cites the context's well-formedness, or in ``naivep`` (as
+        ``p-ax`` or ``p-var``) the cascade of its motivation."""
+        if self.mode is not SystemMode.NAIVE:
+            return Derivation(rule, judgment, (ctx.wf,), self.mode)
+        cascade = self._cc._motivate(ctx.env, ctx.motivation, pos, pos)
+        return Derivation("p-" + rule, judgment, cascade, self.mode)
 
     # -- inference -----------------------------------------------------------
 
@@ -400,10 +403,7 @@ class Checker:
         mode = self.mode
         match t:
             case SortConst(s) if t == PROP:
-                if mode is SystemMode.NAIVE:
-                    return Derivation(
-                        "p-ax", HasType(ctx.env, PROP, TYPE), self._cascade(ctx, pos), mode)
-                return Derivation("ax", HasType(ctx.env, PROP, TYPE), (ctx.wf,), mode)
+                return self._leaf(ctx, "ax", HasType(ctx.env, PROP, TYPE), pos)
 
             case SortConst(_):
                 raise CheckError(Diagnostic("ax", "Type is not typable", pos, found=t))
@@ -415,11 +415,7 @@ class Checker:
                 entry = ctx.env.lookup(name)
                 if entry is None:
                     raise CheckError(Diagnostic("var", f"unbound variable {name}", pos))
-                if mode is SystemMode.NAIVE:
-                    node = Derivation(
-                        "p-var", HasType(ctx.env, t, entry.ty), self._cascade(ctx, pos), mode)
-                else:
-                    node = Derivation("var", HasType(ctx.env, t, entry.ty), (ctx.wf,), mode)
+                node = self._leaf(ctx, "var", HasType(ctx.env, t, entry.ty), pos)
                 return self._normalized(ctx, t, entry.ty, node, pos)
 
             case Abs(domain, _):

@@ -329,7 +329,7 @@ class _Parser:
             return Free(word)
         if kind == "number":
             # decided from the digits: `int` refuses a long enough run
-            cut = len(word) - len(str(MAX_LITERAL))
+            cut = max(0, len(word) - len(str(MAX_LITERAL)))
             head, tail = word[:cut], word[cut:]
             if any(unicodedata.digit(c) for c in head) or int(tail) > MAX_LITERAL:
                 raise _Syn(f"number literal above {MAX_LITERAL}", self.pos(t))

@@ -378,6 +378,26 @@ def test_a_cascade_infers_each_motivation_term_once_per_checker(monkeypatch, ora
     assert set(inferred.values()) == {1}
 
 
+def test_a_cascade_grows_one_check_per_entry(monkeypatch, oracle):
+    # fun A : Prop => fun x : A -> A => ... (n times) => x: each binder's
+    # cascade is its parent's plus one check of the new entry
+    n = 50
+    term = Bound(0)
+    for k in reversed(range(n)):
+        term = Abs(Prod(Bound(k), Bound(k + 1)), term)
+    checks = Counter()
+    check = Checker._check
+
+    def counting(self, *args):
+        checks[self.mode] += 1
+        return check(self, *args)
+
+    monkeypatch.setattr(Checker, "_check", counting)
+    got = infer_type(Environment(), Abs(PROP, term), NAIVE, oracle)
+    assert isinstance(got, Derivation), got
+    assert checks[CC] <= 2 * (n + 1)
+
+
 @pytest.mark.parametrize("mode", [CC, CCR, NAIVE])
 def test_a_failure_comes_back_at_the_later_judgments_position(monkeypatch, oracle, mode):
     env = env_of(("A", PROP), ("a", Free("A")))

@@ -310,6 +310,15 @@ def test_a_number_literal_is_at_most_a_million(monkeypatch, tmp_path, capsys):
     assert "error[parse]: number literal above 1000000 at line 1" in capsys.readouterr().err
 
 
+def test_a_number_literal_of_every_length_up_to_seven_digits_parses(monkeypatch):
+    monkeypatch.setattr(surface, "numeral", lambda k: Free(f"n{k}"))
+    for digits in range(1, 8):
+        largest = min(10 ** digits - 1, 1_000_000)
+        assert parse(f"check {largest}")[0].subject == Free(f"n{largest}")
+    assert parse("check 1000001") == Diagnostic(
+        "parse", "number literal above 1000000", (1, 7, 6))
+
+
 def test_positions_count_lines_and_columns():
     decls = parse("-- c\ncheck Prop\n\n  assume A : Prop\r\ncheck A")
     assert [(d.pos.line, d.pos.column, d.pos.offset) for d in decls] == [
