@@ -333,6 +333,8 @@ class Checker:
         def step(cascade: tuple[Derivation, ...], key) -> tuple[Derivation, ...]:
             entry, assignments = key[0].last, key[1]
             mot_term, where = assignments[-1][1], entry_pos + (entry.name,)
+            if entry.name in key[0].parent.names():
+                raise CheckError(Diagnostic("p-var", f"duplicate variable {entry.name}", where))
             if not is_closed(mot_term):
                 raise CheckError(Diagnostic(
                     "p-var", f"motivation term for {entry.name} is not closed", where,

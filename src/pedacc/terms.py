@@ -12,9 +12,10 @@ Terms are hash-consed: a constructor returns the one live node with those
 fields, so equal terms are the same object, and ``==`` and ``hash`` are
 the identity ones every object has.  Terms are immutable and can key memo
 tables; build them only through their constructors.  Each node also
-carries facts computed from its children when it is made (see `_Node`):
-its loose bound indices, whether it is beta-normal, and whether it holds
-a named binder.  Environments and their entries are interned the same way.
+carries four facts set from its children when it is made (see `_Node`):
+its loose bound indices, its free names, whether it is beta-normal, and
+whether it holds a named binder.  Environments and their entries are
+interned the same way.
 """
 
 from __future__ import annotations
@@ -95,31 +96,34 @@ class _Interned:
 class _Node(_Interned):
     """Immutable, hash-consed term node.
 
-    Every node carries three facts about itself, each set when the node
+    Every node carries four facts about itself, each set when the node
     is made, from its children's, in O(1):
 
     - ``mask``: its loose bound indices, bit i set when index i occurs
       free in the node.  Index arithmetic returns a subterm as it is when
       no index there can change, and a product whose body's bit 0 is
       clear does not use its binder (it prints as an arrow).
+    - ``fv``: its free names, a `frozenset` shared with a child whose
+      names are all of them; every closed node shares one empty set.
     - ``nf``: the node is beta-normal, with no application of an
       abstraction anywhere inside it.  Normalizing it gives it back.
     - ``named``: the node holds a binder that prints with a name: an
       abstraction, or a product whose body uses its binder.  Only such a
       node's text depends on which names are taken around it.
 
-    ``fv`` holds the node's free names once `free_vars` has asked for
-    them; it is unset until then, so terms that never need it cost
-    nothing more to build.  A leaf's facts are constants of its class
-    (a `Bound`'s mask is its own).
+    A leaf's facts are constants of its class, except a `Bound`'s mask
+    and a `Free`'s names, which are its own.
     """
 
-    __slots__ = ("fv",)
+    __slots__ = ()
+
+
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 class SortConst(_Node):
     __slots__ = __match_args__ = ("sort",)
-    mask, nf, named = 0, True, False
+    mask, fv, nf, named = 0, _NO_NAMES, True, False
 
     def __new__(cls, sort: Sort):
         key = (cls, sort)
@@ -130,7 +134,7 @@ class SortConst(_Node):
 class Bound(_Node):
     __slots__ = ("index", "mask")
     __match_args__ = ("index",)
-    nf, named = True, False
+    fv, nf, named = _NO_NAMES, True, False
 
     def __new__(cls, index: int):
         key = (cls, index)
@@ -143,13 +147,18 @@ class Bound(_Node):
 
 
 class Free(_Node):
-    __slots__ = __match_args__ = ("name",)
+    __slots__ = ("name", "fv")
+    __match_args__ = ("name",)
     mask, nf, named = 0, True, False
 
     def __new__(cls, name: str):
         key = (cls, name)
         ref = _TABLE.get(key)
-        return (ref and ref()) or _add(cls, key, name)
+        t = ref and ref()
+        if t is None:
+            t = _add(cls, key, name)
+            object.__setattr__(t, "fv", frozenset((name,)))
+        return t
 
 
 # Applications and binders are most of the nodes made (NbE's read-back
@@ -158,7 +167,7 @@ class Free(_Node):
 
 
 class App(_Node):
-    __slots__ = ("fun", "arg", "mask", "nf", "named")
+    __slots__ = ("fun", "arg", "mask", "fv", "nf", "named")
     __match_args__ = ("fun", "arg")
 
     def __new__(cls, fun: "Term", arg: "Term"):
@@ -171,6 +180,8 @@ class App(_Node):
             put(t, "fun", fun)
             put(t, "arg", arg)
             put(t, "mask", fun.mask | arg.mask)
+            a, b = fun.fv, arg.fv  # a child's set when it is the union
+            put(t, "fv", a if b <= a else b if a <= b else a | b)
             put(t, "nf", fun.nf and arg.nf and type(fun) is not Abs)
             put(t, "named", fun.named or arg.named)
             _enter(t, key)
@@ -178,7 +189,7 @@ class App(_Node):
 
 
 class _Binder(_Node):
-    __slots__ = ("domain", "body", "mask", "nf", "named")
+    __slots__ = ("domain", "body", "mask", "fv", "nf", "named")
     __match_args__ = ("domain", "body")
 
     def __new__(cls, domain: "Term", body: "Term"):
@@ -191,6 +202,8 @@ class _Binder(_Node):
             put(t, "domain", domain)
             put(t, "body", body)
             put(t, "mask", domain.mask | body.mask >> 1)
+            a, b = domain.fv, body.fv
+            put(t, "fv", a if b <= a else b if a <= b else a | b)
             put(t, "nf", domain.nf and body.nf)
             put(t, "named", (cls is Abs or domain.named or body.named
                              or body.mask & 1 == 1))
@@ -267,54 +280,14 @@ def subst_simultaneous(t: Term, bindings: Sequence[tuple[str, Term]]) -> Term:
         if name in table:
             raise ValueError(f"duplicate variable in bindings: {name}")
         table[name] = value
-    free_vars(t)  # fills every subterm's `fv`, which the walk reads
     return _rebuild(t, 0, lambda s, depth: s.fv.isdisjoint(table),
                     lambda v, depth: lift(table[v.name], 0, depth))
 
 
-_NO_NAMES: frozenset[str] = frozenset()
-
-
 def free_vars(t: Term) -> frozenset[str]:
-    """The names of the free variables of `t`.
-
-    The set is computed once per interned node and kept on it, so later
-    calls on the node or on any of its subterms are a lookup.  It is
-    shared with every caller (and often with a subterm), hence a
-    `frozenset`: build a new set rather than mutate it.
-    """
-    try:
-        return t.fv
-    except AttributeError:
-        pass
-    # fill the uncached nodes bottom-up; a stack, not recursion, since
-    # terms may be deep
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if getattr(node, "fv", None) is not None:
-            continue  # pushed twice, as the child of two parents
-        kind = type(node)
-        if kind is App:
-            left, right = node.fun, node.arg
-        elif kind is Abs or kind is Prod:
-            left, right = node.domain, node.body
-        else:
-            fv = frozenset((node.name,)) if kind is Free else _NO_NAMES
-            object.__setattr__(node, "fv", fv)
-            continue
-        a = getattr(left, "fv", None)
-        b = getattr(right, "fv", None)
-        if a is None or b is None:
-            stack.append(node)
-            if a is None:
-                stack.append(left)
-            if b is None:
-                stack.append(right)
-            continue
-        # reuse a child's set when it already is the union
-        fv = a if b <= a else b if a <= b else a | b
-        object.__setattr__(node, "fv", fv)
+    """The names of the free variables of `t`: its `fv` fact, shared with
+    every caller (and often with a subterm), hence a `frozenset`: build a
+    new set rather than mutate it."""
     return t.fv
 
 

@@ -210,6 +210,23 @@ def test_naive_rejects_open_motivation_terms(oracle):
     assert (judged.message, judged.position) == (got.message, ("h",))
 
 
+def test_a_motivation_of_a_repeated_name_is_a_diagnostic(oracle):
+    # once a ValueError from the substitution of the earlier entries
+    env = env_of(("A", PROP), ("A", PROP))
+    sigma = Motivation((("A", top_type), ("A", top_type)))
+    for judged in (infer_type(env, Abs(PROP, PROP), NAIVE, oracle, motivation=sigma),
+                   check_type(env, PROP, TYPE, NAIVE, oracle, motivation=sigma)):
+        assert isinstance(judged, Diagnostic)
+        assert (judged.rule, judged.message) == ("p-var", "duplicate variable A")
+    env = env_of(("A", PROP), ("A", PROP), ("x", Free("A")))
+    sigma = Motivation((*sigma.assignments, ("x", id_term)))
+    for mode in (CC, CCR):
+        got = check_motivated_env(env, sigma, mode, oracle)
+        assert isinstance(got, Diagnostic)
+        assert (got.rule, got.message, got.position) == (
+            "p-var", "duplicate variable A", ("env", "A"))
+
+
 def test_restricted_derivations_embed_into_the_full_system(oracle):
     for name, term in prelude_corpus()[:8]:
         d = infer_type(Environment(), term, CCR, oracle)

@@ -286,8 +286,21 @@ def test_free_vars_and_is_closed_agree_with_an_uncached_walk():
     rng = random.Random(17)
     for _ in range(300):
         t = random_term(rng, rng.randint(1, 30))
-        assert free_vars(t) == _names(t)
-        assert is_closed(t) == (not _names(t))
+        u = random_term(rng, rng.randint(1, 6))
+        # and the nodes that substitution and NbE's read-back make
+        made = [t, subst(t, 0, u), subst_simultaneous(t, [("a", u), ("c", Free("b"))]),
+                normalize(t, 200)]
+        # every node's fact is set, read before any `free_vars` call
+        stack = list(made)
+        while stack:
+            s = stack.pop()
+            assert s.fv == _names(s)
+            match s:
+                case App(f, a) | Abs(f, a) | Prod(f, a):
+                    stack += (f, a)
+        for s in made:
+            assert free_vars(s) == _names(s)
+            assert is_closed(s) == (not _names(s))
 
 
 def test_subst_simultaneous_agrees_with_a_walk_over_every_node():
