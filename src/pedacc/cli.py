@@ -61,8 +61,6 @@ from .surface import (
 )
 from .terms import Environment, SortConst
 
-_MODES = {"cc": SystemMode.CC, "ccr": SystemMode.CCR, "naivep": SystemMode.NAIVE}
-
 # Deep terms produce deep recursion in the checker and the printer.
 sys.setrecursionlimit(100000)
 
@@ -133,7 +131,7 @@ def _cmd_check(args) -> int:
         with contextlib.suppress(_UsageError):
             _emit(args.emit_derivation, e.diagnostic)
         raise
-    mode = _MODES[args.system]
+    mode = SystemMode(args.system)
     oracle = make_search_oracle(args.search_depth, args.fuel)
     motivation = _file_motivation(env, cmds) if mode is SystemMode.NAIVE else None
 
@@ -226,29 +224,20 @@ def _cmd_inhabit(args) -> int:
     return 1 if failures else 0
 
 
-def _subjects(args, cls, what: str) -> list:
+def _cmd_reduce(args) -> int:
+    """Print each subject's normal form; eval prints a numeral as an integer."""
+    verb = args.command
     env, cmds = _load(args.file)
     if env.entries:
-        raise _UsageError(
-            f"{what} works on closed terms; {args.file} assumes variables")
+        raise _UsageError(f"{verb} works on closed terms; {args.file} assumes variables")
+    cls = EvalCmd if verb == "eval" else NormalizeCmd
     subjects = [c.subject for c in cmds if isinstance(c, cls)]
     if not subjects:
-        raise _UsageError(f"{args.file} has no {what} declarations")
-    return subjects
-
-
-def _cmd_normalize(args) -> int:
+        raise _UsageError(f"{args.file} has no {verb} declarations")
     memo: dict = {}
-    for subject in _subjects(args, NormalizeCmd, "normalize"):
-        print(render_term(normalize(subject, args.fuel, memo)))
-    return 0
-
-
-def _cmd_eval(args) -> int:
-    memo: dict = {}
-    for subject in _subjects(args, EvalCmd, "eval"):
+    for subject in subjects:
         nf = normalize(subject, args.fuel, memo)
-        n = to_natural(nf, args.fuel, memo)  # nf is normal: no work
+        n = to_natural(nf, args.fuel, memo) if cls is EvalCmd else None  # nf is normal: no work
         print(n if n is not None else render_term(nf))
     return 0
 
@@ -268,53 +257,36 @@ def _budget(text: str) -> int:
     return n
 
 
+# verb, help, runner, whether it takes --search-depth
+_VERBS = (
+    ("check", "check the file's judgments", _cmd_check, True),
+    ("motivate", "construct closed witnesses for the environment", _cmd_motivate, True),
+    ("inhabit", "search for inhabitants of the file's goals", _cmd_inhabit, True),
+    ("normalize", "print normal forms", _cmd_reduce, False),
+    ("eval", "normalize and read numerals back", _cmd_reduce, False),
+)
+
+
 @functools.cache  # built on first use, not at import: set-up stays cheap
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pedacc",
         description="Proof checker for the restricted calculus of constructions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_file(p):
+    for verb, summary, run, searches in _VERBS:
+        p = sub.add_parser(verb, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("file", metavar="FILE", help="source file to process")
-        return p
-
-    def with_fuel(p):
         p.add_argument("--fuel", type=_budget, default=DEFAULT_FUEL, metavar="N",
                        help="reduction step budget (default %(default)s)")
-        return p
-
-    def with_depth(p):
-        p.add_argument("--search-depth", type=_budget,
-                       default=DEFAULT_SEARCH_DEPTH, metavar="N",
-                       help="witness search depth (default %(default)s)")
-        return p
-
-    p = sub.add_parser("check", help="check the file's judgments")
-    with_depth(with_fuel(with_file(p)))
-    p.add_argument("--system", choices=sorted(_MODES), default="ccr",
-                   help="type system to check in (default %(default)s)")
-    p.add_argument("--emit-derivation", metavar="PATH",
-                   help="write the derivation (or diagnostic) as JSON")
-    p.set_defaults(run=_cmd_check)
-
-    p = sub.add_parser("motivate",
-                       help="construct closed witnesses for the environment")
-    with_depth(with_fuel(with_file(p)))
-    p.set_defaults(run=_cmd_motivate)
-
-    p = sub.add_parser("inhabit", help="search for inhabitants of the file's goals")
-    with_depth(with_fuel(with_file(p)))
-    p.set_defaults(run=_cmd_inhabit)
-
-    p = sub.add_parser("normalize", help="print normal forms")
-    with_fuel(with_file(p))
-    p.set_defaults(run=_cmd_normalize)
-
-    p = sub.add_parser("eval", help="normalize and read numerals back")
-    with_fuel(with_file(p))
-    p.set_defaults(run=_cmd_eval)
-
+        if searches:
+            p.add_argument("--search-depth", type=_budget, default=DEFAULT_SEARCH_DEPTH,
+                           metavar="N", help="witness search depth (default %(default)s)")
+    check = sub.choices["check"]
+    check.add_argument("--system", choices=[m.value for m in SystemMode], default="ccr",
+                       help="type system to check in (default %(default)s)")
+    check.add_argument("--emit-derivation", metavar="PATH",
+                       help="write the derivation (or diagnostic) as JSON")
     return parser
 
 

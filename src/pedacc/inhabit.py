@@ -47,7 +47,6 @@ from .terms import (
     Free,
     PROP,
     Prod,
-    TYPE,
     Term,
     close_binder,
     fresh_name,
@@ -282,40 +281,34 @@ def motivate_env(env: Environment,
 
     One restricted checker judges everything: the environment, each
     normal form and its sort, and the cascade, so the inferences and
-    normal forms they share are computed once.  A diagnostic gives the
-    position where the judgment at hand met the failure; an environment
-    that is not well formed gets the diagnostic `check_wf` gives.
+    normal forms they share are computed once.  A diagnostic is the one
+    `Checker._judge` gives, where the judgment at hand met the failure;
+    for an environment that is not well formed, the one `check_wf` gives.
     Running out of fuel is a `Diagnostic(rule="fuel")`.
     """
     checker = Checker(SystemMode.CCR, oracle or make_search_oracle(), fuel)
-    wf = checker._judge(lambda: checker.root_ctx(env).wf)
+    wf = checker._judge(lambda c: c.root_ctx(env).wf)
     if isinstance(wf, Diagnostic):
         return wf
-    empty = checker.root_ctx(Environment())
     sigma: list[tuple[str, Term]] = []
     for entry in env:
         closed_ty = subst_simultaneous(entry.ty, sigma)
         hint = None
         if entry.witness is not None:
             hint = subst_simultaneous(entry.witness, sigma)
-        pos = ("motivate", entry.name)
-        node = checker._judge(lambda: checker._infer(
-            empty, normalize(closed_ty, checker.fuel, checker._nf), hint, pos))
+        node = checker._judge(lambda c: c._sort(
+            c.root_ctx(Environment()), normalize(closed_ty, c.fuel, c._nf), hint,
+            ("motivate", entry.name), "env2", f"entry {entry.name} is not a type", None))
         if isinstance(node, Diagnostic):
             return node
-        if node.conclusion.ty not in (PROP, TYPE):
-            return Diagnostic(
-                "env2", f"entry {entry.name} is not a type",
-                ("motivate", entry.name), found=node.conclusion.ty,
-            )
         if node.rule == "ax":
             term = top_type
         else:  # prod_r: a closed normal type with a sort is Prop or a product
             w = node.premises[0].conclusion
             term = Abs(node.conclusion.subject.domain, close_binder(w.subject, w.env.last.name))
         sigma.append((entry.name, term))
-    return checker._judge(lambda: checker._motivate(env, Motivation(tuple(sigma)), (),
-                                                    ("motivate",)))
+    return checker._judge(lambda c: c._motivate(env, Motivation(tuple(sigma)), (),
+                                                ("motivate",)))
 
 
 def motivate_judgment(d: Derivation,

@@ -130,6 +130,7 @@ class CheckError(Exception):
 WitnessOracle = Callable[[Environment, Term], Optional[Term]]
 
 _SORTS = (PROP, TYPE)
+_BODY = ("prod", "product body is not a type", None)  # a product body's sort premise
 
 
 def iter_nodes(
@@ -201,10 +202,11 @@ class Checker:
     the term (a ``prod_r`` failure), the term is inferred in the whole
     environment, whose extra hypotheses the witness search may use; any
     other failure stands.  A restricted product formed under two hints
-    that find one witness is one node.  In ``naivep`` mode it makes one
-    ``cc`` checker, which keeps the cascade of each motivation prefix,
-    built from the prefix one entry shorter by one check: so each
-    motivation entry is checked once.
+    that find one witness is one node.  A ``ccr`` or ``naivep`` checker
+    keeps one ``cc`` checker, sharing its normal forms, for ``ccr``'s
+    diagnostics (see `_judge`) and ``naivep``'s cascades: the cascade of
+    each motivation prefix is built from the prefix one entry shorter by
+    one check, so each motivation entry is checked once.
 
     It keeps every result, failures too, for its life: a failure is
     kept with the position where it was first met, and one met again is
@@ -228,7 +230,7 @@ class Checker:
         self._cascades: dict = {(empty, ()): ()}  # by (environment, assignments)
         self._nf: dict = {}  # normal forms, for this checker's lifetime
         self._formed: dict = {}  # prod_r results by (environment, product, witness)
-        if mode is SystemMode.NAIVE:
+        if mode is not SystemMode.CC:
             self._cc = Checker(SystemMode.CC, fuel=fuel)
             self._cc._nf = self._nf  # same fuel, so the same normal forms
 
@@ -241,7 +243,7 @@ class Checker:
         motivation: Motivation | None = None,
     ) -> Derivation | Diagnostic:
         return self._judge(
-            lambda: self._infer(self.root_ctx(env, motivation), term, None, ()))
+            lambda c: c._infer(c.root_ctx(env, motivation), term, None, ()))
 
     def check(
         self,
@@ -251,14 +253,25 @@ class Checker:
         motivation: Motivation | None = None,
     ) -> Derivation | Diagnostic:
         return self._judge(
-            lambda: self._check(self.root_ctx(env, motivation), term, expected, ()))
+            lambda c: c._check(c.root_ctx(env, motivation), term, expected, ()))
 
     def _judge(self, run: Callable):
-        """`run()`, with errors returned as a `Diagnostic`."""
+        """`run(self)`, with errors returned as a `Diagnostic`.  When ``ccr``
+        rejects and ``run(self._cc)`` rejects too, not for lack of fuel, the
+        ``cc`` diagnostic is returned, its ``prod`` read as ``prod_r``: so a
+        ``ccr`` search miss means that only the witness is missing."""
         try:
-            return run()
+            return run(self)
         except (CheckError, FuelExhausted) as e:
-            return _diagnostic(e)
+            diag = _diagnostic(e)
+        if self.mode is SystemMode.CCR and diag.rule != "fuel":
+            try:
+                cc = self._cc._judge(run)
+            except RecursionError:  # cc went deeper than ccr got: keep ccr's
+                cc = None
+            if isinstance(cc, Diagnostic) and cc.rule != "fuel":
+                return replace(cc, rule="prod_r") if cc.rule == "prod" else cc
+        return diag
 
     # -- context construction ------------------------------------------------
 
@@ -274,10 +287,8 @@ class Checker:
         entry, pos = env.last, ("env", len(ctx.env))
         if entry.name in ctx.env.names():
             raise CheckError(Diagnostic("env2", f"duplicate variable {entry.name}", pos))
-        d = self._infer(ctx, entry.ty, entry.witness, pos)
-        if d.conclusion.ty not in _SORTS:
-            raise CheckError(Diagnostic("env2", "environment entry is not a type", pos,
-                                        found=d.conclusion.ty))
+        d = self._sort(ctx, entry.ty, entry.witness, pos,
+                       "env2", "environment entry is not a type", None)
         return _Ctx(env, Derivation("env2", WellFormed(env), (d,), self.mode))
 
     def _extend(self, ctx: _Ctx, name: str, ty: Term, pos: tuple) -> _Ctx:
@@ -429,21 +440,21 @@ class Checker:
                         Diagnostic("abs", "abstraction body is a kind, not a term",
                                    pos, found=b_ty)
                     )
-                d_bsort = self._check_is_type(ctx2, b_ty, body_open, pos + (1,))
+                d_bsort = self._sort(ctx2, b_ty, body_open, pos + (1,))
                 res_ty = Prod(domain, close_binder(b_ty, ctx2.env.last.name))
                 node = Derivation("abs", HasType(ctx.env, t, res_ty), (b, d_bsort), mode)
                 return self._normalized(ctx, t, res_ty, node, pos)
 
             case Prod():
                 ctx2, body_open = self._open(ctx, t, pos)
+                # `_infer` reads a hint only for a restricted product, so any
+                # other body has one derivation with or without the witness:
+                # it is derived first, and in ccr one that is not a type
+                # fails as such, before a witness search
+                b = (None if mode is SystemMode.CCR and isinstance(body_open, Prod)
+                     else self._sort(ctx2, body_open, None, pos + (1,), *_BODY))
                 if mode is not SystemMode.CCR:
-                    b = self._body(ctx2, body_open, None, pos)
                     return Derivation("prod", HasType(ctx.env, t, b.conclusion.ty), (b,), mode)
-                # `_infer` reads a hint only for a product, so any other
-                # body has one derivation with or without the witness: it
-                # is derived first, and one that is not a type fails as
-                # such, before a witness search
-                b = None if isinstance(body_open, Prod) else self._body(ctx2, body_open, None, pos)
                 d_w = self._find_witness(ctx2, body_open, hint, pos)
                 witness = d_w.conclusion.subject
                 # two hints that find one witness form one product
@@ -451,7 +462,7 @@ class Checker:
                 if formed is not None:
                     return formed
                 if b is None:
-                    b = self._body(ctx2, body_open, witness, pos)
+                    b = self._sort(ctx2, body_open, witness, pos + (1,), *_BODY)
                 if d_w.conclusion.ty != body_open:
                     d_w = Derivation("conv", HasType(ctx2.env, witness, body_open), (d_w, b), mode)
                 node = self._formed[(ctx.env, t, witness)] = Derivation(
@@ -484,20 +495,9 @@ class Checker:
         """The binder step: check that `t`'s domain is a type, and return
         the context under the binder, named afresh, and the body opened at
         that name."""
-        self._check_is_type(ctx, t.domain, None, pos + (0,))
+        self._sort(ctx, t.domain, None, pos + (0,))
         x = fresh_name(set(ctx.env.names()) | free_vars(t.body), t.domain)
         return self._extend(ctx, x, t.domain, pos), open_binder(t.body, x)
-
-    def _body(self, ctx2: _Ctx, body_open: Term, witness: Term | None,
-              pos: tuple) -> Derivation:
-        """Derive a product's body, opened under `ctx2` with `witness`
-        as its hint, and require a sort."""
-        b = self._infer(ctx2, body_open, witness, pos + (1,))
-        if b.conclusion.ty not in _SORTS:
-            rule = "prod_r" if self.mode is SystemMode.CCR else "prod"
-            raise CheckError(Diagnostic(rule, "product body is not a type", pos + (1,),
-                                        found=b.conclusion.ty))
-        return b
 
     def _normalized(self, ctx: _Ctx, subject: Term, ty: Term, node: Derivation,
                     pos: tuple) -> Derivation:
@@ -513,18 +513,17 @@ class Checker:
         if ty_nf == ty:
             return node
         hint = subject if isinstance(subject, Abs) or not subject.nf else None
-        d_sort = self._check_is_type(ctx, ty_nf, hint, pos)
+        d_sort = self._sort(ctx, ty_nf, hint, pos)
         return Derivation("conv", HasType(ctx.env, subject, ty_nf), (node, d_sort), self.mode)
 
-    def _check_is_type(self, ctx: _Ctx, ty: Term, hint: Term | None,
-                       pos: tuple) -> Derivation:
-        """Infer `ty` and require a sort.  `hint`, an inhabitant of `ty`
-        when one is at hand, feeds witness extraction for restricted
-        products."""
-        d = self._infer(ctx, ty, hint, pos)
+    def _sort(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple, rule: str = "prod",
+              message: str = "expected a type", expected: Term | None = PROP) -> Derivation:
+        """The premise "`t` is a type": infer `t` at `pos` and require a sort,
+        or raise ``Diagnostic(rule, message, pos, expected, found)``.  `hint`,
+        an inhabitant of `t` when one is at hand, feeds witness extraction."""
+        d = self._infer(ctx, t, hint, pos)
         if d.conclusion.ty not in _SORTS:
-            raise CheckError(Diagnostic("prod", "expected a type", pos, expected=PROP,
-                                        found=d.conclusion.ty))
+            raise CheckError(Diagnostic(rule, message, pos, expected, d.conclusion.ty))
         return d
 
     def _find_witness(self, ctx2: _Ctx, body_open: Term, hint: Term | None,
@@ -587,7 +586,7 @@ class Checker:
             raise CheckError(
                 Diagnostic("conv", "type mismatch", pos, expected=TYPE, found=found)
             )
-        d_sort = self._check_is_type(ctx, expected, t, pos)
+        d_sort = self._sort(ctx, expected, t, pos)
         if found == expected:
             return d
         if not convertible(found, expected, self.fuel, self._nf):
@@ -622,7 +621,7 @@ def check_wf(
         raise ValueError("the naive system has no well-formedness judgment; "
                          "use check_motivated_env")
     checker = Checker(mode, oracle, fuel)
-    return checker._judge(lambda: checker.root_ctx(env).wf)
+    return checker._judge(lambda c: c.root_ctx(env).wf)
 
 
 def infer_type(
@@ -665,7 +664,7 @@ def check_motivated_env(
     derivations.
     """
     checker = Checker(mode, oracle, fuel)
-    return checker._judge(lambda: checker._motivate(env, motivation, (), ("env",)))
+    return checker._judge(lambda c: c._motivate(env, motivation, (), ("env",)))
 
 
 # ---------------------------------------------------------------------------

@@ -711,6 +711,32 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+# each verb's options with their defaults, besides its FILE
+VERB_OPTIONS = {
+    "check": {"fuel": 100000, "search_depth": 8, "system": "ccr", "emit_derivation": None},
+    "motivate": {"fuel": 100000, "search_depth": 8},
+    "inhabit": {"fuel": 100000, "search_depth": 8},
+    "normalize": {"fuel": 100000},
+    "eval": {"fuel": 100000},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_OPTIONS))
+def test_each_verb_takes_its_options_with_their_defaults(verb):
+    args = vars(cli._parser().parse_args([verb, "FILE"]))
+    assert callable(args.pop("run"))
+    assert args == {"command": verb, "file": "FILE", **VERB_OPTIONS[verb]}
+
+
+@pytest.mark.parametrize("argv", [["normalize", "FILE", "--search-depth", "1"],
+                                  ["eval", "FILE", "--system", "cc"]])
+def test_a_verb_refuses_an_option_it_does_not_take(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+
+
 def _readme_examples():
     """Each fenced README block whose first line runs pedacc on a demo:
     the command's arguments and the block's remaining lines."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import io
 import json
 import sys
@@ -292,6 +293,54 @@ def test_a_product_whose_body_fails_fails_as_in_cc_with_no_search(body):
     assert goals == []
 
 
+# each a judgment ccr once rejected for a missing witness, where cc rejects
+# it for another cause
+CC_REJECTS_TOO = [
+    "assume A : Prop\nassume a : A\ncheck forall x : A, forall y : A, a",
+    "assume A : Prop\nassume B : Prop\ncheck Prop -> (forall x : A, x)",
+    "assume A : Prop\nassume B : Prop\ncheck (Prop -> A) Prop",
+    "assume A : Prop\nassume B : Prop\ncheck fun f : Prop -> A => Prop",
+]
+
+
+@pytest.mark.parametrize("source", CC_REJECTS_TOO)
+def test_ccr_reports_the_cc_diagnostic_when_cc_rejects_too(oracle, source):
+    env, cmds = elaborate(parse(source))
+    cc = infer_type(env, cmds[-1].subject, CC, oracle)
+    ccr = infer_type(env, cmds[-1].subject, CCR, oracle)
+    assert isinstance(cc, Diagnostic) and isinstance(ccr, Diagnostic)
+    assert cc.rule != "prod_r" and "witness" not in ccr.message
+    assert (ccr.rule, ccr.message, ccr.position, ccr.found) == (
+        "prod_r" if cc.rule == "prod" else cc.rule, cc.message, cc.position, cc.found)
+
+
+def test_ccr_keeps_its_diagnostic_when_cc_accepts_or_runs_out_of_fuel(oracle):
+    # cc accepts `A -> B`: the missing witness is the one failure; with no
+    # fuel, cc cannot reduce the redex in the domain of `x`
+    env, cmds = elaborate(parse(
+        "assume A : Prop\nassume B : Prop\ncheck A -> B\n"
+        "check fun f : A -> B => fun x : (fun T : Prop => T) A => x"))
+    accepted, out_of_fuel = (infer_type(env, c.subject, CC, oracle, fuel=0) for c in cmds)
+    assert isinstance(accepted, Derivation) and out_of_fuel.rule == "fuel"
+    for cmd in cmds:
+        got = infer_type(env, cmd.subject, CCR, oracle, fuel=0)
+        assert got.rule == "prod_r" and got.message.startswith("cannot form product: ")
+
+
+def test_ccr_keeps_its_diagnostic_when_cc_goes_deeper_than_the_stack(oracle):
+    # ccr fails at the domain `A -> B`; cc goes on into a tower of binders
+    # deeper than the stack allows, so the diagnostic stays ccr's
+    env, cmds = elaborate(parse("assume A : Prop\nassume B : Prop\ncheck fun f : A -> B => "
+                                + "fun x : A => " * 400 + "x"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        got = infer_type(env, cmds[-1].subject, CCR, oracle)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.rule == "prod_r" and got.message.startswith("cannot form product: ")
+
+
 def test_an_abstraction_hint_beyond_the_fuel_witnesses_as_written():
     # at fuel 2 the body of the outer abstraction has no normal form, so
     # its type's product takes the body as written for its witness
@@ -367,12 +416,16 @@ def test_the_naive_cascade_shares_its_checkers_normal_forms(monkeypatch, oracle)
     # the cascade builds its cc checker through the module's name
     monkeypatch.setattr(kernel, "Checker", Recording)
     judgment, motivation = naive_p_examples()[1]
-    outer = Recording(NAIVE, oracle)
-    got = outer.check(judgment.env, judgment.subject, judgment.ty, motivation)
-    assert isinstance(got, Derivation), got
-    inner = [c for c in made if c is not outer]
-    assert inner
-    assert all(c._nf is outer._nf for c in inner)
+    # naivep checks the cascade in cc; ccr rejects the environment, which
+    # cc rejects too, so its cc checker judges it again for the diagnostic
+    for mode, verdict in ((NAIVE, Derivation), (CCR, Diagnostic)):
+        made.clear()
+        outer = Recording(mode, oracle)
+        got = outer.check(judgment.env, judgment.subject, judgment.ty, motivation)
+        assert isinstance(got, verdict), got
+        inner = [c for c in made if c is not outer]
+        assert inner and all(c._memo for c in inner)
+        assert all(c._nf is outer._nf for c in inner)
 
 
 def test_a_cascade_infers_each_motivation_term_once_per_checker(monkeypatch, oracle):

@@ -103,6 +103,13 @@ def test_parse_error_positions():
     line, column, offset = out.position
     assert line == 1 and column > 1
     assert "line 1" in render_diagnostic(out)
+    # a keyword that begins a term or follows `assume ... by`, but no declaration
+    for source, word in [("by", "by"), ("forall x : Prop, x", "forall"), ("fun", "fun"),
+                         ("Prop", "Prop"), ("Type", "Type")]:
+        out = parse(source)
+        assert isinstance(out, Diagnostic), source
+        assert (out.rule, out.message, out.position) == (
+            "parse", f"'{word}' cannot start a declaration", (1, 1, 0))
 
 
 def test_keyword_cannot_be_a_name():
