@@ -45,8 +45,7 @@ from .kernel import (
     infer_type,
     write_certificate,
 )
-from .prelude import to_natural
-from .reduction import DEFAULT_FUEL, FuelExhausted, normalize
+from .reduction import DEFAULT_FUEL, FuelExhausted, normalize, to_natural
 from .surface import (
     CheckCmd,
     EvalCmd,
@@ -236,9 +235,8 @@ def _cmd_reduce(args) -> int:
         raise _UsageError(f"{args.file} has no {verb} declarations")
     memo: dict = {}
     for subject in subjects:
-        nf = normalize(subject, args.fuel, memo)
-        n = to_natural(nf, args.fuel, memo) if cls is EvalCmd else None  # nf is normal: no work
-        print(n if n is not None else render_term(nf))
+        n = to_natural(subject, args.fuel) if cls is EvalCmd else None
+        print(n if n is not None else render_term(normalize(subject, args.fuel, memo)))
     return 0
 
 

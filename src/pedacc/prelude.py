@@ -12,9 +12,7 @@ accumulator), of type ``P``, and keeps the accumulator.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .reduction import DEFAULT_FUEL, normalize
+from . import reduction
 from .terms import Abs, App, Bound, PROP, Prod, Term
 
 SOURCE = """
@@ -74,21 +72,5 @@ def numeral(k: int) -> Term:
     return Abs(PROP, Abs(Bound(0), Abs(Prod(Bound(1), Bound(2)), body)))
 
 
-def to_natural(t: Term, fuel: int = DEFAULT_FUEL, memo: dict | None = None) -> Optional[int]:
-    """Read a number back from a term, or None if its normal form is not
-    a numeral.  `memo` is a normal-form memo, as for `normalize`."""
-    nf = normalize(t, fuel, memo)
-    match nf:
-        case Abs(domain=d0, body=Abs(domain=Bound(0), body=Abs(domain=Prod(Bound(1), Bound(2)), body=spine))) if d0 == PROP:
-            k = 0
-            while True:
-                match spine:
-                    case Bound(1):
-                        return k
-                    case App(fun=Bound(0), arg=inner):
-                        k += 1
-                        spine = inner
-                    case _:
-                        return None
-        case _:
-            return None
+#: reads a number off a term's value; it lives with the evaluator it reads
+to_natural = reduction.to_natural

@@ -20,7 +20,11 @@ wrapping it in a new one, and a closure keeps its binder node and
 environment, evaluating the binder's domain only when it is read back
 (once per closure, however often it is quoted).  A closed abstraction
 drops its environment when it contracts.  What still recurses is forcing
-an argument, and the read-back.
+an argument, and the read-back of a term.  A number needs no term:
+`to_natural` quotes only a numeral's three binder domains, then walks the
+value's `f`-spine in a loop, forcing each argument where the read-back
+would.  It forces a prefix of what `normalize` forces, in the same order:
+it never needs more fuel, and on a numeral it needs the same.
 
 Every term node knows whether it is beta-normal (`terms._Node.nf`), so a
 normal term is its own normal form: `normalize` returns it with no
@@ -41,7 +45,7 @@ normal term never enters the memo; it needs no entry.
 
 from __future__ import annotations
 
-from .terms import Abs, App, Bound, Free, Prod, SortConst, Term
+from .terms import PROP, Abs, App, Bound, Free, Prod, SortConst, Term
 
 DEFAULT_FUEL = 100_000
 
@@ -206,3 +210,29 @@ def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL,
     if a.nf and b.nf:
         return False  # two normal forms, and a term has one
     return normalize(a, fuel, memo) == normalize(b, fuel, memo)
+
+
+# the binder domains of a numeral, fun A : Prop => fun x : A => fun f : A -> A
+_NUMERAL_DOMAINS = (PROP, Bound(0), Prod(Bound(1), Bound(2)))
+
+
+def to_natural(t: Term, fuel: int = DEFAULT_FUEL) -> int | None:
+    """The number whose numeral is t's normal form, or None if that normal
+    form is no numeral.  It needs no more fuel than `normalize`, and on a
+    numeral the same."""
+    steps = _Steps(fuel, t)
+    v = _eval(t, (), steps)
+    for depth, want in enumerate(_NUMERAL_DOMAINS):
+        if type(v) is not _VAbs:
+            return None
+        if v.dom is None:
+            v.dom = _eval(v.node.domain, v.env, steps)
+        if _quote(v.dom, depth, steps) != want:
+            return None
+        var = _Thunk(None, None, _VNe(("lvl", depth), ()))
+        v = _eval(v.node.body, v.env + (var,), steps)
+    k = 0  # the spine f (f (... x)): f is level 2 and x level 1
+    while type(v) is _VNe and v.head == ("lvl", 2) and len(v.spine) == 1:
+        v = _force(v.spine[0], steps)
+        k += 1
+    return k if type(v) is _VNe and v.head == ("lvl", 1) and not v.spine else None

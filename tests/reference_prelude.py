@@ -202,6 +202,25 @@ BUILTINS: dict[str, Term] = {
 }
 
 
+def read_normal_numeral(nf: Term) -> int | None:
+    """The number a normal form is the numeral of, or None: the term walk
+    that `pedacc.prelude.to_natural` reads off the evaluator's value."""
+    match nf:
+        case Abs(domain=d0, body=Abs(domain=Bound(0), body=Abs(domain=Prod(Bound(1), Bound(2)), body=spine))) if d0 == PROP:
+            k = 0
+            while True:
+                match spine:
+                    case Bound(1):
+                        return k
+                    case App(fun=Bound(0), arg=inner):
+                        k += 1
+                        spine = inner
+                    case _:
+                        return None
+        case _:
+            return None
+
+
 def prelude_corpus() -> list[tuple[str, Term]]:
     """Named closed functions used by the self-test suites.  Every term
     has a product type, so each is fair game for the motivation engine."""

@@ -639,13 +639,14 @@ def test_inhabit_without_goals_is_a_usage_error(tmp_path, capsys):
 
 def test_normalize_and_eval(tmp_path, capsys):
     f = _write(tmp_path, "calc.ped",
-               "normalize (fun A : Prop => A) Prop\neval plus 2 3\neval id")
+               "normalize (fun A : Prop => A) Prop\neval plus 2 3\neval id\n"
+               "eval plus 20000 20000")
     assert main(["normalize", f]) == 0
     assert capsys.readouterr().out.strip() == "Prop"
     assert main(["eval", f]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     # numerals read back as numbers, everything else as a term
-    assert lines == ["5", "fun A : Prop => fun x : A => x"]
+    assert lines == ["5", "fun A : Prop => fun x : A => x", "40000"]
 
 
 @pytest.mark.parametrize("verb", ["normalize", "eval"])

@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import pytest
 
+from harness import gen_typed_term
 from pedacc import inhabit, surface
 from pedacc.kernel import Derivation, SystemMode, check_type, infer_type, verify_derivation
 from pedacc.prelude import numeral, to_natural, top_type
 from pedacc.reduction import normalize
 from pedacc.terms import (
     PROP,
+    TYPE,
     Abs,
     App,
     Bound,
     Environment,
+    Free,
     Prod,
     is_closed,
 )
@@ -40,6 +43,7 @@ from reference_prelude import (
     prelude_corpus,
     proj1,
     proj2,
+    read_normal_numeral,
     rec,
     rec_term,
     refl_term,
@@ -87,6 +91,50 @@ def test_numeral_readback_roundtrip():
     assert to_natural(id_term) is None
     with pytest.raises(ValueError):
         numeral(-1)
+
+
+def numeral_body(domains, body):
+    """fun A : d0 => fun x : d1 => fun f : d2 => body."""
+    for d in reversed(domains):
+        body = Abs(d, body)
+    return body
+
+
+NUMERAL_DOMAINS = (PROP, Bound(0), Prod(Bound(1), Bound(2)))
+F, X = Bound(0), Bound(1)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_the_reader_agrees_with_the_reference_on_generated_terms(seed):
+    t, ty = gen_typed_term(seed)
+    got = to_natural(t)
+    assert got == read_normal_numeral(normalize(t))
+    assert (got is not None) == (ty == nat_type)  # every nat is a numeral
+
+
+@pytest.mark.parametrize("term, value", [
+    # the domain of A is a redex, whose value is Prop
+    (numeral_body((App(Abs(TYPE, Bound(0)), PROP), *NUMERAL_DOMAINS[1:]), App(F, X)), 1),
+    # a redex under the binders: (fun g : A -> A => g (g x)) f
+    (numeral_body(NUMERAL_DOMAINS,
+                  App(Abs(Prod(Bound(2), Bound(3)), App(Bound(0), App(Bound(0), Bound(2)))), F)), 2),
+    # near-numerals: a wrong domain of each binder
+    (numeral_body((TYPE, *NUMERAL_DOMAINS[1:]), X), None),
+    (numeral_body((PROP, Prod(Bound(0), Bound(1)), NUMERAL_DOMAINS[2]), X), None),
+    (numeral_body((*NUMERAL_DOMAINS[:2], Prod(Bound(1), Bound(1))), X), None),
+    # f given two arguments, x applied, A as the head, a free head
+    (numeral_body(NUMERAL_DOMAINS, apps(F, X, X)), None),
+    (numeral_body(NUMERAL_DOMAINS, App(F, App(X, X))), None),
+    (numeral_body(NUMERAL_DOMAINS, App(F, App(Bound(2), X))), None),
+    (numeral_body(NUMERAL_DOMAINS, App(F, Free("a"))), None),
+    # f itself, a product, fewer binders, no binder
+    (numeral_body(NUMERAL_DOMAINS, F), None),
+    (nat_type, None),
+    (id_term, None),
+    (Free("n"), None),
+])
+def test_the_reader_agrees_with_the_reference_on_near_numerals(term, value):
+    assert to_natural(term) == read_normal_numeral(normalize(term)) == value
 
 
 def test_zero_is_numeral_zero():

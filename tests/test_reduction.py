@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from harness import gen_typed_term, one_step_reducts
-from pedacc.prelude import numeral
+from pedacc.prelude import numeral, to_natural
 from pedacc.reduction import FuelExhausted, convertible, normalize
 from pedacc.terms import PROP, TYPE, Abs, App, Bound, Free, Prod
 from reference_prelude import apps, factorial, plus, pred, times
@@ -222,3 +222,26 @@ def test_fuel_boundary(term, least):
     assert normalize(term, least) == normalize(term)
     with pytest.raises(FuelExhausted):
         normalize(term, least - 1)
+
+
+# reading a number forces what its read-back forces, in the same order, so
+# it needs exactly the fuel that normalize does
+@pytest.mark.parametrize("term, least, value", [
+    (apps(factorial, numeral(4)), 378, 24),
+    (apps(times, numeral(7), numeral(9)), 286, 63),
+    (apps(pred, numeral(10)), 103, 9),
+    (apps(plus, numeral(20), numeral(30)), 85, 50),
+])
+def test_reading_a_number_needs_the_fuel_of_its_normal_form(term, least, value):
+    assert to_natural(term, least) == value
+    with pytest.raises(FuelExhausted):
+        to_natural(term, least - 1)
+
+
+@pytest.mark.parametrize("term, value", [
+    (apps(plus, numeral(20_000), numeral(20_000)), 40_000),
+    (apps(times, numeral(200), numeral(200)), 40_000),
+    (apps(pred, numeral(5_000)), 4_999),
+])
+def test_a_long_numeral_is_read_in_one_frame(shallow_stack, term, value):
+    assert to_natural(term, 1_000_000) == value
