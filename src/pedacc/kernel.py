@@ -330,6 +330,9 @@ class Checker:
         motivation sits at `pos`, one about an entry at `entry_pos`
         followed by the entry's name.
         """
+        held = self._cascades.get((env, motivation.assignments))
+        if held is not None:
+            return held  # built before, so its names were checked then
         if motivation.names() != env.names():
             raise CheckError(
                 Diagnostic(

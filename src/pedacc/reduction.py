@@ -9,22 +9,26 @@ arguments tick once); exhausting the budget raises, a partially reduced
 term is never returned silently.  Two terms are convertible when their
 normal forms are equal.
 
-The evaluator is a lazy Krivine-style machine.  It walks down the function
-position of an application, pushing the pending arguments on a local stack,
-and applies the head to them in the same loop: an abstraction, or a
-variable bound to one, contracts and the loop goes on with its body; any
-other head takes the remaining arguments as its spine.  So neither a long
-spine nor a long chain of contractions deepens the Python stack.  An
-argument that is a variable reuses that variable's thunk instead of
-wrapping it in a new one, and a closure keeps its binder node and
-environment, evaluating the binder's domain only when it is read back
-(once per closure, however often it is quoted).  A closed abstraction
-drops its environment when it contracts.  What still recurses is forcing
-an argument, and the read-back of a term.  A number needs no term:
-`to_natural` quotes only a numeral's three binder domains, then walks the
-value's `f`-spine in a loop, forcing each argument where the read-back
-would.  It forces a prefix of what `normalize` forces, in the same order:
-it never needs more fuel, and on a numeral it needs the same.
+The evaluator is a lazy Krivine-style machine with update frames
+(Sestoft, *Deriving a Lazy Abstract Machine*, JFP 1997).  It walks down
+the function position of an application, pushing the pending arguments on
+a local stack, and applies the head to them in the same loop: an
+abstraction, or a variable bound to one, contracts and the loop goes on
+with its body; any other head takes the remaining arguments as its spine.
+A variable whose thunk is unforced pushes an update frame, the thunk and
+the pending spine, and the loop goes on with the thunk's term; the value
+it reaches is stored in the thunk and applied to that spine.  So neither
+a long spine, nor a long chain of contractions, nor a chain of thunks
+each forcing the next deepens the Python stack.  An argument that is a
+variable reuses that variable's thunk, and one that needs no evaluation
+(a closed abstraction or product, a sort, a free name) is passed already
+forced.  A closure keeps its binder node and environment, and evaluates its
+domain only when read back, once.  A closed abstraction drops its
+environment when it contracts.  What still recurses is reading back a
+term.  A number needs no term: `to_natural` quotes only a numeral's three
+binder domains, then walks the value's `f`-spine in a loop, forcing each
+argument where the read-back would.  It forces a prefix of what `normalize` forces, in the
+same order: it never needs more fuel, and on a numeral it needs the same.
 
 Every term node knows whether it is beta-normal (`terms._Node.nf`), so a
 normal term is its own normal form: `normalize` returns it with no
@@ -70,15 +74,6 @@ class _Steps:
 # the evaluator behind normalize
 
 
-class _Thunk:
-    __slots__ = ("term", "env", "value")
-
-    def __init__(self, term, env, value=None):
-        self.term = term
-        self.env = env
-        self.value = value
-
-
 class _VAbs:
     # the binder node and its environment; `dom` memoizes the domain's
     # value, which only _quote reads, so a shared closure evaluates it once
@@ -103,61 +98,87 @@ class _VNe:
         self.spine = spine
 
 
-def _force(th: _Thunk, steps: _Steps):
-    if th.value is None:
-        th.value = _eval(th.term, th.env, steps)
-        th.term = th.env = None
-    return th.value
+# A thunk is a list [value, term, env], value None until it is forced: a
+# list, so making one runs no __init__.  _FORCE in env (thunk,) forces it.
+_FORCE = Bound(0)
+
+
+def _force(th: list, steps: _Steps):
+    return th[0] if th[0] is not None else _eval(_FORCE, (th,), steps)
 
 
 def _eval(t: Term, env: tuple, steps: _Steps):
+    left = steps.left  # fuel, written back before every return and raise
     args = []  # pending arguments of the spine, the next one to apply last
+    frames = []  # (thunk being forced, the spine pending when it was met)
     while True:
         # dispatch on the node type, commonest first: a structural `match`
         # costs several times more per node, and App is most of every term
         tt = type(t)
         while tt is App:
             a = t.arg
-            if type(a) is Bound and a.index < len(env):
-                args.append(env[-1 - a.index])  # the variable's own thunk
+            ta = type(a)
+            if ta is Bound:
+                try:
+                    args.append(env[-1 - a.index])  # the variable's own thunk
+                except IndexError:
+                    args.append([None, a, env])
+            elif ta is App:
+                args.append([None, a, env])
+            elif (ta is Abs or ta is Prod) and not a.mask:
+                # a closed binder's value needs no evaluation, nor its env
+                args.append([(_VAbs if ta is Abs else _VProd)(a, ()), None, None])
+            elif ta is SortConst:
+                args.append([a, None, None])
+            elif ta is Free:
+                args.append([_VNe(("free", a.name), ()), None, None])
             else:
-                args.append(_Thunk(a, env))
+                args.append([None, a, env])
             t = t.fun
             tt = type(t)
         if tt is Abs and args:
             node = t
         else:
             if tt is Bound:
-                if t.index < len(env):
+                try:
                     th = env[-1 - t.index]
-                    v = th.value
-                    if v is None:
-                        v = _force(th, steps)
-                else:
+                except IndexError:
                     v = _VNe(("dangle", t.index - len(env)), ())
-            elif tt is Abs:
-                return _VAbs(t, env)
-            elif tt is Prod:
-                v = _VProd(t, env)
+                else:
+                    v = th[0]
+                    if v is None:  # force it here, and resume the spine after
+                        frames.append((th, args))
+                        t, env, args = th[1], th[2], []
+                        continue
+            elif tt is Abs or tt is Prod:
+                v = (_VAbs if tt is Abs else _VProd)(t, env)
             elif tt is Free:
                 v = _VNe(("free", t.name), ())
             elif tt is SortConst:
                 v = t  # a sort is its own value
             else:
                 raise TypeError(f"not a term: {t!r}")
-            if not args:
-                return v
-            if type(v) is not _VAbs:
-                args.reverse()
-                if type(v) is _VNe:
-                    return _VNe(v.head, v.spine + tuple(args))
-                return _VNe(("stuck", v), tuple(args))  # ill-typed; keep it inert
+            # apply v to the pending spine; a value with none updates the
+            # thunk whose forcing it ends, and that thunk's spine is next
+            while type(v) is not _VAbs or not args:
+                if args:
+                    args.reverse()
+                    if type(v) is _VNe:
+                        v = _VNe(v.head, v.spine + tuple(args))
+                    else:
+                        v = _VNe(("stuck", v), tuple(args))  # ill-typed; keep it inert
+                if not frames:
+                    steps.left = left
+                    return v
+                th, args = frames.pop()
+                th[0], th[1], th[2] = v, None, None
             node, env = v.node, v.env
         # a contraction continues in this frame, so a term that keeps
         # contracting (omega) runs out of fuel, not out of stack
-        if steps.left <= 0:
+        if left <= 0:
+            steps.left = left
             raise FuelExhausted(steps.budget, steps.root)
-        steps.left -= 1
+        left -= 1
         # a closed abstraction needs none of its environment: dropping it
         # keeps a chain of closed redexes from copying an ever longer tuple
         t, env = node.body, (args.pop(),) if not node.mask else env + (args.pop(),)
@@ -173,7 +194,7 @@ def _quote(v, depth: int, steps: _Steps) -> Term:
         if v.dom is None:
             v.dom = _eval(node.domain, v.env, steps)
         dom = _quote(v.dom, depth, steps)
-        var = _Thunk(None, None, _VNe(("lvl", depth), ()))
+        var = [_VNe(("lvl", depth), ()), None, None]
         body = _quote(_eval(node.body, v.env + (var,), steps), depth + 1, steps)
         return type(node)(dom, body)
     kind, payload = v.head
@@ -186,8 +207,7 @@ def _quote(v, depth: int, steps: _Steps) -> Term:
     else:
         t = _quote(payload, depth, steps)
     for arg in v.spine:
-        a = arg.value
-        t = App(t, _quote(a if a is not None else _force(arg, steps), depth, steps))
+        t = App(t, _quote(_force(arg, steps), depth, steps))
     return t
 
 
@@ -229,7 +249,7 @@ def to_natural(t: Term, fuel: int = DEFAULT_FUEL) -> int | None:
             v.dom = _eval(v.node.domain, v.env, steps)
         if _quote(v.dom, depth, steps) != want:
             return None
-        var = _Thunk(None, None, _VNe(("lvl", depth), ()))
+        var = [_VNe(("lvl", depth), ()), None, None]
         v = _eval(v.node.body, v.env + (var,), steps)
     k = 0  # the spine f (f (... x)): f is level 2 and x level 1
     while type(v) is _VNe and v.head == ("lvl", 2) and len(v.spine) == 1:

@@ -10,7 +10,7 @@ from harness import gen_typed_term, one_step_reducts
 from pedacc.prelude import numeral, to_natural
 from pedacc.reduction import FuelExhausted, convertible, normalize
 from pedacc.terms import PROP, TYPE, Abs, App, Bound, Free, Prod
-from reference_prelude import apps, factorial, plus, pred, times
+from reference_prelude import apps, factorial, nat_type, plus, pred, times, zero
 from reference_reduction import (
     beta_step,
     longest_reduction_length,
@@ -206,6 +206,26 @@ def test_a_chain_of_forwarding_redexes_is_evaluated_in_one_frame(shallow_stack):
     assert normalize(t, n) == Free("a")
 
 
+def test_a_chain_of_thunks_each_forcing_the_next_is_forced_in_one_frame(shallow_stack):
+    # numeral n on the identity: its value is x, under n thunks of f (...),
+    # each of which forces the next before it is done
+    t = apps(numeral(20_000), nat_type, zero, Abs(nat_type, Bound(0)))
+    assert to_natural(t, 1_000_000) == 0
+    assert normalize(t, 1_000_000) == zero
+
+
+def test_running_out_of_fuel_while_forcing_leaves_no_half_forced_thunk():
+    # the budget runs out inside nested forcings; a larger budget on the
+    # same memo then finds the normal form afresh
+    t = apps(numeral(50), nat_type, zero, Abs(nat_type, Bound(0)))
+    memo: dict = {}
+    with pytest.raises(FuelExhausted):
+        normalize(t, 30, memo)
+    assert normalize(t, 53, memo) == zero
+    with pytest.raises(FuelExhausted):
+        normalize(t, 52, memo)
+
+
 # the least fuel that normalizes each term: a reducer that moved a tick
 # would shift one of these
 @pytest.mark.parametrize("term, least", [
@@ -217,6 +237,20 @@ def test_a_chain_of_forwarding_redexes_is_evaluated_in_one_frame(shallow_stack):
     # is evaluated once per value, not once per quote
     (App(Abs(PROP, apps(Free("k"), Bound(0), Bound(0))),
          Abs(App(Abs(TYPE, Bound(0)), PROP), Bound(0))), 2),
+    # arguments that need no evaluation, then applied as heads or passed on
+    (apps(Abs(PROP, apps(Bound(0), Bound(0), Free("a"))), IDENT), 3),
+    (App(Abs(PROP, apps(Free("k"), Bound(0), Bound(0))), Abs(PROP, App(IDENT, Bound(0)))), 3),
+    (apps(Abs(PROP, apps(Bound(0), numeral(2), numeral(3))), plus), 14),
+    (apps(Abs(PROP, Abs(PROP, apps(Bound(0), Bound(1), numeral(2)))), numeral(3), plus), 19),
+    (App(Abs(TYPE, App(Bound(0), Free("a"))), Prod(PROP, Bound(0))), 1),
+    (App(Abs(TYPE, Abs(Bound(0), App(Free("g"), Bound(1)))), Prod(PROP, App(IDENT, Bound(0)))), 3),
+    (App(Abs(TYPE, App(Bound(0), Free("a"))), PROP), 1),
+    (apps(Abs(TYPE, Abs(Bound(0), apps(Free("g"), Bound(1), Bound(1)))), PROP), 1),
+    (apps(Abs(PROP, apps(Bound(0), App(IDENT, Free("a")))), Free("f")), 2),
+    (apps(Abs(PROP, Abs(PROP, apps(Free("g"), Bound(1), Bound(0)))), Free("f"), Free("a")), 2),
+    (App(Abs(PROP, App(Bound(0), App(IDENT, Free("a")))), Bound(3)), 2),
+    (Abs(PROP, App(Abs(PROP, apps(Free("g"), Bound(0), Bound(2))), Bound(4))), 1),
+    (apps(numeral(50), nat_type, zero, Abs(nat_type, Bound(0))), 53),
 ])
 def test_fuel_boundary(term, least):
     assert normalize(term, least) == normalize(term)
@@ -231,6 +265,17 @@ def test_fuel_boundary(term, least):
     (apps(times, numeral(7), numeral(9)), 286, 63),
     (apps(pred, numeral(10)), 103, 9),
     (apps(plus, numeral(20), numeral(30)), 85, 50),
+    # arguments that need no evaluation, then applied as heads or passed on
+    (apps(numeral(4), nat_type, zero, Abs(nat_type, Bound(0))), 7, 0),
+    (apps(Abs(PROP, apps(Bound(0), numeral(2), numeral(3))), plus), 14, 5),
+    (apps(Abs(PROP, apps(numeral(3), nat_type, numeral(2), Bound(0))),
+          Abs(nat_type, apps(plus, Bound(0), numeral(1)))), 58, 5),
+    (App(Abs(TYPE, numeral(3)), Prod(PROP, Bound(0))), 1, 3),
+    (apps(Abs(TYPE, App(Abs(TYPE, numeral(2)), Bound(0))), PROP), 2, 2),
+    (App(Abs(PROP, apps(plus, numeral(2), numeral(2))), Free("a")), 14, 4),
+    (apps(Abs(PROP, App(Bound(0), numeral(2))), Free("f")), 1, None),
+    (App(Abs(PROP, apps(plus, numeral(1), numeral(2))), Bound(2)), 10, 3),
+    (apps(Abs(PROP, App(Bound(0), numeral(2))), Bound(2)), 1, None),
 ])
 def test_reading_a_number_needs_the_fuel_of_its_normal_form(term, least, value):
     assert to_natural(term, least) == value
