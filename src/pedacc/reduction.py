@@ -27,8 +27,8 @@ domain only when read back, once.  A closed abstraction drops its
 environment when it contracts.  What still recurses is reading back a
 term.  A number needs no term: `to_natural` quotes only a numeral's three
 binder domains, then walks the value's `f`-spine in a loop, forcing each
-argument where the read-back would.  It forces a prefix of what `normalize` forces, in the
-same order: it never needs more fuel, and on a numeral it needs the same.
+argument where the read-back would: a prefix of what `normalize` forces,
+in the same order, so it never needs more fuel, and on a numeral the same.
 
 Every term node knows whether it is beta-normal (`terms._Node.nf`), so a
 normal term is its own normal form: `normalize` returns it with no
