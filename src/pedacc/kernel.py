@@ -10,15 +10,18 @@ the earlier motivation terms.
 
 The checker is syntax-directed, and derives each judgment once: a product,
 whether met as a term or as the type of an abstraction, is formed by one
-memoized step.  In ``cc`` and ``ccr`` an application, abstraction or
-product is derived in the shortest prefix of its environment that binds
-its free names (and its hint's), and cited in any longer environment by
-one ``weak`` step, whose premises are that derivation and the longer
-environment's well-formedness: thinning holds in every PTS, and in CC_r
-too, since a longer environment loses no witness.  So a subterm met under
-many binders is derived once.  The witness search is the one step that
-reads hypotheses a term does not name; a product with no witness in the
-prefix is formed in the whole environment instead.  Inferred types and
+memoized step.  An application, abstraction or product is derived in the
+shortest prefix of its environment that binds its free names (and its
+hint's), under the motivation cut to that prefix in ``naivep``, and cited
+in any longer environment by one ``weak`` step, whose premises are that
+derivation and what a leaf there cites: the longer environment's
+well-formedness, or its motivation cascade.  Thinning holds in every PTS,
+in CC_r too, since a longer environment loses no witness, and in the
+naive system, whose leaves demand the cascade of the whole environment.
+So a subterm met under many binders is derived once.  The witness search
+is the one step that reads hypotheses a term does not name; a product
+with no witness in the prefix is formed in the whole environment
+instead.  Inferred types and
 restricted-product witnesses are kept in normal form, save an
 abstraction's body taken as written when its normal form cannot be
 checked, as when the fuel runs out (see `Checker._find_witness`);
@@ -98,7 +101,8 @@ class Motivation:
 class Derivation:
     """One rule application.  A ``prod_r`` node's witness is its first
     premise's subject; a ``p-ax``/``p-var`` node's motivation pairs its
-    environment's names with its premises' subjects."""
+    environment's names with its premises' subjects, a naive ``weak``
+    node's with those of its premises after the first (see `_cascade`)."""
 
     rule: str
     conclusion: Judgment
@@ -179,6 +183,12 @@ def _shorter(key: tuple[Environment, tuple]) -> tuple[Environment, tuple]:
     return key[0].parent, key[1][:-1]  # one entry fewer
 
 
+def _closed(ty: Term, assignments: Iterable[tuple[str, Term]]) -> Term:
+    """`ty` with the motivation terms of the names it holds put in: only
+    those assignments reach the substitution."""
+    return subst_simultaneous(ty, [a for a in assignments if a[0] in ty.fv])
+
+
 @dataclass(frozen=True)
 class _Ctx:
     env: Environment
@@ -194,14 +204,14 @@ class Checker:
     context per environment, file or binder: that environment's
     well-formedness derivation, built from its parent's context by one
     ``env2`` step (see `_from_nearest`).  So one checker derives each
-    environment and each judgment once.  Outside ``naivep``, an
-    application, abstraction or product is inferred under the key of the
-    shortest prefix of the environment that binds the names of the term
-    and its hint; a longer environment caches one ``weak`` node citing
-    that judgment.  Should the prefix lack a witness for some product in
-    the term (a ``prod_r`` failure), the term is inferred in the whole
-    environment, whose extra hypotheses the witness search may use; any
-    other failure stands.  A restricted product formed under two hints
+    environment and each judgment once.  An application, abstraction or
+    product is inferred under the key of the shortest prefix of the
+    environment that binds the names of the term and its hint (and, in
+    ``naivep``, the motivation cut to it); a longer environment caches one
+    ``weak`` node citing that judgment.  Should the prefix lack a witness
+    for some product in the term (a ``prod_r`` failure), the term is
+    inferred in the whole environment, whose extra hypotheses the witness
+    search may use; any other failure stands.  A restricted product formed under two hints
     that find one witness is one node.  A ``ccr`` or ``naivep`` checker
     keeps one ``cc`` checker, sharing its normal forms, for ``ccr``'s
     diagnostics (see `_judge`) and ``naivep``'s cascades: the cascade of
@@ -298,7 +308,7 @@ class Checker:
         env2 = ctx.env.extended(name, ty)
         if self.mode is not SystemMode.NAIVE:
             return self.root_ctx(env2)
-        closed_ty = subst_simultaneous(ty, list(ctx.motivation.assignments))
+        closed_ty = _closed(ty, ctx.motivation.assignments)
         if self.oracle is None:
             reason = "no witness oracle was supplied"
         else:
@@ -353,19 +363,25 @@ class Checker:
                 raise CheckError(Diagnostic(
                     "p-var", f"motivation term for {entry.name} is not closed", where,
                     found=mot_term))
-            closed_ty = subst_simultaneous(entry.ty, assignments[:-1])
+            closed_ty = _closed(entry.ty, assignments[:-1])
             return cascade + (self._check(empty, mot_term, closed_ty, where),)
 
         return _from_nearest(self._cascades, (env, motivation.assignments), _shorter, step)
 
-    def _leaf(self, ctx: _Ctx, rule: str, judgment: HasType, pos: tuple) -> Derivation:
-        """The node of a sort or variable, `rule` being ``ax`` or ``var``:
-        it cites the context's well-formedness, or in ``naivep`` (as
-        ``p-ax`` or ``p-var``) the cascade of its motivation."""
+    def _cited(self, ctx: _Ctx, pos: tuple) -> tuple[Derivation, ...]:
+        """What a leaf or a ``weak`` step in `ctx` cites of its
+        environment: its well-formedness, or in ``naivep`` the cascade of
+        its motivation."""
         if self.mode is not SystemMode.NAIVE:
-            return Derivation(rule, judgment, (ctx.wf,), self.mode)
-        cascade = self._cc._motivate(ctx.env, ctx.motivation, pos, pos)
-        return Derivation("p-" + rule, judgment, cascade, self.mode)
+            return (ctx.wf,)
+        return self._cc._motivate(ctx.env, ctx.motivation, pos, pos)
+
+    def _leaf(self, ctx: _Ctx, rule: str, judgment: HasType, pos: tuple) -> Derivation:
+        """The node of a sort or variable, `rule` being ``ax`` or ``var``
+        (``p-ax`` or ``p-var`` in ``naivep``)."""
+        if self.mode is SystemMode.NAIVE:
+            rule = "p-" + rule
+        return Derivation(rule, judgment, self._cited(ctx, pos), self.mode)
 
     # -- inference -----------------------------------------------------------
 
@@ -384,7 +400,7 @@ class Checker:
             raise CheckError(replace(diag, position=pos + diag.position[len(first):]))
         try:
             out = None
-            if self.mode is not SystemMode.NAIVE and isinstance(t, (App, Abs, Prod)):
+            if isinstance(t, (App, Abs, Prod)):
                 out = self._weakened(ctx, t, hint, pos)
             if out is None:
                 out = self._infer_raw(ctx, t, hint, pos)
@@ -398,9 +414,11 @@ class Checker:
                   pos: tuple) -> Derivation | None:
         """`t` inferred in the shortest prefix of `ctx`'s environment that
         binds its free names and its hint's, and cited in `ctx` by one
-        ``weak`` step.  None when that prefix is the whole environment, or
+        ``weak`` step.  None when that prefix is the whole environment,
         when a product in `t` has no witness in it, since the hypotheses
-        past it may supply one."""
+        past it may supply one, or when `ctx`'s motivation fails its
+        cascade, which is built first: the leaf that meets it reports it,
+        as without the step."""
         names = free_vars(t) if hint is None else free_vars(t) | free_vars(hint)
         prefix = ctx.env
         while prefix.parent is not None and prefix.last.name not in names:
@@ -408,12 +426,18 @@ class Checker:
         if prefix is ctx.env:
             return None
         try:
-            d = self._infer(self.root_ctx(prefix), t, hint, pos)
+            cited = self._cited(ctx, pos)
+        except (CheckError, FuelExhausted):
+            return None
+        # the motivation of the prefix's names; None outside naivep
+        cut = ctx.motivation and Motivation(ctx.motivation.assignments[:len(prefix)])
+        try:
+            d = self._infer(self.root_ctx(prefix, cut), t, hint, pos)
         except CheckError as e:
             if e.diagnostic.rule != "prod_r":
                 raise
             return None
-        return Derivation("weak", HasType(ctx.env, t, d.conclusion.ty), (d, ctx.wf), self.mode)
+        return Derivation("weak", HasType(ctx.env, t, d.conclusion.ty), (d, *cited), self.mode)
 
     def _infer_raw(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> Derivation:
         mode = self.mode
@@ -676,8 +700,36 @@ def check_motivated_env(
 _RULES_BY_MODE = {
     SystemMode.CC: {"env1", "env2", "ax", "var", "abs", "prod", "app", "conv", "weak"},
     SystemMode.CCR: {"env1", "env2", "ax", "var", "abs", "prod_r", "app", "conv", "weak"},
-    SystemMode.NAIVE: {"p-ax", "p-var", "abs", "prod", "app", "conv"},
+    SystemMode.NAIVE: {"p-ax", "p-var", "abs", "prod", "app", "conv", "weak"},
 }
+
+
+def _cascade(d: Derivation) -> tuple[Derivation, ...] | None:
+    """The closed ``cc`` derivations that motivate the environment of a
+    naive node: all premises of a ``p-ax`` or ``p-var``, and those after
+    the first of a ``weak``.  None for any other node."""
+    if d.mode is SystemMode.NAIVE and d.rule in ("p-ax", "p-var", "weak"):
+        return d.premises[1 if d.rule == "weak" else 0:]
+    return None
+
+
+def _verify_cascade(rule: str, env: Environment, cascade: tuple[Derivation, ...],
+                    problems: list[str], fuel: int, memo: dict) -> None:
+    """Append a problem of `rule` unless `cascade` motivates `env`: one
+    derivation per entry, in the empty environment, of the entry's type
+    with the earlier names replaced by the earlier subjects, and no name
+    bound twice."""
+    if len(cascade) != len(env):
+        problems.append(f"{rule} cascade has wrong length")
+        return
+    done: dict[str, Term] = {}
+    for entry, pd in zip(env, cascade):
+        pc = pd.conclusion
+        if not (isinstance(pc, HasType) and len(pc.env) == 0 and entry.name not in done
+                and convertible(pc.ty, _closed(entry.ty, done.items()), fuel, memo)):
+            problems.append(f"{rule} cascade entry {entry.name} malformed")
+            return
+        done[entry.name] = pc.subject
 
 
 def _under_binder(c: HasType, p: HasType) -> bool:
@@ -785,17 +837,21 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 if not ok:
                     problems.append("conv premises do not match conclusion")
             case "weak":
-                p, w = d.premises[0].conclusion, d.premises[1].conclusion
+                # the longer environment's well-formedness, or its cascade
+                p, cascade = d.premises[0].conclusion, _cascade(d)
+                w = d.premises[1].conclusion if cascade is None else None
                 ok = (
                     isinstance(c, HasType) and isinstance(p, HasType)
                     and len(p.env) < len(c.env)
                     and c.env.entries[:len(p.env)] == p.env.entries
                     and p.subject == c.subject
                     and p.ty == c.ty
-                    and isinstance(w, WellFormed) and w.env == c.env
+                    and (cascade is not None or isinstance(w, WellFormed) and w.env == c.env)
                 )
                 if not ok:
                     problems.append("weak premises do not match conclusion")
+                elif cascade is not None:
+                    _verify_cascade(d.rule, c.env, cascade, problems, fuel, memo)
             case "p-ax" | "p-var":
                 if not isinstance(c, HasType):
                     problems.append(f"{d.rule} conclusion is not a typing judgment")
@@ -807,18 +863,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     entry = c.env.lookup(c.subject.name) if isinstance(c.subject, Free) else None
                     if entry is None or entry.ty != c.ty:
                         problems.append("p-var conclusion not in the environment")
-                if len(d.premises) != len(c.env):
-                    problems.append(f"{d.rule} cascade has wrong length")
-                    return
-                done: list[tuple[str, Term]] = []
-                for entry, pd in zip(c.env, d.premises):
-                    pc = pd.conclusion
-                    want = subst_simultaneous(entry.ty, done)
-                    if not (isinstance(pc, HasType) and len(pc.env) == 0
-                            and convertible(pc.ty, want, fuel, memo)):
-                        problems.append(f"{d.rule} cascade entry {entry.name} malformed")
-                        return
-                    done.append((entry.name, pc.subject))
+                _verify_cascade(d.rule, c.env, d.premises, problems, fuel, memo)
     except IndexError:
         problems.append(f"{d.rule} node is missing premises")
 
@@ -826,8 +871,8 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
 def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
     """Re-check every node of the derivations against its rule schema, and
     check that every node is in the mode its root expects: the root's
-    own, except in the closed full-calculus cascade under a naive ``p-ax``
-    or ``p-var``, whose nodes are all ``cc``.
+    own, except in the closed full-calculus cascade a naive ``p-ax``,
+    ``p-var`` or ``weak`` cites, whose nodes are all ``cc``.
 
     One walk, on an explicit stack, visits each (node, expected mode) pair
     once.  The derivations may share subtrees: each distinct node's schema
@@ -851,14 +896,16 @@ def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
         if id(node) not in checked:
             checked.add(id(node))
             _verify_node(node, problems, fuel, memo)
+        spine = node.premises
         if mode is not None:  # None: under a stray node
             if node.mode is not mode:
                 problems.append(f"{node.rule} node of mode {node.mode.value} "
                                 f"inside a {mode.value} derivation")
                 mode = None
-            elif node.rule in ("p-ax", "p-var"):
-                mode = SystemMode.CC
-        stack.extend((p, mode) for p in reversed(node.premises))
+            elif (cascade := _cascade(node)) is not None:
+                spine = spine[:len(spine) - len(cascade)]
+                stack.extend((p, SystemMode.CC) for p in reversed(cascade))
+        stack.extend((p, mode) for p in reversed(spine))
     return problems
 
 
@@ -983,10 +1030,10 @@ def write_certificate(fh: TextIO, result: Iterable[Derivation] | Diagnostic,
                     f',"premises":[{premises}]')
             if node.rule == "prod_r":
                 text += f',"witness":{string(node.premises[0].conclusion.subject)}'
-            elif node.rule in ("p-ax", "p-var"):
+            elif (cascade := _cascade(node)) is not None:
                 text += ',"motivation":[' + ",".join(
                     [f'{{"name":{_json_str(e.name)},"term":{string(p.conclusion.subject)}}}'
-                     for e, p in zip(c.env, node.premises)]) + "]"
+                     for e, p in zip(c.env, cascade)]) + "]"
             fh.write(text + "}")
         fh.write("]}")
     fh.write("]}\n")

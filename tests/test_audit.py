@@ -6,8 +6,10 @@ of the other form (well-formedness for typing, or back), its mode
 flipped, two of its premises swapped, a premise dropped, and its
 conclusion's subject or type replaced by another term of the same
 derivations.  A mutant is audited where the node stood:
-cited by one node that cites the original, or as a root.  Targeted mutants
-reach the problems no such edit produces.  Every mutant must be reported,
+cited by one node that cites the original, or as a root.  So is a
+`naivep` derivation with ``weak`` nodes, which no demo yields, and
+targeted mutants of such a node break each of its conditions.  Targeted
+mutants reach the problems no such edit produces.  Every mutant must be reported,
 and every problem message `_verify_node` can append must be produced.
 """
 
@@ -26,17 +28,20 @@ import pytest
 from harness import distinct_nodes, env_of
 from pedacc import cli, kernel
 from pedacc.kernel import (
+    Checker,
     Derivation,
     Diagnostic,
     HasType,
     Motivation,
     SystemMode,
     WellFormed,
+    check_motivated_env,
     check_type,
     infer_type,
     verify_derivation,
 )
 from pedacc.prelude import top_type
+from reference_prelude import id_term, prelude_corpus
 from pedacc.terms import (
     PROP, TYPE, Abs, App, Bound, Environment, Free, Prod, open_binder,
 )
@@ -119,13 +124,12 @@ def _mutants(node: Derivation, is_root: bool, terms: list,
     return out
 
 
-@pytest.fixture(scope="module")
-def generic(certified) -> list[tuple[str, list[str]]]:
+def _edited(roots: list[Derivation]) -> list[tuple[str, list[str]]]:
     """(what was mutated, the problems reported) for every edit of every
-    distinct node of the certified derivations."""
+    distinct node of the derivations `roots`."""
     order: list[Derivation] = []
     parent: dict[int, Derivation] = {}
-    for node in distinct_nodes(certified):
+    for node in distinct_nodes(roots):
         order.append(node)
         for p in node.premises:
             parent.setdefault(id(p), node)
@@ -142,6 +146,12 @@ def generic(certified) -> list[tuple[str, list[str]]]:
             out.append((f"{node!r}: {name}",
                         _in_place(node, mutant, parent.get(id(node)))))
     return out
+
+
+@pytest.fixture(scope="module")
+def generic(certified) -> list[tuple[str, list[str]]]:
+    """`_edited` of the certified derivations."""
+    return _edited(certified)
 
 
 def _targeted(oracle) -> list[tuple[Derivation, str]]:
@@ -281,14 +291,17 @@ def _targeted(oracle) -> list[tuple[Derivation, str]]:
         # the cascade out of order; its first term derived under a hypothesis
         (citing(p_var, *p_var.premises[::-1]), "p-var cascade entry A malformed"),
         (citing(p_var, thinned, p_var.premises[1]), "p-var cascade entry A malformed"),
+        # the same cascade for an environment that binds A twice
+        (concluding(p_ax, env=env_of(("A", PROP), ("A", a))), "p-ax cascade entry A malformed"),
     ]
 
 
 def _verify_node_messages() -> list[re.Pattern]:
-    """Each problem message `_verify_node` can append, as a pattern."""
-    tree = ast.parse(inspect.getsource(kernel._verify_node))
+    """Each problem message `_verify_node` can append, itself or through
+    the cascade check it shares among the naive rules, as a pattern."""
     patterns = []
-    for call in ast.walk(tree):
+    for call in (node for f in (kernel._verify_node, kernel._verify_cascade)
+                 for node in ast.walk(ast.parse(inspect.getsource(f)))):
         if (isinstance(call, ast.Call) and ast.unparse(call.func) == "problems.append"):
             [arg] = call.args
             parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
@@ -313,3 +326,74 @@ def test_the_mutants_produce_every_problem_the_auditor_can_report(generic, oracl
     patterns = _verify_node_messages()
     assert len(patterns) == 20
     assert [p.pattern for p in patterns if not any(p.fullmatch(m) for m in produced)] == []
+
+
+# [A : Prop, a : A] motivated by A := top, a := id
+_A, _a = Free("A"), Free("a")
+_ENV = env_of(("A", PROP), ("a", _A))
+_SIGMA = Motivation((("A", top_type), ("a", id_term)))
+
+
+def test_every_edit_of_a_naive_derivation_with_weak_nodes_is_reported(oracle):
+    # id derived in [], cited in [A]; id A derived in [A], cited in [A, a]
+    d = infer_type(_ENV, App(App(id_term, _A), _a), NAIVE, oracle, motivation=_SIGMA)
+    assert sum(1 for n in distinct_nodes([d]) if n.rule == "weak" and n.mode is NAIVE) == 2
+    edited = _edited([d])
+    assert len(edited) > 100
+    assert [name for name, problems in edited if not problems] == []
+
+
+def test_every_naive_weak_mutant_is_rejected(oracle):
+    weak = infer_type(_ENV, Abs(_A, Bound(0)), NAIVE, oracle, motivation=_SIGMA)
+    assert weak.rule == "weak" and weak.mode is NAIVE
+    thin, cascade = weak.premises[0], weak.premises[1:]
+    assert thin.conclusion.env == _ENV.parent and len(cascade) == 2
+    assert verify_derivation(weak) == []
+    # the same abstraction cited in [A, a, c] from [A, c], no prefix of it
+    longer = _ENV.extended("c", PROP)
+    sigma_c = _SIGMA.extended("c", top_type)
+    weak_3 = infer_type(longer, Abs(_A, Bound(0)), NAIVE, oracle, motivation=sigma_c)
+    beside = infer_type(env_of(("A", PROP), ("c", PROP)), Abs(_A, Bound(0)), NAIVE, oracle,
+                        motivation=Motivation((("A", top_type), ("c", top_type))))
+    assert verify_derivation(weak_3) == [] and verify_derivation(beside) == []
+
+    def concluding(d: Derivation, **fields) -> Derivation:
+        return dataclasses.replace(d, conclusion=dataclasses.replace(d.conclusion, **fields))
+
+    def citing(*premises: Derivation, d: Derivation = weak) -> Derivation:
+        return dataclasses.replace(d, premises=premises)
+
+    mismatch = "weak premises do not match conclusion"
+    mutants = [
+        # the premise's environment is no prefix, or the whole one
+        (citing(beside, *weak_3.premises[1:], d=weak_3), mismatch),
+        (citing(concluding(thin, env=_ENV), *cascade), mismatch),
+        # another subject or type
+        (concluding(weak, subject=Abs(_A, _A)), mismatch),
+        (concluding(weak, ty=Prod(_A, PROP)), mismatch),
+        # a cascade entry dropped, or two swapped
+        (citing(thin, cascade[0]), "weak cascade has wrong length"),
+        (citing(thin, cascade[1]), "weak cascade has wrong length"),
+        (citing(thin, *cascade[::-1]), "weak cascade entry A malformed"),
+        # the prefix's cascade, not the longer environment's
+        (citing(thin, *check_motivated_env(_ENV.parent, Motivation(_SIGMA.assignments[:1]))),
+         "weak cascade has wrong length"),
+        # a cascade premise in naivep mode
+        (citing(thin, dataclasses.replace(cascade[0], mode=NAIVE), cascade[1]),
+         f"{cascade[0].rule} node of mode naivep inside a cc derivation"),
+        # the first premise alone
+        (citing(thin), "weak cascade has wrong length"),
+        # the prefix derivation in cc
+        (citing(Checker(CC).infer(thin.conclusion.env, thin.conclusion.subject), *cascade),
+         "abs node of mode cc inside a naivep derivation"),
+    ]
+    assert [(d, want) for d, want in mutants if want not in verify_derivation(d)] == []
+
+
+def test_every_naive_derivation_of_the_prelude_corpus_audits(oracle):
+    for name, term in prelude_corpus():
+        # closed, then under two motivated hypotheses it does not name
+        for env, sigma in ((Environment(), None), (_ENV, _SIGMA)):
+            d = infer_type(env, term, NAIVE, oracle, motivation=sigma)
+            assert isinstance(d, Derivation), (name, d)
+            assert verify_derivation(d) == [], name

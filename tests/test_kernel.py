@@ -541,13 +541,34 @@ def test_a_term_is_derived_in_the_shortest_environment_that_binds_it(oracle):
             assert d.rule == rule and d.conclusion.env == env
 
 
-def test_the_naive_system_keeps_its_cascades(oracle):
+def test_the_naive_system_derives_a_closed_subterm_once_and_weakens_it(oracle):
     env = env_of(("A", PROP), ("a", Free("A")))
     sigma = Motivation((("A", top_type), ("a", id_term)))
-    d = infer_type(env, App(Abs(Free("A"), Bound(0)), Free("a")), NAIVE, oracle,
-                      motivation=sigma)
-    assert "weak" not in {n.rule for n in iter_nodes(d)}
+    d = infer_type(env, App(App(id_term, Free("A")), Free("a")), NAIVE, oracle,
+                   motivation=sigma)
     assert verify_derivation(d) == []
+    naive = [n for n in iter_nodes(d) if n.mode is NAIVE]
+    # id is derived once, in the empty prefix, and cited in [A] by a weak node
+    [derived] = [n for n in naive if n.conclusion.subject == id_term and n.rule != "weak"]
+    assert derived.rule == "abs" and derived.conclusion.env == Environment()
+    [weak] = [n for n in naive if n.rule == "weak" and n.conclusion.subject == id_term]
+    assert weak.conclusion.env == env.parent and weak.premises[0] is derived
+    # id A, derived in [A], is cited in [A, a] by a weak node whose later
+    # premises are [A, a]'s cascade, the one the p-var of a cites
+    [weak] = [n for n in naive if n.rule == "weak" and n.conclusion.env == env]
+    assert weak.premises[0].conclusion.env == env.parent
+    [p_var] = [n for n in naive if n.rule == "p-var" and n.conclusion.env == env]
+    assert weak.premises[1:] == p_var.premises
+    cascade = check_motivated_env(env, sigma, CC)
+    assert [p.conclusion for p in weak.premises[1:]] == [p.conclusion for p in cascade]
+    # nat : Prop is formed once in factorial, in [], and cited under its
+    # binders by weak nodes
+    d = infer_type(Environment(), factorial, NAIVE, oracle)
+    assert verify_derivation(d) == []
+    nat = [n for n in iter_nodes(d) if n.mode is NAIVE and n.conclusion.subject == nat_type]
+    [formed] = [n for n in nat if n.rule != "weak"]
+    assert formed.rule == "prod" and formed.conclusion.env == Environment()
+    assert len(nat) > 1
 
 
 def test_restricted_factorial_is_a_small_derivation(oracle):
@@ -607,7 +628,8 @@ def test_verify_derivation_flags_forged_weak_nodes(oracle):
         (dataclasses.replace(d, conclusion=dataclasses.replace(c, ty=arrow(a, PROP))),
          mismatch),
         (dataclasses.replace(d, premises=(thin, checker.root_ctx(prefix).wf)), mismatch),
-        (dataclasses.replace(d, mode=NAIVE), "rule weak not part of mode naivep"),
+        # a naive weak node cites a cascade, not a well-formedness judgment
+        (dataclasses.replace(d, mode=NAIVE), "weak cascade has wrong length"),
         (dataclasses.replace(d, premises=(in_cc, wf)),
          f"{in_cc.rule} node of mode cc inside a ccr derivation"),
     ]
@@ -723,9 +745,11 @@ def _plain_table(d: Derivation, render) -> dict:
                      "conclusion": conclusion, "premises": premises}
             if node.rule == "prod_r":
                 entry["witness"] = render(node.premises[0].conclusion.subject)
-            if node.rule in ("p-ax", "p-var"):
+            if node.mode is NAIVE and node.rule in ("p-ax", "p-var", "weak"):
+                # a naive weak node's cascade follows its prefix derivation
+                cascade = node.premises[node.rule == "weak":]
                 entry["motivation"] = [{"name": e.name, "term": render(p.conclusion.subject)}
-                                       for e, p in zip(c.env, node.premises)]
+                                       for e, p in zip(c.env, cascade)]
             index[id(node)] = len(nodes)
             nodes.append(entry)
         return index[id(node)]
