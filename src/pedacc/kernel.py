@@ -18,13 +18,14 @@ derivation and what a leaf there cites: the longer environment's
 well-formedness, or its motivation cascade.  Thinning holds in every PTS,
 in CC_r too, since a longer environment loses no witness, and in the
 naive system, whose leaves demand the cascade of the whole environment.
-So a subterm met under many binders is derived once.  The witness search
-is the one step that reads hypotheses a term does not name; a product
-with no witness in the prefix is formed in the whole environment
-instead.  Inferred types and
-restricted-product witnesses are kept in normal form, save an
-abstraction's body taken as written when its normal form cannot be
-checked, as when the fuel runs out (see `Checker._find_witness`);
+So a subterm met under many binders is derived once, and a restricted
+product formed in a prefix of its own names is cited from there under a
+hint that names later hypotheses.  The witness search is the one step
+that reads hypotheses a term does not name; a product with no witness in
+the prefix is formed in the whole environment instead.  Inferred types
+and restricted-product witnesses are kept in normal form, save an
+abstraction's body taken as written when its normal form cannot be checked,
+as when the fuel runs out (see `Checker._find_witness`);
 conversion nodes appear only where an inferred type is normalized, a
 witness's type is converted to the product body, or `check` meets a given
 type.  Every result is a full `Derivation` tree that can be re-checked node
@@ -211,12 +212,14 @@ class Checker:
     ``weak`` node citing that judgment.  Should the prefix lack a witness
     for some product in the term (a ``prod_r`` failure), the term is
     inferred in the whole environment, whose extra hypotheses the witness
-    search may use; any other failure stands.  A restricted product formed under two hints
-    that find one witness is one node.  A ``ccr`` or ``naivep`` checker
-    keeps one ``cc`` checker, sharing its normal forms, for ``ccr``'s
-    diagnostics (see `_judge`) and ``naivep``'s cascades: the cascade of
-    each motivation prefix is built from the prefix one entry shorter by
-    one check, so each motivation entry is checked once.
+    search may use; any other failure stands.  A restricted product formed
+    under two hints that find one witness is one node, and a ``weak`` node
+    cites its first formation in any longer environment, whatever the hint
+    there.  A ``ccr`` or ``naivep`` checker keeps one ``cc`` checker,
+    sharing its normal forms, for ``ccr``'s diagnostics (see `_judge`) and
+    ``naivep``'s cascades: the cascade of each motivation prefix is built
+    from the prefix one entry shorter by one check, so each motivation
+    entry is checked once.
 
     It keeps every result, failures too, for its life: a failure is
     kept with the position where it was first met, and one met again is
@@ -239,7 +242,7 @@ class Checker:
         self._ctxs = {empty: _Ctx(empty, Derivation("env1", WellFormed(empty), (), mode))}
         self._cascades: dict = {(empty, ()): ()}  # by (environment, assignments)
         self._nf: dict = {}  # normal forms, for this checker's lifetime
-        self._formed: dict = {}  # prod_r results by (environment, product, witness)
+        self._formed: dict = {}  # prod_r nodes by (env, product, witness) and (env, product)
         if mode is not SystemMode.CC:
             self._cc = Checker(SystemMode.CC, fuel=fuel)
             self._cc._nf = self._nf  # same fuel, so the same normal forms
@@ -413,12 +416,13 @@ class Checker:
     def _weakened(self, ctx: _Ctx, t: Term, hint: Term | None,
                   pos: tuple) -> Derivation | None:
         """`t` inferred in the shortest prefix of `ctx`'s environment that
-        binds its free names and its hint's, and cited in `ctx` by one
-        ``weak`` step.  None when that prefix is the whole environment,
-        when a product in `t` has no witness in it, since the hypotheses
-        past it may supply one, or when `ctx`'s motivation fails its
-        cascade, which is built first: the leaf that meets it reports it,
-        as without the step."""
+        binds its free names and its hint's (a restricted product, in a
+        shorter one that formed it: see `_infer_raw`), and cited in `ctx` by
+        one ``weak`` step.  None when that prefix is the whole environment,
+        when a product in `t` has no witness in it, since the hypotheses past
+        it may supply one, or when `ctx`'s motivation fails its cascade,
+        which is built first: the leaf that meets it reports it, as without
+        the step."""
         names = free_vars(t) if hint is None else free_vars(t) | free_vars(hint)
         prefix = ctx.env
         while prefix.parent is not None and prefix.last.name not in names:
@@ -437,6 +441,8 @@ class Checker:
             if e.diagnostic.rule != "prod_r":
                 raise
             return None
+        if d.rule == "weak":  # a ccr product formed further in: cite that formation
+            d = d.premises[0]
         return Derivation("weak", HasType(ctx.env, t, d.conclusion.ty), (d, *cited), self.mode)
 
     def _infer_raw(self, ctx: _Ctx, t: Term, hint: Term | None, pos: tuple) -> Derivation:
@@ -473,6 +479,13 @@ class Checker:
                 return self._normalized(ctx, t, res_ty, node, pos)
 
             case Prod():
+                # thinning: a ccr product formed in a shorter prefix of its names is a type here
+                prefix = ctx.env
+                while mode is SystemMode.CCR and prefix.last and prefix.last.name not in t.fv:
+                    prefix = prefix.parent
+                    if (formed := self._formed.get((prefix, t))) is not None:
+                        return Derivation("weak", HasType(ctx.env, t, formed.conclusion.ty),
+                                          (formed, *self._cited(ctx, pos)), mode)
                 ctx2, body_open = self._open(ctx, t, pos)
                 # `_infer` reads a hint only for a restricted product, so any
                 # other body has one derivation with or without the witness:
@@ -494,6 +507,7 @@ class Checker:
                     d_w = Derivation("conv", HasType(ctx2.env, witness, body_open), (d_w, b), mode)
                 node = self._formed[(ctx.env, t, witness)] = Derivation(
                     "prod_r", HasType(ctx.env, t, b.conclusion.ty), (d_w, b), mode)
+                self._formed.setdefault((ctx.env, t), node)  # the first one, for thinning
                 return node
 
             case App(f, a):

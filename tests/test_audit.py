@@ -8,7 +8,8 @@ conclusion's subject or type replaced by another term of the same
 derivations.  A mutant is audited where the node stood:
 cited by one node that cites the original, or as a root.  So is a
 `naivep` derivation with ``weak`` nodes, which no demo yields, and
-targeted mutants of such a node break each of its conditions.  Targeted
+targeted mutants of such a node break each of its conditions, as they do
+for a ``ccr`` ``weak`` node that cites a product formed further in.  Targeted
 mutants reach the problems no such edit produces.  Every mutant must be reported,
 and every problem message `_verify_node` can append must be produced.
 """
@@ -387,6 +388,37 @@ def test_every_naive_weak_mutant_is_rejected(oracle):
         (citing(Checker(CC).infer(thin.conclusion.env, thin.conclusion.subject), *cascade),
          "abs node of mode cc inside a naivep derivation"),
     ]
+    assert [(d, want) for d, want in mutants if want not in verify_derivation(d)] == []
+
+
+def test_every_ccr_weak_mutant_over_a_formed_product_is_rejected(oracle):
+    # A -> A formed in [A]; a hint naming b, past A, cites it in [A, a, b]
+    env = _ENV.extended("b", _A)
+    arrow_a = Prod(_A, _A)
+    checker = Checker(CCR, oracle)
+    formed = checker.infer(_ENV.parent, arrow_a)
+    weak = checker._infer(checker.root_ctx(env), arrow_a, Abs(_A, Free("b")), ())
+    assert (formed.rule, weak.rule) == ("prod_r", "weak") and weak.premises[0] is formed
+    assert verify_derivation(weak) == []
+
+    def formed_in(where: Environment) -> Derivation:
+        fresh = Checker(CCR, oracle)  # no formation in a shorter environment to cite
+        return fresh._infer_raw(fresh.root_ctx(where), arrow_a, None, ())
+
+    mismatch = "weak premises do not match conclusion"
+    unwitnessed = dataclasses.replace(formed, premises=(formed.premises[1],) * 2)
+    mutants = [
+        # formed in [A, c], no prefix of [A, a, b], or in [A, a, b] itself
+        (formed_in(env_of(("A", PROP), ("c", PROP))), mismatch),
+        (formed_in(env), mismatch),
+        # the witness premise derives A : Prop, which does not inhabit A
+        (unwitnessed, "prod_r premises do not match conclusion"),
+    ]
+    assert all(d.rule == "prod_r" for d, _ in mutants)
+    mutants = [(dataclasses.replace(weak, premises=(d, *weak.premises[1:])), want)
+               for d, want in mutants]
+    mutants.append((dataclasses.replace(
+        weak, conclusion=dataclasses.replace(weak.conclusion, ty=TYPE)), mismatch))
     assert [(d, want) for d, want in mutants if want not in verify_derivation(d)] == []
 
 

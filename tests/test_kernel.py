@@ -507,14 +507,25 @@ def test_abstractions_over_one_domain_share_the_binders_context(oracle):
     (CC, Free("x")),
     (CCR, Free("x")),
     (CC, arrow(Free("A"), Free("A"))),
-], ids=["cc-var", "ccr-var", "cc-product"])
+    (CCR, arrow(Free("A"), Free("A"))),
+], ids=["cc-var", "ccr-var", "cc-product", "ccr-product"])
 def test_a_judgment_inferred_under_two_hints_is_one_derivation(oracle, mode, term):
-    # only a restricted product reads its hint
+    # only a restricted product reads its hint; these name a and b, past A
     env = env_of(("A", PROP), ("x", Free("A")), ("a", Free("A")), ("b", Free("A")))
     checker = Checker(mode, oracle)
     ctx = checker.root_ctx(env)
-    first = checker._infer(ctx, term, Free("a"), ())
-    assert checker._infer(ctx, term, Free("b"), ()) is first
+    first = checker._infer(ctx, term, Abs(Free("A"), Free("a")), ())
+    second = checker._infer(ctx, term, Abs(Free("A"), Free("b")), ())
+    if mode is CC or not isinstance(term, Prod):
+        assert second is first
+        return
+    # a's hint forms the product in [A, x, a]; b's, in the whole
+    # environment, cites that formation
+    formed = first.premises[0]
+    assert (formed.rule, formed.conclusion.env) == ("prod_r", env.parent)
+    assert formed.premises[0].conclusion.subject == Free("a")
+    assert (second.rule, second.premises[0]) == ("weak", formed)
+    assert second.premises[0] is formed and verify_derivation(second) == []
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +616,58 @@ def test_a_product_whose_witness_lies_past_its_names_is_formed_in_the_whole_envi
     d = check_type(env, check.subject, check.expected, CCR, oracle)
     assert isinstance(d, Derivation) and verify_derivation(d) == []
     assert (d.rule, d.conclusion.env, d.premises[0].conclusion.subject) == ("prod_r", env, Free("b"))
+
+
+# top -> top is formed for y, in []; z's hint names x, a later hypothesis,
+# and w's is y's, under B
+_HINTS = """\
+assume x : top by id
+assume y : top -> top by fun a : top => a
+assume z : top -> top by fun a : top => x
+assume B : Prop
+assume w : top -> top by fun a : top => a
+"""
+_TOP_TO_TOP = "(forall A : Prop, A -> A) -> (forall A : Prop, A -> A)"
+
+
+def test_a_product_formed_in_its_names_prefix_is_cited_under_any_later_hint(
+        tmp_path, capsys, oracle):
+    src = tmp_path / "hints.ped"
+    src.write_text(_HINTS, encoding="utf-8")
+    cert = tmp_path / "c.json"
+    assert cli.main(["check", str(src), "--system", "ccr",
+                     "--emit-derivation", str(cert)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 16
+    rows = json.loads(cert.read_text(encoding="utf-8"))["derivations"][0]["nodes"]
+    assert [(r["rule"], r["conclusion"]["env"]) for r in rows
+            if r["conclusion"].get("term") == _TOP_TO_TOP and r["rule"] != "weak"] == [
+        ("prod_r", [])]
+    env, _ = elaborate(parse(_HINTS))
+    d = check_wf(env, CCR, oracle)
+    assert isinstance(d, Derivation) and verify_derivation(d) == []
+    formed = [n for n in iter_nodes(d) if n.rule == "prod_r"
+              and render_term(n.conclusion.subject) == _TOP_TO_TOP]
+    assert len(formed) == 1 and formed[0].conclusion.env == Environment()
+    # z's entry, in [x, y], and w's, in [x, y, z, B], cite it as y's does, in [x]
+    cited = [n for n in iter_nodes(d) if n.rule == "weak"
+             and render_term(n.conclusion.subject) == _TOP_TO_TOP]
+    assert [n.conclusion.env.names() for n in cited] == [
+        ("x",), ("x", "y"), ("x", "y", "z", "B")]
+    assert all(n.premises[0] is formed[0] for n in cited)
+
+
+def test_the_by_example_of_a_later_hint_is_what_motivate_prints(tmp_path, capsys):
+    # z's witness is its own hint's, not y's, formed under the same product
+    src = tmp_path / "hints.ped"
+    src.write_text(_HINTS, encoding="utf-8")
+    assert cli.main(["motivate", str(src)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x := fun A : Prop => fun x : A => x",
+        "y := fun f : (forall A : Prop, A -> A) => f",
+        "z := fun f : (forall A : Prop, A -> A) => fun A : Prop => fun x : A => x",
+        "B := forall A : Prop, A -> A",
+        "w := fun f : (forall A : Prop, A -> A) => f",
+    ]
 
 
 def test_verify_derivation_flags_forged_weak_nodes(oracle):
