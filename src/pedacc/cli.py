@@ -233,10 +233,9 @@ def _cmd_reduce(args) -> int:
     subjects = [c.subject for c in cmds if isinstance(c, cls)]
     if not subjects:
         raise _UsageError(f"{args.file} has no {verb} declarations")
-    memo: dict = {}
     for subject in subjects:
         n = to_natural(subject, args.fuel) if cls is EvalCmd else None
-        print(n if n is not None else render_term(normalize(subject, args.fuel, memo)))
+        print(n if n is not None else render_term(normalize(subject, args.fuel)))
     return 0
 
 

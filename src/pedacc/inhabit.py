@@ -82,7 +82,7 @@ _Answer = tuple[Term | None, Valuation | None, bool]  # see `_decide`
 
 
 def _search(env: Environment, goal: Term, depth: int, fuel: int,
-            budget: list[int], memo: dict, intros: int = 0) -> Term | None:
+            budget: list[int], intros: int = 0) -> Term | None:
     if budget[0] <= 0:
         return None
     budget[0] -= 1
@@ -95,27 +95,27 @@ def _search(env: Environment, goal: Term, depth: int, fuel: int,
             return None
         x = fresh_name(set(env.names()) | free_vars(goal), goal.domain)
         sub = _search(env.extended(x, goal.domain), open_binder(goal.body, x),
-                      depth, fuel, budget, memo, intros + 1)
+                      depth, fuel, budget, intros + 1)
         if sub is None:
             return None
         return Abs(goal.domain, close_binder(sub, x))
 
     # neutral goal: an assumption may close it outright
     for entry in reversed(env.entries):
-        if normalize(entry.ty, fuel, memo) == goal:
+        if normalize(entry.ty, fuel) == goal:
             return Free(entry.name)
 
     # otherwise try assumption heads applied to searched arguments
     for entry in reversed(env.entries):
-        found = _apply_head(env, Free(entry.name), normalize(entry.ty, fuel, memo),
-                            goal, depth, fuel, budget, memo)
+        found = _apply_head(env, Free(entry.name), normalize(entry.ty, fuel),
+                            goal, depth, fuel, budget)
         if found is not None:
             return found
     return None
 
 
 def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
-                depth: int, fuel: int, budget: list[int], memo: dict) -> Term | None:
+                depth: int, fuel: int, budget: list[int]) -> Term | None:
     # head_ty, the type of head, is normal like the goal
     if budget[0] <= 0:
         return None
@@ -129,21 +129,21 @@ def _apply_head(env: Environment, head: Term, head_ty: Term, goal: Term,
         # dependent head: instantiating with the goal itself comes first
         candidates = [goal]
         candidates += [Free(e.name) for e in reversed(env.entries)
-                       if normalize(e.ty, fuel, memo) == PROP]
+                       if normalize(e.ty, fuel) == PROP]
         candidates.append(top_type)
     else:
-        arg = _search(env, dom, depth - 1, fuel, budget, memo)
+        arg = _search(env, dom, depth - 1, fuel, budget)
         candidates = [] if arg is None else [arg]
     for arg in candidates:
-        applied = normalize(subst(head_ty.body, 0, arg), fuel, memo)
+        applied = normalize(subst(head_ty.body, 0, arg), fuel)
         found = _apply_head(env, App(head, arg), applied, goal, depth - 1,
-                            fuel, budget, memo)
+                            fuel, budget)
         if found is not None:
             return found
     return None
 
 
-def _decide(env: Environment, goal: Term, depth: int, fuel: int, memo: dict) -> _Answer:
+def _decide(env: Environment, goal: Term, depth: int, fuel: int) -> _Answer:
     """The full search's answer for a normal goal, and on a miss the
     model's countermodel if it has one, or whether the budget cut the
     search short.
@@ -156,14 +156,14 @@ def _decide(env: Environment, goal: Term, depth: int, fuel: int, memo: dict) -> 
     probe settles, so that the miss can say why.
     """
     probe = [PROBE_BUDGET]
-    found = _search(env, goal, depth, fuel, probe, memo)
+    found = _search(env, goal, depth, fuel, probe)
     if found is not None:
         return found, None, False
-    valuation = refute(env, goal, fuel, memo)
+    valuation = refute(env, goal, fuel)
     if valuation is not None or probe[0] > 0:
         return None, valuation, False
     budget = [DEFAULT_SEARCH_BUDGET]
-    found = _search(env, goal, depth, fuel, budget, memo)
+    found = _search(env, goal, depth, fuel, budget)
     return found, None, found is None and budget[0] <= 0
 
 
@@ -176,21 +176,20 @@ class SearchOracle:
     Each answer is cached per environment and goal, misses included, with
     the countermodel that settled a miss, if any: the same subgoals recur
     constantly while checking one derivation, and the kernel asks
-    `miss_reason` about a miss right after it.
+    `miss_reason` about a miss right after it.  Normal forms stay on their
+    terms (see `reduction`), shared with every checker.
     """
 
     def __init__(self, depth: int, fuel: int):
         self.depth = depth
         self.fuel = fuel
         self._cache: dict[tuple[Environment, Term], _Answer] = {}
-        self._nf: dict = {}
 
     def _answer(self, env: Environment, goal: Term) -> _Answer:
         key = (env, goal)
         got = self._cache.get(key)
         if got is None:
-            got = _decide(env, normalize(goal, self.fuel, self._nf), self.depth,
-                          self.fuel, self._nf)
+            got = _decide(env, normalize(goal, self.fuel), self.depth, self.fuel)
             self._cache[key] = got
         return got
 
@@ -211,11 +210,10 @@ class SearchOracle:
                 return (f"search cut off after {DEFAULT_SEARCH_BUDGET} nodes "
                         f"(depth {self.depth})")
             return f"no witness within search depth {self.depth}"
-        # refute normalized all of these through the same memo
-        hypotheses = [free_vars(ty) for ty in
-                      (normalize(e.ty, self.fuel, self._nf) for e in env)
+        # refute normalized all of these, and each type keeps its normal form
+        hypotheses = [free_vars(ty) for ty in (normalize(e.ty, self.fuel) for e in env)
                       if not _is_kind(ty)]
-        names = set(free_vars(normalize(goal, self.fuel, self._nf)))
+        names = set(free_vars(normalize(goal, self.fuel)))
         linked = True
         while linked:
             linked = [fv for fv in hypotheses if not fv.isdisjoint(names) and not fv <= names]
@@ -227,7 +225,7 @@ class SearchOracle:
 
 def make_search_oracle(depth: int = DEFAULT_SEARCH_DEPTH,
                        fuel: int = DEFAULT_FUEL) -> SearchOracle:
-    """A `SearchOracle` with its own caches."""
+    """A `SearchOracle` with its own cache of answers."""
     return SearchOracle(depth, fuel)
 
 
@@ -280,10 +278,10 @@ def motivate_env(env: Environment,
     the code `check_motivated_env` runs.
 
     One restricted checker judges everything: the environment, each
-    normal form and its sort, and the cascade, so the inferences and
-    normal forms they share are computed once.  A diagnostic is the one
-    `Checker._judge` gives, where the judgment at hand met the failure;
-    for an environment that is not well formed, the one `check_wf` gives.
+    normal form and its sort, and the cascade, so the inferences they
+    share are computed once.  A diagnostic is the one `Checker._judge`
+    gives, where the judgment at hand met the failure; for an environment
+    that is not well formed, the one `check_wf` gives.
     Running out of fuel is a `Diagnostic(rule="fuel")`.
     """
     checker = Checker(SystemMode.CCR, oracle or make_search_oracle(), fuel)
@@ -297,7 +295,7 @@ def motivate_env(env: Environment,
         if entry.witness is not None:
             hint = subst_simultaneous(entry.witness, sigma)
         node = checker._judge(lambda c: c._sort(
-            c.root_ctx(Environment()), normalize(closed_ty, c.fuel, c._nf), hint,
+            c.root_ctx(Environment()), normalize(closed_ty, c.fuel), hint,
             ("motivate", entry.name), "env2", f"entry {entry.name} is not a type", None))
         if isinstance(node, Diagnostic):
             return node

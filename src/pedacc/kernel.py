@@ -201,25 +201,25 @@ class Checker:
     """A type checker in one mode, with memos that live as long as it does.
 
     It caches each inference by (environment, motivation, term, and the
-    hint of a restricted product), the normal forms it computes, and one
-    context per environment, file or binder: that environment's
-    well-formedness derivation, built from its parent's context by one
-    ``env2`` step (see `_from_nearest`).  So one checker derives each
-    environment and each judgment once.  An application, abstraction or
-    product is inferred under the key of the shortest prefix of the
-    environment that binds the names of the term and its hint (and, in
-    ``naivep``, the motivation cut to it); a longer environment caches one
-    ``weak`` node citing that judgment.  Should the prefix lack a witness
-    for some product in the term (a ``prod_r`` failure), the term is
-    inferred in the whole environment, whose extra hypotheses the witness
-    search may use; any other failure stands.  A restricted product formed
-    under two hints that find one witness is one node, and a ``weak`` node
-    cites its first formation in any longer environment, whatever the hint
-    there.  A ``ccr`` or ``naivep`` checker keeps one ``cc`` checker,
-    sharing its normal forms, for ``ccr``'s diagnostics (see `_judge`) and
+    hint of a restricted product) and one context per environment, file or
+    binder: that environment's well-formedness derivation, built from its
+    parent's context by one ``env2`` step (see `_from_nearest`).  So one
+    checker derives each environment and each judgment once.  An
+    application, abstraction or product is inferred under the key of the
+    shortest prefix of the environment that binds the names of the term
+    and its hint (and, in ``naivep``, the motivation cut to it); a longer
+    environment caches one ``weak`` node citing that judgment.  Should the
+    prefix lack a witness for some product in the term (a ``prod_r``
+    failure), the term is inferred in the whole environment, whose extra
+    hypotheses the witness search may use; any other failure stands.  A
+    restricted product formed under two hints that find one witness is one
+    node, and a ``weak`` node cites its first formation in any longer
+    environment, whatever the hint there.  A ``ccr`` or ``naivep`` checker
+    keeps one ``cc`` checker for ``ccr``'s diagnostics (see `_judge`) and
     ``naivep``'s cascades: the cascade of each motivation prefix is built
     from the prefix one entry shorter by one check, so each motivation
-    entry is checked once.
+    entry is checked once.  A normal form stays on its term (see
+    `reduction`), so all checkers share it.
 
     It keeps every result, failures too, for its life: a failure is
     kept with the position where it was first met, and one met again is
@@ -241,11 +241,9 @@ class Checker:
         empty = Environment()
         self._ctxs = {empty: _Ctx(empty, Derivation("env1", WellFormed(empty), (), mode))}
         self._cascades: dict = {(empty, ()): ()}  # by (environment, assignments)
-        self._nf: dict = {}  # normal forms, for this checker's lifetime
         self._formed: dict = {}  # prod_r nodes by (env, product, witness) and (env, product)
         if mode is not SystemMode.CC:
             self._cc = Checker(SystemMode.CC, fuel=fuel)
-            self._cc._nf = self._nf  # same fuel, so the same normal forms
 
     # -- public entry points --------------------------------------------------
 
@@ -550,7 +548,7 @@ class Checker:
         progress, would run again and form the same product again, without
         end.  An abstraction's body is derived by now, and a subject that
         still reduces cannot occur in a normal form."""
-        ty_nf = normalize(ty, self.fuel, self._nf)
+        ty_nf = normalize(ty, self.fuel)
         if ty_nf == ty:
             return node
         hint = subject if isinstance(subject, Abs) or not subject.nf else None
@@ -586,7 +584,7 @@ class Checker:
         that body is normal it is the application's normal form, and it
         is the one candidate the hint gives, found with no evaluation.
         """
-        body_nf = normalize(body_open, self.fuel, self._nf)
+        body_nf = normalize(body_open, self.fuel)
         binder = ctx2.env.last.name
 
         def candidates():
@@ -594,7 +592,7 @@ class Checker:
                 opened = open_binder(hint.body, binder) if isinstance(hint, Abs) else None
                 if opened is None or not opened.nf:
                     try:
-                        yield normalize(App(hint, Free(binder)), self.fuel, self._nf)
+                        yield normalize(App(hint, Free(binder)), self.fuel)
                     except (FuelExhausted, RecursionError):
                         pass
                 if opened is not None:
@@ -630,7 +628,7 @@ class Checker:
         d_sort = self._sort(ctx, expected, t, pos)
         if found == expected:
             return d
-        if not convertible(found, expected, self.fuel, self._nf):
+        if not convertible(found, expected, self.fuel):
             raise CheckError(
                 Diagnostic("conv", "type mismatch", pos, expected=expected, found=found)
             )
@@ -728,7 +726,7 @@ def _cascade(d: Derivation) -> tuple[Derivation, ...] | None:
 
 
 def _verify_cascade(rule: str, env: Environment, cascade: tuple[Derivation, ...],
-                    problems: list[str], fuel: int, memo: dict) -> None:
+                    problems: list[str], fuel: int) -> None:
     """Append a problem of `rule` unless `cascade` motivates `env`: one
     derivation per entry, in the empty environment, of the entry's type
     with the earlier names replaced by the earlier subjects, and no name
@@ -740,7 +738,7 @@ def _verify_cascade(rule: str, env: Environment, cascade: tuple[Derivation, ...]
     for entry, pd in zip(env, cascade):
         pc = pd.conclusion
         if not (isinstance(pc, HasType) and len(pc.env) == 0 and entry.name not in done
-                and convertible(pc.ty, _closed(entry.ty, done.items()), fuel, memo)):
+                and convertible(pc.ty, _closed(entry.ty, done.items()), fuel)):
             problems.append(f"{rule} cascade entry {entry.name} malformed")
             return
         done[entry.name] = pc.subject
@@ -756,7 +754,7 @@ def _under_binder(c: HasType, p: HasType) -> bool:
             and p.subject == open_binder(b.body, last.name))
 
 
-def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> None:
+def _verify_node(d: Derivation, problems: list[str], fuel: int) -> None:
     c = d.conclusion
     rules = _RULES_BY_MODE[d.mode]
     if d.rule not in rules:
@@ -846,7 +844,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     and pt.subject == c.subject
                     and ps.subject == c.ty
                     and ps.ty in _SORTS
-                    and convertible(pt.ty, c.ty, fuel, memo)
+                    and convertible(pt.ty, c.ty, fuel)
                 )
                 if not ok:
                     problems.append("conv premises do not match conclusion")
@@ -865,7 +863,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                 if not ok:
                     problems.append("weak premises do not match conclusion")
                 elif cascade is not None:
-                    _verify_cascade(d.rule, c.env, cascade, problems, fuel, memo)
+                    _verify_cascade(d.rule, c.env, cascade, problems, fuel)
             case "p-ax" | "p-var":
                 if not isinstance(c, HasType):
                     problems.append(f"{d.rule} conclusion is not a typing judgment")
@@ -877,7 +875,7 @@ def _verify_node(d: Derivation, problems: list[str], fuel: int, memo: dict) -> N
                     entry = c.env.lookup(c.subject.name) if isinstance(c.subject, Free) else None
                     if entry is None or entry.ty != c.ty:
                         problems.append("p-var conclusion not in the environment")
-                _verify_cascade(d.rule, c.env, d.premises, problems, fuel, memo)
+                _verify_cascade(d.rule, c.env, d.premises, problems, fuel)
     except IndexError:
         problems.append(f"{d.rule} node is missing premises")
 
@@ -898,7 +896,6 @@ def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
     list means every tree is valid.
     """
     problems: list[str] = []
-    memo: dict = {}
     checked: set[int] = set()
     seen: set[tuple[int, SystemMode | None]] = set()
     stack = [(d, d.mode) for d in reversed(list(roots))]
@@ -909,7 +906,7 @@ def verify_derivations(roots, fuel: int = DEFAULT_FUEL) -> list[str]:
         seen.add((id(node), mode))
         if id(node) not in checked:
             checked.add(id(node))
-            _verify_node(node, problems, fuel, memo)
+            _verify_node(node, problems, fuel)
         spine = node.premises
         if mode is not None:  # None: under a stray node
             if node.mode is not mode:

@@ -121,22 +121,21 @@ def _prop(t: Term, rho: dict, bound: tuple, tables: _Tables) -> int:
     return v
 
 
-def refute(env: Environment, goal: Term, fuel: int, memo: dict) -> Valuation | None:
+def refute(env: Environment, goal: Term, fuel: int) -> Valuation | None:
     """A valuation under which every hypothesis of `env` is 1 and `goal`
     is 0, or None when there is none or the question lies outside the
     fragment.
 
     The valuation gives, in environment order, the value of each type
     variable that the goal or a hypothesis mentions; a variable of sort
-    Prop gets 0 or 1, one of a higher kind a function table.  Normal forms
-    go through `memo`, as in the search.  Running out of fuel or of the
-    interpreter's stack is None, and so is visiting more than
-    `MAX_VALUATIONS` valuations and elements of kinds in all: the question
-    is then left to the search.
+    Prop gets 0 or 1, one of a higher kind a function table.  Running out
+    of fuel or of the interpreter's stack is None, and so is visiting more
+    than `MAX_VALUATIONS` valuations and elements of kinds in all: the
+    question is then left to the search.
     """
     try:
-        goal = normalize(goal, fuel, memo)
-        types = [(e.name, normalize(e.ty, fuel, memo)) for e in env]
+        goal = normalize(goal, fuel)
+        types = [(e.name, normalize(e.ty, fuel)) for e in env]
     except FuelExhausted:
         return None
     if _is_kind(goal):

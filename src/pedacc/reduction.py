@@ -36,15 +36,14 @@ evaluation, whatever the fuel, and `convertible` tells two distinct normal
 terms apart at once.  The read-back returns a closure's node as it is
 when that node is normal and reads no variable of its environment.
 
-Checking asks for the same normal forms over and over (types of shared
-subterms, convertibility probes), so results go into a `memo` dict that
-the caller owns and drops when its work is done: a `Checker`, one search
-oracle, one `inhabit_search` or `verify_derivation` call, one CLI verb.
-Without one, a call gets a fresh memo of its own.  Nothing is kept from
-call to call at module level, so a normal form lives only as long as its
-owner.  Keys carry the fuel as well as the term: a small budget that
-exhausts must keep doing so, whatever a larger one has already found.  A
-normal term never enters the memo; it needs no entry.
+A node that is not normal keeps its normal form once it has one
+(`terms._Node.normal`), with the number of contractions it took
+(Filliâtre and Conchon, *Type-Safe Modular Hash-Consing*, 2006): a term
+and every copy of it are one node, so whoever holds the term holds its
+normal form, and it goes when the node does.  A later call returns it
+when its fuel covers that count, and raises otherwise without evaluating:
+the machine is deterministic, so a fresh run would run out at the same
+contraction.  Running out of fuel stores nothing.
 """
 
 from __future__ import annotations
@@ -211,25 +210,25 @@ def _quote(v, depth: int, steps: _Steps) -> Term:
     return t
 
 
-def normalize(t: Term, fuel: int = DEFAULT_FUEL, memo: dict | None = None) -> Term:
+def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     if t.nf:
         return t
-    memo = {} if memo is None else memo
-    key = (t, fuel)
-    got = memo.get(key)
+    got = getattr(t, "normal", None)
     if got is None:
         steps = _Steps(fuel, t)
-        got = memo[key] = _quote(_eval(t, (), steps), 0, steps)
-    return got
+        got = _quote(_eval(t, (), steps), 0, steps), fuel - steps.left
+        object.__setattr__(t, "normal", got)
+    elif got[1] > fuel:
+        raise FuelExhausted(fuel, t)
+    return got[0]
 
 
-def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL,
-                memo: dict | None = None) -> bool:
+def convertible(a: Term, b: Term, fuel: int = DEFAULT_FUEL) -> bool:
     if a == b:
         return True
     if a.nf and b.nf:
         return False  # two normal forms, and a term has one
-    return normalize(a, fuel, memo) == normalize(b, fuel, memo)
+    return normalize(a, fuel) == normalize(b, fuel)
 
 
 # the binder domains of a numeral, fun A : Prop => fun x : A => fun f : A -> A

@@ -14,8 +14,9 @@ the identity ones every object has.  Terms are immutable and can key memo
 tables; build them only through their constructors.  Each node also
 carries four facts set from its children when it is made (see `_Node`):
 its loose bound indices, its free names, whether it is beta-normal, and
-whether it holds a named binder.  Environments and their entries are
-interned the same way.
+whether it holds a named binder; one that is not normal keeps its normal
+form once it has one.  Environments and their entries are interned the
+same way.
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ class _Node(_Interned):
 
     A leaf's facts are constants of its class, except a `Bound`'s mask
     and a `Free`'s names, which are its own.
+
+    An application or binder that is not normal gets ``normal``, the one
+    field set after it is made, when `reduction.normalize` first succeeds
+    on it: the pair (its normal form, the contractions that took).
     """
 
     __slots__ = ()
@@ -167,7 +172,7 @@ class Free(_Node):
 
 
 class App(_Node):
-    __slots__ = ("fun", "arg", "mask", "fv", "nf", "named")
+    __slots__ = ("fun", "arg", "mask", "fv", "nf", "named", "normal")
     __match_args__ = ("fun", "arg")
 
     def __new__(cls, fun: "Term", arg: "Term"):
@@ -189,7 +194,7 @@ class App(_Node):
 
 
 class _Binder(_Node):
-    __slots__ = ("domain", "body", "mask", "fv", "nf", "named")
+    __slots__ = ("domain", "body", "mask", "fv", "nf", "named", "normal")
     __match_args__ = ("domain", "body")
 
     def __new__(cls, domain: "Term", body: "Term"):

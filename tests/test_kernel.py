@@ -17,7 +17,8 @@ from harness import (
     env_of,
     naive_p_examples,
 )
-from pedacc import cli, kernel
+from pedacc import cli, kernel, reduction
+from pedacc.inhabit import make_search_oracle
 from pedacc.kernel import (
     Checker,
     Derivation,
@@ -38,7 +39,7 @@ from pedacc.kernel import (
     write_certificate,
 )
 from pedacc.prelude import numeral, top_type
-from pedacc.reduction import DEFAULT_FUEL, normalize
+from pedacc.reduction import normalize
 from pedacc.surface import elaborate, parse, render_term
 from pedacc.terms import (
     PROP,
@@ -393,19 +394,33 @@ def test_running_out_of_fuel_is_a_diagnostic(call):
     assert got.rule == "fuel"
 
 
-def test_checkers_do_not_share_normal_forms():
-    env = env_of(("A", PROP), ("x", _REDEX))
-    first, second = Checker(CC), Checker(CC)
-    d1 = first.infer(env, Free("x"))
-    d2 = second.infer(env, Free("x"))
-    assert d1.conclusion.ty == d2.conclusion.ty == Free("A")
-    # each checker normalized the redex itself, into a memo of its own
-    assert (_REDEX, DEFAULT_FUEL) in first._nf
-    assert (_REDEX, DEFAULT_FUEL) in second._nf
-    assert first._nf is not second._nf
+def test_every_checker_and_the_oracle_share_one_evaluation(monkeypatch):
+    # a computed hypothesis type under a name no other test uses, so that
+    # no live term keeps its normal form yet
+    name = "P_evaluated_once"
+    ty = App(Free(name), App(factorial, numeral(4)))
+    env = env_of((name, arrow(nat_type, PROP)), ("x", ty))
+    sigma = Motivation(((name, Abs(nat_type, top_type)), ("x", id_term)))
+    runs: list = []  # the evaluations whose root is the type
+    evaluate = reduction._eval
+
+    def counting(t, env, steps):
+        if steps.root is ty and not any(s is steps for s in runs):
+            runs.append(steps)
+        return evaluate(t, env, steps)
+
+    monkeypatch.setattr(reduction, "_eval", counting)
+    for mode in (CC, CCR, NAIVE):
+        checker = Checker(mode, make_search_oracle())
+        got = checker.infer(env, Free("x"), sigma if mode is NAIVE else None)
+        assert isinstance(got, Derivation), got
+        assert got.conclusion.ty == App(Free(name), numeral(24))
+    assert make_search_oracle()(env, ty) == Free("x")
+    # the type keeps its normal form: one evaluation serves them all
+    assert len(runs) == 1
 
 
-def test_the_naive_cascade_shares_its_checkers_normal_forms(monkeypatch, oracle):
+def test_naive_and_restricted_checkers_judge_through_their_cc_checker(monkeypatch, oracle):
     made: list[Checker] = []
 
     class Recording(Checker):
@@ -425,7 +440,6 @@ def test_the_naive_cascade_shares_its_checkers_normal_forms(monkeypatch, oracle)
         assert isinstance(got, verdict), got
         inner = [c for c in made if c is not outer]
         assert inner and all(c._memo for c in inner)
-        assert all(c._nf is outer._nf for c in inner)
 
 
 def test_a_cascade_infers_each_motivation_term_once_per_checker(monkeypatch, oracle):

@@ -52,7 +52,7 @@ MORE_SEEDS = range(500, 1000)
 
 
 def _refuted(env: Environment, goal) -> bool:
-    return refute(env, goal, FUEL, {}) is not None
+    return refute(env, goal, FUEL) is not None
 
 
 def _witnessed_goals(d: Derivation):
@@ -79,8 +79,8 @@ def _goals(env: Environment) -> list:
 
 def test_the_absurd_and_the_unproved_are_refuted():
     env = env_of(("A", PROP), ("B", PROP), ("x", Free("A")))
-    assert refute(env, Free("B"), FUEL, {}) == (("A", 1), ("B", 0))
-    assert refute(Environment(), bot_type, FUEL, {}) == ()
+    assert refute(env, Free("B"), FUEL) == (("A", 1), ("B", 0))
+    assert refute(Environment(), bot_type, FUEL) == ()
     assert not _refuted(env, Free("A"))
     assert not _refuted(env, top_type)
     assert not _refuted(env, PROP)  # a kind: always inhabited
@@ -90,7 +90,7 @@ def test_higher_kinds_are_function_tables():
     pp = arrow(PROP, PROP)
     # P A does not give P bot: P := identity, A := 1
     env = env_of(("P", pp), ("A", PROP), ("h", App(Free("P"), Free("A"))))
-    got = refute(env, App(Free("P"), bot_type), FUEL, {})
+    got = refute(env, App(Free("P"), bot_type), FUEL)
     assert got is not None
     tables = dict(got)
     assert tables["A"] == 1 and tables["P"][1] == 1 and tables["P"][0] == 0
@@ -131,7 +131,7 @@ def test_outside_the_fragment_there_is_no_answer():
     assert not _refuted(Environment(), Prod(k, Prod(k, Prod(k, tautology))))
     # running out of fuel is no answer either
     redex = App(Abs(PROP, Bound(0)), bot_type)
-    assert refute(Environment(), redex, 0, {}) is None
+    assert refute(Environment(), redex, 0) is None
     assert _refuted(Environment(), redex)
 
 
@@ -141,13 +141,12 @@ def test_outside_the_fragment_there_is_no_answer():
 
 def test_refute_never_refutes_a_checked_witness(oracle):
     checked: set = set()
-    memo: dict = {}
     cc = Checker(CC)
 
     def holds(env, goal):
         if (env, goal) not in checked:
             checked.add((env, goal))
-            assert refute(env, goal, FUEL, memo) is None, (env, goal)
+            assert refute(env, goal, FUEL) is None, (env, goal)
 
     for seed in (*SEEDS, *MORE_SEEDS):
         env, wf = gen_ccr_env(seed, 5)
@@ -164,7 +163,7 @@ def test_refute_never_refutes_a_checked_witness(oracle):
             # every hit the full search makes on these goals comes within
             # the probe's budget, and a miss would cost the full budget
             found = _search(env, normalize(goal), DEFAULT_SEARCH_DEPTH, FUEL,
-                            [PROBE_BUDGET], {})
+                            [PROBE_BUDGET])
             if found is not None and isinstance(cc.check(env, found, goal), Derivation):
                 holds(env, goal)
         # the motivation cascade: closed witnesses of closed types
@@ -228,7 +227,7 @@ def test_a_countermodel_shows_only_the_variables_bound_up_with_the_goal():
     p, q, r, s = Free("P"), Free("Q"), Free("R"), Free("S")
     env = env_of(("P", PROP), ("Q", PROP), ("R", PROP), ("S", PROP),
                  ("s", s), ("g", arrow(r, p)), ("h", arrow(p, q)))
-    assert refute(env, q, FUEL, {}) == (("P", 0), ("Q", 0), ("R", 0), ("S", 1))
+    assert refute(env, q, FUEL) == (("P", 0), ("Q", 0), ("R", 0), ("S", 1))
     assert (make_search_oracle().miss_reason(env, q)
             == "no witness exists (P := 0, Q := 0, R := 0)")
 
@@ -277,13 +276,13 @@ def test_many_products_over_kinds_leave_the_goal_to_the_search():
     for _ in range(70):
         goal = Prod(PROP, goal)
     want = _search(Environment(), normalize(goal), DEFAULT_SEARCH_DEPTH, FUEL,
-                   [DEFAULT_SEARCH_BUDGET], {})
+                   [DEFAULT_SEARCH_BUDGET])
     assert want is not None
     assert make_search_oracle()(Environment(), goal) is want
     # deeper still, the model gives up rather than overflow the stack
     for _ in range(600):
         goal = Prod(PROP, goal)
-    assert refute(Environment(), goal, FUEL, {}) is None
+    assert refute(Environment(), goal, FUEL) is None
 
 
 def test_the_oracle_answers_like_the_full_search():
@@ -293,7 +292,7 @@ def test_the_oracle_answers_like_the_full_search():
         oracle = make_search_oracle()
         for goal in _goals(env):
             want = _search(env, normalize(goal), DEFAULT_SEARCH_DEPTH, FUEL,
-                           [DEFAULT_SEARCH_BUDGET], {})
+                           [DEFAULT_SEARCH_BUDGET])
             assert oracle(env, goal) is want, (seed, goal)
             if want is None and oracle.miss_reason(env, goal).startswith("no witness exists"):
                 refuted += 1

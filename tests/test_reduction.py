@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from harness import gen_typed_term, one_step_reducts
+from pedacc import reduction
 from pedacc.prelude import numeral, to_natural
 from pedacc.reduction import FuelExhausted, convertible, normalize
 from pedacc.terms import PROP, TYPE, Abs, App, Bound, Free, Prod
@@ -150,20 +151,7 @@ def test_a_normal_form_is_freed_once_its_caller_drops_it():
     assert ref() is None
 
 
-def test_a_memo_keeps_normal_forms_per_fuel():
-    t = apps(plus, numeral(2), numeral(3))
-    memo: dict = {}
-    assert normalize(t, memo=memo) == numeral(5)
-    assert normalize(t, memo=memo) is normalize(t, memo=memo)
-    # what the default fuel found must not lift a smaller budget
-    with pytest.raises(FuelExhausted):
-        normalize(t, 1, memo)
-    with pytest.raises(FuelExhausted):
-        convertible(t, numeral(5), 1, memo)
-
-
 def test_a_normal_term_is_its_own_normal_form_with_no_work():
-    memo: dict = {}
     normal = [IDENT, Free("a"), Bound(3), App(PROP, Free("a")),
               Prod(PROP, App(Bound(0), Bound(2))), numeral(3)]
     for seed in range(200):
@@ -172,9 +160,10 @@ def test_a_normal_term_is_its_own_normal_form_with_no_work():
     for t in normal:
         assert t.nf
         # no evaluation, so no fuel: a budget of 0 is enough
-        assert normalize(t, 0, memo) is t
-    assert not convertible(numeral(2), numeral(3), 0, memo)
-    assert memo == {}  # nothing was worth keeping
+        assert normalize(t, 0) is t
+    assert not convertible(numeral(2), numeral(3), 0)
+    # nothing was worth keeping: a normal node stores no normal form
+    assert all(getattr(t, "normal", None) is None for t in normal)
 
 
 @pytest.fixture
@@ -215,15 +204,14 @@ def test_a_chain_of_thunks_each_forcing_the_next_is_forced_in_one_frame(shallow_
 
 
 def test_running_out_of_fuel_while_forcing_leaves_no_half_forced_thunk():
-    # the budget runs out inside nested forcings; a larger budget on the
-    # same memo then finds the normal form afresh
+    # the budget runs out inside nested forcings; a larger budget then
+    # finds the normal form afresh
     t = apps(numeral(50), nat_type, zero, Abs(nat_type, Bound(0)))
-    memo: dict = {}
     with pytest.raises(FuelExhausted):
-        normalize(t, 30, memo)
-    assert normalize(t, 53, memo) == zero
+        normalize(t, 30)
+    assert normalize(t, 53) == zero
     with pytest.raises(FuelExhausted):
-        normalize(t, 52, memo)
+        normalize(t, 52)
 
 
 # the least fuel that normalizes each term: a reducer that moved a tick
@@ -256,6 +244,35 @@ def test_fuel_boundary(term, least):
     assert normalize(term, least) == normalize(term)
     with pytest.raises(FuelExhausted):
         normalize(term, least - 1)
+
+
+# A term keeps its normal form once found, with the fuel it took.  Each
+# pinned term is live for the whole session, so it may keep a normal form
+# from another test already: the test's own application of a fresh free
+# name to it has none yet, and needs the same fuel.
+@pytest.mark.parametrize("pinned, least", test_fuel_boundary.pytestmark[0].args[1])
+def test_a_stored_normal_form_keeps_fuel_exact(monkeypatch, pinned, least):
+    found_first = App(Free("found_first"), pinned)
+    failed_first = App(Free("failed_first"), pinned)
+    # a failure stores nothing: the least fuel still succeeds after it
+    with pytest.raises(FuelExhausted):
+        normalize(failed_first, least - 1)
+    assert normalize(failed_first, least) == App(Free("failed_first"), normalize(pinned))
+    nf = normalize(found_first)
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated a term that keeps its normal form")
+
+    # from now on every answer comes from the stored normal forms
+    monkeypatch.setattr(reduction, "_eval", no_evaluation)
+    for t in (found_first, failed_first):
+        with pytest.raises(FuelExhausted) as e:
+            normalize(t, least - 1)
+        assert e.value.budget == least - 1 and e.value.term is t
+        assert normalize(t, least) is normalize(t)
+    assert normalize(found_first, least) is nf
+    with pytest.raises(FuelExhausted):
+        convertible(found_first, nf, least - 1)
 
 
 # reading a number forces what its read-back forces, in the same order, so
