@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import functools
 import sys
-from dataclasses import replace
 
 from .inhabit import (
     DEFAULT_SEARCH_DEPTH,
@@ -196,7 +195,7 @@ def _why_not_a_type(env: Environment, goal, fuel: int) -> str | None:
     """
     res = infer_type(env, goal, SystemMode.CC, fuel=fuel)
     if isinstance(res, Diagnostic):
-        return render_diagnostic(replace(res, expected=None, found=None))
+        return render_diagnostic(res._replace(expected=None, found=None))
     if not isinstance(res.conclusion.ty, SortConst):
         return f"error[sort]: its type is {render_term(res.conclusion.ty)}"
     return None
@@ -216,7 +215,7 @@ def _cmd_inhabit(args) -> int:
             continue
         found = inhabit_search(env, goal, args.search_depth, args.fuel)
         if isinstance(found, Diagnostic):
-            print(render_diagnostic(replace(found, found=None)), file=sys.stderr)
+            print(render_diagnostic(found._replace(found=None)), file=sys.stderr)
             failures += 1
         else:
             print(f"{render_term(found.conclusion.subject)} : {render_term(goal)}")

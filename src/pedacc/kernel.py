@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
+from io import TextIOBase
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from .reduction import DEFAULT_FUEL, FuelExhausted, convertible, normalize
 from .terms import (
@@ -70,26 +71,26 @@ class SystemMode(Enum):
     NAIVE = "naivep"
 
 
-@dataclass(frozen=True)
-class WellFormed:
-    env: Environment
+# The records below are immutable named tuples: fields are read by name,
+# copied with `_replace`, compared and hashed by value.
 
 
-@dataclass(frozen=True)
-class HasType:
-    env: Environment
-    subject: Term
-    ty: Term
+class WellFormed(namedtuple("WellFormed", "env")):
+    __slots__ = ()
 
 
-Judgment = Union[WellFormed, HasType]
+class HasType(namedtuple("HasType", "env subject ty")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Motivation:
-    """Ordered assignment of one closed term per environment variable."""
+Judgment = WellFormed | HasType
 
-    assignments: tuple[tuple[str, Term], ...]
+
+class Motivation(namedtuple("Motivation", "assignments")):
+    """Ordered assignment of one closed term per environment variable:
+    `assignments` is a tuple of (name, term) pairs."""
+
+    __slots__ = ()
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.assignments)
@@ -98,17 +99,16 @@ class Motivation:
         return Motivation(self.assignments + ((name, term),))
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """One rule application.  A ``prod_r`` node's witness is its first
-    premise's subject; a ``p-ax``/``p-var`` node's motivation pairs its
-    environment's names with its premises' subjects, a naive ``weak``
-    node's with those of its premises after the first (see `_cascade`)."""
+class Derivation(namedtuple("Derivation", "rule conclusion premises mode",
+                            defaults=((), SystemMode.CC))):
+    """One rule application: a `rule` name, a `Judgment` concluded, a
+    tuple of premise derivations and a `SystemMode`.  A ``prod_r`` node's
+    witness is its first premise's subject; a ``p-ax``/``p-var`` node's
+    motivation pairs its environment's names with its premises' subjects,
+    a naive ``weak`` node's with those of its premises after the first
+    (see `_cascade`)."""
 
-    rule: str
-    conclusion: Judgment
-    premises: tuple["Derivation", ...] = ()
-    mode: SystemMode = SystemMode.CC
+    __slots__ = ()
 
     def __repr__(self) -> str:
         # premises are counted, not shown: they share subderivations, and
@@ -117,13 +117,9 @@ class Derivation:
                 f"premises={len(self.premises)})")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    rule: str
-    message: str
-    position: tuple = ()
-    expected: Term | None = None
-    found: Term | None = None
+class Diagnostic(namedtuple("Diagnostic", "rule message position expected found",
+                            defaults=((), None, None))):
+    __slots__ = ()  # `expected` and `found` are terms, or None
 
 
 class CheckError(Exception):
@@ -132,7 +128,7 @@ class CheckError(Exception):
         self.diagnostic = diagnostic
 
 
-WitnessOracle = Callable[[Environment, Term], Optional[Term]]
+WitnessOracle = Callable[[Environment, Term], Term | None]
 
 _SORTS = (PROP, TYPE)
 _BODY = ("prod", "product body is not a type", None)  # a product body's sort premise
@@ -190,11 +186,9 @@ def _closed(ty: Term, assignments: Iterable[tuple[str, Term]]) -> Term:
     return subst_simultaneous(ty, [a for a in assignments if a[0] in ty.fv])
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    env: Environment
-    wf: Derivation | None                 # None in NAIVE mode
-    motivation: Motivation | None = None  # NAIVE mode only
+class _Ctx(namedtuple("_Ctx", "env wf motivation", defaults=(None,))):
+    # `wf` is None in NAIVE mode, and `motivation` is None outside it
+    __slots__ = ()
 
 
 class Checker:
@@ -281,7 +275,7 @@ class Checker:
             except RecursionError:  # cc went deeper than ccr got: keep ccr's
                 cc = None
             if isinstance(cc, Diagnostic) and cc.rule != "fuel":
-                return replace(cc, rule="prod_r") if cc.rule == "prod" else cc
+                return cc._replace(rule="prod_r") if cc.rule == "prod" else cc
         return diag
 
     # -- context construction ------------------------------------------------
@@ -398,7 +392,7 @@ class Checker:
                 return cached
             # a failure leaving _infer(..., pos) is positioned under pos
             first, diag = cached
-            raise CheckError(replace(diag, position=pos + diag.position[len(first):]))
+            raise CheckError(diag._replace(position=pos + diag.position[len(first):]))
         try:
             out = None
             if isinstance(t, (App, Abs, Prod)):
@@ -986,7 +980,7 @@ def _env_json(env: Environment, string: Callable[[Term], str]) -> str:
                            for e in env]) + "]"
 
 
-def write_certificate(fh: TextIO, result: Iterable[Derivation] | Diagnostic,
+def write_certificate(fh: TextIOBase, result: Iterable[Derivation] | Diagnostic,
                       render: Callable[[Term], str]) -> None:
     """Write the certificate of `result` to `fh` as compact ASCII JSON
     plus a final newline; `render` prints terms.

@@ -39,8 +39,8 @@ import bisect
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass, replace
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import prelude
 from .kernel import Diagnostic, Judgment, WellFormed
@@ -62,11 +62,12 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class SourcePos:
-    line: int
-    column: int
-    offset: int
+# Positions, declarations and commands are immutable named tuples (see
+# `kernel`).
+
+
+class SourcePos(namedtuple("SourcePos", "line column offset")):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -75,55 +76,36 @@ class SourcePos:
 # --- declarations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumeDecl:
-    name: str
-    ty: Term
-    witness: Term | None
-    pos: SourcePos
+class AssumeDecl(namedtuple("AssumeDecl", "name ty witness pos")):
+    __slots__ = ()  # `witness` is a term, or None
 
 
-@dataclass(frozen=True)
-class DefineDecl:
-    name: str
-    body: Term
-    pos: SourcePos
+class DefineDecl(namedtuple("DefineDecl", "name body pos")):
+    __slots__ = ()
 
 
 # Every other declaration is a command: `parse` yields it with its names
 # unresolved, and `elaborate` returns a resolved copy.
 
 
-@dataclass(frozen=True)
-class CheckCmd:
-    subject: Term
-    expected: Term | None
-    pos: SourcePos
+class CheckCmd(namedtuple("CheckCmd", "subject expected pos")):
+    __slots__ = ()  # `expected` is a term, or None
 
 
-@dataclass(frozen=True)
-class InhabitCmd:
-    goal: Term
-    pos: SourcePos
+class InhabitCmd(namedtuple("InhabitCmd", "goal pos")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormalizeCmd:
-    subject: Term
-    pos: SourcePos
+class NormalizeCmd(namedtuple("NormalizeCmd", "subject pos")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EvalCmd:
-    subject: Term
-    pos: SourcePos
+class EvalCmd(namedtuple("EvalCmd", "subject pos")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SetMotivationCmd:
-    name: str
-    body: Term
-    pos: SourcePos
+class SetMotivationCmd(namedtuple("SetMotivationCmd", "name body pos")):
+    __slots__ = ()
 
 
 Command = (CheckCmd | InhabitCmd | NormalizeCmd | EvalCmd | SetMotivationCmd)
@@ -538,12 +520,12 @@ def _elaborate(decls: list[SourceDecl], builtins: dict[str, Term],
             elif isinstance(d, CheckCmd):
                 expected = (resolve(d.expected, d.pos)
                             if d.expected is not None else None)
-                commands.append(replace(d, subject=resolve(d.subject, d.pos),
+                commands.append(d._replace(subject=resolve(d.subject, d.pos),
                                         expected=expected))
             elif isinstance(d, InhabitCmd):
-                commands.append(replace(d, goal=resolve(d.goal, d.pos)))
+                commands.append(d._replace(goal=resolve(d.goal, d.pos)))
             elif isinstance(d, (NormalizeCmd, EvalCmd)):
-                commands.append(replace(d, subject=resolve(d.subject, d.pos)))
+                commands.append(d._replace(subject=resolve(d.subject, d.pos)))
             elif isinstance(d, SetMotivationCmd):
                 if env.lookup(d.name) is None:
                     raise _Syn(f"motivation for a name never assumed: {_quote(d.name)}",
@@ -551,7 +533,7 @@ def _elaborate(decls: list[SourceDecl], builtins: dict[str, Term],
                 if d.name in motivated:
                     raise _Syn(f"duplicate motivation for {_quote(d.name)}", d.pos)
                 motivated.add(d.name)
-                commands.append(replace(d, body=resolve(d.body, d.pos)))
+                commands.append(d._replace(body=resolve(d.body, d.pos)))
             else:
                 raise TypeError(f"not a declaration: {d!r}")
     except _Syn as e:

@@ -22,9 +22,8 @@ same way.
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError
+from collections.abc import Container, Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Container, Iterable, Iterator, Sequence, Union
 
 
 class Sort(Enum):
@@ -81,10 +80,10 @@ class _Interned:
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -224,7 +223,7 @@ class Prod(_Binder):
     __slots__ = ()
 
 
-Term = Union[SortConst, Bound, Free, App, Abs, Prod]
+Term = SortConst | Bound | Free | App | Abs | Prod
 
 PROP = SortConst(Sort.PROP)
 TYPE = SortConst(Sort.TYPE)

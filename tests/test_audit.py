@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import dataclasses
 import inspect
 import io
 import re
@@ -78,7 +77,7 @@ def _in_place(node: Derivation, mutant: Derivation, parent: Derivation | None) -
     if parent is None:
         return verify_derivation(mutant)
     premises = tuple(mutant if p is node else p for p in parent.premises)
-    return verify_derivation(dataclasses.replace(parent, premises=premises))
+    return verify_derivation(parent._replace(premises=premises))
 
 
 def _mutants(node: Derivation, is_root: bool, terms: list,
@@ -92,17 +91,17 @@ def _mutants(node: Derivation, is_root: bool, terms: list,
     # every rule fixes the form of its conclusion and of each premise
     other = other_form.get((c.env, type(c)))
     if other is not None:
-        out.append(("form", dataclasses.replace(node, conclusion=other.conclusion)))
+        out.append(("form", node._replace(conclusion=other.conclusion)))
     for i, p in enumerate(premises):
         other = other_form.get((p.conclusion.env, type(p.conclusion)))
         if other is not None:
-            out.append((f"form {i}", dataclasses.replace(
-                node, premises=premises[:i] + (other,) + premises[i + 1:])))
+            out.append((f"form {i}", node._replace(
+                premises=premises[:i] + (other,) + premises[i + 1:])))
     for mode in SystemMode:
         # a root with no premises holds in every system that has its rule
         if mode is not node.mode and not (
                 is_root and not premises and node.rule in kernel._RULES_BY_MODE[mode]):
-            out.append((f"mode {mode.value}", dataclasses.replace(node, mode=mode)))
+            out.append((f"mode {mode.value}", node._replace(mode=mode)))
     for i in range(len(premises)):
         for j in range(i + 1, len(premises)):
             a, b = premises[i].conclusion, premises[j].conclusion
@@ -111,17 +110,16 @@ def _mutants(node: Derivation, is_root: bool, terms: list,
             if (a.env, getattr(a, "ty", None)) != (b.env, getattr(b, "ty", None)):
                 swapped = list(premises)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                out.append((f"swap {i} {j}", dataclasses.replace(node, premises=tuple(swapped))))
-        out.append((f"drop {i}", dataclasses.replace(
-            node, premises=premises[:i] + premises[i + 1:])))
+                out.append((f"swap {i} {j}", node._replace(premises=tuple(swapped))))
+        out.append((f"drop {i}", node._replace(premises=premises[:i] + premises[i + 1:])))
     if isinstance(c, HasType):
         # a hypothesis of the node's type is the one other subject a var
         # node may soundly conclude
         same_type = {Free(e.name) for e in c.env if e.ty == c.ty}
         for field, old in (("subject", c.subject), ("ty", c.ty)):
             new = next(t for t in terms if t is not old and t not in same_type)
-            out.append((f"{field} := {new!r}", dataclasses.replace(
-                node, conclusion=dataclasses.replace(c, **{field: new}))))
+            out.append((f"{field} := {new!r}", node._replace(
+                conclusion=c._replace(**{field: new}))))
     return out
 
 
@@ -196,10 +194,10 @@ def _targeted(oracle) -> list[tuple[Derivation, str]]:
     assert all(verify_derivation(d) == [] for d in sound)
 
     def concluding(d: Derivation, **fields) -> Derivation:
-        return dataclasses.replace(d, conclusion=dataclasses.replace(d.conclusion, **fields))
+        return d._replace(conclusion=d.conclusion._replace(**fields))
 
     def citing(d: Derivation, *premises: Derivation) -> Derivation:
-        return dataclasses.replace(d, premises=premises)
+        return d._replace(premises=premises)
 
     def capturing(d: Derivation, opened: int) -> Derivation:
         """`d` with its binder's name, as its premise opened it, left free
@@ -233,7 +231,7 @@ def _targeted(oracle) -> list[tuple[Derivation, str]]:
         (citing(ax), "ax node is missing premises"),
         (concluding(var, ty=PROP), "var node malformed"),
         (citing(var, ax_A.premises[0]), "var node malformed"),
-        (dataclasses.replace(var, mode=NAIVE), "rule var not part of mode naivep"),
+        (var._replace(mode=NAIVE), "rule var not part of mode naivep"),
         (concluding(abs_, ty=PROP), "abs node malformed"),
         # fun x : A => x : A -> A, concluded as Prop -> A or as A -> Prop,
         (concluding(abs_, ty=Prod(PROP, a)), abs_bad),
@@ -283,7 +281,7 @@ def _targeted(oracle) -> list[tuple[Derivation, str]]:
         (citing(weak_3, beside, weak_3.premises[1]), weak_bad),
         (citing(weak, weak.premises[0], ax_A.premises[0]), weak_bad),
         (concluding(weak, ty=Prod(a, PROP)), weak_bad),
-        (dataclasses.replace(p_ax, conclusion=WellFormed(env)),
+        (p_ax._replace(conclusion=WellFormed(env)),
          "p-ax conclusion is not a typing judgment"),
         (concluding(p_ax, subject=a), "p-ax must conclude Prop : Type"),
         (concluding(p_ax, ty=PROP), "p-ax must conclude Prop : Type"),
@@ -359,10 +357,10 @@ def test_every_naive_weak_mutant_is_rejected(oracle):
     assert verify_derivation(weak_3) == [] and verify_derivation(beside) == []
 
     def concluding(d: Derivation, **fields) -> Derivation:
-        return dataclasses.replace(d, conclusion=dataclasses.replace(d.conclusion, **fields))
+        return d._replace(conclusion=d.conclusion._replace(**fields))
 
     def citing(*premises: Derivation, d: Derivation = weak) -> Derivation:
-        return dataclasses.replace(d, premises=premises)
+        return d._replace(premises=premises)
 
     mismatch = "weak premises do not match conclusion"
     mutants = [
@@ -380,7 +378,7 @@ def test_every_naive_weak_mutant_is_rejected(oracle):
         (citing(thin, *check_motivated_env(_ENV.parent, Motivation(_SIGMA.assignments[:1]))),
          "weak cascade has wrong length"),
         # a cascade premise in naivep mode
-        (citing(thin, dataclasses.replace(cascade[0], mode=NAIVE), cascade[1]),
+        (citing(thin, cascade[0]._replace(mode=NAIVE), cascade[1]),
          f"{cascade[0].rule} node of mode naivep inside a cc derivation"),
         # the first premise alone
         (citing(thin), "weak cascade has wrong length"),
@@ -406,7 +404,7 @@ def test_every_ccr_weak_mutant_over_a_formed_product_is_rejected(oracle):
         return fresh._infer_raw(fresh.root_ctx(where), arrow_a, None, ())
 
     mismatch = "weak premises do not match conclusion"
-    unwitnessed = dataclasses.replace(formed, premises=(formed.premises[1],) * 2)
+    unwitnessed = formed._replace(premises=(formed.premises[1],) * 2)
     mutants = [
         # formed in [A, c], no prefix of [A, a, b], or in [A, a, b] itself
         (formed_in(env_of(("A", PROP), ("c", PROP))), mismatch),
@@ -415,10 +413,9 @@ def test_every_ccr_weak_mutant_over_a_formed_product_is_rejected(oracle):
         (unwitnessed, "prod_r premises do not match conclusion"),
     ]
     assert all(d.rule == "prod_r" for d, _ in mutants)
-    mutants = [(dataclasses.replace(weak, premises=(d, *weak.premises[1:])), want)
+    mutants = [(weak._replace(premises=(d, *weak.premises[1:])), want)
                for d, want in mutants]
-    mutants.append((dataclasses.replace(
-        weak, conclusion=dataclasses.replace(weak.conclusion, ty=TYPE)), mismatch))
+    mutants.append((weak._replace(conclusion=weak.conclusion._replace(ty=TYPE)), mismatch))
     assert [(d, want) for d, want in mutants if want not in verify_derivation(d)] == []
 
 

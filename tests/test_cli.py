@@ -87,6 +87,15 @@ def test_importing_the_cli_builds_no_builtin():
     assert run.stdout == "0\n"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # -S: a site hook may import typing itself
+    code = ("import sys, pedacc.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(DEMOS.parent / "src")}, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["check", "no/such/file.ped"]) == 2
 

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import io
 import json
+import pickle
 import sys
 from collections import Counter
 from pathlib import Path
@@ -40,7 +40,19 @@ from pedacc.kernel import (
 )
 from pedacc.prelude import numeral, top_type
 from pedacc.reduction import normalize
-from pedacc.surface import elaborate, parse, render_term
+from pedacc.surface import (
+    AssumeDecl,
+    CheckCmd,
+    DefineDecl,
+    EvalCmd,
+    InhabitCmd,
+    NormalizeCmd,
+    SetMotivationCmd,
+    SourcePos,
+    elaborate,
+    parse,
+    render_term,
+)
 from pedacc.terms import (
     PROP,
     TYPE,
@@ -695,19 +707,19 @@ def test_verify_derivation_flags_forged_weak_nodes(oracle):
     c, prefix = d.conclusion, thin.conclusion.env
     elsewhere = checker.infer(env_of(("A", PROP), ("b", a)), term)
     in_cc = Checker(CC).infer(prefix, term)
-    whole = dataclasses.replace(thin, conclusion=dataclasses.replace(thin.conclusion, env=env))
+    whole = thin._replace(conclusion=thin.conclusion._replace(env=env))
     mismatch = "weak premises do not match conclusion"
     mutants = [
-        (dataclasses.replace(d, premises=(elsewhere, wf)), mismatch),  # not a prefix
-        (dataclasses.replace(d, premises=(whole, wf)), mismatch),  # not a proper one
-        (dataclasses.replace(d, conclusion=dataclasses.replace(c, subject=Abs(a, Free("a")))),
+        (d._replace(premises=(elsewhere, wf)), mismatch),  # not a prefix
+        (d._replace(premises=(whole, wf)), mismatch),  # not a proper one
+        (d._replace(conclusion=c._replace(subject=Abs(a, Free("a")))),
          mismatch),
-        (dataclasses.replace(d, conclusion=dataclasses.replace(c, ty=arrow(a, PROP))),
+        (d._replace(conclusion=c._replace(ty=arrow(a, PROP))),
          mismatch),
-        (dataclasses.replace(d, premises=(thin, checker.root_ctx(prefix).wf)), mismatch),
+        (d._replace(premises=(thin, checker.root_ctx(prefix).wf)), mismatch),
         # a naive weak node cites a cascade, not a well-formedness judgment
-        (dataclasses.replace(d, mode=NAIVE), "weak cascade has wrong length"),
-        (dataclasses.replace(d, premises=(in_cc, wf)),
+        (d._replace(mode=NAIVE), "weak cascade has wrong length"),
+        (d._replace(premises=(in_cc, wf)),
          f"{in_cc.rule} node of mode cc inside a ccr derivation"),
     ]
     for mutant, problem in mutants:
@@ -741,15 +753,14 @@ def test_verify_derivation_flags_a_derivation_that_mixes_modes(oracle):
     assert check_wf(env, CCR, oracle).rule == "prod_r"
     d = check_wf(env, CC)
     assert isinstance(d, Derivation) and verify_derivation(d) == []
-    relabelled = dataclasses.replace(d, mode=CCR)
+    relabelled = d._replace(mode=CCR)
     assert verify_derivation(relabelled) == [
         "prod node of mode cc inside a ccr derivation"]
     # a forged node in a stray mode, and one under it, have their schemas
     # checked too
     (prod,) = d.premises
     forged = Derivation("ax", HasType(Environment(), PROP, PROP), (), CC)
-    under = dataclasses.replace(
-        relabelled, premises=(dataclasses.replace(prod, premises=(forged,)),))
+    under = relabelled._replace(premises=(prod._replace(premises=(forged,)),))
     assert sorted(verify_derivation(under)) == [
         "ax node is missing premises", "prod node of mode cc inside a ccr derivation",
         "prod premise does not match conclusion"]
@@ -758,7 +769,7 @@ def test_verify_derivation_flags_a_derivation_that_mixes_modes(oracle):
 def test_one_shared_audit_reports_what_per_root_audits_report(oracle):
     env = env_of(("h", Prod(PROP, Bound(0))))
     d = check_wf(env, CC)
-    mixed = dataclasses.replace(d, mode=CCR)
+    mixed = d._replace(mode=CCR)
     forged = Derivation("ax", HasType(Environment(), PROP, PROP), (), CC)
     good = check_type(Environment(), id_term, top_type, CCR, oracle)
     # the relabelled root shares every premise with the cc one
@@ -999,3 +1010,45 @@ def test_motivation_helpers():
     m = Motivation((("A", top_type), ("x", id_term)))
     assert m.names() == ("A", "x")
     assert m.extended("y", top_type).names() == ("A", "x", "y")
+
+
+_POS = SourcePos(2, 5, 9)
+_EMPTY = Environment()
+_AX = Derivation("ax", HasType(_EMPTY, PROP, TYPE))
+_DIAGNOSTIC = Diagnostic("app", "argument type mismatch")
+# one record of each class, a field and a new value for it
+_RECORDS = [
+    (WellFormed(_EMPTY), "env", env_of(("A", PROP))),
+    (HasType(_EMPTY, PROP, TYPE), "subject", top_type),
+    (Motivation(()), "assignments", (("A", top_type),)),
+    (_AX, "rule", "var"),
+    (_DIAGNOSTIC, "message", "fuel exhausted"),
+    (kernel._Ctx(_EMPTY, _AX), "motivation", Motivation(())),
+    (_POS, "line", 3),
+    (AssumeDecl("A", PROP, None, _POS), "witness", top_type),
+    (DefineDecl("I", id_term, _POS), "name", "J"),
+    (CheckCmd(id_term, None, _POS), "expected", top_type),
+    (InhabitCmd(top_type, _POS), "goal", PROP),
+    (NormalizeCmd(id_term, _POS), "subject", top_type),
+    (EvalCmd(id_term, _POS), "pos", SourcePos(1, 1, 0)),
+    (SetMotivationCmd("A", top_type, _POS), "body", id_term),
+]
+
+
+@pytest.mark.parametrize("record, field, value", _RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in _RECORDS])
+def test_records_are_immutable_values(record, field, value):
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    old = getattr(record, field)
+    edited = record._replace(**{field: value})
+    assert type(edited) is type(record) and getattr(edited, field) == value
+    assert getattr(record, field) == old != value
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_record_defaults_and_reprs():
+    assert _AX.premises == () and _AX.mode is CC
+    assert (_DIAGNOSTIC.position, _DIAGNOSTIC.expected, _DIAGNOSTIC.found) == ((), None, None)
+    assert repr(_AX._replace(premises=(_AX, _AX))).endswith(", premises=2)")
+    assert repr(_POS) == "2:5"
