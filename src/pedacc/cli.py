@@ -75,7 +75,7 @@ def _load(path: str):
     """Parse and elaborate a source file; raises _UsageError on any
     problem that predates the kernel."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as e:
         raise _UsageError(f"cannot read {path}: {e.strerror}")

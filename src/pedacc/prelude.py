@@ -1,7 +1,7 @@
 """Arithmetic prelude: the built-in names, defined in pedacc's own syntax.
 
-`SOURCE` holds them as ``def`` declarations; `surface` parses and
-elaborates it on first use.  Only the names in `BUILTINS` are visible to
+`SOURCE` holds them as ``def`` declarations; `surface` reads their
+bodies off it on first use.  Only the names in `BUILTINS` are visible to
 source files: the helpers ``enc``, ``P``, ``first`` and ``second`` stay
 unbound there.
 

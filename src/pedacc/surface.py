@@ -17,10 +17,11 @@ The grammar is small and LL(1):
 
 `--` starts a comment running to end of line.  `A -> B` is sugar for a
 product whose body does not use its binder.  A number literal expands
-to `prelude.numeral`; one above `MAX_LITERAL` is a parse error.  Binders
-are resolved to indices during parsing, so expression fields of
-declarations are ordinary kernel terms whose free variables are names
-still to be resolved by `elaborate`, last against `prelude.SOURCE`.
+to `prelude.numeral`; one above `MAX_LITERAL` is a parse error.  Names
+resolve as the parser builds each term: a binder's to an index, an
+earlier definition's to its body, and a built-in's, unless an earlier
+declaration takes it, to its term from `prelude.SOURCE`.  The free names
+left are hypotheses, which `elaborate` checks were assumed in time.
 
 The printer (`render_term`) is the inverse: deterministic, with binder names
 drawn by `terms.fresh_name` from fixed pools (types get A, B, C...,
@@ -58,7 +59,6 @@ from .terms import (
     Term,
     free_vars,
     fresh_name,
-    subst_simultaneous,
 )
 
 
@@ -84,8 +84,8 @@ class DefineDecl(namedtuple("DefineDecl", "name body pos")):
     __slots__ = ()
 
 
-# Every other declaration is a command: `parse` yields it with its names
-# unresolved, and `elaborate` returns a resolved copy.
+# Every other declaration is a command, which `elaborate` returns as
+# `parse` built it.
 
 
 class CheckCmd(namedtuple("CheckCmd", "subject expected pos")):
@@ -120,18 +120,22 @@ _KEYWORDS = frozenset({
     "motivation", "by", "forall", "fun", "Prop", "Type",
 })
 
-# One alternative per token class, tried in order; `bad` takes any other
-# character, so the matches tile the text.  A word starts with a letter or
-# `_` (checked after the match: `[^\W\d]` also admits a few non-letters,
-# such as superscript digits); a number is a run of the decimal digits
-# `int` reads.
+# Each match is one token and the whitespace in front of it, so the
+# matches tile the text: one alternative per token class, `bad` for any
+# other character, and the empty end of the text, which ends the
+# whitespace after the last token (the run is taken whole: `bad` never
+# gets a character of it back).  A word starts with a letter or `_`
+# (checked after the match: `[^\W\d]` also admits a few non-letters, such
+# as superscript digits); a number is a run of the decimal digits `int`
+# reads.
 _TOKEN = re.compile(r"""
-    (?P<skip>[ \t\r\n]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<word>[^\W\d][\w']*)
-  | (?P<number>\d+)
-  | (?P<punct>:=|=>|->|[():,])
-  | (?P<bad>.)
+    [ \t\r\n]*+
+    (?: (?P<word>[^\W\d][\w']*)
+      | (?P<punct>:=|=>|->|[():,])
+      | (?P<number>\d+)
+      | (?P<comment>--[^\n]*)
+      | (?P<bad>.)
+      | \Z )
 """, re.VERBOSE | re.DOTALL)
 
 # the largest number literal: its numeral, of a million nodes, takes
@@ -173,18 +177,18 @@ def _lex(text: str, starts: list[int]) -> list[_Token]:
     toks: list[_Token] = []
     # the eof token counts its column from the start of a comment that
     # ends the text
-    eof_at = len(text)
+    end = eof_at = len(text)
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        at, word = m.start(), m.group()
+        if kind is None:  # the end of the text
+            break
+        word, at = m[kind], m.start(kind)
         if kind == "word" and (word[0].isalpha() or word[0] == "_"):
             toks.append(("kw" if word in _KEYWORDS else "ident", word, at))
         elif kind == "number" or kind == "punct":
             toks.append((kind, word, at))
         elif kind == "comment":
-            if m.end() == len(text):
+            if m.end() == end:
                 eof_at = at
         else:
             raise _Syn(f"unexpected character {word[0]!r}", _position(starts, at))
@@ -206,19 +210,20 @@ _SORTS = {"Prop": PROP, "Type": TYPE}
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, names: dict[str, Term]):
         self.end = len(text)
         # the offset at which each line starts, for `_position`
         self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
         self.toks = _lex(text, self.starts)
         self.i = 0
+        # the term a name no binder binds stands for, if any: each
+        # declaration updates it as it ends, so its name counts from the
+        # next declaration on
+        self.names = dict(names)
 
     def pos(self, tok: _Token) -> SourcePos:
         kind, _, at = tok
         return _position(self.starts, at, self.end if kind == "eof" else None)
-
-    def peek(self) -> _Token:
-        return self.toks[self.i]
 
     def next(self) -> _Token:
         t = self.toks[self.i]
@@ -234,7 +239,7 @@ class _Parser:
         return False
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t[0] != kind or (text is not None and t[1] != text):
             want = text if text is not None else kind
             raise _Syn(f"expected {want!r}, found {_quote(t[1] or t[0])}", self.pos(t))
@@ -244,7 +249,7 @@ class _Parser:
 
     def decls(self) -> list[SourceDecl]:
         out: list[SourceDecl] = []
-        while self.peek()[0] != "eof":
+        while self.toks[self.i][0] != "eof":
             out.append(self.decl())
         return out
 
@@ -260,7 +265,10 @@ class _Parser:
             body = self.expr([])
             if cls is AssumeDecl:
                 witness = self.expr([]) if self.accept("kw", "by") else None
+                self.names.pop(name, None)
                 return AssumeDecl(name, body, witness, pos)
+            if cls is DefineDecl:
+                self.names[name] = body
             return cls(name, body, pos)
         if word == "check":
             subject = self.expr([])
@@ -273,7 +281,7 @@ class _Parser:
     # expressions; `binders` is the stack of surface names, innermost last
 
     def expr(self, binders: list[str]) -> Term:
-        kind, word, _ = self.peek()
+        kind, word, _ = self.toks[self.i]
         if kind == "kw" and word in _BINDERS:
             self.next()
             sep, cls = _BINDERS[word]
@@ -292,7 +300,7 @@ class _Parser:
     def app(self, binders: list[str]) -> Term:
         t = self.atom(binders)
         while True:
-            kind, word, _ = self.peek()
+            kind, word, _ = self.toks[self.i]
             if (kind == "ident" or kind == "number"
                     or (kind == "punct" and word == "(")
                     or (kind == "kw" and word in _SORTS)):
@@ -308,7 +316,9 @@ class _Parser:
             for depth, name in enumerate(reversed(binders)):
                 if name == word:
                     return Bound(depth)
-            return Free(word)
+            # a definition's body or a built-in holds no loose index, so
+            # it goes in as it is at any depth
+            return self.names.get(word) or Free(word)
         if kind == "number":
             # decided from the digits: `int` refuses a long enough run
             cut = max(0, len(word) - len(str(MAX_LITERAL)))
@@ -323,21 +333,36 @@ class _Parser:
         raise _Syn(f"expected a term, found {_quote(word or kind)}", self.pos(t))
 
 
+@functools.cache  # built on first use, not at import: set-up stays cheap
+def _builtins() -> dict[str, Term]:
+    """The terms of the names in `prelude.BUILTINS`: the bodies of their
+    definitions in `prelude.SOURCE`, read with no built-ins."""
+    p = _Parser(prelude.SOURCE, {})
+    p.decls()
+    return {name: p.names[name] for name in prelude.BUILTINS}
+
+
 def parse(text: str) -> list[SourceDecl] | Diagnostic:
     """Parse source text into declarations, or a position-tagged syntax
-    Diagnostic."""
+    Diagnostic.
+
+    A name no binder binds becomes the body of the definition of that
+    name made earlier in the text; else, unless an earlier declaration
+    takes the name, the built-in of that name; else it stays `Free`.
+    """
     try:
-        return _Parser(text).decls()
+        return _Parser(text, _builtins()).decls()
     except _Syn as e:
         return e.diagnostic("parse")
 
 
 def parse_term(text: str) -> Term | Diagnostic:
-    """Parse a single expression (no declarations)."""
+    """Parse a single expression (no declarations).  Its free names stay
+    `Free`, built-ins' too: they are hypotheses in a printed term."""
     try:
-        p = _Parser(text)
+        p = _Parser(text, {})
         t = p.expr([])
-        tok = p.peek()
+        tok = p.toks[p.i]
         if tok[0] != "eof":
             raise _Syn(f"trailing input {_quote(tok[1])}", p.pos(tok))
         return t
@@ -467,75 +492,46 @@ def render_diagnostic(d: Diagnostic) -> str:
 
 def elaborate(decls: list[SourceDecl],
               ) -> tuple[Environment, tuple[Command, ...]] | Diagnostic:
-    """Resolve names and expand definitions.
+    """Collect the assumptions and commands, and check their names.
 
-    Assumptions accumulate into an Environment (with witness annotations
-    when given); everything else becomes a kernel command.  Definitions
-    are transparent: occurrences are replaced by their bodies, so the
-    kernel never sees a defined name.  A name neither defined nor assumed
-    resolves to the built-in of that name, if there is one.
+    Names resolve in `parse`, which puts each definition's body and each
+    built-in in its name's place; this substitutes nothing.  It checks
+    that no name is declared twice, that each motivation line names an
+    assumed hypothesis once, and that each free name left was assumed by
+    an earlier declaration.  Assumptions accumulate into an Environment
+    (with witness annotations when given); every other declaration but a
+    definition is a kernel command, returned as it is.
     """
-    return _elaborate(decls, _builtins(), {})
-
-
-@functools.cache  # built on first use, not at import: set-up stays cheap
-def _builtins() -> dict[str, Term]:
-    """The terms of the names in `prelude.BUILTINS`, defined by
-    `prelude.SOURCE`."""
-    defs: dict[str, Term] = {}
-    _elaborate(parse(prelude.SOURCE), {}, defs)
-    return {name: defs[name] for name in prelude.BUILTINS}
-
-
-def _elaborate(decls: list[SourceDecl], builtins: dict[str, Term],
-               defs: dict[str, Term],
-               ) -> tuple[Environment, tuple[Command, ...]] | Diagnostic:
-    """`elaborate` with these built-ins, entering each definition into `defs`."""
     env = Environment()
+    assumed: set[str] = set()
+    defined: set[str] = set()
     commands: list[Command] = []
     motivated: set[str] = set()
-
-    def resolve(t: Term, pos: SourcePos) -> Term:
-        names = free_vars(t)
-        bindings = [(n, defs[n]) for n in names if n in defs]
-        bindings += [(n, builtins[n]) for n in names
-                     if n not in defs and n not in env.names() and n in builtins]
-        t = subst_simultaneous(t, bindings)
-        for n in sorted(free_vars(t)):
-            if env.lookup(n) is None:
-                raise _Syn(f"unbound name {_quote(n)}", pos)
-        return t
-
     try:
         for d in decls:
             if isinstance(d, (AssumeDecl, DefineDecl)):
-                if d.name in defs or env.lookup(d.name) is not None:
+                if d.name in defined or d.name in assumed:
                     raise _Syn(f"duplicate name {_quote(d.name)}", d.pos)
-            if isinstance(d, AssumeDecl):
-                ty = resolve(d.ty, d.pos)
-                witness = resolve(d.witness, d.pos) if d.witness is not None else None
-                env = env.extended(d.name, ty, witness)
-            elif isinstance(d, DefineDecl):
-                defs[d.name] = resolve(d.body, d.pos)
-            elif isinstance(d, CheckCmd):
-                expected = (resolve(d.expected, d.pos)
-                            if d.expected is not None else None)
-                commands.append(d._replace(subject=resolve(d.subject, d.pos),
-                                        expected=expected))
-            elif isinstance(d, InhabitCmd):
-                commands.append(d._replace(goal=resolve(d.goal, d.pos)))
-            elif isinstance(d, (NormalizeCmd, EvalCmd)):
-                commands.append(d._replace(subject=resolve(d.subject, d.pos)))
             elif isinstance(d, SetMotivationCmd):
-                if env.lookup(d.name) is None:
+                if d.name not in assumed:
                     raise _Syn(f"motivation for a name never assumed: {_quote(d.name)}",
                                d.pos)
                 if d.name in motivated:
                     raise _Syn(f"duplicate motivation for {_quote(d.name)}", d.pos)
                 motivated.add(d.name)
-                commands.append(d._replace(body=resolve(d.body, d.pos)))
-            else:
+            elif not isinstance(d, SourceDecl):
                 raise TypeError(f"not a declaration: {d!r}")
+            # its terms, in field order
+            for t in d[:-1]:
+                if isinstance(t, Term) and not t.fv <= assumed:
+                    raise _Syn(f"unbound name {_quote(min(t.fv - assumed))}", d.pos)
+            if isinstance(d, AssumeDecl):
+                env = env.extended(d.name, d.ty, d.witness)
+                assumed.add(d.name)
+            elif isinstance(d, DefineDecl):
+                defined.add(d.name)
+            else:
+                commands.append(d)
     except _Syn as e:
         return e.diagnostic("resolve")
     return env, tuple(commands)

@@ -83,7 +83,8 @@ def test_the_prelude_helpers_stay_unbound(name, tmp_path, capsys):
 def test_importing_the_cli_builds_no_builtin():
     code = "import pedacc.cli, pedacc.surface as s; print(s._builtins.cache_info().currsize)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": str(DEMOS.parent / "src")}, check=True)
+                         env={"PYTHONPATH": str(DEMOS.parent / "src"),
+                              "PYTHONDONTWRITEBYTECODE": "1"}, check=True)
     assert run.stdout == "0\n"
 
 
@@ -92,7 +93,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     code = ("import sys, pedacc.cli; "
             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": str(DEMOS.parent / "src")}, check=True)
+                         env={"PYTHONPATH": str(DEMOS.parent / "src"),
+                              "PYTHONDONTWRITEBYTECODE": "1"}, check=True)
     assert run.stdout == "[]\n"
 
 
@@ -147,6 +149,27 @@ def test_source_that_is_not_utf8_exits_two(tmp_path, capsys):
     src.write_bytes(b"\xff\xfe")
     assert main(["check", str(src)]) == 2
     assert capsys.readouterr().err == f"pedacc: cannot read {src}: not UTF-8 text\n"
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    bom = tmp_path / "prelude.ped"
+    bom.write_bytes(b"\xef\xbb\xbf" + (DEMOS / "prelude.ped").read_bytes())
+    for verb, *args in VERBS:
+        runs = []
+        for path in (PRELUDE, str(bom)):
+            cert = tmp_path / "c.json"
+            cert.unlink(missing_ok=True)
+            extra = ["--emit-derivation", str(cert)] if verb == "check" else []
+            rc = main([verb, path, *args, *extra])
+            runs.append((rc, capsys.readouterr().out,
+                         cert.read_bytes() if verb == "check" else None))
+        assert runs[0] == runs[1], verb
+    # only at the start of the text: anywhere else it is a character
+    # outside the grammar
+    inner = _write(tmp_path, "inner.ped", "check Prop\n\ufeffcheck Prop\n")
+    assert main(["check", inner]) == 2
+    assert capsys.readouterr().err == (
+        "pedacc: error[parse]: unexpected character '\\ufeff' at line 2, column 1\n")
 
 
 def _assert_compact(text: str) -> None:

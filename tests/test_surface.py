@@ -35,7 +35,7 @@ from pedacc.terms import (
     Free,
     Prod,
 )
-from reference_prelude import apps, arrow, id_term, plus
+from reference_prelude import apps, arrow, id_term, nat_type, plus
 
 
 def test_parse_assume():
@@ -211,6 +211,36 @@ def test_builtins_resolve_and_user_names_shadow():
     assert cmds[0].subject == plus
     env, cmds = elaborate(parse("def id := Prop\ncheck id"))
     assert cmds[0].subject == PROP
+    env, cmds = elaborate(parse("check fun plus : Prop => plus"))
+    assert cmds[0].subject == Abs(PROP, Bound(0))
+
+
+def test_a_declarations_own_name_counts_from_the_next_declaration_on():
+    # on the right of its own declaration a built-in's name is the built-in
+    env, _ = elaborate(parse("assume nat : nat"))
+    assert env.lookup("nat").ty == nat_type
+    env, (cmd,) = elaborate(parse("def nat := nat -> nat\ncheck nat"))
+    assert cmd.subject == arrow(nat_type, nat_type)
+    # and one declared after a use is the built-in at that use
+    env, (cmd,) = elaborate(parse("check top\nassume top : Prop"))
+    assert cmd.subject == top_type
+    assert env.lookup("top").ty == PROP
+
+
+def test_a_motivation_line_declares_nothing():
+    out = elaborate(parse("motivation top := id"))
+    assert isinstance(out, Diagnostic) and out.rule == "resolve"
+    assert out.message == "motivation for a name never assumed: 'top'"
+
+
+def test_a_definition_cannot_name_a_later_assumption():
+    out = elaborate(parse("assume A : Prop\ndef f := fun x : B => x\nassume B : Prop"))
+    assert out == Diagnostic("resolve", "unbound name 'B'", (2, 1, 16))
+
+
+def test_parse_term_leaves_a_builtins_name_free():
+    # it reads printed terms back, whose free names are hypotheses
+    assert parse_term("plus") == Free("plus")
 
 
 def test_top_sort_in_a_subject_is_a_kernel_diagnostic():
@@ -305,7 +335,9 @@ def test_a_number_is_what_int_reads():
 
 
 def test_a_number_literal_is_at_most_a_million(monkeypatch, tmp_path, capsys):
-    # a stand-in numeral: the real one of a million takes seconds to build
+    # a stand-in numeral: the real one of a million takes seconds to build;
+    # `parse` reads the built-ins first, so they are built before it
+    surface._builtins()
     monkeypatch.setattr(surface, "numeral", lambda k: Free(f"n{k}"))
     for digits in ("1000000", "0001000000", "٠" * 5000 + "1000000"):
         assert parse(f"check {digits}")[0].subject == Free("n1000000")
@@ -318,6 +350,7 @@ def test_a_number_literal_is_at_most_a_million(monkeypatch, tmp_path, capsys):
 
 
 def test_a_number_literal_of_every_length_up_to_seven_digits_parses(monkeypatch):
+    surface._builtins()  # with the real numerals, as above
     monkeypatch.setattr(surface, "numeral", lambda k: Free(f"n{k}"))
     for digits in range(1, 8):
         largest = min(10 ** digits - 1, 1_000_000)
