@@ -6,7 +6,8 @@ decides which of the remaining declarations are acted on:
 
     check      run the ``check`` declarations (or, with none, check that
                the environment itself is well formed) and print the
-               derivation, one rule per line
+               derivation, one rule per line, each environment once as
+               a numbered row that the lines cite
     motivate   construct one closed witness per environment variable
     inhabit    run the ``inhabit`` declarations through bounded search,
                once ``cc`` has checked that the goal is a type
@@ -37,6 +38,7 @@ from .kernel import (
     Diagnostic,
     Motivation,
     SystemMode,
+    WellFormed,
     check_motivated_env,
     check_type,
     check_wf,
@@ -55,6 +57,7 @@ from .surface import (
     parse,
     render_diagnostic,
     render_judgment,
+    render_rows,
     render_term,
 )
 from .terms import Environment, SortConst
@@ -111,9 +114,19 @@ def _emit(path: str | None, result: list[Derivation] | Diagnostic,
         raise _UsageError(f"cannot write {path}: {e.strerror}")
 
 
-def _print_derivation(d: Derivation, render, envs: dict) -> None:
+def _print_derivation(d: Derivation, render, rows: dict) -> None:
+    """One line per judgment, each citing its environment's row.  A row is
+    printed just before the first line that cites it: by the ``wf`` line
+    that concludes its environment, if that comes first, else on a line
+    of its own, labelled ``ctx``."""
+    lines = []
     for label, judgment in contract_derivation(d):
-        print(f"{label:<11} {render_judgment(judgment, render, envs)}")
+        env = judgment.env
+        if env not in rows:
+            lines += [f"{'ctx':<11} {row}" for row in render_rows(
+                env.parent if isinstance(judgment, WellFormed) else env, render, rows)]
+        lines.append(f"{label:<11} {render_judgment(judgment, render, rows)}")
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +177,14 @@ def _cmd_check(args) -> int:
         return 1
 
     # memos for the whole call: the printed lines and the certificate
-    # render the same terms and subterms, and the lines the same
-    # environments, over and over
+    # render the same terms and subterms over and over, and the lines of
+    # every derivation cite one table of environment rows
     render = functools.cache(functools.partial(render_term, memo={}))
-    envs: dict = {}
+    rows: dict = {}
     for i, d in enumerate(derivations):
         if i:
             print()
-        _print_derivation(d, render, envs)
+        _print_derivation(d, render, rows)
     _emit(args.emit_derivation, derivations, render)
     return 0
 

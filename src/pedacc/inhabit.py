@@ -49,9 +49,9 @@ from .terms import (
     Prod,
     Term,
     close_binder,
-    fresh_name,
     free_vars,
     open_binder,
+    pool_of,
     subst,
     subst_simultaneous,
 )
@@ -93,7 +93,7 @@ def _search(env: Environment, goal: Term, depth: int, fuel: int,
     if isinstance(goal, Prod):
         if intros >= _MAX_INTROS:
             return None
-        x = fresh_name(set(env.names()) | free_vars(goal), goal.domain)
+        x = env.fresh(pool_of(goal.domain), goal.fv)
         sub = _search(env.extended(x, goal.domain), open_binder(goal.body, x),
                       depth, fuel, budget, intros + 1)
         if sub is None:

@@ -57,9 +57,10 @@ from .terms import (
     Term,
     close_binder,
     free_vars,
-    fresh_name,
     is_closed,
     open_binder,
+    pool_of,
+    pool_of_name,
     subst,
     subst_simultaneous,
 )
@@ -184,6 +185,27 @@ def _closed(ty: Term, assignments: Iterable[tuple[str, Term]]) -> Term:
     """`ty` with the motivation terms of the names it holds put in: only
     those assignments reach the substitution."""
     return subst_simultaneous(ty, [a for a in assignments if a[0] in ty.fv])
+
+
+def _renamed(diag: Diagnostic, prefix: Environment, env: Environment) -> Diagnostic:
+    """`diag`, met in `prefix`, as `env` reports it.  Its terms may name
+    binders opened under `prefix`; one whose name is a hypothesis of `env`
+    is renamed to the name `env` would open it under (its pool's first
+    candidate that neither `env` nor the terms hold), so a name reads as
+    the same hypothesis wherever a diagnostic shows it."""
+    terms = [t for t in (diag.expected, diag.found) if t is not None]
+    names = frozenset().union(*[t.fv for t in terms])
+    clash = sorted(n for n in names if n in env.names() and n not in prefix.names())
+    if not clash:
+        return diag
+    taken, bindings = set(names), []
+    for name in clash:
+        new = env.fresh(pool_of_name(name), taken)
+        taken.add(new)
+        bindings.append((name, Free(new)))
+    return diag._replace(
+        expected=diag.expected and subst_simultaneous(diag.expected, bindings),
+        found=diag.found and subst_simultaneous(diag.found, bindings))
 
 
 class _Ctx(namedtuple("_Ctx", "env wf motivation", defaults=(None,))):
@@ -431,7 +453,7 @@ class Checker:
             d = self._infer(self.root_ctx(prefix, cut), t, hint, pos)
         except CheckError as e:
             if e.diagnostic.rule != "prod_r":
-                raise
+                raise CheckError(_renamed(e.diagnostic, prefix, ctx.env)) from None
             return None
         if d.rule == "weak":  # a ccr product formed further in: cite that formation
             d = d.premises[0]
@@ -529,7 +551,7 @@ class Checker:
         the context under the binder, named afresh, and the body opened at
         that name."""
         self._sort(ctx, t.domain, None, pos + (0,))
-        x = fresh_name(set(ctx.env.names()) | free_vars(t.body), t.domain)
+        x = ctx.env.fresh(pool_of(t.domain), t.body.fv)
         return self._extend(ctx, x, t.domain, pos), open_binder(t.body, x)
 
     def _normalized(self, ctx: _Ctx, subject: Term, ty: Term, node: Derivation,

@@ -23,15 +23,22 @@ earlier definition's to its body, and a built-in's, unless an earlier
 declaration takes it, to its term from `prelude.SOURCE`.  The free names
 left are hypotheses, which `elaborate` checks were assumed in time.
 
+The parser keeps one stack of the binders it is inside, and each name's
+depths in it, so a name finds its binder in one step at any depth.
+
 The printer (`render_term`) is the inverse: deterministic, with binder names
-drawn by `terms.fresh_name` from fixed pools (types get A, B, C...,
-functions f, g, h..., other terms x, y, z...), so parsing its output
-recovers the original term.  Free names print as they are: the kernel
-opens binders under those same pool names.  It reads the facts each term
-node carries: a product whose body's mask has no bit 0 prints as an
-arrow, and the text of a subterm is memoized under the node, the names
-its loose indices print as and, only when it holds a named binder, the
-names taken around it.
+drawn from fixed pools (types get A, B, C..., functions f, g, h..., other
+terms x, y, z..., then each with 1, 2, ... appended), so parsing its output
+recovers the original term.  A binder takes the first candidate of its
+pool that is neither a free name of the term nor an enclosing binder's
+name; `terms.fresh_name` finds it from the candidate after the last one an
+enclosing binder took (see `_past`), so naming a binder neither rescans
+its pool nor copies the names around it.  Free names print as they are:
+the kernel opens binders under those same pool names.  The printer reads
+the facts each term node carries: a product whose body's mask has no bit
+0 prints as an arrow, and the text of a subterm is memoized under the
+node, the names its loose indices print as and, only when it holds a
+named binder, the names taken around it.
 """
 
 from __future__ import annotations
@@ -57,8 +64,9 @@ from .terms import (
     SortConst,
     TYPE,
     Term,
-    free_vars,
+    candidate,
     fresh_name,
+    pool_of,
 )
 
 
@@ -207,6 +215,7 @@ _ONE_TERM = {"inhabit": InhabitCmd, "normalize": NormalizeCmd, "eval": EvalCmd}
 # the binders: keyword, name, `:`, domain, separator, body
 _BINDERS = {"forall": (",", Prod), "fun": ("=>", Abs)}
 _SORTS = {"Prop": PROP, "Type": TYPE}
+_SORT_NAMES = {PROP: "Prop", TYPE: "Type"}
 
 
 class _Parser:
@@ -216,6 +225,11 @@ class _Parser:
         self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
         self.toks = _lex(text, self.starts)
         self.i = 0
+        # the surface names of the enclosing binders, innermost last, and
+        # each name's positions in that stack: so a name finds its
+        # innermost binder in one step, at any depth
+        self.binders: list[str] = []
+        self.depths: dict[str, list[int]] = {}
         # the term a name no binder binds stands for, if any: each
         # declaration updates it as it ends, so its name counts from the
         # next declaration on
@@ -262,60 +276,69 @@ class _Parser:
             sep, cls = _NAMING[word]
             name = self.expect("ident")[1]
             self.expect("punct", sep)
-            body = self.expr([])
+            body = self.expr()
             if cls is AssumeDecl:
-                witness = self.expr([]) if self.accept("kw", "by") else None
+                witness = self.expr() if self.accept("kw", "by") else None
                 self.names.pop(name, None)
                 return AssumeDecl(name, body, witness, pos)
             if cls is DefineDecl:
                 self.names[name] = body
             return cls(name, body, pos)
         if word == "check":
-            subject = self.expr([])
-            expected = self.expr([]) if self.accept("punct", ":") else None
+            subject = self.expr()
+            expected = self.expr() if self.accept("punct", ":") else None
             return CheckCmd(subject, expected, pos)
         if word in _ONE_TERM:
-            return _ONE_TERM[word](self.expr([]), pos)
+            return _ONE_TERM[word](self.expr(), pos)
         raise _Syn(f"{_quote(word)} cannot start a declaration", pos)
 
-    # expressions; `binders` is the stack of surface names, innermost last
+    # expressions
 
-    def expr(self, binders: list[str]) -> Term:
+    def bound(self, name: str) -> Term:
+        """The body of a binder of `name` ("->" for an arrow's, which no
+        name reads)."""
+        self.depths.setdefault(name, []).append(len(self.binders))
+        self.binders.append(name)
+        body = self.expr()
+        self.depths[self.binders.pop()].pop()
+        return body
+
+    def expr(self) -> Term:
         kind, word, _ = self.toks[self.i]
         if kind == "kw" and word in _BINDERS:
             self.next()
             sep, cls = _BINDERS[word]
             name = self.expect("ident")[1]
             self.expect("punct", ":")
-            dom = self.expr(binders)
+            dom = self.expr()
             self.expect("punct", sep)
-            return cls(dom, self.expr(binders + [name]))
-        left = self.app(binders)
+            return cls(dom, self.bound(name))
+        left = self.app()
         if self.accept("punct", "->"):
             # non-dependent product: the codomain never mentions the binder,
             # parse it one level out and shift
-            return Prod(left, self.expr(binders + ["->"]))
+            return Prod(left, self.bound("->"))
         return left
 
-    def app(self, binders: list[str]) -> Term:
-        t = self.atom(binders)
+    def app(self) -> Term:
+        t = self.atom()
         while True:
             kind, word, _ = self.toks[self.i]
             if (kind == "ident" or kind == "number"
                     or (kind == "punct" and word == "(")
                     or (kind == "kw" and word in _SORTS)):
-                t = App(t, self.atom(binders))
+                t = App(t, self.atom())
             else:
                 return t
 
-    def atom(self, binders: list[str]) -> Term:
+    def atom(self) -> Term:
         kind, word, _ = t = self.next()
         if kind == "kw" and word in _SORTS:
             return _SORTS[word]
         if kind == "ident":
-            for depth, name in enumerate(reversed(binders)):
-                if name == word:
-                    return Bound(depth)
+            at = self.depths.get(word)
+            if at:
+                return Bound(len(self.binders) - 1 - at[-1])
             # a definition's body or a built-in holds no loose index, so
             # it goes in as it is at any depth
             return self.names.get(word) or Free(word)
@@ -327,7 +350,7 @@ class _Parser:
                 raise _Syn(f"number literal above {MAX_LITERAL}", self.pos(t))
             return numeral(int(tail))
         if kind == "punct" and word == "(":
-            inner = self.expr(binders)
+            inner = self.expr()
             self.expect("punct", ")")
             return inner
         raise _Syn(f"expected a term, found {_quote(word or kind)}", self.pos(t))
@@ -361,7 +384,7 @@ def parse_term(text: str) -> Term | Diagnostic:
     `Free`, built-ins' too: they are hypotheses in a printed term."""
     try:
         p = _Parser(text, {})
-        t = p.expr([])
+        t = p.expr()
         tok = p.toks[p.i]
         if tok[0] != "eof":
             raise _Syn(f"trailing input {_quote(tok[1])}", p.pos(tok))
@@ -389,17 +412,18 @@ def _loose_names(mask: int, binders: list[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _render_term(t: Term, binders: list[str], scope: frozenset[str], prec: int,
+def _render_term(t: Term, binders: list[str], scope: tuple | None, prec: int,
                  memo: dict) -> str:
     """`binders` names the enclosing binders, innermost last ("->" for an
-    arrow's), and grows and shrinks as binders are entered and left;
-    `scope` holds the names a new binder must avoid: the free names and
-    the enclosing binders' names.
+    arrow's), and grows and shrinks as binders are entered and left.
+    `scope` stands for the names a new binder must avoid, the free names
+    of the term printed and the enclosing binders' names (see `_past`).
 
     A node's text depends only on the node, on what its loose indices
     print as and, if it holds a named binder, on `scope`, so `memo` keeps
     it under those (parentheses are added after, for `prec`).  A subterm
-    met again in the same context is not walked again."""
+    met again in the same context is not walked again, save the binders
+    inside a chain (see `_render_binders`)."""
     kind = type(t)
     if kind is Free:
         return t.name
@@ -407,7 +431,7 @@ def _render_term(t: Term, binders: list[str], scope: frozenset[str], prec: int,
         i, n = t.index, len(binders)
         return binders[-1 - i] if i < n else f"?{i - n}"
     if kind is SortConst:
-        return t.sort.value
+        return _SORT_NAMES[t]
     key = (t, _loose_names(t.mask, binders)) if t.mask else t
     if t.named:
         key = (key, scope)
@@ -428,15 +452,53 @@ def _render_term(t: Term, binders: list[str], scope: frozenset[str], prec: int,
             s = f"{dom} -> {_render_term(t.body, binders, scope, _ARROW, memo)}"
             binders.pop()
         else:
-            name = fresh_name(scope, t.domain)
-            dom = _render_term(t.domain, binders, scope, _ARROW, memo)
-            binders.append(name)
-            body = _render_term(t.body, binders, scope | {name}, _EXPR, memo)
-            binders.pop()
-            s = (f"fun {name} : {dom} => {body}" if kind is Abs
-                 else f"forall {name} : {dom}, {body}")
+            s = _render_binders(t, binders, scope, memo)
         memo[key] = s
     return f"({s})" if have < prec else s
+
+
+def _render_binders(t: Abs | Prod, binders: list[str], scope: tuple, memo: dict) -> str:
+    """The text of a named binder, and of the chain of named binders that
+    is its body, its body's body, and so on, in one loop: the chain's text
+    is joined once, not once per binder, so a deep one costs time linear
+    in its length.  Each binder takes the first free candidate of its pool
+    in the scope of the binders around it."""
+    pieces = []
+    depth = len(binders)
+    while True:
+        pool = pool_of(t.domain)
+        at = scope[pool + 1]
+        name = candidate(pool, at)
+        dom = _render_term(t.domain, binders, scope, _ARROW, memo)
+        pieces.append(f"fun {name} : {dom} => " if type(t) is Abs
+                      else f"forall {name} : {dom}, ")
+        binders.append(name)
+        scope = _past(scope, pool, at + 1)
+        t = t.body
+        if not (type(t) is Abs or type(t) is Prod and t.body.mask & 1):
+            break
+    pieces.append(_render_term(t, binders, scope, _EXPR, memo))
+    del binders[depth:]
+    return "".join(pieces)
+
+
+def _past(scope: tuple, pool: int, start: int) -> tuple:
+    """`scope` once the candidates of `pool` before `start` are taken.
+
+    A scope is the free names not yet passed, then, per name pool, the
+    index of its first candidate that is free.  A binder takes that
+    candidate, so along one path a pool's names are taken in candidate
+    order, and the next free one is the first from there on that is not a
+    free name.  The free names passed on the way are dropped, since every
+    candidate before the free one is taken: so one set of names to avoid
+    is one scope, and one memo key, however it came about."""
+    rest, i = scope[0], start
+    if rest and candidate(pool, i) in rest:
+        i = fresh_name(pool, i + 1, rest)[1]
+        rest = rest.difference([candidate(pool, j) for j in range(start, i)])
+    inner = list(scope)
+    inner[0], inner[pool + 1] = rest, i
+    return tuple(inner)
 
 
 def render_term(t: Term, memo: dict | None = None) -> str:
@@ -444,31 +506,61 @@ def render_term(t: Term, memo: dict | None = None) -> str:
 
     A caller printing many terms can pass one `memo` dict for all of them:
     each subterm is then rendered once per context it is printed in."""
-    return _render_term(t, [], free_vars(t), _EXPR, {} if memo is None else memo)
+    if memo is None:
+        memo = {}
+    scope = None
+    if t.named:  # else no binder of it takes a name
+        # the scope of a set of free names is kept under that set
+        scope = memo.get(t.fv)
+        if scope is None:
+            scope = memo[t.fv] = _past(_past(_past((t.fv, 0, 0, 0), 0, 0), 1, 0), 2, 0)
+    return _render_term(t, [], scope, _EXPR, memo)
 
 
 def render_judgment(j: Judgment,
                     render: Callable[[Term], str] = render_term,
-                    envs: dict | None = None) -> str:
+                    rows: dict | None = None) -> str:
     """One-line concrete form of a judgment; `render` prints its terms.
 
-    A caller printing many judgments can pass a memoized `render_term`,
-    and one `envs` dict for all of them, in which the printed environment
-    is kept per (interned) `Environment`, so judgments in one environment
-    build it once.
+    With no `rows` table, the line holds its environment in full:
+    ``[x : A, y : B] |- t : T``, or ``wf [x : A, y : B]``.  With one (see
+    `render_rows`), it cites the environment's row instead: ``#k |- t :
+    T``.  A ``wf`` line whose environment has no row yet, though its
+    parent has, gives it one: ``wf #k = #j, y : B``.
     """
-    if envs is None:
-        envs = {}
-    env_s = envs.get(j.env)
-    if env_s is None:
-        env_s = envs[j.env] = _render_env(j.env, render)
+    if rows is None:
+        env_s = "[" + ", ".join([f"{e.name} : {render(e.ty)}" for e in j.env]) + "]"
+    elif isinstance(j, WellFormed) and j.env not in rows:
+        (env_s,) = render_rows(j.env, render, rows)
+    else:
+        env_s = rows[j.env]
     if isinstance(j, WellFormed):
         return f"wf {env_s}"
     return f"{env_s} |- {render(j.subject)} : {render(j.ty)}"
 
 
-def _render_env(env: Environment, render: Callable[[Term], str]) -> str:
-    return "[" + ", ".join([f"{e.name} : {render(e.ty)}" for e in env]) + "]"
+def render_rows(env: Environment | None, render: Callable[[Term], str],
+                rows: dict) -> list[str]:
+    """The rows that `env` and its ancestors lack in `rows`, oldest first,
+    each entered there (an environment keys the text that cites it).
+
+    Rows are numbered in the order they are made: ``#k = []`` for the
+    empty environment, else ``#k = #j, y : B``, the row of its parent and
+    its last entry.  So a row comes after its parent's, and an environment
+    printed once is cited by every line in it.
+    """
+    newer = []
+    while env is not None and env not in rows:
+        newer.append(env)
+        env = env.parent
+    out = []
+    for env in reversed(newer):
+        k = rows[env] = f"#{len(rows)}"
+        if env.parent is None:
+            out.append(f"{k} = []")
+        else:
+            out.append(f"{k} = {rows[env.parent]}, {env.last.name} : {render(env.last.ty)}")
+    return out
 
 
 def render_diagnostic(d: Diagnostic) -> str:

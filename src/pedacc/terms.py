@@ -3,10 +3,15 @@
 Bound variables are De Bruijn indices counted from the nearest enclosing
 binder; variables introduced by an environment entry or by opening a
 binder are named ``Free`` references.  Whoever opens a binder (the
-kernel, the witness search) names it by
-`fresh_name`: the first name of the domain's pool that is neither in the
-environment nor free in the body.  The printer draws bound names from the
-same pools, so a hypothesis has one name wherever it is shown.
+kernel, the witness search) names it by `Environment.fresh`: the first
+candidate of the domain's pool that is neither in the environment nor
+free in the body.  The printer draws bound names from the same pools, so
+a hypothesis has one name wherever it is shown.  Both find that name
+with `fresh_name`, from a candidate before which every one is known to
+be taken: an environment keeps, per pool, the first candidate none of
+its entries has, found from its parent's; the printer, the candidate
+after the last one named on the path to the binder.  So naming a binder
+never rescans its pool from the first candidate.
 
 Terms are hash-consed: a constructor returns the one live node with those
 fields, so equal terms are the same object, and ``==`` and ``hash`` are
@@ -315,27 +320,49 @@ def close_binder(t: Term, name: str) -> Term:
 
 # Name pools for opened binders: a sort domain gets a type name, a
 # product domain a function name, anything else a term name.  None is a
-# keyword of the surface syntax.
+# keyword of the surface syntax, and no two share a first letter, so a
+# candidate of one pool is never one of another's.
 _POOL_SORT = ("A", "B", "C", "D", "E", "F", "G", "H", "K", "L", "M", "N",
               "P", "Q", "R", "S", "T", "U", "V", "W")
 _POOL_FUN = ("f", "g", "h", "k", "m", "p", "q", "r")
 _POOL_TERM = ("x", "y", "z", "u", "v", "w", "s", "t", "a", "b", "c", "d", "e")
+_POOLS = (_POOL_SORT, _POOL_FUN, _POOL_TERM)
 
 
-def fresh_name(taken: Container[str], domain: Term) -> str:
-    """The first name not in `taken` from the pool for a binder of
-    `domain`, then from that pool with 1, 2, ... appended."""
-    pool = (_POOL_SORT if isinstance(domain, SortConst)
-            else _POOL_FUN if isinstance(domain, Prod) else _POOL_TERM)
-    for name in pool:
-        if name not in taken:
-            return name
-    k = 1
+def pool_of(domain: Term) -> int:
+    """The index in `_POOLS` of the pool that names a binder of `domain`."""
+    kind = type(domain)
+    return 0 if kind is SortConst else 1 if kind is Prod else 2
+
+
+def pool_of_name(name: str) -> int:
+    """The index of the pool whose candidate `name` is, by its first letter."""
+    return next(pool for pool, names in enumerate(_POOLS) if name[0] in names)
+
+
+def candidate(pool: int, i: int) -> str:
+    """Candidate `i` of `_POOLS[pool]`: its names, then each of them with
+    1, 2, ... appended."""
+    names = _POOLS[pool]
+    n = len(names)
+    return names[i] if i < n else f"{names[i % n]}{i // n}"
+
+
+def fresh_name(pool: int, start: int, taken: Container[str],
+               avoid: Container[str] = _NO_NAMES) -> tuple[str, int]:
+    """The first candidate of `_POOLS[pool]` at index `start` or later that
+    is in neither `taken` nor `avoid`, and its index.
+
+    A caller starts where it knows every earlier candidate is taken (see
+    `Environment.fresh` and `surface._past`), so naming a binder
+    does not rescan the pool from its first candidate.
+    """
+    i = start
     while True:
-        for name in pool:
-            if f"{name}{k}" not in taken:
-                return f"{name}{k}"
-        k += 1
+        name = candidate(pool, i)
+        if name not in taken and name not in avoid:
+            return name, i
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +391,14 @@ class Environment(_Interned):
     one entry, `last`.  The constructor and `_cons` return the live cell
     for a (parent, last) pair, so equal environments are one object,
     ``==`` and ``hash`` are the identity ones, and `extended` is O(1).
-    The entries and names tuples are built on first use and kept (the
-    checker asks for an environment's names at each binder it opens).
+    The entries and names tuples are built on first use and kept, and so
+    is, per name pool, the index of the first candidate no entry takes
+    (see `fresh`).
     `Environment(entries)` builds the chain for a sequence of entries;
     `Environment()` is the empty environment.
     """
 
-    __slots__ = ("parent", "last", "_len", "_entries", "_names")
+    __slots__ = ("parent", "last", "_len", "_entries", "_names", "_free")
     __match_args__ = ("parent", "last")
 
     def __new__(cls, entries: Iterable[EnvEntry] = ()):
@@ -422,6 +450,36 @@ class Environment(_Interned):
     def extended(self, name: str, ty: Term, witness: Term | None = None) -> "Environment":
         return _cons(self, EnvEntry(name, ty, witness))
 
+    def fresh(self, pool: int, avoid: Container[str]) -> str:
+        """The name a binder opened here gets: the first candidate of
+        `pool` (see `pool_of`) that no entry has and that is not in
+        `avoid`, the free names of the binder's body.  The search starts
+        at the first candidate no entry has, so it reads the entries'
+        names only past a candidate that `avoid` holds."""
+        start = self._first_free(pool)
+        name = candidate(pool, start)
+        if name in avoid:
+            name = fresh_name(pool, start + 1, self.names(), avoid)[0]
+        return name
+
+    def _first_free(self, pool: int) -> int:
+        """The index of the first candidate of `pool` that no entry has,
+        kept per environment.  It is found from the nearest ancestor that
+        keeps it, one entry at a time (a loop: environments may be deep);
+        it moves only when an entry takes the candidate it points at."""
+        env, newer = self, []
+        while env._free is None or env._free[pool] is None:
+            newer.append(env)
+            env = env.parent
+        i = env._free[pool]
+        for env in reversed(newer):
+            if env.last.name == candidate(pool, i):
+                i = fresh_name(pool, i + 1, env.names())[1]
+            if env._free is None:
+                object.__setattr__(env, "_free", [None, None, None])
+            env._free[pool] = i
+        return i
+
 
 def _cons(parent: Environment | None, last: EnvEntry | None) -> Environment:
     """The live environment `parent` extended by `last`; (None, None) is
@@ -434,5 +492,6 @@ def _cons(parent: Environment | None, last: EnvEntry | None) -> Environment:
         object.__setattr__(env, "_len", 0 if parent is None else parent._len + 1)
         object.__setattr__(env, "_entries", () if parent is None else None)
         object.__setattr__(env, "_names", None)
+        object.__setattr__(env, "_free", [0, 0, 0] if parent is None else None)
     return env
 

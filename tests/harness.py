@@ -11,7 +11,10 @@ two-valued model refuted the missing witness or the search ran out.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -459,3 +462,14 @@ def naive_p_examples() -> list[tuple[Judgment, Motivation]]:
         (HasType(env_b, PROP, TYPE), sigma_b),
         (HasType(env_c, PROP, TYPE), sigma_c),
     ]
+
+
+def perfbench_workloads():
+    """perfbench's item generators, loaded from their file: the tests only
+    read them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

@@ -13,9 +13,9 @@ from typing import Union
 
 from pedacc.prelude import numeral, top_type
 from pedacc.terms import (
-    Abs, App, Bound, Free, PROP, Prod, Term, close_binder, free_vars, fresh_name,
-    lift, subst,
+    Abs, App, Bound, Free, PROP, Prod, Term, close_binder, free_vars, lift, subst,
 )
+from reference_render import fresh_name
 
 
 def arrow(a: Term, b: Term) -> Term:

@@ -1,11 +1,15 @@
 """The plain recursive printer, kept as a reference for `surface.render_term`.
 
-It walks every node of the term, with no memo, and asks whether a
-product's body uses its binder by walking that body again.  The tests
-check that the memoized printer gives the same text.
+It walks every node of the term, with no memo, asks whether a product's
+body uses its binder by walking that body again, and names each binder
+by `fresh_name`, which scans the binder's pool from its first candidate.
+The tests check that the memoized printer, and the kernel and the search
+that open binders, give the same names and text.
 
 `render` prints a declaration through the shipped term printer, for the
-tests that parse printed declarations back.
+tests that parse printed declarations back.  `expand_rows` turns the
+lines `check` prints, which cite each environment by its row, back into
+lines that hold each environment in full.
 """
 
 from __future__ import annotations
@@ -21,10 +25,38 @@ from pedacc.surface import (
     SetMotivationCmd,
     SourceDecl,
 )
-from pedacc.terms import Abs, App, Bound, Free, Prod, SortConst, Term, free_vars, fresh_name
+from pedacc.terms import (
+    _POOL_FUN,
+    _POOL_SORT,
+    _POOL_TERM,
+    Abs,
+    App,
+    Bound,
+    Free,
+    Prod,
+    SortConst,
+    Term,
+    free_vars,
+)
 
 # precedence contexts, loosest to tightest
 _EXPR, _ARROW, _APP, _ATOM = 0, 1, 2, 3
+
+
+def fresh_name(taken, domain: Term) -> str:
+    """The first name not in `taken` from the pool for a binder of
+    `domain`, then from that pool with 1, 2, ... appended."""
+    pool = (_POOL_SORT if isinstance(domain, SortConst)
+            else _POOL_FUN if isinstance(domain, Prod) else _POOL_TERM)
+    for name in pool:
+        if name not in taken:
+            return name
+    k = 1
+    while True:
+        for name in pool:
+            if f"{name}{k}" not in taken:
+                return f"{name}{k}"
+        k += 1
 
 
 def _uses_top(t: Term, depth: int = 0) -> bool:
@@ -107,3 +139,42 @@ def render(obj: Term | SourceDecl) -> str:
     if isinstance(obj, SetMotivationCmd):
         return f"motivation {obj.name} := {render_term(obj.body)}"
     return render_term(obj)
+
+
+def expand_rows(stdout: str) -> str:
+    """`check`'s stdout with every environment row put back where it is
+    cited: a ``ctx`` line is dropped, a ``wf #k = ...`` line reads ``wf
+    [...]`` and a ``#k |- t : T`` line ``[...] |- t : T``.  Raises
+    `ValueError` on a row cited before it is printed, printed twice, or
+    not built from an earlier row."""
+    envs: dict[str, str] = {}
+    lines = []
+    for line in stdout.splitlines():
+        if not line:  # between two derivations
+            lines.append(line)
+            continue
+        label, text = line[:11].rstrip(), line[12:]
+        wf = text.startswith("wf ")
+        cite, _, rest = text[3 if wf else 0:].partition(" ")
+        if rest.startswith("= "):
+            if cite in envs or cite != f"#{len(envs)}":
+                raise ValueError(f"row {cite} out of order: {line!r}")
+            row = rest[2:]
+            if row == "[]":
+                env = "[]"
+            else:
+                parent, _, entry = row.partition(", ")
+                if parent not in envs:
+                    raise ValueError(f"row {cite} built on an unknown row: {line!r}")
+                env = f"[{entry}]" if envs[parent] == "[]" else f"{envs[parent][:-1]}, {entry}]"
+            envs[cite] = env
+            if label == "ctx":
+                continue
+            if not wf:
+                raise ValueError(f"a row on a line that is not wf: {line!r}")
+            rest = ""
+        elif cite not in envs:
+            raise ValueError(f"row {cite} cited before it is printed: {line!r}")
+        text = f"wf {envs[cite]}" if wf else f"{envs[cite]} {rest}"
+        lines.append(f"{label:<11} {text}")
+    return "".join(line + "\n" for line in lines)

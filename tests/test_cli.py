@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from harness import DEMO_REJECTS, NORMALIZED_PRODUCTS
+from harness import DEMO_REJECTS, NORMALIZED_PRODUCTS, perfbench_workloads
 from pedacc import cli
 from pedacc.cli import main
 from pedacc.kernel import (
@@ -20,11 +20,13 @@ from pedacc.kernel import (
     Motivation,
     SystemMode,
     check_motivated_env,
+    contract_derivation,
     verify_derivation,
     write_certificate,
 )
-from pedacc.surface import CheckCmd, elaborate, parse, parse_term
+from pedacc.surface import CheckCmd, elaborate, parse, parse_term, render_judgment
 from pedacc.terms import free_vars
+from reference_render import expand_rows
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PRELUDE = str(DEMOS / "prelude.ped")
@@ -39,7 +41,7 @@ def _write(tmp_path, name, text):
 def test_check_prints_the_rule_lines(capsys):
     assert main(["check", PRELUDE, "--system", "ccr"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].split() == ["env1", "wf", "[]"]
+    assert out[0].split() == ["env1", "wf", "#0", "=", "[]"]
     assert out[-1].startswith("abs+prod_r")
     assert len(out) == 8
 
@@ -479,41 +481,41 @@ def test_zero_budgets_are_accepted(capsys):
 
 
 # the printed derivation of `check id : top`, whose hypotheses are opened
-# from binders under pool names
+# from binders under pool names; each environment is printed once, as a row
 _ID_TOP_LINES = {
     "cc": [
-        "env1        wf []",
-        "ax          [] |- Prop : Type",
-        "env2        wf [A : Prop]",
-        "var         [A : Prop] |- A : Prop",
-        "env2        wf [A : Prop, x : A]",
-        "var         [A : Prop, x : A] |- x : A",
-        "abs         [A : Prop] |- fun x : A => x : A -> A",
-        "abs         [] |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
+        "env1        wf #0 = []",
+        "ax          #0 |- Prop : Type",
+        "env2        wf #1 = #0, A : Prop",
+        "var         #1 |- A : Prop",
+        "env2        wf #2 = #1, x : A",
+        "var         #2 |- x : A",
+        "abs         #1 |- fun x : A => x : A -> A",
+        "abs         #0 |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
     ],
     "ccr": [
-        "env1        wf []",
-        "ax          [] |- Prop : Type",
-        "env2        wf [A : Prop]",
-        "var         [A : Prop] |- A : Prop",
-        "env2        wf [A : Prop, x : A]",
-        "var         [A : Prop, x : A] |- x : A",
-        "abs+prod_r  [A : Prop] |- fun x : A => x : A -> A",
-        "abs+prod_r  [] |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
+        "env1        wf #0 = []",
+        "ax          #0 |- Prop : Type",
+        "env2        wf #1 = #0, A : Prop",
+        "var         #1 |- A : Prop",
+        "env2        wf #2 = #1, x : A",
+        "var         #2 |- x : A",
+        "abs+prod_r  #1 |- fun x : A => x : A -> A",
+        "abs+prod_r  #0 |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
     ],
     "naivep": [
-        "env1        wf []",
-        "ax          [] |- Prop : Type",
-        "env2        wf [A : Prop]",
-        "var         [A : Prop] |- A : Prop",
-        "env2        wf [A : Prop, x : A]",
-        "var         [A : Prop, x : A] |- A : Prop",
-        "prod        [A : Prop] |- A -> A : Prop",
-        "prod        [] |- forall A : Prop, A -> A : Prop",
-        "var         [A : Prop, x : A] |- x : A",
-        "abs         [A : Prop] |- fun x : A => x : A -> A",
-        "abs         [] |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
-        "p-var       [A : Prop, x : A] |- x : A",
+        "env1        wf #0 = []",
+        "ax          #0 |- Prop : Type",
+        "env2        wf #1 = #0, A : Prop",
+        "var         #1 |- A : Prop",
+        "env2        wf #2 = #1, x : A",
+        "var         #2 |- A : Prop",
+        "prod        #1 |- A -> A : Prop",
+        "prod        #0 |- forall A : Prop, A -> A : Prop",
+        "var         #2 |- x : A",
+        "abs         #1 |- fun x : A => x : A -> A",
+        "abs         #0 |- fun A : Prop => fun x : A => x : forall A : Prop, A -> A",
+        "p-var       #2 |- x : A",
     ],
 }
 
@@ -526,12 +528,84 @@ def test_printed_derivation_names_fresh_hypotheses(tmp_path, capsys, system):
                  "--emit-derivation", str(cert)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == _ID_TOP_LINES[system]
-    # the certificate names the hypotheses as the printed lines do
-    shown = {name for line in lines
-             for name in re.findall(r"(?:\[|, )(\w+) : ", line.split("|-")[0])}
+    # the certificate names the hypotheses as the printed rows do
+    shown = {name for line in lines for name in re.findall(r"= #\d+, (\w+) : ", line)}
     (tree,) = json.loads(cert.read_text())["derivations"]
     names = {e["name"] for n in tree["nodes"] for e in n["conclusion"]["env"]}
     assert names == shown == {"A", "x"}
+
+
+# products that name no hypothesis are formed in the empty prefix, and
+# their binders opened there under the names A, B, ...; a diagnostic shows
+# them under the names the whole environment opens them under, never under
+# a hypothesis's name
+_PREFIX_DIAGNOSTICS = [
+    ("assume A : Prop\nassume a : A\nmotivation A := top\nmotivation a := id\n",
+     "forall X : Prop, fun x : X => x", "at 1", "B -> B"),
+    ("assume A : Prop\nassume B : Prop\nassume a : A\n"
+     "motivation A := top\nmotivation B := top\nmotivation a := id\n",
+     "forall X : Prop, forall Y : Prop, fun x : X => fun y : Y => x", "at 1.1", "C -> D -> C"),
+]
+
+
+@pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
+@pytest.mark.parametrize("env, subject, where, found", _PREFIX_DIAGNOSTICS,
+                         ids=["one-binder", "two-binders"])
+def test_a_diagnostic_met_in_a_prefix_names_no_binder_after_a_hypothesis(
+        tmp_path, capsys, system, env, subject, where, found):
+    src = _write(tmp_path, "prefix.ped", f"{env}check {subject}\n")
+    assert main(["check", src, "--system", system]) == 1
+    rule = "prod_r" if system == "ccr" else "prod"
+    assert capsys.readouterr().err == (
+        f"error[{rule}]: product body is not a type {where}\n  found:    {found}\n")
+
+
+def _printed_and_full(monkeypatch, capsys, argv) -> tuple[str, str, set]:
+    """What `check` prints; its derivations' lines as `render_judgment`
+    prints them with no row table, each environment in full; and the
+    environments of those lines."""
+    derivations: list = []
+    monkeypatch.setattr(cli, "write_certificate",
+                        lambda fh, result, render: derivations.append(result))
+    main(argv)
+    (result,) = derivations
+    lines = [] if isinstance(result, Diagnostic) else [contract_derivation(d) for d in result]
+    full = "\n".join("".join(f"{label:<11} {render_judgment(j)}\n" for label, j in block)
+                     for block in lines)
+    return capsys.readouterr().out, full, {j.env for block in lines for _, j in block}
+
+
+@pytest.mark.parametrize("system", ["cc", "ccr", "naivep"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.ped")))
+def test_a_demos_rows_expand_to_the_full_lines(tmp_path, monkeypatch, capsys, demo, system):
+    printed, full, cited = _printed_and_full(monkeypatch, capsys, [
+        "check", str(DEMOS / demo), "--system", system,
+        "--emit-derivation", str(tmp_path / "c.json")])
+    assert expand_rows(printed) == full
+    # every line cites its environment by a row, which is printed once
+    lines = [line[12:] for line in printed.splitlines() if line]
+    assert all(re.match(r"(wf )?#\d+( = | \|- |$)", line) for line in lines)
+    # one row per environment a line is in, or that one of those extends
+    envs = set()
+    for env in cited:
+        while env is not None and env not in envs:
+            envs.add(env)
+            env = env.parent
+    rows = [line.removeprefix("wf ").split(" = ")[0] for line in lines if " = " in line]
+    assert len(rows) == len(set(rows)) == len(envs)
+
+
+def test_the_check_workload_rows_expand_to_the_full_lines(tmp_path, monkeypatch, capsys):
+    checked = 0
+    for item in perfbench_workloads().generate("check-cert", 1):
+        if item.verb != "check":
+            continue
+        src = _write(tmp_path, "item.ped", item.source)
+        printed, full, _ = _printed_and_full(monkeypatch, capsys, [
+            "check", src, *item.args, "--emit-derivation", str(tmp_path / "c.json")])
+        assert expand_rows(printed) == full, item.id
+        checked += bool(full)
+    assert checked >= 50
 
 
 def test_naive_check_uses_file_motivations(tmp_path, capsys):

@@ -656,6 +656,24 @@ assume w : top -> top by fun a : top => a
 _TOP_TO_TOP = "(forall A : Prop, A -> A) -> (forall A : Prop, A -> A)"
 
 
+def test_a_diagnostic_met_in_a_prefix_is_renamed_for_the_whole_environment():
+    # the product is closed, so it is formed in []: its binder opens as A,
+    # the name of the whole environment's first hypothesis, which opens it
+    # as B; a binder name no hypothesis takes is left as it is
+    A = Free("A")
+    subject = Prod(PROP, Abs(Bound(0), Bound(0)))
+    for env, want in ((env_of(("A", PROP), ("a", A)), Prod(Free("B"), Free("B"))),
+                      (env_of(("C", PROP)), Prod(A, A)),
+                      (Environment(), Prod(A, A))):
+        for mode in (CC, CCR):
+            d = infer_type(env, subject, mode, make_search_oracle())
+            assert isinstance(d, Diagnostic) and d.found == want
+    sigma = Motivation((("A", top_type), ("a", id_term)))
+    d = infer_type(env_of(("A", PROP), ("a", A)), subject, NAIVE, make_search_oracle(),
+                   motivation=sigma)
+    assert isinstance(d, Diagnostic) and d.found == Prod(Free("B"), Free("B"))
+
+
 def test_a_product_formed_in_its_names_prefix_is_cited_under_any_later_hint(
         tmp_path, capsys, oracle):
     src = tmp_path / "hints.ped"
@@ -663,7 +681,9 @@ def test_a_product_formed_in_its_names_prefix_is_cited_under_any_later_hint(
     cert = tmp_path / "c.json"
     assert cli.main(["check", str(src), "--system", "ccr",
                      "--emit-derivation", str(cert)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 16
+    # 16 judgments; the environments past the products' are rows of their own
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if not line.startswith("ctx ")]) == 16
     rows = json.loads(cert.read_text(encoding="utf-8"))["derivations"][0]["nodes"]
     assert [(r["rule"], r["conclusion"]["env"]) for r in rows
             if r["conclusion"].get("term") == _TOP_TO_TOP and r["rule"] != "weak"] == [

@@ -9,10 +9,8 @@ environment and commands, or the same `Diagnostic`.
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import re
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +18,7 @@ import pytest
 
 import reference_lexer
 import reference_surface
+from harness import perfbench_workloads
 from pedacc import surface
 from pedacc.kernel import Diagnostic
 from pedacc.surface import _lex, _Syn, elaborate, parse
@@ -87,20 +86,9 @@ def test_every_demo_reads_as_in_the_reference(demo):
     assert _read(text) == reference_surface.read(text)
 
 
-def _workloads():
-    """perfbench's item generators, loaded from their file: the tests only
-    read them."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_every_workload_source_reads_as_in_the_reference(seed):
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     for name in workloads.WORKLOADS:
         for item in workloads.generate(name, seed):
             assert _read(item.source) == reference_surface.read(item.source), item.id

@@ -29,10 +29,12 @@ from pedacc.terms import (
     is_closed,
     lift,
     open_binder,
+    pool_of,
     subst,
     subst_simultaneous,
 )
 from reference_prelude import apps, arrow
+from reference_render import fresh_name as reference_fresh_name
 from reference_reduction import beta_step
 
 
@@ -351,21 +353,54 @@ def test_free_vars_of_a_term_deeper_than_the_recursion_limit():
 
 
 def test_fresh_name_avoids_taken():
+    def first(taken, domain):
+        name, i = fresh_name(pool_of(domain), 0, taken)
+        # started at its own index, the search finds the same candidate
+        assert fresh_name(pool_of(domain), i, taken) == (name, i)
+        return name
+
     # the pool follows the domain's shape: a sort, a product, anything else
-    assert [fresh_name((), d) for d in (PROP, TYPE, arrow(PROP, PROP), Free("A"))] \
+    assert [first((), d) for d in (PROP, TYPE, arrow(PROP, PROP), Free("A"))] \
         == ["A", "A", "f", "x"]
-    assert fresh_name({"x", "y"}, Free("A")) == "z"
+    assert first({"x", "y"}, Free("A")) == "z"
     # a fully taken pool starts over with a suffix
     for pool, domain in ((terms._POOL_SORT, PROP), (terms._POOL_FUN, arrow(PROP, PROP)),
                          (terms._POOL_TERM, Free("A"))):
-        assert fresh_name(set(pool), domain) == f"{pool[0]}1"
-        assert fresh_name(set(pool) | {f"{pool[0]}1"}, domain) == f"{pool[1]}1"
+        assert first(set(pool), domain) == f"{pool[0]}1"
+        assert first(set(pool) | {f"{pool[0]}1"}, domain) == f"{pool[1]}1"
         taken: set[str] = set()
         for _ in range(3 * len(pool)):
-            got = fresh_name(taken, domain)
+            got = first(taken, domain)
             assert got not in taken
             taken.add(got)
         assert f"{pool[-1]}2" in taken
+    # the second set is tested too
+    assert fresh_name(0, 0, {"A"}, frozenset({"B"})) == ("C", 2)
+
+
+def test_an_environment_opens_binders_under_the_scanning_names():
+    # each environment keeps the first candidate its entries leave free,
+    # found from its parent's; the name it opens a binder under is the
+    # one a scan of the whole pool finds, on chains that take pool names
+    # in order, out of order, twice, and past the suffixes
+    rng = random.Random(3)
+    domains = (PROP, arrow(PROP, PROP), Free("A"))
+    words = ["A", "B", "C", "A1", "W", "W1", "B2", "f", "g", "r", "f1", "x", "y", "e", "x2",
+             "nat", "Ab"]
+    for _ in range(300):
+        env = Environment()
+        for _ in range(rng.randint(0, 40)):
+            if rng.random() < 0.5:
+                name = rng.choice(words)
+            else:  # the name a binder opened here would get
+                name = env.fresh(pool_of(rng.choice(domains)), frozenset())
+            env = env.extended(name, PROP)
+            if rng.random() < 0.7:  # and some kept candidates are found many entries up
+                continue
+            avoid = frozenset(rng.sample(words, rng.randint(0, 4)))
+            for domain in domains:
+                assert env.fresh(pool_of(domain), avoid) \
+                    == reference_fresh_name(set(env.names()) | avoid, domain)
 
 
 def test_no_pool_name_is_a_keyword():
